@@ -86,10 +86,15 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _config_from_args(args) -> Config:
-    budget = args.budget
+    budget, source = args.budget, "--budget"
     if budget is None:
-        env = os.environ.get("METLIE_BUDGET")
-        budget = int(env) if env else DEFAULT_BUDGET
+        budget, source = os.environ.get("METLIE_BUDGET") or DEFAULT_BUDGET, "METLIE_BUDGET"
+    try:
+        budget = int(budget)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise CatalogError(f"{source} must be a positive integer")
     cfg = Config(
         n=args.n,
         budget=budget,

@@ -9,7 +9,8 @@ term of an expression):
     generator := 'x' digits
 
 A bare integer is only a valid term when it is 0 (the zero element); any
-other constant does not denote an element of a Lie ring.
+other constant does not denote an element of a Lie ring.  Brackets and
+parentheses nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ class ScalarMul:
 LieExpr = Union[Generator, Bracket, Sum, ScalarMul]
 
 _SYMBOLS = "[],()+-*"
+
+# Deepest bracket/parenthesis nesting the recursive parser and evaluator accept.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -106,6 +110,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n = n
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -174,17 +179,22 @@ class _Parser:
                     f"generator index {index} out of range 1..{self.n}", tok[2], tok[3]
                 )
             return Generator(index)
-        if tok[0] == "[":
+        if tok[0] in ("[", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise LieParseError(
+                    f"brackets and parentheses nested deeper than {MAX_NESTING}", tok[2], tok[3]
+                )
             self.advance()
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect("]")
-            return Bracket(left, right)
-        if tok[0] == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
+            if tok[0] == "[":
+                left = self.parse_expr()
+                self.expect(",")
+                inner = Bracket(left, self.parse_expr())
+                self.expect("]")
+            else:
+                inner = self.parse_expr()
+                self.expect(")")
+            self.depth -= 1
             return inner
         raise LieParseError(
             f"expected a generator, bracket or parenthesis, found {tok[1] or 'end of input'!r}",

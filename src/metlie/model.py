@@ -1,4 +1,4 @@
-"""Finite metabelian matrix Lie rings and exhaustive uniformity checking.
+"""Finite metabelian matrix Lie rings and exact uniformity checking.
 
 A model element is a 2x2 matrix shape (l 0 / tau 0): a top-left entry l and
 a bottom-left vector tau in the free rank-n module over Z_{p,q,m}[X] with
@@ -9,10 +9,11 @@ mod m; the full quotient ring is available as a variant.
 
 A system (g_1..g_k) over n generators is uniformly distributed on a finite
 ring R of size N exactly when every target k-tuple has N^(n-k) preimages
-under substitution.  `uniformity_check` decides that by exhaustively
-enumerating all N^n argument tuples; the substituted values come from the
-closed form (lin(g)(s), sum_j tau_j * d_j g(s)), so the polynomial work is
-hoisted out of the enumeration of the tau coordinates.
+under substitution.  `uniformity_check` counts every fiber exactly without
+enumerating the N^n argument tuples: the substituted values come from the
+closed form (lin(g)(s), sum_j tau_j * d_j g(s)), which for fixed top-left
+entries s is linear in the tau coordinates, so each top-left tuple adds the
+image of a linear map with fibers of one size.
 """
 
 from __future__ import annotations
@@ -289,13 +290,12 @@ def _mixed_radix_digits(code: int, base: int, width: int) -> tuple[int, ...]:
 
 
 class _EnumTables:
-    """Indexed arithmetic for one quotient ring, shared across enumerations."""
+    """Indexed ring elements for one quotient ring, shared across censuses."""
 
     def __init__(self, model: FiniteModel):
         quotient = model.quotient
         self.quotient = quotient
         self.monos = list(quotient.monomials())
-        self.mono_pos = {mu: i for i, mu in enumerate(self.monos)}
         self.size = quotient.ring_size
         m = quotient.m
         width = len(self.monos)
@@ -303,40 +303,17 @@ class _EnumTables:
             raise BudgetError(
                 f"quotient ring of size {self.size} is too large to tabulate"
             )
-        digit_rows = [_mixed_radix_digits(i, m, width) for i in range(self.size)]
         self.ring_elems = [
             QPoly(quotient, {mu: d for mu, d in zip(self.monos, row) if d})
-            for row in digit_rows
+            for row in (_mixed_radix_digits(i, m, width) for i in range(self.size))
         ]
-        self.radd = [
-            [
-                _mixed_radix_code([(a + b) % m for a, b in zip(ra, rb)], m)
-                for rb in digit_rows
-            ]
-            for ra in digit_rows
-        ]
-        self._scale_cols: dict[int, list[tuple[int, ...]]] = {}
-        # tau space: all T-vectors as tuples of ring indices, in code order.
-        self.tau_space = [
-            _mixed_radix_digits(code, self.size, quotient.n)
-            for code in range(self.size ** quotient.n)
-        ]
+
+    def digits(self, qp: QPoly) -> list[int]:
+        """Coefficients of `qp` in the fixed monomial order."""
+        return [qp.terms.get(mu, 0) for mu in self.monos]
 
     def ring_index(self, qp: QPoly) -> int:
-        digits = [0] * len(self.monos)
-        for mu, c in qp.terms.items():
-            digits[self.mono_pos[mu]] = c
-        return _mixed_radix_code(digits, self.quotient.m)
-
-    def scale_column(self, c_idx: int) -> list[tuple[int, ...]]:
-        """For each T-vector code, the vector scaled by the ring element c_idx."""
-        col = self._scale_cols.get(c_idx)
-        if col is None:
-            c_elem = self.ring_elems[c_idx]
-            row = [self.ring_index(self.ring_elems[d] * c_elem) for d in range(self.size)]
-            col = [tuple(row[d] for d in vec) for vec in self.tau_space]
-            self._scale_cols[c_idx] = col
-        return col
+        return _mixed_radix_code(self.digits(qp), self.quotient.m)
 
 
 @dataclass
@@ -429,11 +406,15 @@ def _model_substitution_data(model: FiniteModel, gs: list[MElement]):
 
 def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
                      max_keys: int = DEFAULT_MAX_KEYS) -> UniformityReport:
-    """Exhaustive fiber census of the substitution map over the model.
+    """Exact fiber census of the substitution map over the model.
 
-    Enumerates every argument tuple in R^n; the tuple space is partitioned by
-    the top-left coordinates, each partition filling a private histogram that
-    is merged pointwise afterwards.
+    With the top-left tuple s fixed, the module part
+    T_i[c] = sum_j tau_j[c] * d_j g_i(s) is Z/m-linear in tau and acts on
+    every module coordinate c alike.  Its image is therefore Im^n, where Im
+    is the subgroup of R^k spanned by (mu * d_j g_i(s))_i over j and the
+    monomials mu, and each image point has |R|^(n*n) / |Im|^n preimages.
+    The census walks these images instead of the tau tuples, and fills a
+    histogram only when the system is not plainly uniform.
     """
     start = time.perf_counter()
     quotient = model.quotient
@@ -457,6 +438,7 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
     dbars = _model_substitution_data(model, gs)
     one = QPoly.one(quotient)
     m = quotient.m
+    mono_elems = [QPoly(quotient, {mu: 1}) for mu in tab.monos]
 
     if model.params.top_left == "linear":
         l_space = [_mixed_radix_digits(code, m, n) for code in range(model.l_size)]
@@ -465,11 +447,15 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
         l_space = list(range(model.l_size))
         l_lift = tab.ring_elems
 
-    hist: dict[int, int] = {}
     R = model.size
+    expected = R ** (n - k)
+    parts = []  # (top-left key, preimages per image point, Im)
+    top: dict[int, int] = {}
+    onto = True
+    mass = 0
     for combo in itertools.product(range(len(l_space)), repeat=n):
         images = [l_lift[idx] for idx in combo]
-        prefixes = []
+        base = 0
         for g in gs:
             if model.params.top_left == "linear":
                 lv = tuple(
@@ -482,19 +468,78 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
                 for t in range(n):
                     acc = acc + g.linear[t] * l_lift[combo[t]]
                 l_code = tab.ring_index(acc)
-            prefixes.append(l_code * t_size)
-        columns = [
-            [tab.scale_column(tab.ring_index(dbars[i][j].evaluate(images, one)))
-             for i in range(k)]
-            for j in range(n)
-        ]
-        part = _census_partition(columns, prefixes, tab, size, n, k, R)
-        for key, cnt in part.items():
-            hist[key] = hist.get(key, 0) + cnt
+            base = base * R + l_code * t_size
+        gens = []
+        for j in range(n):
+            coeffs = [dbars[i][j].evaluate(images, one) for i in range(k)]
+            gens.extend(
+                tuple(d for c in coeffs for d in tab.digits(mu * c)) for mu in mono_elems
+            )
+        image = _span(gens, m)
+        kernel = size ** (n * n) // len(image) ** n
+        mass += kernel * len(image) ** n
+        onto = onto and len(image) == size ** k
+        top[base] = top.get(base, 0) + kernel
+        parts.append((base, kernel, image))
+    assert mass == total, "linear images lost mass"
 
+    # Onto maps give every tau target of a top-left key the key's weight.
+    if onto and all(w == expected for w in top.values()):
+        fiber_min, fiber_max, uniform, witness = expected, expected, True, None
+    else:
+        # element_code layout: slot i at R^(k-1-i), coordinate c at size^c, digit d at m^d.
+        weights = [R ** (k - 1 - i) * m ** d for i in range(k) for d in range(len(tab.monos))]
+        hist: dict[int, int] = {}
+        for base, kernel, image in parts:
+            codes = [sum(d * w for d, w in zip(v, weights)) for v in image]
+            keys = [base]
+            for c in range(n):
+                shifted = [size ** c * code for code in codes]
+                keys = [key + code for key in keys for code in shifted]
+            for key in keys:
+                hist[key] = hist.get(key, 0) + kernel
+        fiber_min, fiber_max, uniform, witness = _fibers(
+            hist, total, R ** k, expected,
+            lambda key: [model.element_from_code(c).to_json() for c in _split_key(key, R, k)],
+        )
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return UniformityReport(
+        model=model.describe(), k=k, n=n, size=model.size, total=total,
+        expected_fiber=expected, fiber_min=fiber_min, fiber_max=fiber_max,
+        uniform=uniform, witness=witness, elapsed_ms=elapsed,
+    )
+
+
+def _span(gens, m: int) -> list[tuple[int, ...]]:
+    """Subgroup of (Z/m)^w generated by `gens`, grown by coset doubling.
+
+    Each generator g outside the current subgroup S adds the disjoint cosets
+    S + t*g for t = 1, 2, ... until t*g falls back into S.
+    """
+    zero = (0,) * len(gens[0])
+    elems = [zero]
+    seen = {zero}
+    for g in gens:
+        if g in seen:
+            continue
+        base = list(elems)
+        step = g
+        while step not in seen:
+            for s in base:
+                v = tuple((a + b) % m for a, b in zip(s, step))
+                elems.append(v)
+                seen.add(v)
+            step = tuple((a + b) % m for a, b in zip(step, g))
+    return elems
+
+
+def _fibers(hist: dict[int, int], total: int, key_space: int, expected: int, target):
+    """fiber_min, fiber_max, uniformity and witness of a fiber histogram.
+
+    The witness is the smallest key whose fiber is wrong, or the smallest
+    key missing from the histogram; `target` gives its JSON form.
+    """
     assert sum(hist.values()) == total, "fiber histogram lost mass"
-    expected = model.size ** (n - k)
-    key_space = model.size ** k
     fiber_max = max(hist.values())
     fiber_min = 0 if len(hist) < key_space else min(hist.values())
     uniform = fiber_min == expected and fiber_max == expected
@@ -507,67 +552,8 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
         else:
             key = next(c for c in itertools.count() if c not in hist)
             count = 0
-        witness = {
-            "target": [model.element_from_code(c).to_json()
-                       for c in _split_key(key, R, k)],
-            "count": count,
-        }
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return UniformityReport(
-        model=model.describe(), k=k, n=n, size=model.size, total=total,
-        expected_fiber=expected, fiber_min=fiber_min, fiber_max=fiber_max,
-        uniform=uniform, witness=witness, elapsed_ms=elapsed,
-    )
-
-
-def _census_partition(columns, prefixes, tab, size, n, k, R) -> dict[int, int]:
-    """Histogram of one top-left partition: walk all tau assignments."""
-    hist: dict[int, int] = {}
-    radd = tab.radd
-    t_len = len(tab.tau_space)
-    powers = [size ** c for c in range(n)]
-
-    def encode(vec) -> int:
-        code = 0
-        for c in range(n):
-            code += vec[c] * powers[c]
-        return code
-
-    def walk(depth: int, accs):
-        cols_d = columns[depth]
-        last = depth == n - 1
-        if last and k == 1:
-            col = cols_d[0]
-            pre = prefixes[0]
-            if accs is None:
-                for t in range(t_len):
-                    key = pre + encode(col[t])
-                    hist[key] = hist.get(key, 0) + 1
-            else:
-                acc = accs[0]
-                for t in range(t_len):
-                    v = col[t]
-                    key = pre + encode(tuple(radd[a][b] for a, b in zip(acc, v)))
-                    hist[key] = hist.get(key, 0) + 1
-            return
-        for t in range(t_len):
-            if accs is None:
-                nxt = [cols_d[i][t] for i in range(k)]
-            else:
-                nxt = [
-                    tuple(radd[a][b] for a, b in zip(accs[i], cols_d[i][t]))
-                    for i in range(k)
-                ]
-            if last:
-                key = 0
-                for i in range(k):
-                    key = key * R + prefixes[i] + encode(nxt[i])
-                hist[key] = hist.get(key, 0) + 1
-            else:
-                walk(depth + 1, nxt)
-
-    walk(0, None)
-    return hist
+        witness = {"target": target(key), "count": count}
+    return fiber_min, fiber_max, uniform, witness
 
 
 def _split_key(key: int, R: int, k: int) -> list[int]:
@@ -603,22 +589,10 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
             v = sum(c * t for c, t in zip(g.linear, r)) % modulus
             key = key * modulus + v
         hist[key] = hist.get(key, 0) + 1
-    assert sum(hist.values()) == total
     expected = modulus ** (n - k)
-    key_space = modulus ** k
-    fiber_max = max(hist.values())
-    fiber_min = 0 if len(hist) < key_space else min(hist.values())
-    uniform = fiber_min == expected and fiber_max == expected
-    witness = None
-    if not uniform:
-        bad = [key for key, cnt in hist.items() if cnt != expected]
-        if bad:
-            key = min(bad)
-            count = hist[key]
-        else:
-            key = next(c for c in itertools.count() if c not in hist)
-            count = 0
-        witness = {"target": _split_key(key, modulus, k), "count": count}
+    fiber_min, fiber_max, uniform, witness = _fibers(
+        hist, total, modulus ** k, expected, lambda key: _split_key(key, modulus, k),
+    )
     elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
         model={"variant": "abelian", "m": modulus, "n": n, "size": modulus},

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from metlie.cli import main, parse_catalog, CatalogError
+from metlie.expr import LieParseError, parse
 
 
 def run(capsys, *argv):
@@ -200,3 +201,28 @@ class TestConsistency:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "--n", "2", "consistency", "/nonexistent/file")
         assert code == 2
+
+
+class TestHostileInput:
+    UNIFORM = ("uniform", "--p", "1", "--q", "1", "--m", "2", "x1")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_non_positive_budget_exit_2(self, capsys, budget):
+        code, out, err = run(capsys, "--n", "2", "--budget", budget, *self.UNIFORM)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-7"])
+    def test_bad_env_budget_exit_2(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("METLIE_BUDGET", env)
+        code, out, err = run(capsys, "--n", "2", *self.UNIFORM)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "METLIE_BUDGET" in err
+
+    def test_deep_nesting_exit_2(self, capsys):
+        text = "[x1," * 1200 + "x2" + "]" * 1200
+        with pytest.raises(LieParseError, match="nested deeper"):
+            parse(text, 2)
+        code, out, err = run(capsys, "--n", "2", "normalize", text)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "nested deeper" in err

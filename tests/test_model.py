@@ -1,10 +1,16 @@
 """Tests for the finite matrix Lie rings and exhaustive uniformity checks."""
 
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_expr, random_melement, random_tame_automorphism
+from metlie.cli import parse_catalog
 from metlie.expr import parse, eval_in_ring
 from metlie.model import (
     BudgetError,
@@ -358,3 +364,89 @@ class TestUniformityInvariance:
             images = random_tame_automorphism(rng, 2)
             moved = endo_apply(base, images)
             assert uniformity_check([moved], model).uniform
+
+
+DATA = Path(__file__).parent / "data"
+
+ORACLE_MODELS = [
+    ModelParams(QuotientParams(1, 1, 2, 1)),
+    ModelParams(QuotientParams(1, 1, 3, 1)),
+    ModelParams(QuotientParams(1, 1, 4, 1)),
+    ModelParams(QuotientParams(1, 1, 2, 1), "full"),
+    ModelParams(QuotientParams(1, 1, 4, 1), "full"),
+]
+
+
+def _census_oracle(gs, model):
+    """Report JSON of a plain census: every argument tuple of model elements
+    goes through eval_closed_form, and the fibers are counted by target."""
+    n, k = model.n, len(gs)
+    counts = {}
+    for args in itertools.product(list(model.elements()), repeat=n):
+        ls, taus = [a.l for a in args], [a.tau for a in args]
+        target = tuple(model.element_code(eval_closed_form(model, g, ls, taus)) for g in gs)
+        counts[target] = counts.get(target, 0) + 1
+    expected = model.size ** (n - k)
+    all_targets = list(itertools.product(range(model.size), repeat=k))
+    fiber_min = min(counts.get(t, 0) for t in all_targets)
+    fiber_max = max(counts.values())
+    uniform = fiber_min == fiber_max == expected
+    witness = None
+    if not uniform:
+        # The smallest reached target with a wrong fiber, else the smallest missing one.
+        bad = [t for t, c in counts.items() if c != expected]
+        target = min(bad) if bad else min(t for t in all_targets if t not in counts)
+        witness = {"target": [model.element_from_code(c).to_json() for c in target],
+                   "count": counts.get(target, 0)}
+    return {"model": model.describe(), "k": k, "expected_fiber": expected,
+            "fiber_min": fiber_min, "fiber_max": fiber_max, "uniform": uniform,
+            "witness_target": witness}
+
+
+class TestCensusOracle:
+    """The linear-image census against a plain enumeration on small models.
+
+    Every oracle model has one generator, so systems have k = 1 there; the
+    k = 2 systems are covered on the flagship model by the golden reports.
+    """
+
+    @pytest.mark.parametrize("params", ORACLE_MODELS)
+    @pytest.mark.parametrize("text", ["x1", "2*x1", "3*x1", "-x1", "0"])
+    def test_fixed_systems(self, params, text):
+        model = FiniteModel(params)
+        gs = [mel(text, 1)]
+        rep = uniformity_check(gs, model)
+        assert rep.to_json(include_elapsed=False) == _census_oracle(gs, model)
+        assert rep.total == model.size
+
+    @pytest.mark.parametrize("params", ORACLE_MODELS)
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_random_element(self, params, seed):
+        model = FiniteModel(params)
+        gs = [from_expr(random_expr(random.Random(seed), 1, depth=3), 1)]
+        rep = uniformity_check(gs, model)
+        assert rep.to_json(include_elapsed=False) == _census_oracle(gs, model)
+
+
+class TestCensusGolden:
+    """Reports on the flagship models, byte for byte as the exhaustive tuple
+    enumeration (1024^2 and 4096^2 tuples per system) produced them: for every
+    acceptance-catalog system on (1,1,2,2), and for its one-element systems on
+    the full-ring (1,1,2,2) model.  Each file is a JSON list of
+    {"system", "report"} entries dumped with sort_keys=True, indent=2."""
+
+    @pytest.mark.parametrize("variant, name", [
+        ("linear", "flagship_census_golden.json"),
+        ("full", "flagship_full_census_golden.json"),
+    ])
+    def test_reports_match_golden(self, variant, name):
+        n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
+        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, n), variant))
+        out = []
+        for texts, _ in systems:
+            if variant == "full" and len(texts) != 1:
+                continue
+            rep = uniformity_check([mel(t, n) for t in texts], model)
+            out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
+        assert json.dumps(out, sort_keys=True, indent=2) + "\n" == (DATA / name).read_text()
