@@ -53,7 +53,6 @@ from metlie.model import (
     ModelParams,
     UniformityReport,
     eval_closed_form,
-    model_build,
     uniformity_check,
     uniformity_check_abelian,
     witness_search,

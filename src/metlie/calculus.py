@@ -87,17 +87,18 @@ def sigma(A: PolyMatrix, i: int) -> Poly:
     return total
 
 
-def _det_cofactor(rows: list[list[Poly]], n_gens: int) -> Poly:
+def _det_cofactor(rows: list[list]):
+    """Cofactor expansion along the first column; entries from any commutative ring."""
     size = len(rows)
     if size == 1:
         return rows[0][0]
-    total = Poly.zero(n_gens)
+    total = 0 * rows[0][0]
     for r in range(size):
         c = rows[r][0]
         if not c:
             continue
         minor = [row[1:] for t, row in enumerate(rows) if t != r]
-        sub = _det_cofactor(minor, n_gens)
+        sub = _det_cofactor(minor)
         total = total + (c * sub if r % 2 == 0 else -(c * sub))
     return total
 
@@ -127,11 +128,10 @@ def det(A: PolyMatrix) -> Poly:
     """Exact determinant of a square polynomial matrix."""
     if A.rows != A.cols:
         raise ValueError("determinant requires a square matrix")
-    n_gens = A.entries[0][0].n
     rows = [list(r) for r in A.entries]
     if A.rows <= 4:
-        return _det_cofactor(rows, n_gens)
-    return _det_bareiss(rows, n_gens)
+        return _det_cofactor(rows)
+    return _det_bareiss(rows, A.entries[0][0].n)
 
 
 def minors(A: PolyMatrix, k: int) -> list[Poly]:

@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from metlie.calculus import jacobi_matrix, matrix_to_json
+from metlie.calculus import det, jacobi_matrix, matrix_to_json
 from metlie.expr import LieParseError, parse
 from metlie.model import (
     BudgetError,
@@ -34,12 +34,11 @@ from metlie.model import (
     uniformity_check_abelian,
     witness_search,
 )
-from metlie.poly import QuotientParams
+from metlie.poly import Poly, QuotientParams
 from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
     DEFAULT_MAX_DEGREE,
     GroebnerLimitError,
-    is_automorphism_system,
     is_primitive,
 )
 from metlie.ring import from_expr
@@ -66,7 +65,6 @@ class Config:
     abelian: tuple = DEFAULT_ABELIAN_MODULI
     json_output: bool = False
     variant: str = "linear"
-    seed: int = 0
 
 
 def _parse_grid(text: str) -> tuple:
@@ -99,7 +97,6 @@ def _config_from_args(args) -> Config:
         n=args.n,
         budget=budget,
         json_output=args.json,
-        seed=args.seed,
         groebner_max_basis=args.groebner_max_basis,
         groebner_max_degree=args.groebner_max_degree,
     )
@@ -227,9 +224,8 @@ def cmd_auto(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
     if len(gs) != cfg.n:
         raise CatalogError(f"automorphism test needs exactly {cfg.n} elements")
-    ok = is_automorphism_system(gs)
-    from metlie.calculus import det
     d = det(jacobi_matrix(gs))
+    ok = d in (Poly.one(cfg.n), -Poly.one(cfg.n))
     payload = {"automorphism": ok, "determinant": str(d)}
     _emit(payload, cfg, [f"automorphism: {ok} (det = {d})"])
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -411,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="matrix-model grid as 'p,q,m;p,q,m;...'")
     parser.add_argument("--abelian", type=str, default=None,
                         help="abelian moduli as 'm1,m2,...' (default 2,3,4)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for randomized verification harnesses")
     parser.add_argument("--groebner-max-basis", type=int, default=DEFAULT_MAX_BASIS)
     parser.add_argument("--groebner-max-degree", type=int, default=DEFAULT_MAX_DEGREE)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from metlie.expr import Generator, Bracket, Sum, ScalarMul
-from metlie.poly import Poly, QPoly, QuotientParams, reduce_pqm
+from metlie.poly import QPoly, QuotientParams, Span, from_vector, reduce_pqm, to_vector
 from metlie.ring import MElement, from_expr
 
 DEFAULT_BUDGET = 1 << 28
@@ -178,7 +178,6 @@ class FiniteModel:
         self.size = self.l_size * self.t_size
         if budget is not None and self.size > budget:
             raise BudgetError(f"model size {self.size} exceeds the budget {budget}")
-        self._enum = None
 
     @property
     def n(self) -> int:
@@ -236,84 +235,34 @@ class FiniteModel:
 
     # -- canonical integer encodings -------------------------------------
 
-    def _tables(self):
-        if self._enum is None:
-            self._enum = _EnumTables(self)
-        return self._enum
-
     def element_code(self, elem: ModelElement) -> int:
-        tab = self._tables()
-        if self.params.top_left == "linear":
-            l_code = _mixed_radix_code(elem.l, self.quotient.m)
-        else:
-            l_code = tab.ring_index(elem.l)
-        t_code = 0
-        for c in reversed(range(self.n)):
-            t_code = t_code * self.ring_size + tab.ring_index(elem.tau[c])
-        return l_code * self.t_size + t_code
+        """Base-m number whose digits, least significant first, are the
+        coefficients of tau_1, .., tau_n and then of l."""
+        digits = [d for t in elem.tau for d in to_vector(t)]
+        digits += elem.l if self.params.top_left == "linear" else to_vector(elem.l)
+        code = 0
+        for d in reversed(digits):
+            code = code * self.quotient.m + d
+        return code
 
     def element_from_code(self, code: int) -> ModelElement:
         if not 0 <= code < self.size:
             raise ValueError(f"element code {code} out of range")
-        tab = self._tables()
-        l_code, t_code = divmod(code, self.t_size)
         quotient = self.quotient
-        if self.params.top_left == "linear":
-            l = _mixed_radix_digits(l_code, quotient.m, quotient.n)
-        else:
-            l = tab.ring_elems[l_code]
-        tau = []
-        for _ in range(self.n):
-            t_code, idx = divmod(t_code, self.ring_size)
-            tau.append(tab.ring_elems[idx])
-        return ModelElement(self.params, l, tuple(tau))
+        n, w = quotient.n, quotient.monomial_count
+        linear = self.params.top_left == "linear"
+        digits = []
+        for _ in range(n * w + (n if linear else w)):
+            code, d = divmod(code, quotient.m)
+            digits.append(d)
+        tau = tuple(from_vector(quotient, digits[c * w:(c + 1) * w]) for c in range(n))
+        l = digits[n * w:]
+        return ModelElement(self.params, l if linear else from_vector(quotient, l), tau)
 
     def elements(self):
         """All elements in canonical (l, tau) code order."""
         for code in range(self.size):
             yield self.element_from_code(code)
-
-
-def _mixed_radix_code(digits, base: int) -> int:
-    code = 0
-    for d in reversed(digits):
-        code = code * base + d
-    return code
-
-
-def _mixed_radix_digits(code: int, base: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        code, d = divmod(code, base)
-        out.append(d)
-    return tuple(out)
-
-
-class _EnumTables:
-    """Indexed ring elements for one quotient ring, shared across censuses."""
-
-    def __init__(self, model: FiniteModel):
-        quotient = model.quotient
-        self.quotient = quotient
-        self.monos = list(quotient.monomials())
-        self.size = quotient.ring_size
-        m = quotient.m
-        width = len(self.monos)
-        if self.size * self.size > _TABLE_CAP:
-            raise BudgetError(
-                f"quotient ring of size {self.size} is too large to tabulate"
-            )
-        self.ring_elems = [
-            QPoly(quotient, {mu: d for mu, d in zip(self.monos, row) if d})
-            for row in (_mixed_radix_digits(i, m, width) for i in range(self.size))
-        ]
-
-    def digits(self, qp: QPoly) -> list[int]:
-        """Coefficients of `qp` in the fixed monomial order."""
-        return [qp.terms.get(mu, 0) for mu in self.monos]
-
-    def ring_index(self, qp: QPoly) -> int:
-        return _mixed_radix_code(self.digits(qp), self.quotient.m)
 
 
 @dataclass
@@ -356,11 +305,6 @@ def _as_elements(gs, n: int) -> list[MElement]:
             raise ValueError("mismatched generator counts")
         out.append(g)
     return out
-
-
-def model_build(params: ModelParams, *, budget: Optional[int] = None) -> FiniteModel:
-    """Construct the finite model carrier (optionally enforcing a size budget)."""
-    return FiniteModel(params, budget=budget)
 
 
 def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> ModelElement:
@@ -413,8 +357,9 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
     every module coordinate c alike.  Its image is therefore Im^n, where Im
     is the subgroup of R^k spanned by (mu * d_j g_i(s))_i over j and the
     monomials mu, and each image point has |R|^(n*n) / |Im|^n preimages.
-    The census walks these images instead of the tau tuples, and fills a
-    histogram only when the system is not plainly uniform.
+    |Im| comes from the Howell form of those rows (`poly.Span`); Im is
+    enumerated only to fill a histogram when the system is not plainly
+    uniform.
     """
     start = time.perf_counter()
     quotient = model.quotient
@@ -432,20 +377,22 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
         raise BudgetError(
             f"histogram key space {model.size ** k} exceeds the cap {max_keys}"
         )
-    tab = model._tables()
     size = model.ring_size
-    t_size = model.t_size
-    dbars = _model_substitution_data(model, gs)
-    one = QPoly.one(quotient)
-    m = quotient.m
-    mono_elems = [QPoly(quotient, {mu: 1}) for mu in tab.monos]
-
-    if model.params.top_left == "linear":
-        l_space = [_mixed_radix_digits(code, m, n) for code in range(model.l_size)]
+    m, w = quotient.m, quotient.monomial_count
+    linear = model.params.top_left == "linear"
+    if linear:
+        l_space = list(itertools.product(range(m), repeat=n))
         l_lift = [QPoly.from_linear(v, quotient) for v in l_space]
     else:
-        l_space = list(range(model.l_size))
-        l_lift = tab.ring_elems
+        if size * size > _TABLE_CAP:
+            raise BudgetError(f"quotient ring of size {size} is too large to tabulate")
+        l_space = l_lift = [
+            from_vector(quotient, v) for v in itertools.product(range(m), repeat=w)
+        ]
+    dbars = _model_substitution_data(model, gs)
+    one = QPoly.one(quotient)
+    mono_elems = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
+    zero_tau = (QPoly.zero(quotient),) * n
 
     R = model.size
     expected = R ** (n - k)
@@ -457,41 +404,35 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
         images = [l_lift[idx] for idx in combo]
         base = 0
         for g in gs:
-            if model.params.top_left == "linear":
-                lv = tuple(
-                    sum(g.linear[t] * l_space[combo[t]][c] for t in range(n)) % m
-                    for c in range(n)
-                )
-                l_code = _mixed_radix_code(lv, m)
+            if linear:
+                lv = [sum(g.linear[t] * l_space[combo[t]][c] for t in range(n)) for c in range(n)]
             else:
-                acc = QPoly.zero(quotient)
+                lv = QPoly.zero(quotient)
                 for t in range(n):
-                    acc = acc + g.linear[t] * l_lift[combo[t]]
-                l_code = tab.ring_index(acc)
-            base = base * R + l_code * t_size
-        gens = []
+                    lv = lv + g.linear[t] * images[t]
+            base = base * R + model.element_code(ModelElement(model.params, lv, zero_tau))
+        image = Span(m, k * w)
         for j in range(n):
             coeffs = [dbars[i][j].evaluate(images, one) for i in range(k)]
-            gens.extend(
-                tuple(d for c in coeffs for d in tab.digits(mu * c)) for mu in mono_elems
-            )
-        image = _span(gens, m)
-        kernel = size ** (n * n) // len(image) ** n
-        mass += kernel * len(image) ** n
-        onto = onto and len(image) == size ** k
+            for mu in mono_elems:
+                image.add([d for c in coeffs for d in to_vector(mu * c)])
+        im = image.size()
+        kernel = size ** (n * n) // im ** n
+        mass += kernel * im ** n
+        onto = onto and im == size ** k
         top[base] = top.get(base, 0) + kernel
         parts.append((base, kernel, image))
     assert mass == total, "linear images lost mass"
 
     # Onto maps give every tau target of a top-left key the key's weight.
-    if onto and all(w == expected for w in top.values()):
+    if onto and all(wt == expected for wt in top.values()):
         fiber_min, fiber_max, uniform, witness = expected, expected, True, None
     else:
         # element_code layout: slot i at R^(k-1-i), coordinate c at size^c, digit d at m^d.
-        weights = [R ** (k - 1 - i) * m ** d for i in range(k) for d in range(len(tab.monos))]
+        weights = [R ** (k - 1 - i) * m ** d for i in range(k) for d in range(w)]
         hist: dict[int, int] = {}
         for base, kernel, image in parts:
-            codes = [sum(d * w for d, w in zip(v, weights)) for v in image]
+            codes = [sum(d * wt for d, wt in zip(v, weights)) for v in image.elements()]
             keys = [base]
             for c in range(n):
                 shifted = [size ** c * code for code in codes]
@@ -508,29 +449,6 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
         expected_fiber=expected, fiber_min=fiber_min, fiber_max=fiber_max,
         uniform=uniform, witness=witness, elapsed_ms=elapsed,
     )
-
-
-def _span(gens, m: int) -> list[tuple[int, ...]]:
-    """Subgroup of (Z/m)^w generated by `gens`, grown by coset doubling.
-
-    Each generator g outside the current subgroup S adds the disjoint cosets
-    S + t*g for t = 1, 2, ... until t*g falls back into S.
-    """
-    zero = (0,) * len(gens[0])
-    elems = [zero]
-    seen = {zero}
-    for g in gens:
-        if g in seen:
-            continue
-        base = list(elems)
-        step = g
-        while step not in seen:
-            for s in base:
-                v = tuple((a + b) % m for a, b in zip(s, step))
-                elems.append(v)
-                seen.add(v)
-            step = tuple((a + b) % m for a, b in zip(step, g))
-    return elems
 
 
 def _fibers(hist: dict[int, int], total: int, key_space: int, expected: int, target):

@@ -467,11 +467,104 @@ def reduce_pqm(a: Poly, params: QuotientParams) -> QPoly:
     return QPoly(params, a.terms)
 
 
-def _coeff_vector(qp: QPoly, index: dict[tuple[int, ...], int], width: int) -> tuple[int, ...]:
-    row = [0] * width
+def to_vector(qp: QPoly) -> list[int]:
+    """Coefficients of `qp` in the order of `QuotientParams.monomials()`."""
+    params = qp.params
+    base = params.exponent_span
+    vec = [0] * params.monomial_count
     for mono, c in qp.terms.items():
-        row[index[mono]] = c
-    return tuple(row)
+        pos = 0
+        for e in mono:
+            pos = pos * base + e
+        vec[pos] = c
+    return vec
+
+
+def from_vector(params: QuotientParams, vec) -> QPoly:
+    """The element whose coefficients, in `monomials()` order, are `vec`."""
+    return QPoly(params, dict(zip(params.monomials(), vec)))
+
+
+def bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(d, u, v) with u*a + v*b = d = gcd(a, b) for a, b >= 0, by extended Euclid."""
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+        old_v, v = v, old_v - q * v
+    return old_r, old_u, old_v
+
+
+class Span:
+    """Subgroup of (Z/m)^width spanned by the rows added so far, in Howell form.
+
+    Pivot column c holds a row that vanishes before c and whose entry g at c
+    divides m, g < m (Howell, "Spans in the module (Z_m)^s", 1986;
+    Storjohann & Mulders, ESA 1998).  A new row is reduced by the pivots
+    until a column c where its entry a is not a multiple of g; an empty
+    column counts as g = m.  With s*g + t*a = d = gcd(g, a), the unimodular
+    step (p, v) -> (s*p + t*v, (g/d)*v - (a/d)*p) leaves the pivot entry d,
+    and the second row, which vanishes at c, is added in turn.  That row
+    carries the multiple (m/d) * pivot, which also vanishes at c, into the
+    later pivots; for composite m this is what field elimination misses.
+    With it every element is sum c_i * row_i with 0 <= c_i < m/g_i in
+    exactly one way: membership is a reduction, the size is prod m/g_i, and
+    `elements` lists each element once.
+    """
+
+    __slots__ = ("m", "width", "pivots")
+
+    def __init__(self, m: int, width: int):
+        self.m = m
+        self.width = width
+        self.pivots: dict[int, list[int]] = {}
+
+    def _reduce(self, v: list[int]) -> tuple[int, list[int]]:
+        # Clear leading columns by pivot multiples; stop at the first column
+        # the pivots cannot clear, or at `width` when v reduces to zero.
+        m = self.m
+        for c in range(self.width):
+            a = v[c]
+            if a:
+                p = self.pivots.get(c)
+                if p is None or a % p[c]:
+                    return c, v
+                q = a // p[c]
+                v = [(x - q * y) % m for x, y in zip(v, p)]
+        return self.width, v
+
+    def add(self, row) -> None:
+        """Extend the span by `row`, a sequence of `width` entries in 0..m-1."""
+        m = self.m
+        c, v = self._reduce(list(row))
+        while c < self.width:
+            p = self.pivots.get(c) or [0] * self.width
+            g = p[c] or m
+            a = v[c]
+            d, s, t = bezout(g, a)
+            self.pivots[c] = [(s * x + t * y) % m for x, y in zip(p, v)]
+            c, v = self._reduce([(g // d * y - a // d * x) % m for x, y in zip(p, v)])
+
+    def __contains__(self, row) -> bool:
+        return self._reduce(list(row))[0] == self.width
+
+    def size(self) -> int:
+        out = 1
+        for c, p in self.pivots.items():
+            out *= self.m // p[c]
+        return out
+
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element of the span once: sum c_i * row_i, 0 <= c_i < m/g_i."""
+        m = self.m
+        out = [(0,) * self.width]
+        for c, p in self.pivots.items():
+            steps = [[t * y % m for y in p] for t in range(m // p[c])]
+            out = [tuple((x + y) % m for x, y in zip(e, st)) for e in out for st in steps]
+        return out
 
 
 def ideal_contains_finite(
@@ -482,9 +575,10 @@ def ideal_contains_finite(
 ) -> bool:
     """Membership of `target` in the ideal generated by `gens` in Z_{p,q,m}[X].
 
-    The ideal equals the additive span of {g * mu : g in gens, mu canonical
-    monomial}; the span is closed to a finite subgroup with early exit as
-    soon as the target appears.
+    The ideal is the additive span of {g * mu : g in gens, mu canonical
+    monomial} in the coefficient vectors of `to_vector`.  The products are
+    added to a Howell form generator by generator, and the answer is True as
+    soon as the target lies in the span; otherwise False once all are in.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -498,40 +592,12 @@ def ideal_contains_finite(
         raise ResourceLimitError(
             f"quotient ring of size {params.ring_size} exceeds the bound {max_ring_size}"
         )
-    monos = list(params.monomials())
-    index = {mono: i for i, mono in enumerate(monos)}
-    width = len(monos)
-    m = params.m
-
-    products = []
-    seen = set()
+    goal = to_vector(target)
+    monos = [QPoly._raw(params, {mu: 1}) for mu in params.monomials()]
+    span = Span(params.m, len(monos))
     for g in gens:
         for mu in monos:
-            vec = _coeff_vector(g * QPoly(params, {mu: 1}), index, width)
-            if any(vec) and vec not in seen:
-                seen.add(vec)
-                products.append(vec)
-
-    zero = (0,) * width
-    goal = _coeff_vector(target, index, width)
-    if goal == zero:
-        return True
-
-    span = {zero}
-    for vec in products:
-        if vec in span:
-            continue
-        # Shifts run over the cyclic group generated by vec.
-        shifts = []
-        w = vec
-        while w != zero:
-            shifts.append(w)
-            w = tuple((a + b) % m for a, b in zip(w, vec))
-        extra = set()
-        for s in span:
-            for sh in shifts:
-                extra.add(tuple((a + b) % m for a, b in zip(s, sh)))
-        span |= extra
-        if goal in span:
-            return True
-    return goal in span
+            span.add(to_vector(g * mu))
+            if goal in span:
+                return True
+    return False

@@ -20,12 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from metlie.calculus import det, jacobi_matrix, minors
+from metlie.calculus import _det_cofactor, det, jacobi_matrix, minors
 from metlie.poly import (
     Poly,
     QPoly,
     QuotientParams,
     ResourceLimitError,
+    bezout,
     grevlex_key,
     reduce_pqm,
     DEFAULT_MAX_RING_SIZE,
@@ -151,20 +152,11 @@ def _gpair(f: _Row, g: _Row) -> Optional[_Row]:
     if f.lc % g.lc == 0 or g.lc % f.lc == 0:
         return None
     gamma = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
-    d = math.gcd(f.lc, g.lc)
-    # Extended Euclid: u * f.lc + v * g.lc = d.
-    old_r, r = f.lc, g.lc
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_u, u = u, old_u - qq * u
-        old_v, v = v, old_v - qq * v
-    assert old_r == d
+    d, u, v = bezout(f.lc, g.lc)
+    assert d == math.gcd(f.lc, g.lc)
     return _combine([
-        (f, old_u, tuple(a - b for a, b in zip(gamma, f.lm))),
-        (g, old_v, tuple(a - b for a, b in zip(gamma, g.lm))),
+        (f, u, tuple(a - b for a, b in zip(gamma, f.lm))),
+        (g, v, tuple(a - b for a, b in zip(gamma, g.lm))),
     ])
 
 
@@ -323,24 +315,10 @@ def _abelian_minor_gcd(rows: list) -> int:
     g = 0
     for cols in itertools.combinations(range(n), k):
         sub = [[rows[i][c] for c in cols] for i in range(k)]
-        g = math.gcd(g, _int_det(sub))
+        g = math.gcd(g, _det_cofactor(sub))
         if g == 1:
             return 1
     return g
-
-
-def _int_det(m: list[list[int]]) -> int:
-    size = len(m)
-    if size == 1:
-        return m[0][0]
-    total = 0
-    for r in range(size):
-        if not m[r][0]:
-            continue
-        minor = [row[1:] for t, row in enumerate(m) if t != r]
-        sub = _int_det(minor)
-        total += m[r][0] * sub if r % 2 == 0 else -m[r][0] * sub
-    return total
 
 
 def _smallest_prime_factor(v: int) -> int:

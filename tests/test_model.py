@@ -18,7 +18,6 @@ from metlie.model import (
     ModelElement,
     ModelParams,
     eval_closed_form,
-    model_build,
     uniformity_check,
     uniformity_check_abelian,
     witness_search,
@@ -61,7 +60,7 @@ class TestModelBuild:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            model_build(ModelParams(QuotientParams(1, 1, 2, 2)), budget=512)
+            FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2)), budget=512)
 
     def test_element_code_round_trip(self):
         model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 1)))

@@ -1,5 +1,6 @@
 """Tests for exact polynomial arithmetic and the finite quotient rings."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from metlie.poly import (
     QPoly,
     QuotientParams,
     ResourceLimitError,
+    Span,
     divexact,
     format_terms,
     ideal_contains_finite,
@@ -226,7 +228,10 @@ class TestIdealContainsFinite:
             ideal_contains_finite([QPoly.one(params)], QPoly.one(params),
                                   max_ring_size=1 << 20)
 
-    @pytest.mark.parametrize("p,q,m,n", [(1, 1, 2, 1), (1, 1, 2, 2), (2, 1, 3, 1), (1, 1, 3, 1)])
+    @pytest.mark.parametrize("p,q,m,n", [
+        (1, 1, 2, 1), (1, 1, 2, 2), (2, 1, 3, 1), (1, 1, 3, 1),
+        (1, 1, 4, 1), (1, 1, 4, 2), (1, 1, 6, 1),
+    ])
     def test_against_brute_force_closure(self, p, q, m, n):
         rng = random.Random(100 * p + 10 * q + m + n)
         params = QuotientParams(p, q, m, n)
@@ -238,6 +243,43 @@ class TestIdealContainsFinite:
             for _ in range(10):
                 target = random_qpoly(rng, params)
                 assert ideal_contains_finite(gens, target) == (target in ideal)
+
+
+def _subgroup_closure(rows, m, width):
+    """Subgroup of (Z/m)^width generated by rows, closed under adding a row."""
+    span = {(0,) * width}
+    frontier = list(span)
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for r in rows:
+                v = tuple((a + b) % m for a, b in zip(s, r))
+                if v not in span:
+                    span.add(v)
+                    fresh.append(v)
+        frontier = fresh
+    return span
+
+
+class TestSpan:
+    """The Howell-form span against a plain closure, composite moduli included."""
+
+    @pytest.mark.parametrize("m", [4, 6, 8, 12])
+    def test_against_brute_force_closure(self, m):
+        rng = random.Random(m)
+        for _ in range(40):
+            width = rng.randrange(1, 4)
+            rows = [tuple(rng.choice([0, rng.randrange(m)]) for _ in range(width))
+                    for _ in range(rng.randrange(4))]
+            span = Span(m, width)
+            for r in rows:
+                span.add(r)
+            oracle = _subgroup_closure(rows, m, width)
+            elems = span.elements()
+            assert span.size() == len(oracle) == len(elems)
+            assert set(elems) == oracle
+            for v in itertools.product(range(m), repeat=width):
+                assert (v in span) == (v in oracle)
 
 
 class TestDivexact:
