@@ -55,7 +55,6 @@ from metlie.model import (
     eval_closed_form,
     uniformity_check,
     uniformity_check_abelian,
-    witness_search,
 )
 
 __version__ = "0.1.0"

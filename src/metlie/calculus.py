@@ -9,10 +9,15 @@ elimination with exact division for larger ones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from metlie.poly import Poly, divexact
+from metlie.poly import Poly, ResourceLimitError, divexact
 from metlie.ring import MElement
+
+# Most k x k minors one matrix may have: C(12, 6) = 924, so every system over
+# up to 12 generators fits.
+MAX_MINORS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -139,14 +144,26 @@ def minors(A: PolyMatrix, k: int) -> list[Poly]:
     if not 1 <= k <= min(A.rows, A.cols):
         raise ValueError(f"minor order {k} out of range 1..{min(A.rows, A.cols)}")
     out = []
-    for row_idx in itertools.combinations(range(A.rows), k):
-        for col_idx in itertools.combinations(range(A.cols), k):
-            sub = PolyMatrix(
-                k, k,
-                tuple(tuple(A.entries[r][c] for c in col_idx) for r in row_idx),
-            )
-            out.append(det(sub))
+    for row_idx, col_idx in minor_positions(A.rows, A.cols, k):
+        sub = PolyMatrix(
+            k, k,
+            tuple(tuple(A.entries[r][c] for c in col_idx) for r in row_idx),
+        )
+        out.append(det(sub))
     return out
+
+
+def minor_positions(rows: int, cols: int, k: int):
+    """(row tuple, column tuple) of every k x k minor, in order.
+
+    Raises ResourceLimitError before any enumeration when there are more
+    than MAX_MINORS of them.
+    """
+    count = math.comb(rows, k) * math.comb(cols, k)
+    if count > MAX_MINORS:
+        raise ResourceLimitError(f"{count} minors of order {k} exceed the cap {MAX_MINORS}")
+    return itertools.product(itertools.combinations(range(rows), k),
+                             itertools.combinations(range(cols), k))
 
 
 def matmul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:

@@ -26,15 +26,12 @@ from metlie.model import (
     DEFAULT_ABELIAN_MODULI,
     DEFAULT_BUDGET,
     DEFAULT_MATRIX_GRID,
-    DEFAULT_MAX_KEYS,
     FiniteModel,
     ModelParams,
-    search_grid,
     uniformity_check,
     uniformity_check_abelian,
-    witness_search,
 )
-from metlie.poly import Poly, QuotientParams
+from metlie.poly import Poly, QuotientParams, ResourceLimitError
 from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
     DEFAULT_MAX_DEGREE,
@@ -58,7 +55,6 @@ class CatalogError(ValueError):
 class Config:
     n: int = 2
     budget: int = DEFAULT_BUDGET
-    max_keys: int = DEFAULT_MAX_KEYS
     groebner_max_basis: int = DEFAULT_MAX_BASIS
     groebner_max_degree: int = DEFAULT_MAX_DEGREE
     grid: tuple = DEFAULT_MATRIX_GRID
@@ -179,7 +175,7 @@ def cmd_uniform(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
     params = ModelParams(QuotientParams(args.p, args.q, args.m, cfg.n), cfg.variant)
     model = FiniteModel(params)
-    report = uniformity_check(gs, model, budget=cfg.budget, max_keys=cfg.max_keys)
+    report = uniformity_check(gs, model, budget=cfg.budget)
     payload = report.to_json(include_elapsed=True)
     lines = [
         f"model size {report.size}, expected fiber {report.expected_fiber}",
@@ -190,34 +186,46 @@ def cmd_uniform(args, cfg: Config) -> int:
     return EXIT_OK if report.uniform else EXIT_NEGATIVE
 
 
+def grid_walk(gs, n: int, cfg: Config):
+    """Census of every grid entry, cheapest first: abelian models, then
+    matrix models by size.  Yields (model description, report, None), or
+    (model description, None, reason) for a budget-skipped entry."""
+    models = [FiniteModel(ModelParams(QuotientParams(p, q, m, n), cfg.variant))
+              for (p, q, m) in cfg.grid]
+    models.sort(key=lambda mod: (mod.size, mod.quotient.p, mod.quotient.q, mod.quotient.m))
+    for entry in sorted(cfg.abelian) + models:
+        try:
+            if isinstance(entry, int):
+                desc = {"variant": "abelian", "m": entry, "n": n, "size": entry}
+                report = uniformity_check_abelian(gs, entry, n, budget=cfg.budget)
+            else:
+                desc = entry.describe()
+                report = uniformity_check(gs, entry, budget=cfg.budget)
+        except BudgetError as exc:
+            yield desc, None, str(exc)
+            continue
+        yield desc, report, None
+
+
 def cmd_witness(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
-    result = witness_search(
-        gs, cfg.n,
-        abelian_moduli=cfg.abelian,
-        matrix_grid=cfg.grid,
-        variant=cfg.variant,
-        budget=cfg.budget,
-        max_keys=cfg.max_keys,
-    )
-    payload = {
-        "witness": None,
-        "checked": result.checked,
-        "skipped": result.skipped,
-    }
-    lines = []
-    if result.found:
-        payload["witness"] = {
-            "model": result.witness_model,
-            "report": result.witness_report.to_json(include_elapsed=False),
-        }
-        lines.append(f"witness found: {result.witness_model}")
+    payload = {"witness": None, "checked": [], "skipped": []}
+    for desc, report, reason in grid_walk(gs, cfg.n, cfg):
+        if report is None:
+            payload["skipped"].append({"model": desc, "reason": reason})
+            continue
+        payload["checked"].append(desc)
+        if not report.uniform:
+            payload["witness"] = {"model": desc, "report": report.to_json(include_elapsed=False)}
+            break
+    if payload["witness"]:
+        lines = [f"witness found: {payload['witness']['model']}"]
     else:
-        lines.append("no witness found on the configured grid")
-    for entry in result.skipped:
+        lines = ["no witness found on the configured grid"]
+    for entry in payload["skipped"]:
         lines.append(f"skipped: {entry['model']} ({entry['reason']})")
     _emit(payload, cfg, lines)
-    return EXIT_OK if result.found else EXIT_NEGATIVE
+    return EXIT_OK if payload["witness"] else EXIT_NEGATIVE
 
 
 def cmd_auto(args, cfg: Config) -> int:
@@ -283,7 +291,6 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
     expectation.  Budget-skipped entries downgrade a missing witness to a
     warning.
     """
-    grid = search_grid(n, cfg.abelian, cfg.grid, cfg.variant)
     contradictions = []
     warnings = []
     out_systems = []
@@ -299,22 +306,10 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
         reports = []
         skipped = []
         witness = None
-        for kind, entry in grid:
-            if kind == "abelian":
-                desc = {"variant": "abelian", "m": entry, "n": n, "size": entry}
-                try:
-                    report = uniformity_check_abelian(gs, entry, n, budget=cfg.budget)
-                except BudgetError as exc:
-                    skipped.append({"model": desc, "reason": str(exc)})
-                    continue
-            else:
-                desc = entry.describe()
-                try:
-                    report = uniformity_check(gs, entry, budget=cfg.budget,
-                                              max_keys=cfg.max_keys)
-                except BudgetError as exc:
-                    skipped.append({"model": desc, "reason": str(exc)})
-                    continue
+        for desc, report, reason in grid_walk(gs, n, cfg):
+            if report is None:
+                skipped.append({"model": desc, "reason": reason})
+                continue
             reports.append(report)
             if witness is None and not report.uniform:
                 witness = {"model": desc,
@@ -468,7 +463,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except GroebnerLimitError as exc:
+    except (GroebnerLimitError, ResourceLimitError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except BudgetError as exc:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from metlie.expr import Generator, Bracket, Sum, ScalarMul
@@ -30,9 +31,7 @@ from metlie.ring import MElement, from_expr
 DEFAULT_BUDGET = 1 << 28
 DEFAULT_MAX_KEYS = 1 << 24
 
-_TABLE_CAP = 1 << 22
-
-# Default grids for witness searching.
+# Default model grid of `witness` and `consistency`.
 DEFAULT_ABELIAN_MODULI = (2, 3, 4)
 DEFAULT_MATRIX_GRID = tuple(
     (p, q, m) for p in (1, 2) for q in (1, 2) for m in (2, 3)
@@ -52,24 +51,29 @@ class ModelParams:
         if self.top_left not in ("linear", "full"):
             raise ValueError("top_left must be 'linear' or 'full'")
 
+    @cached_property
+    def l_monomials(self) -> tuple:
+        """Monomials the top-left entry may carry, in its digit order:
+        x1..xn for "linear", every monomial in `monomials()` order for "full"."""
+        quotient = self.quotient
+        n = quotient.n
+        if self.top_left == "linear":
+            return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
+        return tuple(quotient.monomials())
+
 
 class ModelElement:
     """Element of the finite matrix Lie ring: top-left l plus module vector tau."""
 
     __slots__ = ("params", "l", "tau")
 
-    def __init__(self, params: ModelParams, l, tau):
+    def __init__(self, params: ModelParams, l: QPoly, tau):
         quotient = params.quotient
-        n = quotient.n
-        if params.top_left == "linear":
-            l = tuple(int(c) % quotient.m for c in l)
-            if len(l) != n:
-                raise ValueError("linear top-left entry needs one coefficient per generator")
-        else:
-            if not isinstance(l, QPoly) or l.params != quotient:
-                raise ValueError("full-ring top-left entry must live in the quotient ring")
+        if (not isinstance(l, QPoly) or l.params != quotient
+                or any(mu not in params.l_monomials for mu in l.terms)):
+            raise ValueError("top-left entry must lie in the model's top-left carrier")
         tau = tuple(tau)
-        if len(tau) != n or any(not isinstance(t, QPoly) or t.params != quotient for t in tau):
+        if len(tau) != quotient.n or any(not isinstance(t, QPoly) or t.params != quotient for t in tau):
             raise ValueError("tau must be a vector of n quotient-ring coordinates")
         self.params = params
         self.l = l
@@ -79,37 +83,18 @@ class ModelElement:
         if self.params != other.params:
             raise ValueError("mismatched model parameters")
 
-    def l_qpoly(self) -> QPoly:
-        if self.params.top_left == "linear":
-            return QPoly.from_linear(self.l, self.params.quotient)
-        return self.l
-
     def __bool__(self) -> bool:
-        if self.params.top_left == "linear":
-            if any(self.l):
-                return True
-        elif self.l:
-            return True
-        return any(self.tau)
+        return bool(self.l) or any(self.tau)
 
     def __add__(self, other: "ModelElement") -> "ModelElement":
         if not isinstance(other, ModelElement):
             return NotImplemented
         self._require_same_model(other)
-        if self.params.top_left == "linear":
-            m = self.params.quotient.m
-            l = tuple((a + b) % m for a, b in zip(self.l, other.l))
-        else:
-            l = self.l + other.l
-        return ModelElement(self.params, l, tuple(a + b for a, b in zip(self.tau, other.tau)))
+        return ModelElement(self.params, self.l + other.l,
+                            tuple(a + b for a, b in zip(self.tau, other.tau)))
 
     def __neg__(self) -> "ModelElement":
-        if self.params.top_left == "linear":
-            m = self.params.quotient.m
-            l = tuple((-a) % m for a in self.l)
-        else:
-            l = -self.l
-        return ModelElement(self.params, l, tuple(-t for t in self.tau))
+        return ModelElement(self.params, -self.l, tuple(-t for t in self.tau))
 
     def __sub__(self, other: "ModelElement") -> "ModelElement":
         if not isinstance(other, ModelElement):
@@ -119,12 +104,7 @@ class ModelElement:
     def __mul__(self, c):
         if not isinstance(c, int):
             return NotImplemented
-        if self.params.top_left == "linear":
-            m = self.params.quotient.m
-            l = tuple((c * a) % m for a in self.l)
-        else:
-            l = c * self.l
-        return ModelElement(self.params, l, tuple(c * t for t in self.tau))
+        return ModelElement(self.params, c * self.l, tuple(c * t for t in self.tau))
 
     __rmul__ = __mul__
 
@@ -133,15 +113,8 @@ class ModelElement:
         if not isinstance(other, ModelElement):
             raise TypeError("bracket requires another model element")
         self._require_same_model(other)
-        la = self.l_qpoly()
-        lb = other.l_qpoly()
-        tau = tuple(ta * lb - tb * la for ta, tb in zip(self.tau, other.tau))
-        quotient = self.params.quotient
-        if self.params.top_left == "linear":
-            l = (0,) * quotient.n
-        else:
-            l = QPoly.zero(quotient)
-        return ModelElement(self.params, l, tau)
+        tau = tuple(ta * other.l - tb * self.l for ta, tb in zip(self.tau, other.tau))
+        return ModelElement(self.params, QPoly.zero(self.params.quotient), tau)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModelElement):
@@ -152,11 +125,11 @@ class ModelElement:
         return hash((self.l, self.tau))
 
     def to_json(self) -> dict:
-        return {"l": str(self.l_qpoly()), "tau": [str(t) for t in self.tau]}
+        return {"l": str(self.l), "tau": [str(t) for t in self.tau]}
 
     def __str__(self) -> str:
         taus = ", ".join(str(t) for t in self.tau)
-        return f"(l={self.l_qpoly()}; tau=[{taus}])"
+        return f"(l={self.l}; tau=[{taus}])"
 
     def __repr__(self) -> str:
         return f"ModelElement{self!s}"
@@ -171,10 +144,7 @@ class FiniteModel:
         self.quotient = quotient
         self.ring_size = quotient.ring_size
         self.t_size = self.ring_size ** quotient.n
-        if params.top_left == "linear":
-            self.l_size = quotient.m ** quotient.n
-        else:
-            self.l_size = self.ring_size
+        self.l_size = quotient.m ** len(params.l_monomials)
         self.size = self.l_size * self.t_size
         if budget is not None and self.size > budget:
             raise BudgetError(f"model size {self.size} exceeds the budget {budget}")
@@ -192,8 +162,8 @@ class FiniteModel:
 
     def zero(self) -> ModelElement:
         quotient = self.quotient
-        l = (0,) * quotient.n if self.params.top_left == "linear" else QPoly.zero(quotient)
-        return ModelElement(self.params, l, tuple(QPoly.zero(quotient) for _ in range(quotient.n)))
+        return ModelElement(self.params, QPoly.zero(quotient),
+                            tuple(QPoly.zero(quotient) for _ in range(quotient.n)))
 
     def generator_image(self, i: int) -> ModelElement:
         """x_i goes to the matrix with top-left x_i and tau the basis vector t_i."""
@@ -201,12 +171,8 @@ class FiniteModel:
         n = quotient.n
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} out of range 1..{n}")
-        if self.params.top_left == "linear":
-            l = tuple(1 if j == i - 1 else 0 for j in range(n))
-        else:
-            l = QPoly.variable(i, quotient)
         tau = tuple(QPoly.one(quotient) if j == i - 1 else QPoly.zero(quotient) for j in range(n))
-        return ModelElement(self.params, l, tau)
+        return ModelElement(self.params, QPoly.variable(i, quotient), tau)
 
     def generator_images(self) -> list[ModelElement]:
         return [self.generator_image(i) for i in range(1, self.n + 1)]
@@ -226,10 +192,7 @@ class FiniteModel:
                     terms[mu] = rng.randrange(m)
             return QPoly(quotient, terms)
 
-        if self.params.top_left == "linear":
-            l = tuple(rng.randrange(m) for _ in range(quotient.n))
-        else:
-            l = random_qpoly()
+        l = QPoly(quotient, {mu: rng.randrange(m) for mu in self.params.l_monomials})
         tau = tuple(random_qpoly() for _ in range(quotient.n))
         return ModelElement(self.params, l, tau)
 
@@ -237,9 +200,9 @@ class FiniteModel:
 
     def element_code(self, elem: ModelElement) -> int:
         """Base-m number whose digits, least significant first, are the
-        coefficients of tau_1, .., tau_n and then of l."""
+        coefficients of tau_1, .., tau_n and then of l over `l_monomials`."""
         digits = [d for t in elem.tau for d in to_vector(t)]
-        digits += elem.l if self.params.top_left == "linear" else to_vector(elem.l)
+        digits += [elem.l.terms.get(mu, 0) for mu in self.params.l_monomials]
         code = 0
         for d in reversed(digits):
             code = code * self.quotient.m + d
@@ -250,14 +213,13 @@ class FiniteModel:
             raise ValueError(f"element code {code} out of range")
         quotient = self.quotient
         n, w = quotient.n, quotient.monomial_count
-        linear = self.params.top_left == "linear"
+        l_monos = self.params.l_monomials
         digits = []
-        for _ in range(n * w + (n if linear else w)):
+        for _ in range(n * w + len(l_monos)):
             code, d = divmod(code, quotient.m)
             digits.append(d)
         tau = tuple(from_vector(quotient, digits[c * w:(c + 1) * w]) for c in range(n))
-        l = digits[n * w:]
-        return ModelElement(self.params, l if linear else from_vector(quotient, l), tau)
+        return ModelElement(self.params, QPoly(quotient, dict(zip(l_monos, digits[n * w:]))), tau)
 
     def elements(self):
         """All elements in canonical (l, tau) code order."""
@@ -319,20 +281,9 @@ def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> Model
         raise ValueError("element and model use different generator counts")
     if len(s_vals) != n or len(tau_vecs) != n:
         raise ValueError(f"expected {n} substituted values")
-    if model.params.top_left == "linear":
-        images = [QPoly.from_linear(s, quotient) for s in s_vals]
-        m = quotient.m
-        l = tuple(
-            sum(g.linear[t] * s_vals[t][c] for t in range(n)) % m
-            for c in range(n)
-        )
-    else:
-        images = list(s_vals)
-        l = QPoly.zero(quotient)
-        for t in range(n):
-            l = l + g.linear[t] * s_vals[t]
+    l = sum((c * s for c, s in zip(g.linear, s_vals)), QPoly.zero(quotient))
     one = QPoly.one(quotient)
-    coeffs = [reduce_pqm(d, quotient).evaluate(images, one) for d in g.deriv]
+    coeffs = [reduce_pqm(d, quotient).evaluate(s_vals, one) for d in g.deriv]
     tau = []
     for c in range(n):
         acc = QPoly.zero(quotient)
@@ -379,16 +330,9 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
         )
     size = model.ring_size
     m, w = quotient.m, quotient.monomial_count
-    linear = model.params.top_left == "linear"
-    if linear:
-        l_space = list(itertools.product(range(m), repeat=n))
-        l_lift = [QPoly.from_linear(v, quotient) for v in l_space]
-    else:
-        if size * size > _TABLE_CAP:
-            raise BudgetError(f"quotient ring of size {size} is too large to tabulate")
-        l_space = l_lift = [
-            from_vector(quotient, v) for v in itertools.product(range(m), repeat=w)
-        ]
+    l_monos = model.params.l_monomials
+    l_space = [QPoly(quotient, dict(zip(l_monos, v)))
+               for v in itertools.product(range(m), repeat=len(l_monos))]
     dbars = _model_substitution_data(model, gs)
     one = QPoly.one(quotient)
     mono_elems = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
@@ -400,16 +344,10 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
     top: dict[int, int] = {}
     onto = True
     mass = 0
-    for combo in itertools.product(range(len(l_space)), repeat=n):
-        images = [l_lift[idx] for idx in combo]
+    for images in itertools.product(l_space, repeat=n):
         base = 0
         for g in gs:
-            if linear:
-                lv = [sum(g.linear[t] * l_space[combo[t]][c] for t in range(n)) for c in range(n)]
-            else:
-                lv = QPoly.zero(quotient)
-                for t in range(n):
-                    lv = lv + g.linear[t] * images[t]
+            lv = sum((c * s for c, s in zip(g.linear, images)), QPoly.zero(quotient))
             base = base * R + model.element_code(ModelElement(model.params, lv, zero_tau))
         image = Span(m, k * w)
         for j in range(n):
@@ -518,63 +456,3 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
         fiber_min=fiber_min, fiber_max=fiber_max, uniform=uniform,
         witness=witness, elapsed_ms=elapsed,
     )
-
-
-@dataclass
-class WitnessSearchResult:
-    witness_model: Optional[dict] = None
-    witness_report: Optional[UniformityReport] = None
-    checked: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-
-    @property
-    def found(self) -> bool:
-        return self.witness_report is not None
-
-
-def search_grid(n: int, abelian_moduli=DEFAULT_ABELIAN_MODULI,
-                matrix_grid=DEFAULT_MATRIX_GRID, variant: str = "linear"):
-    """Witness-search entries, cheapest first: abelian models, then matrix models by size."""
-    entries = [("abelian", m) for m in sorted(abelian_moduli)]
-    models = []
-    for (p, q, m) in matrix_grid:
-        params = ModelParams(QuotientParams(p, q, m, n), variant)
-        models.append(FiniteModel(params))
-    models.sort(key=lambda mod: (mod.size, mod.quotient.p, mod.quotient.q, mod.quotient.m))
-    entries.extend(("matrix", mod) for mod in models)
-    return entries
-
-
-def witness_search(gs, n: int, *, abelian_moduli=DEFAULT_ABELIAN_MODULI,
-                   matrix_grid=DEFAULT_MATRIX_GRID, variant: str = "linear",
-                   budget: int = DEFAULT_BUDGET,
-                   max_keys: int = DEFAULT_MAX_KEYS) -> WitnessSearchResult:
-    """First model of the grid on which the system is not uniform, if any.
-
-    Entries whose enumeration would exceed the budget are skipped and
-    reported; finding no witness on a skipped-entry grid is therefore not
-    conclusive.
-    """
-    gs = _as_elements(gs, n)
-    result = WitnessSearchResult()
-    for kind, entry in search_grid(n, abelian_moduli, matrix_grid, variant):
-        if kind == "abelian":
-            desc = {"variant": "abelian", "m": entry, "n": n, "size": entry}
-            try:
-                report = uniformity_check_abelian(gs, entry, n, budget=budget)
-            except BudgetError as exc:
-                result.skipped.append({"model": desc, "reason": str(exc)})
-                continue
-        else:
-            desc = entry.describe()
-            try:
-                report = uniformity_check(gs, entry, budget=budget, max_keys=max_keys)
-            except BudgetError as exc:
-                result.skipped.append({"model": desc, "reason": str(exc)})
-                continue
-        result.checked.append(desc)
-        if not report.uniform:
-            result.witness_model = desc
-            result.witness_report = report
-            return result
-    return result

@@ -346,18 +346,6 @@ class QPoly:
         mono = tuple(1 if j == i - 1 else 0 for j in range(params.n))
         return cls._raw(params, {mono: 1})
 
-    @classmethod
-    def from_linear(cls, coeffs, params: QuotientParams) -> "QPoly":
-        """Linear polynomial sum(coeffs[i] * x_{i+1}), no free term."""
-        if len(coeffs) != params.n:
-            raise ValueError("coefficient vector length mismatch")
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c %= params.m
-            if c:
-                terms[tuple(1 if j == i else 0 for j in range(params.n))] = c
-        return cls._raw(params, terms)
-
     def _require_same_ring(self, other: "QPoly") -> None:
         if self.params != other.params:
             raise ValueError("mismatched quotient parameters")
@@ -588,9 +576,10 @@ def ideal_contains_finite(
             raise ValueError("mismatched quotient parameters among generators")
     if target.params != params:
         raise ValueError("target has mismatched quotient parameters")
-    if params.ring_size > max_ring_size:
+    # m^w > max_ring_size already when 2^w is; m^w itself can have millions of digits.
+    if params.monomial_count >= max_ring_size.bit_length() or params.ring_size > max_ring_size:
         raise ResourceLimitError(
-            f"quotient ring of size {params.ring_size} exceeds the bound {max_ring_size}"
+            f"quotient ring of size {params.m}^{params.monomial_count} exceeds the bound {max_ring_size}"
         )
     goal = to_vector(target)
     monos = [QPoly._raw(params, {mu: 1}) for mu in params.monomials()]

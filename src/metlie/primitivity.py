@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from metlie.calculus import _det_cofactor, det, jacobi_matrix, minors
+from metlie.calculus import _det_cofactor, det, jacobi_matrix, minor_positions, minors
 from metlie.poly import (
     Poly,
     QPoly,
@@ -308,12 +308,9 @@ def abelian_primitive(rows: list) -> bool:
 
 
 def _abelian_minor_gcd(rows: list) -> int:
-    import itertools
-
     k = len(rows)
-    n = len(rows[0])
     g = 0
-    for cols in itertools.combinations(range(n), k):
+    for _, cols in minor_positions(k, len(rows[0]), k):
         sub = [[rows[i][c] for c in cols] for i in range(k)]
         g = math.gcd(g, _det_cofactor(sub))
         if g == 1:

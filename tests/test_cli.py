@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from metlie.calculus import MAX_MINORS
 from metlie.cli import main, parse_catalog, CatalogError
 from metlie.expr import LieParseError, parse
 
@@ -112,6 +115,13 @@ class TestUniform:
         code, _, err = run(capsys, "--n", "2", "--budget", "100", "uniform",
                            "--p", "1", "--q", "1", "--m", "2", "x1")
         assert code == 4
+
+    def test_full_ring_of_2187_elements(self, capsys):
+        # The full-ring top-left carrier tabulates only its own 3^7 elements.
+        code, out, _ = run(capsys, "--n", "1", "uniform",
+                           "--p", "1", "--q", "6", "--m", "3", "--full-ring", "x1")
+        assert code == 0
+        assert "uniform: True" in out
 
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("METLIE_BUDGET", "100")
@@ -226,3 +236,84 @@ class TestHostileInput:
         code, out, err = run(capsys, "--n", "2", "normalize", text)
         assert code == 2 and not out
         assert err.startswith("error:") and "nested deeper" in err
+
+    @pytest.mark.parametrize("scale", ["", "2*"])
+    def test_minor_count_over_cap_exit_3(self, capsys, scale):
+        # C(24, 12) = 2,704,156 minors: refused before the abelian gcd or the
+        # Jacobi minors enumerate any of them.
+        system = [f"{scale}x{i}" for i in range(1, 13)]
+        code, out, err = run(capsys, "--n", "24", "primitive", *system)
+        assert code == 3 and not out
+        assert err.startswith("inconclusive:") and str(MAX_MINORS) in err
+        assert "Traceback" not in err
+
+    def test_twelve_generators_within_cap(self, capsys):
+        # C(12, 6) = 924 minors fit; the quotient rings of 4^12 monomials are
+        # refused by their exponent, without computing m^(4^12).
+        system = [f"x{i}" for i in range(1, 7)]
+        code, out, _ = run(capsys, "--n", "12", "primitive", *system)
+        assert code == 0
+        assert out.startswith("primitive: True")
+
+
+SUBCOMMANDS = ["normalize", "derive", "jacobian", "primitive", "uniform", "witness", "auto"]
+# Flag values: mostly well-formed, some out of range, some not numbers at all.
+BUDGETS = st.sampled_from(["100", "100000", "1000000", "268435456", "268435456",
+                           "0", "-1", "abc"])
+NUMBERS = st.sampled_from(["1", "1", "2", "2", "3", "0", "-1", "x"])
+GRIDS = st.one_of(
+    st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2), st.integers(1, 4)),
+             min_size=1, max_size=3).map(lambda es: ";".join(f"{p},{q},{m}" for p, q, m in es)),
+    st.sampled_from(["", ";", "1,1", "a,b,c", "1,1,2,3"]),
+)
+ABELIAN = st.one_of(
+    st.lists(st.integers(0, 5), min_size=1, max_size=3).map(lambda ms: ",".join(map(str, ms))),
+    st.sampled_from(["", ",", "two", "2,,3"]),
+)
+GARBAGE = st.one_of(
+    st.lists(st.sampled_from(["x1", "x5", "x0", "x", "y", "0", "2", "-", "+", "*", "[", "]",
+                              ",", "(", ")", " "]), min_size=1, max_size=8).map("".join),
+    st.text(max_size=12),
+)
+
+
+def well_formed(n):
+    """Expressions in x1..xn: sums, integer multiples and brackets."""
+    leaves = st.sampled_from([f"x{i}" for i in range(1, n + 1)] + ["0"])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda ab: f"[{ab[0]},{ab[1]}]"),
+        st.tuples(sub, sub).map(lambda ab: f"{ab[0]} + {ab[1]}"),
+        st.tuples(st.integers(-3, 3), sub).map(lambda cs: f"{cs[0]}*({cs[1]})"),
+    ), max_leaves=5)
+
+
+class TestFuzzMain:
+    """Whatever the arguments, main returns an exit code of the contract and
+    raises nothing else; argparse's own rejection counts as exit 2."""
+
+    @given(data=st.data(), command=st.sampled_from(SUBCOMMANDS), n=st.integers(1, 4),
+           budget=st.none() | st.none() | BUDGETS, grid=st.none() | st.none() | GRIDS,
+           abelian=st.none() | st.none() | ABELIAN,
+           model=st.tuples(NUMBERS, NUMBERS, NUMBERS), full_ring=st.booleans())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_contract(self, capsys, data, command, n, budget, grid, abelian,
+                                model, full_ring):
+        expr = st.one_of(well_formed(n), well_formed(n), well_formed(n), GARBAGE)
+        exprs = data.draw(st.lists(expr, min_size=1, max_size=n))
+        argv = ["--n", str(n), "--groebner-max-basis", "50"]
+        for flag, value in (("--budget", budget), ("--grid", grid), ("--abelian", abelian)):
+            if value is not None:
+                argv += [flag, value]
+        argv.append(command)
+        if command == "uniform":
+            argv += ["--p", model[0], "--q", model[1], "--m", model[2]]
+        if full_ring and command in ("uniform", "witness"):
+            argv.append("--full-ring")
+        argv += ["--", *exprs]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3, 4)

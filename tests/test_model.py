@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_expr, random_melement, random_tame_automorphism
-from metlie.cli import parse_catalog
+from metlie.cli import main, parse_catalog
 from metlie.expr import parse, eval_in_ring
 from metlie.model import (
     BudgetError,
@@ -20,7 +20,6 @@ from metlie.model import (
     eval_closed_form,
     uniformity_check,
     uniformity_check_abelian,
-    witness_search,
 )
 from metlie.poly import QPoly, QuotientParams
 from metlie.ring import MElement, endo_apply, from_expr
@@ -55,7 +54,7 @@ class TestModelBuild:
     def test_generator_image(self):
         model = flagship()
         g1 = model.generator_image(1)
-        assert g1.l == (1, 0)
+        assert g1.l == QPoly.variable(1, model.quotient)
         assert g1.tau == (QPoly.one(model.quotient), QPoly.zero(model.quotient))
 
     def test_budget_guard(self):
@@ -80,7 +79,7 @@ def _matrix_commutator_oracle(a: ModelElement, b: ModelElement) -> ModelElement:
     products gives the expected bracket coordinatewise.
     """
     quotient = a.params.quotient
-    la, lb = a.l_qpoly(), b.l_qpoly()
+    la, lb = a.l, b.l
     zero = QPoly.zero(quotient)
     taus = []
     for c in range(quotient.n):
@@ -97,8 +96,7 @@ def _matrix_commutator_oracle(a: ModelElement, b: ModelElement) -> ModelElement:
         comm = [[AB[i][j] - BA[i][j] for j in range(2)] for i in range(2)]
         assert not comm[0][0] and not comm[0][1] and not comm[1][1]
         taus.append(comm[1][0])
-    l = (0,) * quotient.n if a.params.top_left == "linear" else QPoly.zero(quotient)
-    return ModelElement(a.params, l, tuple(taus))
+    return ModelElement(a.params, zero, tuple(taus))
 
 
 class TestModelBracket:
@@ -106,7 +104,7 @@ class TestModelBracket:
         model = flagship()
         g1, g2 = model.generator_images()
         b = g1.bracket(g2)
-        assert b.l == (0, 0)
+        assert not b.l
         assert b.tau == (QPoly.variable(2, model.quotient), QPoly.variable(1, model.quotient))
 
     def test_alternating(self):
@@ -171,7 +169,7 @@ class TestClosedForm:
         got = eval_closed_form(model, mel("[[x2,x1],x1]"),
                                [g.l for g in gens], [g.tau for g in gens])
         q = model.quotient
-        assert got.l == (0, 0)
+        assert not got.l
         assert got.tau == (QPoly(q, {(1, 1): 1}), QPoly(q, {(1, 0): 1}))
         direct = eval_in_ring(parse("[[x2,x1],x1]", 2), gens)
         assert got == direct
@@ -328,28 +326,36 @@ class TestAbelianUniformity:
 
 
 class TestWitnessSearch:
-    def test_abelian_witness_for_doubled_generator(self):
-        result = witness_search([mel("2*x1")], 2)
-        assert result.found
-        assert result.witness_model["variant"] == "abelian"
-        assert result.witness_model["m"] == 2
+    """The `witness` command's walk over the default grid, stopping at the
+    first non-uniform report."""
 
-    def test_matrix_witness_for_near_generator(self):
-        result = witness_search([mel("x1 + [x2,x1]")], 2)
-        assert result.found
-        assert result.witness_model == {"p": 1, "q": 1, "m": 2, "n": 2,
-                                        "variant": "linear", "size": 1024}
+    @staticmethod
+    def search(capsys, text):
+        assert main(["--n", "2", "--json", "witness", text]) in (0, 1)
+        return json.loads(capsys.readouterr().out)
 
-    def test_primitive_element_has_no_witness(self):
-        result = witness_search([mel("x1")], 2)
-        assert not result.found
+    def test_abelian_witness_for_doubled_generator(self, capsys):
+        result = self.search(capsys, "2*x1")
+        assert result["witness"]
+        assert result["witness"]["model"]["variant"] == "abelian"
+        assert result["witness"]["model"]["m"] == 2
+
+    def test_matrix_witness_for_near_generator(self, capsys):
+        result = self.search(capsys, "x1 + [x2,x1]")
+        assert result["witness"]
+        assert result["witness"]["model"] == {"p": 1, "q": 1, "m": 2, "n": 2,
+                                              "variant": "linear", "size": 1024}
+
+    def test_primitive_element_has_no_witness(self, capsys):
+        result = self.search(capsys, "x1")
+        assert not result["witness"]
         # Large grid entries are budget-skipped, so the sweep is grid-limited.
-        assert result.skipped
+        assert result["skipped"]
 
-    def test_cheapest_first_order(self):
-        result = witness_search([mel("x1")], 2)
-        sizes = [d["size"] for d in result.checked]
-        abelian = [d for d in result.checked if d.get("variant") == "abelian"]
+    def test_cheapest_first_order(self, capsys):
+        result = self.search(capsys, "x1")
+        sizes = [d["size"] for d in result["checked"]]
+        abelian = [d for d in result["checked"] if d.get("variant") == "abelian"]
         assert sizes == sorted(sizes) or len(abelian) == 3
 
 
