@@ -192,7 +192,7 @@ def grid_walk(gs, n: int, cfg: Config):
     (model description, None, reason) for a budget-skipped entry."""
     models = [FiniteModel(ModelParams(QuotientParams(p, q, m, n), cfg.variant))
               for (p, q, m) in cfg.grid]
-    models.sort(key=lambda mod: (mod.size, mod.quotient.p, mod.quotient.q, mod.quotient.m))
+    models.sort(key=lambda mod: (mod.size_order(), mod.quotient.p, mod.quotient.q, mod.quotient.m))
     for entry in sorted(cfg.abelian) + models:
         try:
             if isinstance(entry, int):
@@ -365,7 +365,8 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
 
 def cmd_consistency(args, cfg: Config) -> int:
     try:
-        text = open(args.catalog, "r", encoding="utf-8").read()
+        with open(args.catalog, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise CatalogError(f"cannot read catalog: {exc}") from None
     n, systems = parse_catalog(text)

@@ -19,13 +19,16 @@ image of a linear map with fibers of one size.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from metlie.expr import Generator, Bracket, Sum, ScalarMul
-from metlie.poly import QPoly, QuotientParams, Span, from_vector, reduce_pqm, to_vector
+from metlie.poly import (
+    QPoly, QuotientParams, Span, from_vector, power_exceeds, reduce_pqm, to_vector,
+)
 from metlie.ring import MElement, from_expr
 
 DEFAULT_BUDGET = 1 << 28
@@ -36,6 +39,16 @@ DEFAULT_ABELIAN_MODULI = (2, 3, 4)
 DEFAULT_MATRIX_GRID = tuple(
     (p, q, m) for p in (1, 2) for q in (1, 2) for m in (2, 3)
 )
+
+# Sizes of 2^SIZE_BITS and more are handled as powers and never built.
+SIZE_BITS = 4096
+
+
+def _size_value(base: int, exponent: int):
+    """base ** exponent, or the text 'base^exponent' from 2^SIZE_BITS on."""
+    if power_exceeds(base, exponent, (1 << SIZE_BITS) - 1):
+        return f"{base}^{exponent}"
+    return base ** exponent
 
 
 class BudgetError(Exception):
@@ -50,6 +63,12 @@ class ModelParams:
     def __post_init__(self):
         if self.top_left not in ("linear", "full"):
             raise ValueError("top_left must be 'linear' or 'full'")
+
+    @property
+    def l_count(self) -> int:
+        """len(l_monomials), without listing the monomials."""
+        quotient = self.quotient
+        return quotient.n if self.top_left == "linear" else quotient.monomial_count
 
     @cached_property
     def l_monomials(self) -> tuple:
@@ -142,12 +161,36 @@ class FiniteModel:
         quotient = params.quotient
         self.params = params
         self.quotient = quotient
-        self.ring_size = quotient.ring_size
-        self.t_size = self.ring_size ** quotient.n
-        self.l_size = quotient.m ** len(params.l_monomials)
-        self.size = self.l_size * self.t_size
-        if budget is not None and self.size > budget:
-            raise BudgetError(f"model size {self.size} exceeds the budget {budget}")
+        # m^size_exponent elements: n tau coordinates of monomial_count
+        # digits each, then the top-left digits.
+        self.size_exponent = quotient.n * quotient.monomial_count + params.l_count
+        if budget is not None and power_exceeds(quotient.m, self.size_exponent, budget):
+            raise BudgetError(
+                f"model size {_size_value(quotient.m, self.size_exponent)} exceeds the budget {budget}"
+            )
+
+    @cached_property
+    def ring_size(self) -> int:
+        return self.quotient.ring_size
+
+    @cached_property
+    def t_size(self) -> int:
+        return self.ring_size ** self.quotient.n
+
+    @cached_property
+    def l_size(self) -> int:
+        return self.quotient.m ** self.params.l_count
+
+    @cached_property
+    def size(self) -> int:
+        return self.quotient.m ** self.size_exponent
+
+    def size_order(self) -> tuple:
+        """Sort key of the size: exact below 2^SIZE_BITS, by logarithm above."""
+        size = _size_value(self.quotient.m, self.size_exponent)
+        if isinstance(size, int):
+            return (0, size)
+        return (1, self.size_exponent * math.log2(self.quotient.m))
 
     @property
     def n(self) -> int:
@@ -157,7 +200,7 @@ class FiniteModel:
         q = self.quotient
         return {
             "p": q.p, "q": q.q, "m": q.m, "n": q.n,
-            "variant": self.params.top_left, "size": self.size,
+            "variant": self.params.top_left, "size": _size_value(q.m, self.size_exponent),
         }
 
     def zero(self) -> ModelElement:
@@ -319,11 +362,12 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
     k = len(gs)
     if not 1 <= k <= n:
         raise ValueError(f"system size {k} out of range 1..{n}")
-    total = model.size ** n
-    if total > budget:
+    if power_exceeds(quotient.m, model.size_exponent * n, budget):
         raise BudgetError(
-            f"enumeration of {total} tuples exceeds the budget {budget}"
+            f"enumeration of {_size_value(quotient.m, model.size_exponent * n)} tuples "
+            f"exceeds the budget {budget}"
         )
+    total = model.size ** n
     if model.size ** k > max_keys:
         raise BudgetError(
             f"histogram key space {model.size ** k} exceeds the cap {max_keys}"
@@ -435,9 +479,9 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
     k = len(gs)
     if not 1 <= k <= n:
         raise ValueError(f"system size {k} out of range 1..{n}")
+    if power_exceeds(modulus, n, budget):
+        raise BudgetError(f"enumeration of {_size_value(modulus, n)} tuples exceeds the budget {budget}")
     total = modulus ** n
-    if total > budget:
-        raise BudgetError(f"enumeration of {total} tuples exceeds the budget {budget}")
     hist: dict[int, int] = {}
     for r in itertools.product(range(modulus), repeat=n):
         key = 0

@@ -555,6 +555,12 @@ class Span:
         return out
 
 
+def power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """base ** exponent > bound, for base >= 2, without building a power that
+    has more bits than the bound (base^e > bound already when 2^e is)."""
+    return exponent >= bound.bit_length() or base ** exponent > bound
+
+
 def ideal_contains_finite(
     gens: list[QPoly],
     target: QPoly,
@@ -576,8 +582,7 @@ def ideal_contains_finite(
             raise ValueError("mismatched quotient parameters among generators")
     if target.params != params:
         raise ValueError("target has mismatched quotient parameters")
-    # m^w > max_ring_size already when 2^w is; m^w itself can have millions of digits.
-    if params.monomial_count >= max_ring_size.bit_length() or params.ring_size > max_ring_size:
+    if power_exceeds(params.m, params.monomial_count, max_ring_size):
         raise ResourceLimitError(
             f"quotient ring of size {params.m}^{params.monomial_count} exceeds the bound {max_ring_size}"
         )

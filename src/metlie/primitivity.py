@@ -59,20 +59,26 @@ def _lcm(a: int, b: int) -> int:
 
 
 class _Row:
-    """A polynomial tracked together with its expression over the input generators."""
+    """A polynomial together with its derivation.
 
-    __slots__ = ("poly", "cof", "lm", "lc")
+    The derivation is a list of (parent, multiplier) pairs whose sum of
+    multiplier * parent is the row; a parent is an earlier basis row or the
+    index of an input generator.  `pos` is the row's place in the basis.
+    """
 
-    def __init__(self, poly: Poly, cof: list[Poly]):
+    __slots__ = ("poly", "deriv", "lm", "lc", "pos")
+
+    def __init__(self, poly: Poly, deriv: list):
         self.poly = poly
-        self.cof = cof
+        self.deriv = deriv
+        self.pos = None
         if poly:
             self.lm, self.lc = poly.leading()
         else:
             self.lm, self.lc = None, 0
 
     def negate(self) -> "_Row":
-        return _Row(-self.poly, [-c for c in self.cof])
+        return _Row(-self.poly, [(parent, -m) for parent, m in self.deriv])
 
 
 def _normalized(row: _Row) -> _Row:
@@ -82,27 +88,29 @@ def _normalized(row: _Row) -> _Row:
 def _combine(rows_scales) -> _Row:
     """Sum of c * X^shift * row over (row, c, shift) triples."""
     poly = None
-    cof = None
+    deriv = []
     for row, c, shift in rows_scales:
         p = row.poly.mul_term(c, shift)
-        cs = [h.mul_term(c, shift) for h in row.cof]
-        if poly is None:
-            poly, cof = p, cs
-        else:
-            poly = poly + p
-            cof = [a + b for a, b in zip(cof, cs)]
-    return _Row(poly, cof)
+        poly = p if poly is None else poly + p
+        deriv.append((row, Poly.monomial(c, shift, p.n)))
+    return _Row(poly, deriv)
 
 
 def _reduce_row(row: _Row, basis: list[_Row], max_degree: int) -> _Row:
-    """Full normal form of `row` modulo `basis`, cofactors kept in sync.
+    """Full normal form of `row` modulo `basis`, with its derivation.
 
     A term c * X^mu reduces by a basis row exactly when the row's leading
-    monomial divides X^mu and its leading coefficient divides c.
+    monomial divides X^mu and its leading coefficient divides c.  The
+    multipliers are summed per reducer and `row`'s own derivation is folded
+    in, so the result names only the parents of `row` and rows of `basis`.
     """
     work = dict(row.poly.terms)
     done: dict[tuple[int, ...], int] = {}
-    cof = list(row.cof)
+    mult: dict = {}
+    for parent, m in row.deriv:
+        acc = mult.setdefault(parent, {})
+        for shift, c in m.terms.items():
+            acc[shift] = acc.get(shift, 0) + c
     n = row.poly.n
     while work:
         mono = max(work, key=grevlex_key)
@@ -133,8 +141,42 @@ def _reduce_row(row: _Row, basis: list[_Row], max_degree: int) -> _Row:
                 work[m] = s
             elif m in work:
                 del work[m]
-        cof = [a - h.mul_term(q, shift) for a, h in zip(cof, b.cof)]
-    return _Row(Poly(n, done), cof)
+        acc = mult.setdefault(b, {})
+        acc[shift] = acc.get(shift, 0) - q
+    deriv = []
+    for parent, acc in mult.items():
+        terms = {shift: c for shift, c in acc.items() if c}
+        if terms:
+            deriv.append((parent, Poly._raw(n, terms)))
+    return _Row(Poly(n, done), deriv)
+
+
+def _cofactors(row: _Row, basis: list[_Row], count: int) -> list[Poly]:
+    """Cofactors h over the `count` inputs with sum h_i * g_i = row.
+
+    Each ancestor's weight (its multiplier within `row`) is complete once
+    every later row has passed its own weight down, so the ancestors are
+    expanded newest first, in one loop over a heap of basis positions.
+    """
+    n = row.poly.n
+    cof = [Poly.zero(n)] * count
+    weight: dict[int, Poly] = {}
+    todo: list[int] = []
+    deriv, w = row.deriv, Poly.one(n)
+    while True:
+        for parent, m in deriv:
+            term = w * m
+            if isinstance(parent, int):
+                cof[parent] = cof[parent] + term
+            elif parent.pos in weight:
+                weight[parent.pos] = weight[parent.pos] + term
+            else:
+                weight[parent.pos] = term
+                heapq.heappush(todo, -parent.pos)
+        if not todo:
+            return cof
+        pos = -heapq.heappop(todo)
+        deriv, w = basis[pos].deriv, weight.pop(pos)
 
 
 def _spair(f: _Row, g: _Row) -> _Row:
@@ -185,6 +227,7 @@ def _buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
         if len(basis) >= max_basis:
             raise GroebnerLimitError(f"basis size cap {max_basis} exceeded")
         idx = len(basis)
+        row.pos = idx
         basis.append(row)
         if stop_on_unit and is_unit(row):
             return row
@@ -196,8 +239,7 @@ def _buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
         return None
 
     for i, g in enumerate(gens):
-        cof = [Poly.one(n) if j == i else Poly.zero(n) for j in range(len(gens))]
-        hit = push(_Row(g, cof))
+        hit = push(_Row(g, [(i, Poly.one(n))]))
         if hit is not None:
             return basis, hit
 
@@ -245,26 +287,28 @@ def _interreduce(basis: list[_Row], max_degree: int) -> list[_Row]:
 def groebner_z(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
                max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
     """Reduced strong Groebner basis over Z of the ideal generated by gens."""
-    rows, _ = _buchberger(gens, max_basis=max_basis, max_degree=max_degree,
-                          stop_on_unit=False)
-    rows = _interreduce(rows, max_degree)
-    return GroebnerBasis([r.poly for r in rows], [list(r.cof) for r in rows])
+    basis, _ = _buchberger(gens, max_basis=max_basis, max_degree=max_degree,
+                           stop_on_unit=False)
+    rows = _interreduce(basis, max_degree)
+    return GroebnerBasis([r.poly for r in rows],
+                         [_cofactors(r, basis, len(gens)) for r in rows])
 
 
 def reduce_by_basis(p: Poly, basis: GroebnerBasis, *,
                     max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
     """Normal form of p modulo a strong Groebner basis."""
-    rows = [_Row(g, [Poly.zero(p.n)]) for g in basis.generators]
-    nf = _reduce_row(_Row(p, [Poly.zero(p.n)]), rows, max_degree)
-    return nf.poly
+    rows = [_Row(g, []) for g in basis.generators]
+    return _reduce_row(_Row(p, []), rows, max_degree).poly
 
 
 def ideal_contains(gens: list[Poly], target: Poly, *,
                    max_basis: int = DEFAULT_MAX_BASIS,
                    max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
-    """Exact ideal membership over Z[X]."""
-    gb = groebner_z(gens, max_basis=max_basis, max_degree=max_degree)
-    return not reduce_by_basis(target, gb, max_degree=max_degree)
+    """Exact ideal membership over Z[X]: the target reduces to zero modulo
+    a strong Groebner basis exactly when it is a member."""
+    basis, _ = _buchberger(gens, max_basis=max_basis, max_degree=max_degree,
+                           stop_on_unit=False)
+    return not _reduce_row(_Row(target, []), basis, max_degree).poly
 
 
 def ideal_contains_one(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
@@ -275,23 +319,19 @@ def ideal_contains_one(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
     On a positive answer also returns cofactors h_i with sum h_i * g_i = 1,
     verified exactly before being handed back.
     """
-    rows, unit = _buchberger(gens, max_basis=max_basis, max_degree=max_degree,
-                             stop_on_unit=True)
-    if unit is None:
-        for row in rows:
-            if row.lm is not None and not any(row.lm) and abs(row.lc) == 1:
-                unit = row
-                break
+    basis, unit = _buchberger(gens, max_basis=max_basis, max_degree=max_degree,
+                              stop_on_unit=True)
     if unit is None:
         return False, None
-    row = unit if unit.lc == 1 else unit.negate()
+    # A basis row has a positive leading coefficient, so the unit row is 1.
+    cofactors = _cofactors(unit, basis, len(gens))
     n = gens[0].n
     check = Poly.zero(n)
-    for h, g in zip(row.cof, gens):
+    for h, g in zip(cofactors, gens):
         check = check + h * g
     if check != Poly.one(n):
         raise AssertionError("certificate verification failed")
-    return True, list(row.cof)
+    return True, cofactors
 
 
 def abelian_primitive(rows: list) -> bool:

@@ -159,6 +159,27 @@ class TestWitnessAndAuto:
         assert payload["determinant"] == "-x2 + 1"
 
 
+class TestHugeModels:
+    # Grid entries whose sizes have far more than 4300 digits: compared with
+    # the budget as powers and reported in power form.
+    @pytest.mark.parametrize("argv, size, tuples", [
+        (("--n", "8"), "3^524296", "3^4194368"),
+        (("--n", "4", "--grid", "3,3,4"), "4^5188", "4^20752"),
+    ])
+    def test_witness_skips_in_power_form(self, capsys, argv, size, tuples):
+        code, out, _ = run(capsys, *argv, "--json", "witness", "x1")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["witness"] is None
+        reasons = {s["model"]["size"]: s["reason"] for s in payload["skipped"]}
+        assert reasons[size] == f"enumeration of {tuples} tuples exceeds the budget {1 << 28}"
+
+    def test_uniform_budget_exit_4(self, capsys):
+        code, _, err = run(capsys, "--n", "4", "uniform", "--p", "3", "--q", "3", "--m", "4", "x1")
+        assert code == 4
+        assert "enumeration of 4^20752 tuples exceeds the budget" in err
+
+
 class TestCatalog:
     def test_parse_catalog(self):
         n, systems = parse_catalog(

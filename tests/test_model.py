@@ -61,6 +61,15 @@ class TestModelBuild:
         with pytest.raises(BudgetError):
             FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2)), budget=512)
 
+    def test_huge_model_in_power_form(self):
+        # 12 generators: |R|^n has about 3e8 bits, so the size stays a power.
+        params = ModelParams(QuotientParams(2, 2, 3, 12), "full")
+        model = FiniteModel(params)
+        assert model.size_exponent == 13 * 4 ** 12
+        assert model.describe()["size"] == f"3^{13 * 4 ** 12}"
+        with pytest.raises(BudgetError, match=r"model size 3\^218103808 exceeds"):
+            FiniteModel(params, budget=1 << 28)
+
     def test_element_code_round_trip(self):
         model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 1)))
         seen = set()

@@ -17,6 +17,7 @@ from metlie.poly import (
     divexact,
     format_terms,
     ideal_contains_finite,
+    power_exceeds,
     reduce_pqm,
 )
 
@@ -259,6 +260,17 @@ def _subgroup_closure(rows, m, width):
                     fresh.append(v)
         frontier = fresh
     return span
+
+
+class TestPowerExceeds:
+    def test_matches_the_built_power(self):
+        for base in range(2, 7):
+            for exponent in range(12):
+                for bound in range(0, 300, 7):
+                    assert power_exceeds(base, exponent, bound) == (base ** exponent > bound)
+
+    def test_huge_exponent_is_not_built(self):
+        assert power_exceeds(3, 10 ** 12, 1 << 28)
 
 
 class TestSpan:
