@@ -9,11 +9,13 @@ mod m; the full quotient ring is available as a variant.
 
 A system (g_1..g_k) over n generators is uniformly distributed on a finite
 ring R of size N exactly when every target k-tuple has N^(n-k) preimages
-under substitution.  `uniformity_check` counts every fiber exactly without
-enumerating the N^n argument tuples: the substituted values come from the
-closed form (lin(g)(s), sum_j tau_j * d_j g(s)), which for fixed top-left
-entries s is linear in the tau coordinates, so each top-left tuple adds the
-image of a linear map with fibers of one size.
+under substitution.  `uniformity_check` decides this exactly without
+enumerating the N^n argument tuples or listing any fiber: the substituted
+values come from the closed form (lin(g)(s), sum_j tau_j * d_j g(s)), which
+for fixed top-left entries s is linear in the tau coordinates.  Each
+top-left tuple therefore adds the image of a linear map with fibers of one
+size, and the smallest and largest fibers, and the smallest wrong target,
+follow from the image sizes per top-left key.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from metlie.poly import (
 from metlie.ring import MElement, from_expr
 
 DEFAULT_BUDGET = 1 << 28
-DEFAULT_MAX_KEYS = 1 << 24
 
 # Default model grid of `witness` and `consistency`.
 DEFAULT_ABELIAN_MODULI = (2, 3, 4)
@@ -342,18 +343,27 @@ def _model_substitution_data(model: FiniteModel, gs: list[MElement]):
     return [[reduce_pqm(d, quotient) for d in g.deriv] for g in gs]
 
 
-def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
-                     max_keys: int = DEFAULT_MAX_KEYS) -> UniformityReport:
+def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) -> UniformityReport:
     """Exact fiber census of the substitution map over the model.
 
     With the top-left tuple s fixed, the module part
     T_i[c] = sum_j tau_j[c] * d_j g_i(s) is Z/m-linear in tau and acts on
-    every module coordinate c alike.  Its image is therefore Im^n, where Im
-    is the subgroup of R^k spanned by (mu * d_j g_i(s))_i over j and the
-    monomials mu, and each image point has |R|^(n*n) / |Im|^n preimages.
-    |Im| comes from the Howell form of those rows (`poly.Span`); Im is
-    enumerated only to fill a histogram when the system is not plainly
-    uniform.
+    every module coordinate c alike.  Its image is therefore Im_s^n, where
+    Im_s is the R-submodule of R^k spanned by (mu * d_j g_i(s))_i over j and
+    the monomials mu, and each image point has
+    kernel_s = |R|^(n*n) / |Im_s|^n preimages.  |Im_s| comes from the
+    Howell form of those rows (`poly.Span`).
+
+    No image is listed.  Let L = lin(g)(s) be the top-left key of s, W_L
+    the sum of kernel_s over the s above L, and O_L the same sum over the s
+    whose map is onto.  The target (L, 0) lies in every image above L, so
+    its fiber W_L is the largest over L; the target whose first k module
+    coordinates are e_1..e_k lies only in the onto images, so its fiber O_L
+    is the smallest.  The s above a hit L form a coset of the kernel of the
+    top-left map, and kernel_s >= |R|^(n(n-k)), so W_L >= expected, with
+    equality iff the top-left map and every map above L are onto.  Every
+    wrong fiber therefore lies above an L with W_L != expected, and the
+    smallest wrong target is (L, 0) for the smallest such L.
     """
     start = time.perf_counter()
     quotient = model.quotient
@@ -368,10 +378,6 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
             f"exceeds the budget {budget}"
         )
     total = model.size ** n
-    if model.size ** k > max_keys:
-        raise BudgetError(
-            f"histogram key space {model.size ** k} exceeds the cap {max_keys}"
-        )
     size = model.ring_size
     m, w = quotient.m, quotient.monomial_count
     l_monos = model.params.l_monomials
@@ -382,17 +388,18 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
     mono_elems = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
     zero_tau = (QPoly.zero(quotient),) * n
 
-    R = model.size
-    expected = R ** (n - k)
-    parts = []  # (top-left key, preimages per image point, Im)
-    top: dict[int, int] = {}
-    onto = True
+    expected = model.size ** (n - k)
+    weight: dict[tuple, int] = {}  # W_L by top-left key, as element codes
+    onto_weight: dict[tuple, int] = {}  # O_L
     mass = 0
     for images in itertools.product(l_space, repeat=n):
-        base = 0
-        for g in gs:
-            lv = sum((c * s for c, s in zip(g.linear, images)), QPoly.zero(quotient))
-            base = base * R + model.element_code(ModelElement(model.params, lv, zero_tau))
+        key = tuple(
+            model.element_code(ModelElement(
+                model.params,
+                sum((c * s for c, s in zip(g.linear, images)), QPoly.zero(quotient)),
+                zero_tau))
+            for g in gs
+        )
         image = Span(m, k * w)
         for j in range(n):
             coeffs = [dbars[i][j].evaluate(images, one) for i in range(k)]
@@ -401,30 +408,21 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
         im = image.size()
         kernel = size ** (n * n) // im ** n
         mass += kernel * im ** n
-        onto = onto and im == size ** k
-        top[base] = top.get(base, 0) + kernel
-        parts.append((base, kernel, image))
+        weight[key] = weight.get(key, 0) + kernel
+        if im == size ** k:
+            onto_weight[key] = onto_weight.get(key, 0) + kernel
     assert mass == total, "linear images lost mass"
 
-    # Onto maps give every tau target of a top-left key the key's weight.
-    if onto and all(wt == expected for wt in top.values()):
-        fiber_min, fiber_max, uniform, witness = expected, expected, True, None
-    else:
-        # element_code layout: slot i at R^(k-1-i), coordinate c at size^c, digit d at m^d.
-        weights = [R ** (k - 1 - i) * m ** d for i in range(k) for d in range(w)]
-        hist: dict[int, int] = {}
-        for base, kernel, image in parts:
-            codes = [sum(d * wt for d, wt in zip(v, weights)) for v in image.elements()]
-            keys = [base]
-            for c in range(n):
-                shifted = [size ** c * code for code in codes]
-                keys = [key + code for key in keys for code in shifted]
-            for key in keys:
-                hist[key] = hist.get(key, 0) + kernel
-        fiber_min, fiber_max, uniform, witness = _fibers(
-            hist, total, R ** k, expected,
-            lambda key: [model.element_from_code(c).to_json() for c in _split_key(key, R, k)],
-        )
+    fiber_max = max(weight.values())
+    fiber_min = 0
+    if len(weight) == model.l_size ** k:
+        fiber_min = min(onto_weight.get(key, 0) for key in weight)
+    uniform = fiber_min == fiber_max == expected
+    witness = None
+    if not uniform:
+        key = min(key for key, wt in weight.items() if wt != expected)
+        witness = {"target": [model.element_from_code(c).to_json() for c in key],
+                   "count": weight[key]}
     elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
         model=model.describe(), k=k, n=n, size=model.size, total=total,
@@ -433,44 +431,15 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET,
     )
 
 
-def _fibers(hist: dict[int, int], total: int, key_space: int, expected: int, target):
-    """fiber_min, fiber_max, uniformity and witness of a fiber histogram.
-
-    The witness is the smallest key whose fiber is wrong, or the smallest
-    key missing from the histogram; `target` gives its JSON form.
-    """
-    assert sum(hist.values()) == total, "fiber histogram lost mass"
-    fiber_max = max(hist.values())
-    fiber_min = 0 if len(hist) < key_space else min(hist.values())
-    uniform = fiber_min == expected and fiber_max == expected
-    witness = None
-    if not uniform:
-        bad = [key for key, cnt in hist.items() if cnt != expected]
-        if bad:
-            key = min(bad)
-            count = hist[key]
-        else:
-            key = next(c for c in itertools.count() if c not in hist)
-            count = 0
-        witness = {"target": target(key), "count": count}
-    return fiber_min, fiber_max, uniform, witness
-
-
-def _split_key(key: int, R: int, k: int) -> list[int]:
-    codes = []
-    for _ in range(k):
-        key, code = divmod(key, R)
-        codes.append(code)
-    codes.reverse()
-    return codes
-
-
 def uniformity_check_abelian(gs, modulus: int, n: int, *,
                              budget: int = DEFAULT_BUDGET) -> UniformityReport:
-    """Exhaustive fiber census on the abelian Lie ring Z_modulus.
+    """Exact fiber census on the abelian Lie ring Z_modulus.
 
     In an abelian ring every bracket vanishes, so substituted values are the
-    linear parts evaluated mod `modulus`.
+    linear parts evaluated mod `modulus`: the map r -> lin(g)(r) on
+    (Z/modulus)^n.  Every point of its image Im has modulus^n / |Im|
+    preimages and every other target none, so the system is uniform iff the
+    map is onto; otherwise the smallest wrong target is 0.
     """
     start = time.perf_counter()
     if modulus < 2:
@@ -482,17 +451,14 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
     if power_exceeds(modulus, n, budget):
         raise BudgetError(f"enumeration of {_size_value(modulus, n)} tuples exceeds the budget {budget}")
     total = modulus ** n
-    hist: dict[int, int] = {}
-    for r in itertools.product(range(modulus), repeat=n):
-        key = 0
-        for g in gs:
-            v = sum(c * t for c, t in zip(g.linear, r)) % modulus
-            key = key * modulus + v
-        hist[key] = hist.get(key, 0) + 1
+    image = Span(modulus, k)
+    for j in range(n):
+        image.add([g.linear[j] % modulus for g in gs])
+    fiber_max = total // image.size()
     expected = modulus ** (n - k)
-    fiber_min, fiber_max, uniform, witness = _fibers(
-        hist, total, modulus ** k, expected, lambda key: _split_key(key, modulus, k),
-    )
+    uniform = fiber_max == expected
+    fiber_min = fiber_max if uniform else 0
+    witness = None if uniform else {"target": [0] * k, "count": fiber_max}
     elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
         model={"variant": "abelian", "m": modulus, "n": n, "size": modulus},

@@ -499,8 +499,7 @@ class Span:
     carries the multiple (m/d) * pivot, which also vanishes at c, into the
     later pivots; for composite m this is what field elimination misses.
     With it every element is sum c_i * row_i with 0 <= c_i < m/g_i in
-    exactly one way: membership is a reduction, the size is prod m/g_i, and
-    `elements` lists each element once.
+    exactly one way: membership is a reduction and the size is prod m/g_i.
     """
 
     __slots__ = ("m", "width", "pivots")
@@ -543,15 +542,6 @@ class Span:
         out = 1
         for c, p in self.pivots.items():
             out *= self.m // p[c]
-        return out
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """Every element of the span once: sum c_i * row_i, 0 <= c_i < m/g_i."""
-        m = self.m
-        out = [(0,) * self.width]
-        for c, p in self.pivots.items():
-            steps = [[t * y % m for y in p] for t in range(m // p[c])]
-            out = [tuple((x + y) % m for x, y in zip(e, st)) for e in out for st in steps]
         return out
 
 

@@ -1,11 +1,14 @@
-"""Shared random generators for the test suite (seeded, deterministic)."""
+"""Shared random generators and reference censuses for the test suite
+(seeded, deterministic)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from metlie.expr import Bracket, Generator, ScalarMul, Sum
-from metlie.poly import Poly, QPoly, QuotientParams
+from metlie.model import eval_closed_form
+from metlie.poly import Poly, QPoly, QuotientParams, to_vector
 from metlie.ring import BasisTerm, MElement, from_basis
 
 
@@ -95,3 +98,113 @@ def random_tame_automorphism(rng: random.Random, n: int, moves: int = 3):
             move[i - 1] = move[i - 1] + c * MElement.generator(j, n)
         images = [endo_apply(g, move) for g in images]
     return images
+
+
+def subgroup_closure(rows, m, width):
+    """Subgroup of (Z/m)^width generated by rows, closed under adding a row."""
+    span = {(0,) * width}
+    frontier = list(span)
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for r in rows:
+                v = tuple((a + b) % m for a, b in zip(s, r))
+                if v not in span:
+                    span.add(v)
+                    fresh.append(v)
+        frontier = fresh
+    return span
+
+
+def _fibers(hist, key_space, expected, target):
+    """fiber_min, fiber_max, uniformity and witness of a fiber histogram.
+
+    The witness is the smallest key whose fiber is wrong, or the smallest
+    key missing from the histogram; `target` gives its JSON form.
+    """
+    fiber_max = max(hist.values())
+    fiber_min = 0 if len(hist) < key_space else min(hist.values())
+    uniform = fiber_min == expected and fiber_max == expected
+    witness = None
+    if not uniform:
+        bad = [key for key, cnt in hist.items() if cnt != expected]
+        if bad:
+            key = min(bad)
+            count = hist[key]
+        else:
+            key = next(c for c in itertools.count() if c not in hist)
+            count = 0
+        witness = {"target": target(key), "count": count}
+    return fiber_min, fiber_max, uniform, witness
+
+
+def _split_key(key, base, k):
+    digits = []
+    for _ in range(k):
+        key, d = divmod(key, base)
+        digits.append(d)
+    return digits[::-1]
+
+
+def _report(model_json, k, total, expected, hist, key_space, target):
+    assert sum(hist.values()) == total, "fiber histogram lost mass"
+    fiber_min, fiber_max, uniform, witness = _fibers(hist, key_space, expected, target)
+    return {"model": model_json, "k": k, "expected_fiber": expected,
+            "fiber_min": fiber_min, "fiber_max": fiber_max, "uniform": uniform,
+            "witness_target": witness}
+
+
+def histogram_census(gs, model):
+    """Report JSON of the image-histogram census, without elapsed time.
+
+    For each top-left tuple s the tau map is linear; its image Im_s is the
+    subgroup spanned by the values at tau_j = (mu, 0, .., 0), listed by
+    closure, and every point of Im_s^n above the top-left key gets
+    |R|^(n*n) / |Im_s|^n in the histogram.  Keys are slot-major element
+    codes, as `FiniteModel.element_code` orders each slot.
+    """
+    quotient = model.quotient
+    n, k = quotient.n, len(gs)
+    m, w, size, R = quotient.m, quotient.monomial_count, model.ring_size, model.size
+    zero = QPoly.zero(quotient)
+    l_space = [QPoly(quotient, dict(zip(model.params.l_monomials, v)))
+               for v in itertools.product(range(m), repeat=len(model.params.l_monomials))]
+    monos = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
+    weights = [R ** (k - 1 - i) * m ** d for i in range(k) for d in range(w)]
+    hist = {}
+    for s in itertools.product(l_space, repeat=n):
+        zero_taus = [(zero,) * n] * n
+        base = 0
+        for g in gs:
+            base = base * R + model.element_code(eval_closed_form(model, g, s, zero_taus))
+        rows = []
+        for j in range(n):
+            for mu in monos:
+                taus = [(mu if t == j else zero,) + (zero,) * (n - 1) for t in range(n)]
+                rows.append(tuple(d for g in gs
+                                  for d in to_vector(eval_closed_form(model, g, s, taus).tau[0])))
+        image = subgroup_closure(rows, m, k * w)
+        kernel = size ** (n * n) // len(image) ** n
+        codes = [sum(d * wt for d, wt in zip(v, weights)) for v in image]
+        keys = [base]
+        for c in range(n):
+            keys = [key + size ** c * code for key in keys for code in codes]
+        for key in keys:
+            hist[key] = hist.get(key, 0) + kernel
+    return _report(model.describe(), k, R ** n, R ** (n - k), hist, R ** k,
+                   lambda key: [model.element_from_code(c).to_json()
+                                for c in _split_key(key, R, k)])
+
+
+def abelian_census(gs, modulus, n):
+    """Report JSON of a plain census on Z_modulus: all modulus^n tuples."""
+    k = len(gs)
+    hist = {}
+    for r in itertools.product(range(modulus), repeat=n):
+        key = 0
+        for g in gs:
+            key = key * modulus + sum(c * t for c, t in zip(g.linear, r)) % modulus
+        hist[key] = hist.get(key, 0) + 1
+    return _report({"variant": "abelian", "m": modulus, "n": n, "size": modulus}, k,
+                   modulus ** n, modulus ** (n - k), hist, modulus ** k,
+                   lambda key: _split_key(key, modulus, k))

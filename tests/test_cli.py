@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output formats and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from metlie.calculus import MAX_MINORS
 from metlie.cli import main, parse_catalog, CatalogError
 from metlie.expr import LieParseError, parse
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -123,6 +127,13 @@ class TestUniform:
         assert code == 0
         assert "uniform: True" in out
 
+    def test_model_of_2_to_25_elements(self, capsys):
+        # 2^25 elements at n = 1: within the budget, and the census lists no
+        # fiber, so no key-space cap applies.
+        code, out, _ = run(capsys, "--n", "1", "uniform", "--p", "1", "--q", "23", "--m", "2", "x1")
+        assert code == 0
+        assert "uniform: True" in out
+
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("METLIE_BUDGET", "100")
         code, _, _ = run(capsys, "--n", "2", "uniform",
@@ -232,6 +243,14 @@ class TestConsistency:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "--n", "2", "consistency", "/nonexistent/file")
         assert code == 2
+
+    def test_acceptance_catalog_golden(self, capsys):
+        # Stdout of the acceptance catalog, byte for byte as the fiber
+        # histogram census produced it.
+        catalog = str(DATA / "acceptance_catalog.txt")
+        code, out, _ = run(capsys, "--n", "2", "--json", "consistency", catalog)
+        assert code == 0
+        assert out == (DATA / "consistency_golden.json").read_text()
 
 
 class TestHostileInput:

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_expr, random_melement, random_tame_automorphism
+from helpers import (
+    abelian_census, histogram_census, random_basis_terms, random_expr, random_melement,
+    random_tame_automorphism,
+)
 from metlie.cli import main, parse_catalog
 from metlie.expr import parse, eval_in_ring
 from metlie.model import (
@@ -22,7 +25,7 @@ from metlie.model import (
     uniformity_check_abelian,
 )
 from metlie.poly import QPoly, QuotientParams
-from metlie.ring import MElement, endo_apply, from_expr
+from metlie.ring import MElement, endo_apply, from_basis, from_expr
 
 
 def mel(text, n=2):
@@ -252,11 +255,6 @@ class TestUniformity:
         with pytest.raises(BudgetError):
             uniformity_check([mel("x1")], model, budget=1000)
 
-    def test_key_space_guard(self):
-        model = flagship()
-        with pytest.raises(BudgetError):
-            uniformity_check([mel("x1"), mel("x2")], model, max_keys=1000)
-
     def test_uniform_under_permutation(self):
         model = flagship()
         rep1 = uniformity_check([mel("x1"), mel("x2")], model)
@@ -464,3 +462,46 @@ class TestCensusGolden:
             rep = uniformity_check([mel(t, n) for t in texts], model)
             out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
         assert json.dumps(out, sort_keys=True, indent=2) + "\n" == (DATA / name).read_text()
+
+
+def _drawn_system(seed, n, k):
+    """k elements over n generators.  For n >= 2 a third of the draws take
+    k images of a tame automorphism (a uniform system) and a third add a
+    derived element to such images, which keeps the top-left map onto; the
+    rest are random elements."""
+    rng = random.Random(seed)
+    kind = rng.randrange(3) if n >= 2 else 0
+    if kind == 0:
+        return [random_melement(rng, n, coeff_bound=3) for _ in range(k)]
+    gs = rng.sample(random_tame_automorphism(rng, n), k)
+    if kind == 2:
+        gs = [g + from_basis(random_basis_terms(rng, n), [0] * n) for g in gs]
+    return gs
+
+
+class TestHistogramOracle:
+    """The closed-form fibers and witness against the image histogram
+    (matrix models) and a plain enumeration (abelian rings) of
+    tests/helpers.py, report for report."""
+
+    @pytest.mark.parametrize("variant, k", [("linear", 1), ("linear", 2), ("full", 1)])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=12, deadline=None)
+    def test_flagship_models(self, variant, k, seed):
+        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2), variant))
+        gs = _drawn_system(seed, 2, k)
+        rep = uniformity_check(gs, model).to_json(include_elapsed=False)
+        assert rep == histogram_census(gs, model)
+        if not rep["uniform"]:
+            assert all(t["tau"] == ["0", "0"] for t in rep["witness_target"]["target"])
+
+    @given(seed=st.integers(0, 10_000), m=st.integers(2, 6), n=st.integers(1, 3),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_abelian(self, seed, m, n, data):
+        k = data.draw(st.integers(1, n))
+        gs = _drawn_system(seed, n, k)
+        rep = uniformity_check_abelian(gs, m, n).to_json(include_elapsed=False)
+        assert rep == abelian_census(gs, m, n)
+        if not rep["uniform"]:
+            assert rep["witness_target"]["target"] == [0] * k
