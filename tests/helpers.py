@@ -171,9 +171,9 @@ def histogram_census(gs, model):
                for v in itertools.product(range(m), repeat=len(model.params.l_monomials))]
     monos = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
     weights = [R ** (k - 1 - i) * m ** d for i in range(k) for d in range(w)]
+    zero_taus = [(zero,) * n] * n
     hist = {}
     for s in itertools.product(l_space, repeat=n):
-        zero_taus = [(zero,) * n] * n
         base = 0
         for g in gs:
             base = base * R + model.element_code(eval_closed_form(model, g, s, zero_taus))
