@@ -10,6 +10,7 @@ the confluent rewrite x^(p+q) -> x^p.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -113,10 +114,6 @@ class Poly:
         mono = tuple(1 if j == i - 1 else 0 for j in range(n))
         return cls._raw(n, {mono: 1})
 
-    @classmethod
-    def monomial(cls, coeff: int, mono: tuple[int, ...], n: int) -> "Poly":
-        return cls(n, {tuple(mono): coeff})
-
     def _require_same_ring(self, other: "Poly") -> None:
         if self.n != other.n:
             raise ValueError(f"mismatched generator counts {self.n} and {other.n}")
@@ -180,7 +177,7 @@ class Poly:
         out: dict[tuple[int, ...], int] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = tuple(a + b for a, b in zip(ma, mb))
+                mono = tuple(map(operator.add, ma, mb))
                 s = out.get(mono, 0) + ca * cb
                 if s:
                     out[mono] = s
@@ -196,7 +193,7 @@ class Poly:
             return Poly.zero(self.n)
         return Poly._raw(
             self.n,
-            {tuple(a + b for a, b in zip(m, mono)): c * coeff for m, c in self.terms.items()},
+            {tuple(map(operator.add, m, mono)): c * coeff for m, c in self.terms.items()},
         )
 
     def __pow__(self, e: int) -> "Poly":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +36,7 @@ from metlie.ring import MElement
 
 DEFAULT_MAX_BASIS = 10_000
 DEFAULT_MAX_DEGREE = 40
+MAX_TRIAL_DIVISORS = 1 << 20
 
 # Fast-path quotient grid: p, q in {1, 2}, m in {2, 3}.
 DEFAULT_QUOTIENT_GRID = tuple(
@@ -92,7 +94,7 @@ def _combine(rows_scales) -> _Row:
     for row, c, shift in rows_scales:
         p = row.poly.mul_term(c, shift)
         poly = p if poly is None else poly + p
-        deriv.append((row, Poly.monomial(c, shift, p.n)))
+        deriv.append((row, Poly._raw(p.n, {shift: c})))
     return _Row(poly, deriv)
 
 
@@ -100,55 +102,61 @@ def _reduce_row(row: _Row, basis: list[_Row], max_degree: int) -> _Row:
     """Full normal form of `row` modulo `basis`, with its derivation.
 
     A term c * X^mu reduces by a basis row exactly when the row's leading
-    monomial divides X^mu and its leading coefficient divides c.  The
-    multipliers are summed per reducer and `row`'s own derivation is folded
-    in, so the result names only the parents of `row` and rows of `basis`.
+    monomial divides X^mu and its leading coefficient divides c; the first
+    such row in basis order is taken.  The multipliers are summed per reducer
+    and `row`'s own derivation is folded in, so the result names only the
+    parents of `row` and rows of `basis`.
+
+    Pending terms sit in a heap of (-degree, monomial) entries, whose smallest
+    entry is the grevlex-largest monomial (Monagan & Pearce, CASC 2007).  A
+    reduction step only adds smaller monomials, so a popped monomial never
+    returns; an entry whose term has cancelled is skipped when popped.
     """
     work = dict(row.poly.terms)
+    heap = [(-sum(mono), mono) for mono in work]
+    heapq.heapify(heap)
     done: dict[tuple[int, ...], int] = {}
     mult: dict = {}
     for parent, m in row.deriv:
         acc = mult.setdefault(parent, {})
         for shift, c in m.terms.items():
             acc[shift] = acc.get(shift, 0) + c
-    n = row.poly.n
-    while work:
-        mono = max(work, key=grevlex_key)
-        coeff = work.pop(mono)
-        if sum(mono) > max_degree:
+    reducers = [(b.lm, b.lc, b) for b in basis if b.lm is not None]
+    while heap:
+        neg_degree, mono = heapq.heappop(heap)
+        coeff = work.pop(mono, 0)
+        if not coeff:
+            continue
+        if -neg_degree > max_degree:
             raise GroebnerLimitError(f"degree cap {max_degree} exceeded during reduction")
-        hit = None
-        for b in basis:
-            if b.lm is None:
-                continue
-            if coeff % b.lc:
-                continue
-            shift = tuple(a - c for a, c in zip(mono, b.lm))
-            if any(e < 0 for e in shift):
-                continue
-            hit = (b, coeff // b.lc, shift)
-            break
-        if hit is None:
+        for lm, lc, b in reducers:
+            if coeff % lc == 0 and all(map(operator.ge, mono, lm)):
+                break
+        else:
             done[mono] = coeff
             continue
-        b, q, shift = hit
-        sub = b.poly.mul_term(q, shift)
-        for m, c in sub.terms.items():
-            if m == mono:
+        q = coeff // lc
+        shift = tuple(map(operator.sub, mono, lm))
+        for m, c in b.poly.terms.items():
+            if m == lm:
                 continue
-            s = work.get(m, 0) - c
+            m = tuple(map(operator.add, m, shift))
+            s = work.get(m, 0) - q * c
             if s:
+                if m not in work:
+                    heapq.heappush(heap, (-sum(m), m))
                 work[m] = s
             elif m in work:
                 del work[m]
         acc = mult.setdefault(b, {})
         acc[shift] = acc.get(shift, 0) - q
+    n = row.poly.n
     deriv = []
     for parent, acc in mult.items():
         terms = {shift: c for shift, c in acc.items() if c}
         if terms:
             deriv.append((parent, Poly._raw(n, terms)))
-    return _Row(Poly(n, done), deriv)
+    return _Row(Poly._raw(n, done), deriv)
 
 
 def _cofactors(row: _Row, basis: list[_Row], count: int) -> list[Poly]:
@@ -180,25 +188,26 @@ def _cofactors(row: _Row, basis: list[_Row], count: int) -> list[Poly]:
 
 
 def _spair(f: _Row, g: _Row) -> _Row:
-    gamma = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
+    gamma = tuple(map(max, f.lm, g.lm))
     l = _lcm(f.lc, g.lc)
     return _combine([
-        (f, l // f.lc, tuple(a - b for a, b in zip(gamma, f.lm))),
-        (g, -(l // g.lc), tuple(a - b for a, b in zip(gamma, g.lm))),
+        (f, l // f.lc, tuple(map(operator.sub, gamma, f.lm))),
+        (g, -(l // g.lc), tuple(map(operator.sub, gamma, g.lm))),
     ])
 
 
 def _gpair(f: _Row, g: _Row) -> Optional[_Row]:
     # Skipped when one leading coefficient divides the other: the Bezout
-    # combination would reduce to zero by that row immediately.
+    # combination would reduce to zero by that row immediately.  Otherwise
+    # neither Bezout coefficient is zero.
     if f.lc % g.lc == 0 or g.lc % f.lc == 0:
         return None
-    gamma = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
+    gamma = tuple(map(max, f.lm, g.lm))
     d, u, v = bezout(f.lc, g.lc)
     assert d == math.gcd(f.lc, g.lc)
     return _combine([
-        (f, u, tuple(a - b for a, b in zip(gamma, f.lm))),
-        (g, v, tuple(a - b for a, b in zip(gamma, g.lm))),
+        (f, u, tuple(map(operator.sub, gamma, f.lm))),
+        (g, v, tuple(map(operator.sub, gamma, g.lm))),
     ])
 
 
@@ -359,14 +368,15 @@ def _abelian_minor_gcd(rows: list) -> int:
 
 
 def _smallest_prime_factor(v: int) -> int:
+    """Smallest prime factor of |v| (2 when |v| < 2), found by trial division
+    over at most MAX_TRIAL_DIVISORS candidates; past that |v| itself is the
+    answer, which still refutes: every linear minor is 0 modulo it."""
     v = abs(v)
     if v < 2:
         return 2
-    d = 2
-    while d * d <= v:
+    for d in range(2, min(math.isqrt(v), MAX_TRIAL_DIVISORS + 1) + 1):
         if v % d == 0:
             return d
-        d += 1
     return v
 
 

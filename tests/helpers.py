@@ -8,7 +8,8 @@ import random
 
 from metlie.expr import Bracket, Generator, ScalarMul, Sum
 from metlie.model import eval_closed_form
-from metlie.poly import Poly, QPoly, QuotientParams, to_vector
+from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key, to_vector
+from metlie.primitivity import GroebnerLimitError, _Row
 from metlie.ring import BasisTerm, MElement, from_basis
 
 
@@ -208,3 +209,64 @@ def abelian_census(gs, modulus, n):
     return _report({"variant": "abelian", "m": modulus, "n": n, "size": modulus}, k,
                    modulus ** n, modulus ** (n - k), hist, modulus ** k,
                    lambda key: _split_key(key, modulus, k))
+
+
+def reference_poly_product(a: dict, b: dict) -> dict:
+    """Product of two term maps, expanding every pair of terms."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def reference_reduce_row(row: _Row, basis: list, max_degree: int) -> _Row:
+    """`primitivity._reduce_row` by a plain scan: every step takes the
+    grevlex-largest pending term by `max` and looks for its reducer from the
+    start of the basis."""
+    work = dict(row.poly.terms)
+    done = {}
+    mult = {}
+    for parent, m in row.deriv:
+        acc = mult.setdefault(parent, {})
+        for shift, c in m.terms.items():
+            acc[shift] = acc.get(shift, 0) + c
+    n = row.poly.n
+    while work:
+        mono = max(work, key=grevlex_key)
+        coeff = work.pop(mono)
+        if sum(mono) > max_degree:
+            raise GroebnerLimitError(f"degree cap {max_degree} exceeded during reduction")
+        hit = None
+        for b in basis:
+            if b.lm is None:
+                continue
+            if coeff % b.lc:
+                continue
+            shift = tuple(a - c for a, c in zip(mono, b.lm))
+            if any(e < 0 for e in shift):
+                continue
+            hit = (b, coeff // b.lc, shift)
+            break
+        if hit is None:
+            done[mono] = coeff
+            continue
+        b, q, shift = hit
+        sub = b.poly.mul_term(q, shift)
+        for m, c in sub.terms.items():
+            if m == mono:
+                continue
+            s = work.get(m, 0) - c
+            if s:
+                work[m] = s
+            elif m in work:
+                del work[m]
+        acc = mult.setdefault(b, {})
+        acc[shift] = acc.get(shift, 0) - q
+    deriv = []
+    for parent, acc in mult.items():
+        terms = {shift: c for shift, c in acc.items() if c}
+        if terms:
+            deriv.append((parent, Poly._raw(n, terms)))
+    return _Row(Poly(n, done), deriv)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: output formats and exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,21 @@ class TestPrimitive:
         assert code == 0
         payload = json.loads(out)
         assert payload["certificate"] is not None
+
+    def test_composite_gcd_reports_smallest_prime(self, capsys):
+        code, out, _ = run(capsys, "--n", "2", "--json", "primitive", "6*x1")
+        assert code == 1
+        assert json.loads(out)["refutation"] == {"kind": "abelian", "params": {"m": 2}}
+
+    def test_large_prime_gcd_is_its_own_modulus(self, capsys):
+        # A 62-bit prime: trial division stops at its bound instead of
+        # running ~2^31 steps, and the gcd itself refutes.
+        p = 4611686018427387847
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--n", "2", "--json", "primitive", f"{p}*x1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert json.loads(out)["refutation"] == {"kind": "abelian", "params": {"m": p}}
 
     def test_bad_system_size(self, capsys):
         code, _, err = run(capsys, "--n", "2", "primitive", "x1", "x2", "x1 + x2")

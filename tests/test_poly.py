@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_poly, random_qpoly, subgroup_closure
+from helpers import random_poly, random_qpoly, reference_poly_product, subgroup_closure
 from metlie.poly import (
     Poly,
     QPoly,
@@ -38,12 +38,7 @@ class TestPolyArithmetic:
         # Term-by-term oracle: (x1*x2) * x2 expands to the single term x1*x2^2.
         a = x(1) * x(2)
         b = x(2)
-        expected = {}
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                mono = tuple(p + q for p, q in zip(ma, mb))
-                expected[mono] = expected.get(mono, 0) + ca * cb
-        assert (a * b).terms == expected == {(1, 2): 1}
+        assert (a * b).terms == reference_poly_product(a.terms, b.terms) == {(1, 2): 1}
 
     def test_mismatched_generator_counts(self):
         with pytest.raises(ValueError):
@@ -68,6 +63,21 @@ small_polys = st.builds(
         max_size=5,
     ),
 )
+
+
+def _polys_in(n):
+    return st.builds(lambda d: Poly(n, d), st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n), st.integers(-9, 9), max_size=5))
+
+
+class TestProductOracle:
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        _polys_in(n), _polys_in(n), st.tuples(*[st.integers(0, 3)] * n), st.integers(-9, 9))))
+    @settings(max_examples=100, deadline=None)
+    def test_products_match_term_expansion(self, case):
+        a, b, mono, c = case
+        assert (a * b).terms == reference_poly_product(a.terms, b.terms)
+        assert a.mul_term(c, mono).terms == reference_poly_product(a.terms, {mono: c} if c else {})
 
 
 class TestRingAxioms:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -9,14 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_melement, random_poly, random_tame_automorphism
+from helpers import random_melement, random_poly, random_tame_automorphism, reference_reduce_row
 from metlie.calculus import PolyMatrix, identity_matrix, jacobi_matrix, matmul, minors, sigma
 from metlie.expr import parse
-from metlie.poly import Poly, QPoly, QuotientParams, reduce_pqm
+from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key, reduce_pqm
 from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
     GroebnerLimitError,
+    _Row,
     _buchberger,
+    _reduce_row,
+    _smallest_prime_factor,
     abelian_primitive,
     groebner_z,
     ideal_contains,
@@ -282,6 +286,69 @@ class TestGroebner:
                         assert not _reduce_row(gp, rows, 40).poly
 
 
+# Coefficients that divide one another, so that several rows can reduce the
+# same term and the first one in basis order must be the one taken.
+DIVISOR_CHAIN = [1, 2, 3, 4, 6, 12]
+
+
+def _monos(n, top):
+    return st.tuples(*[st.integers(0, top)] * n)
+
+
+def _polys(n, top, coeffs):
+    return st.builds(lambda d: Poly(n, d), st.dictionaries(_monos(n, top), coeffs, max_size=4))
+
+
+@st.composite
+def reduction_cases(draw):
+    """(row, basis): basis rows whose leading monomials come from a pool of at
+    most three and whose leading coefficients come from DIVISOR_CHAIN, and a
+    row whose derivation names an input and a basis row."""
+    n = draw(st.sampled_from([2, 3]))
+    pool = draw(st.lists(_monos(n, 2), min_size=1, max_size=3))
+    basis = []
+    for i in range(draw(st.integers(1, 5))):
+        lm = draw(st.sampled_from(pool))
+        tail = draw(_polys(n, 2, st.integers(-5, 5)))
+        terms = {m: c for m, c in tail.terms.items() if grevlex_key(m) < grevlex_key(lm)}
+        terms[lm] = draw(st.sampled_from(DIVISOR_CHAIN))
+        basis.append(_Row(Poly(n, terms), [(i, Poly.one(n))]))
+    poly = draw(_polys(n, 4, st.sampled_from([1, -2, 3, 6, -12, 24, 5])))
+    deriv = [(0, draw(_polys(n, 1, st.integers(-3, 3)))),
+             (draw(st.sampled_from(basis)), draw(_polys(n, 1, st.integers(-3, 3))))]
+    return _Row(poly, deriv), basis
+
+
+def reduce_both(row, basis, max_degree):
+    """Both reductions, or None when both hit the degree cap."""
+    try:
+        expected = reference_reduce_row(row, basis, max_degree)
+    except GroebnerLimitError:
+        with pytest.raises(GroebnerLimitError):
+            _reduce_row(row, basis, max_degree)
+        return None
+    return _reduce_row(row, basis, max_degree), expected
+
+
+class TestReductionOracle:
+    @given(reduction_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_same_normal_form_and_derivation(self, case):
+        got, expected = reduce_both(*case, 40)
+        assert list(got.poly.terms.items()) == list(expected.poly.terms.items())
+        assert len(got.deriv) == len(expected.deriv)
+        for (parent, mult), (ref_parent, ref_mult) in zip(got.deriv, expected.deriv):
+            assert parent is ref_parent
+            assert list(mult.terms.items()) == list(ref_mult.terms.items())
+
+    @given(reduction_cases(), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_same_degree_cap(self, case, max_degree):
+        pair = reduce_both(*case, max_degree)
+        if pair is not None:
+            assert pair[0].poly == pair[1].poly
+
+
 class TestSigmaIdealGeneration:
     def test_sigmas_generate_the_augmentation_ideal(self):
         rng = random.Random(109)
@@ -341,6 +408,23 @@ class TestAbelianPrimitive:
     def test_k_exceeds_n(self):
         with pytest.raises(ValueError):
             abelian_primitive([[1], [0]])
+
+    def test_refuting_modulus_within_the_trial_bound(self):
+        def smallest_factor(v):
+            v = abs(v)
+            if v < 2:
+                return 2
+            return next((d for d in range(2, math.isqrt(v) + 1) if v % d == 0), v)
+
+        # 1048573 is the largest prime among the trial divisors 2..2^20+1.
+        for v in [*range(-50, 3000), 1048573 ** 2, 1048573 * 1048589]:
+            assert _smallest_prime_factor(v) == smallest_factor(v)
+
+    def test_refuting_modulus_past_the_trial_bound(self):
+        # Both prime factors lie beyond the bound: the value itself is the
+        # modulus, and every linear minor is still 0 modulo it.
+        v = 1048583 * 1048589
+        assert _smallest_prime_factor(v) == v
 
 
 class TestQuotientCheck:
