@@ -2,14 +2,14 @@
 
 The Jacobi matrix of (g_1, .., g_k) over n generators is the n x k matrix
 whose column j holds the derivative vector of g_j.  Determinants are exact
-over Z[X]: cofactor expansion for small sizes, fraction-free Bareiss
-elimination with exact division for larger ones.
+over Z[X] by fraction-free Bareiss elimination with exact division.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from metlie.poly import Poly, ResourceLimitError, divexact
@@ -92,38 +92,28 @@ def sigma(A: PolyMatrix, i: int) -> Poly:
     return total
 
 
-def _det_cofactor(rows: list[list]):
-    """Cofactor expansion along the first column; entries from any commutative ring."""
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    total = 0 * rows[0][0]
-    for r in range(size):
-        c = rows[r][0]
-        if not c:
-            continue
-        minor = [row[1:] for t, row in enumerate(rows) if t != r]
-        sub = _det_cofactor(minor)
-        total = total + (c * sub if r % 2 == 0 else -(c * sub))
-    return total
+def _det_bareiss(rows: list[list]):
+    """Determinant by fraction-free Bareiss elimination (Bareiss, 1968).
 
-
-def _det_bareiss(rows: list[list[Poly]], n_gens: int) -> Poly:
+    The entries are all ints or all polynomials; each step divides by the
+    previous pivot, and that division is always exact.
+    """
     size = len(rows)
     m = [list(row) for row in rows]
+    div = divexact if isinstance(m[0][0], Poly) else operator.floordiv
     sign = 1
-    prev = Poly.one(n_gens)
+    prev = None
     for k in range(size - 1):
         if not m[k][k]:
             pivot = next((r for r in range(k + 1, size) if m[r][k]), None)
             if pivot is None:
-                return Poly.zero(n_gens)
+                return m[k][k]  # a zero column: the zero of the entry type
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, size):
             for j in range(k + 1, size):
-                m[i][j] = divexact(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-            m[i][k] = Poly.zero(n_gens)
+                v = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = v if prev is None else div(v, prev)
         prev = m[k][k]
     result = m[size - 1][size - 1]
     return result if sign == 1 else -result
@@ -133,10 +123,7 @@ def det(A: PolyMatrix) -> Poly:
     """Exact determinant of a square polynomial matrix."""
     if A.rows != A.cols:
         raise ValueError("determinant requires a square matrix")
-    rows = [list(r) for r in A.entries]
-    if A.rows <= 4:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows, A.entries[0][0].n)
+    return _det_bareiss(A.entries)
 
 
 def minors(A: PolyMatrix, k: int) -> list[Poly]:

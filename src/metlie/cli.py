@@ -25,7 +25,6 @@ from metlie.model import (
     BudgetError,
     DEFAULT_ABELIAN_MODULI,
     DEFAULT_BUDGET,
-    DEFAULT_MATRIX_GRID,
     FiniteModel,
     ModelParams,
     uniformity_check,
@@ -35,6 +34,7 @@ from metlie.poly import Poly, QuotientParams, ResourceLimitError
 from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
     DEFAULT_MAX_DEGREE,
+    DEFAULT_QUOTIENT_GRID,
     GroebnerLimitError,
     is_primitive,
 )
@@ -57,7 +57,7 @@ class Config:
     budget: int = DEFAULT_BUDGET
     groebner_max_basis: int = DEFAULT_MAX_BASIS
     groebner_max_degree: int = DEFAULT_MAX_DEGREE
-    grid: tuple = DEFAULT_MATRIX_GRID
+    grid: tuple = DEFAULT_QUOTIENT_GRID
     abelian: tuple = DEFAULT_ABELIAN_MODULI
     json_output: bool = False
     variant: str = "linear"

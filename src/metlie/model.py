@@ -29,17 +29,14 @@ from typing import Optional
 
 from metlie.expr import Generator, Bracket, Sum, ScalarMul
 from metlie.poly import (
-    QPoly, QuotientParams, Span, from_vector, power_exceeds, reduce_pqm, to_vector,
+    QPoly, QuotientParams, Span, from_vector, power_exceeds, to_vector,
 )
 from metlie.ring import MElement, from_expr
 
 DEFAULT_BUDGET = 1 << 28
 
-# Default model grid of `witness` and `consistency`.
+# Default abelian moduli of `witness` and `consistency`.
 DEFAULT_ABELIAN_MODULI = (2, 3, 4)
-DEFAULT_MATRIX_GRID = tuple(
-    (p, q, m) for p in (1, 2) for q in (1, 2) for m in (2, 3)
-)
 
 # Sizes of 2^SIZE_BITS and more are handled as powers and never built.
 SIZE_BITS = 4096
@@ -158,25 +155,17 @@ class ModelElement:
 class FiniteModel:
     """Enumerable carrier of a finite matrix Lie ring with fixed parameters."""
 
-    def __init__(self, params: ModelParams, *, budget: Optional[int] = None):
+    def __init__(self, params: ModelParams):
         quotient = params.quotient
         self.params = params
         self.quotient = quotient
         # m^size_exponent elements: n tau coordinates of monomial_count
         # digits each, then the top-left digits.
         self.size_exponent = quotient.n * quotient.monomial_count + params.l_count
-        if budget is not None and power_exceeds(quotient.m, self.size_exponent, budget):
-            raise BudgetError(
-                f"model size {_size_value(quotient.m, self.size_exponent)} exceeds the budget {budget}"
-            )
 
     @cached_property
     def ring_size(self) -> int:
         return self.quotient.ring_size
-
-    @cached_property
-    def t_size(self) -> int:
-        return self.ring_size ** self.quotient.n
 
     @cached_property
     def l_size(self) -> int:
@@ -203,11 +192,6 @@ class FiniteModel:
             "p": q.p, "q": q.q, "m": q.m, "n": q.n,
             "variant": self.params.top_left, "size": _size_value(q.m, self.size_exponent),
         }
-
-    def zero(self) -> ModelElement:
-        quotient = self.quotient
-        return ModelElement(self.params, QPoly.zero(quotient),
-                            tuple(QPoly.zero(quotient) for _ in range(quotient.n)))
 
     def generator_image(self, i: int) -> ModelElement:
         """x_i goes to the matrix with top-left x_i and tau the basis vector t_i."""
@@ -313,6 +297,17 @@ def _as_elements(gs, n: int) -> list[MElement]:
     return out
 
 
+def _closed_form(g: MElement, s_vals, one: QPoly) -> tuple[QPoly, list[QPoly]]:
+    """lin(g)(s) and the derivative values d_j g(s), j = 1..n.
+
+    The integer derivatives are evaluated in the quotient ring itself: the
+    substitution x_i -> s_i kills x_i^p(x_i^q - 1) only when s_i does, so a
+    derivative reduced into Z_{p,q,m}[X] first would give another map.
+    """
+    l = sum((c * s for c, s in zip(g.linear, s_vals)), 0 * one)
+    return l, [d.evaluate(s_vals, one) for d in g.deriv]
+
+
 def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> ModelElement:
     """Substituted value of g from its derivatives: (lin(g)(s), sum tau_j * d_j g(s)).
 
@@ -325,22 +320,10 @@ def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> Model
         raise ValueError("element and model use different generator counts")
     if len(s_vals) != n or len(tau_vecs) != n:
         raise ValueError(f"expected {n} substituted values")
-    l = sum((c * s for c, s in zip(g.linear, s_vals)), QPoly.zero(quotient))
-    one = QPoly.one(quotient)
-    coeffs = [reduce_pqm(d, quotient).evaluate(s_vals, one) for d in g.deriv]
-    tau = []
-    for c in range(n):
-        acc = QPoly.zero(quotient)
-        for t in range(n):
-            acc = acc + tau_vecs[t][c] * coeffs[t]
-        tau.append(acc)
-    return ModelElement(model.params, l, tuple(tau))
-
-
-def _model_substitution_data(model: FiniteModel, gs: list[MElement]):
-    """Reduced derivative polynomials of every system element."""
-    quotient = model.quotient
-    return [[reduce_pqm(d, quotient) for d in g.deriv] for g in gs]
+    l, coeffs = _closed_form(g, s_vals, QPoly.one(quotient))
+    tau = tuple(sum((tau_vecs[t][c] * coeffs[t] for t in range(n)), QPoly.zero(quotient))
+                for c in range(n))
+    return ModelElement(model.params, l, tau)
 
 
 def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) -> UniformityReport:
@@ -383,7 +366,6 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     l_monos = model.params.l_monomials
     l_space = [QPoly(quotient, dict(zip(l_monos, v)))
                for v in itertools.product(range(m), repeat=len(l_monos))]
-    dbars = _model_substitution_data(model, gs)
     one = QPoly.one(quotient)
     mono_elems = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
     zero_tau = (QPoly.zero(quotient),) * n
@@ -393,18 +375,13 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     onto_weight: dict[tuple, int] = {}  # O_L
     mass = 0
     for images in itertools.product(l_space, repeat=n):
-        key = tuple(
-            model.element_code(ModelElement(
-                model.params,
-                sum((c * s for c, s in zip(g.linear, images)), QPoly.zero(quotient)),
-                zero_tau))
-            for g in gs
-        )
+        forms = [_closed_form(g, images, one) for g in gs]
+        key = tuple(model.element_code(ModelElement(model.params, l, zero_tau))
+                    for l, _ in forms)
         image = Span(m, k * w)
         for j in range(n):
-            coeffs = [dbars[i][j].evaluate(images, one) for i in range(k)]
             for mu in mono_elems:
-                image.add([d for c in coeffs for d in to_vector(mu * c)])
+                image.add([d for _, coeffs in forms for d in to_vector(mu * coeffs[j])])
         im = image.size()
         kernel = size ** (n * n) // im ** n
         mass += kernel * im ** n

@@ -130,11 +130,11 @@ class Poly:
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.n, 0)
 
-    def leading(self, key=grevlex_key) -> tuple[tuple[int, ...], int]:
-        """Leading (monomial, coefficient) under the given term order."""
+    def leading(self) -> tuple[tuple[int, ...], int]:
+        """Leading (monomial, coefficient) in grevlex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=key)
+        mono = max(self.terms, key=grevlex_key)
         return mono, self.terms[mono]
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -410,21 +410,6 @@ class QPoly:
         for _ in range(e):
             out = out * self
         return out
-
-    def evaluate(self, images, one: "QPoly | None" = None) -> "QPoly":
-        """Substitution homomorphism within the quotient ring."""
-        if len(images) != self.params.n:
-            raise ValueError(f"expected {self.params.n} images, got {len(images)}")
-        if one is None:
-            one = QPoly.one(self.params)
-        total = QPoly.zero(self.params)
-        for mono in sorted(self.terms, key=grevlex_key):
-            term = one
-            for img, e in zip(images, mono):
-                if e:
-                    term = term * img ** e
-            total = total + self.terms[mono] * term
-        return total
 
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.params.n, 0)

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from metlie.calculus import _det_cofactor, det, jacobi_matrix, minor_positions, minors
+from metlie.calculus import _det_bareiss, det, jacobi_matrix, minor_positions, minors
 from metlie.poly import (
     Poly,
     QPoly,
@@ -29,6 +29,7 @@ from metlie.poly import (
     ResourceLimitError,
     bezout,
     grevlex_key,
+    power_exceeds,
     reduce_pqm,
     DEFAULT_MAX_RING_SIZE,
 )
@@ -38,7 +39,8 @@ DEFAULT_MAX_BASIS = 10_000
 DEFAULT_MAX_DEGREE = 40
 MAX_TRIAL_DIVISORS = 1 << 20
 
-# Fast-path quotient grid: p, q in {1, 2}, m in {2, 3}.
+# Quotient grid of the fast path, and the matrix-model grid of `witness` and
+# `consistency`: p, q in {1, 2}, m in {2, 3}.
 DEFAULT_QUOTIENT_GRID = tuple(
     (p, q, m) for p in (1, 2) for q in (1, 2) for m in (2, 3)
 )
@@ -361,7 +363,7 @@ def _abelian_minor_gcd(rows: list) -> int:
     g = 0
     for _, cols in minor_positions(k, len(rows[0]), k):
         sub = [[rows[i][c] for c in cols] for i in range(k)]
-        g = math.gcd(g, _det_cofactor(sub))
+        g = math.gcd(g, _det_bareiss(sub))
         if g == 1:
             return 1
     return g
@@ -380,16 +382,18 @@ def _smallest_prime_factor(v: int) -> int:
     return v
 
 
-def _reduced_minor_ideal_contains_one(minor_polys: list[Poly], params: QuotientParams,
-                                      *, max_ring_size: int) -> bool:
+def _reduced_minor_ideal_contains_one(minor_polys: list[Poly], params: QuotientParams) -> bool:
     from metlie.poly import ideal_contains_finite
 
+    # Refuse an oversized ring before reducing the minors into it.
+    if power_exceeds(params.m, params.monomial_count, DEFAULT_MAX_RING_SIZE):
+        raise ResourceLimitError(f"quotient ring of size {params.m}^{params.monomial_count} "
+                                 f"exceeds the bound {DEFAULT_MAX_RING_SIZE}")
     reduced = [reduce_pqm(p, params) for p in minor_polys]
-    return ideal_contains_finite(reduced, QPoly.one(params), max_ring_size=max_ring_size)
+    return ideal_contains_finite(reduced, QPoly.one(params))
 
 
-def quotient_primitivity_check(gs: list[MElement], params: QuotientParams, *,
-                               max_ring_size: int = DEFAULT_MAX_RING_SIZE) -> bool:
+def quotient_primitivity_check(gs: list[MElement], params: QuotientParams) -> bool:
     """Necessary condition in Z_{p,q,m}[X]: reduced minors must generate 1.
 
     A False answer for any parameters certifies non-primitivity; True is
@@ -401,8 +405,7 @@ def quotient_primitivity_check(gs: list[MElement], params: QuotientParams, *,
     if params.n != gs[0].n:
         raise ValueError("quotient parameters use a different generator count")
     minor_polys = minors(jacobi_matrix(gs), k)
-    return _reduced_minor_ideal_contains_one(minor_polys, params,
-                                             max_ring_size=max_ring_size)
+    return _reduced_minor_ideal_contains_one(minor_polys, params)
 
 
 @dataclass
@@ -425,7 +428,6 @@ class PrimitivityVerdict:
 
 def is_primitive(gs: list[MElement], *,
                  quotient_grid=DEFAULT_QUOTIENT_GRID,
-                 max_ring_size: int = DEFAULT_MAX_RING_SIZE,
                  max_basis: int = DEFAULT_MAX_BASIS,
                  max_degree: int = DEFAULT_MAX_DEGREE) -> PrimitivityVerdict:
     """Decide primitivity of a system of 1 <= k <= n elements.
@@ -456,8 +458,7 @@ def is_primitive(gs: list[MElement], *,
     for (p, q, m) in quotient_grid:
         params = QuotientParams(p, q, m, n)
         try:
-            ok = _reduced_minor_ideal_contains_one(minor_polys, params,
-                                                   max_ring_size=max_ring_size)
+            ok = _reduced_minor_ideal_contains_one(minor_polys, params)
         except ResourceLimitError:
             continue
         if not ok:

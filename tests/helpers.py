@@ -7,10 +7,10 @@ import itertools
 import random
 
 from metlie.expr import Bracket, Generator, ScalarMul, Sum
-from metlie.model import eval_closed_form
+from metlie.model import ModelElement
 from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key, to_vector
 from metlie.primitivity import GroebnerLimitError, _Row
-from metlie.ring import BasisTerm, MElement, from_basis
+from metlie.ring import BasisTerm, MElement, from_basis, to_basis
 
 
 def random_poly(rng: random.Random, n: int, max_degree: int = 3,
@@ -101,6 +101,23 @@ def random_tame_automorphism(rng: random.Random, n: int, moves: int = 3):
     return images
 
 
+def bracket_value(expansion, images):
+    """g(S_1..S_n) by bracket arithmetic, from `expansion` = `to_basis(g)`:
+    the linear part of g plus every right-normed word, each word a chain of
+    `.bracket` calls on the images.  It never reads the derivatives of g."""
+    terms, linear = expansion
+    total = 0 * images[0]
+    for c, s in zip(linear, images):
+        if c:
+            total = total + c * s
+    for t in terms:
+        acc = images[t.word[0] - 1].bracket(images[t.word[1] - 1])
+        for i in t.word[2:]:
+            acc = acc.bracket(images[i - 1])
+        total = total + t.coeff * acc
+    return total
+
+
 def subgroup_closure(rows, m, width):
     """Subgroup of (Z/m)^width generated by rows, closed under adding a row."""
     span = {(0,) * width}
@@ -158,11 +175,14 @@ def _report(model_json, k, total, expected, hist, key_space, target):
 def histogram_census(gs, model):
     """Report JSON of the image-histogram census, without elapsed time.
 
-    For each top-left tuple s the tau map is linear; its image Im_s is the
-    subgroup spanned by the values at tau_j = (mu, 0, .., 0), listed by
-    closure, and every point of Im_s^n above the top-left key gets
-    |R|^(n*n) / |Im_s|^n in the histogram.  Keys are slot-major element
-    codes, as `FiniteModel.element_code` orders each slot.
+    Values come from `bracket_value`, not from the closed form.  For each
+    top-left tuple s the tau map is linear, because brackets are bilinear
+    and every bracket has a zero top-left entry, and it acts on each module
+    coordinate alike.  Its image Im_s is the subgroup spanned by the values
+    at tau_j = (mu, 0, .., 0), listed by closure, and every point of Im_s^n
+    above the top-left key gets |R|^(n*n) / |Im_s|^n in the histogram.  Keys
+    are slot-major element codes, as `FiniteModel.element_code` orders each
+    slot.
     """
     quotient = model.quotient
     n, k = quotient.n, len(gs)
@@ -172,18 +192,20 @@ def histogram_census(gs, model):
                for v in itertools.product(range(m), repeat=len(model.params.l_monomials))]
     monos = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
     weights = [R ** (k - 1 - i) * m ** d for i in range(k) for d in range(w)]
-    zero_taus = [(zero,) * n] * n
+    expansions = [to_basis(g) for g in gs]
     hist = {}
     for s in itertools.product(l_space, repeat=n):
+        args = [ModelElement(model.params, l, (zero,) * n) for l in s]
         base = 0
-        for g in gs:
-            base = base * R + model.element_code(eval_closed_form(model, g, s, zero_taus))
+        for x in expansions:
+            base = base * R + model.element_code(bracket_value(x, args))
         rows = []
         for j in range(n):
             for mu in monos:
-                taus = [(mu if t == j else zero,) + (zero,) * (n - 1) for t in range(n)]
-                rows.append(tuple(d for g in gs
-                                  for d in to_vector(eval_closed_form(model, g, s, taus).tau[0])))
+                args = [ModelElement(model.params, l, (mu if t == j else zero,) + (zero,) * (n - 1))
+                        for t, l in enumerate(s)]
+                rows.append(tuple(d for x in expansions
+                                  for d in to_vector(bracket_value(x, args).tau[0])))
         image = subgroup_closure(rows, m, k * w)
         kernel = size ** (n * n) // len(image) ** n
         codes = [sum(d * wt for d, wt in zip(v, weights)) for v in image]

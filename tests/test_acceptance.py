@@ -76,15 +76,18 @@ def test_criterion_01_primitive_iff_uniform(consistency_runs):
 def test_criterion_02_closed_form_equivalence():
     start = time.perf_counter()
     rng = random.Random(2024)
-    model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2)))
-    for _ in range(1000):
+    models = [FiniteModel(ModelParams(QuotientParams(p, q, m, 2), variant))
+              for (p, q, m) in GRID for variant in ("linear", "full")]
+    for i in range(1000):
+        model = models[i % len(models)]
         e = random_expr(rng, 2, depth=4)
         subs = [model.random_element(rng) for _ in range(2)]
         direct = eval_in_ring(e, subs)
         g = from_expr(e, 2)
         closed = eval_closed_form(model, g, [s.l for s in subs], [s.tau for s in subs])
         assert direct == closed
-    _report("2 closed-form vs bracket evaluation (1000 pairs, exact)", start)
+    _report("2 closed-form vs bracket evaluation (1000 pairs over the grid, both carriers, exact)",
+            start)
     assert time.perf_counter() - start < 10
 
 

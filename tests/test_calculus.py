@@ -1,5 +1,6 @@
 """Tests for Jacobi matrices, substitutions, minors and determinants."""
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from helpers import random_melement, random_poly
 from metlie.calculus import (
     PolyMatrix,
     _det_bareiss,
-    _det_cofactor,
     det,
     identity_matrix,
     jacobi_matrix,
@@ -159,16 +159,21 @@ class TestDetAndMinors:
         with pytest.raises(ValueError):
             minors(identity_matrix(2), 3)
 
-    def test_bareiss_agrees_with_cofactor(self):
+    def test_bareiss_agrees_with_leibniz(self):
+        # The oracle is the Leibniz sum over permutations, on polynomial and
+        # on integer entries, sparse enough that zero pivots force row swaps.
         rng = random.Random(83)
-        for _ in range(20):
-            size = rng.choice([3, 4, 5])
+        for _ in range(40):
+            size = rng.choice([1, 2, 3, 4, 5])
             rows = [
                 [random_poly(rng, 2, max_degree=1, max_terms=2, coeff_bound=3)
                  for _ in range(size)]
                 for _ in range(size)
             ]
-            assert _det_bareiss(rows, 2) == _det_cofactor(rows)
+            assert _det_bareiss(rows) == _leibniz_det(rows, Poly.zero(2))
+            ints = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(size)]
+                    for _ in range(size)]
+            assert _det_bareiss(ints) == _leibniz_det(ints, 0)
 
     def test_det_of_elementary_products_is_unit(self):
         rng = random.Random(89)
@@ -179,6 +184,17 @@ class TestDetAndMinors:
                 A = matmul(A, _elementary(rng, n))
             d = det(A)
             assert d == Poly.one(n) or d == -Poly.one(n)
+
+
+def _leibniz_det(rows, zero):
+    total = zero
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term = rows[r][c] * term
+        total = total + term
+    return total
 
 
 def _elementary(rng, n):

@@ -150,6 +150,26 @@ class TestUniform:
         assert code == 0
         assert "uniform: True" in out
 
+    def test_uniform_off_the_boolean_model(self, capsys):
+        # On (1,1,3) a top-left value s need not satisfy s(s - 1) = 0, so the
+        # census must evaluate the integer derivatives, not their images in
+        # the quotient ring.  The system is primitive, and a histogram of
+        # direct bracket evaluations is flat at 59049.
+        code, out, _ = run(capsys, "--n", "2", "--budget", "4000000000", "--json", "uniform",
+                           "--p", "1", "--q", "1", "--m", "3", "x2 + [[x2,x1],x1]")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["fiber_min"] == payload["fiber_max"] == payload["expected_fiber"] == 59049
+
+    def test_witness_off_the_boolean_model(self, capsys):
+        # Non-primitive (quotient-refuted); on (2,1,3) it is not uniform.
+        code, out, _ = run(capsys, "--n", "2", "--budget", str(10 ** 24), "--json", "uniform",
+                           "--p", "2", "--q", "1", "--m", "3", "x2 + [[[x2,x1],x1],x1]")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["uniform"] is False
+        assert (payload["fiber_min"], payload["fiber_max"]) == (1162261467, 3174136066377)
+
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("METLIE_BUDGET", "100")
         code, _, _ = run(capsys, "--n", "2", "uniform",

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    abelian_census, histogram_census, random_basis_terms, random_expr, random_melement,
-    random_tame_automorphism,
+    abelian_census, bracket_value, histogram_census, random_basis_terms, random_expr,
+    random_melement, random_tame_automorphism,
 )
 from metlie.cli import main, parse_catalog
 from metlie.expr import parse, eval_in_ring
@@ -25,7 +25,8 @@ from metlie.model import (
     uniformity_check_abelian,
 )
 from metlie.poly import QPoly, QuotientParams
-from metlie.ring import MElement, endo_apply, from_basis, from_expr
+from metlie.primitivity import DEFAULT_QUOTIENT_GRID
+from metlie.ring import MElement, endo_apply, from_basis, from_expr, to_basis
 
 
 def mel(text, n=2):
@@ -40,7 +41,6 @@ class TestModelBuild:
     def test_flagship_cardinalities(self):
         model = flagship()
         assert model.ring_size == 16
-        assert model.t_size == 256
         assert model.l_size == 4
         assert model.size == 1024
 
@@ -60,18 +60,14 @@ class TestModelBuild:
         assert g1.l == QPoly.variable(1, model.quotient)
         assert g1.tau == (QPoly.one(model.quotient), QPoly.zero(model.quotient))
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2)), budget=512)
-
     def test_huge_model_in_power_form(self):
         # 12 generators: |R|^n has about 3e8 bits, so the size stays a power.
         params = ModelParams(QuotientParams(2, 2, 3, 12), "full")
         model = FiniteModel(params)
         assert model.size_exponent == 13 * 4 ** 12
         assert model.describe()["size"] == f"3^{13 * 4 ** 12}"
-        with pytest.raises(BudgetError, match=r"model size 3\^218103808 exceeds"):
-            FiniteModel(params, budget=1 << 28)
+        with pytest.raises(BudgetError, match=r"enumeration of 3\^2617245696 tuples exceeds"):
+            uniformity_check([mel("x1", 12)], model, budget=1 << 28)
 
     def test_element_code_round_trip(self):
         model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 1)))
@@ -196,15 +192,18 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("variant", ["linear", "full"])
     def test_equals_direct_bracket_evaluation(self, variant):
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2), variant))
+        # Every default grid model: only on (1,1,2) does each top-left value
+        # s satisfy s^p(s^q - 1) = 0.
         rng = random.Random(167)
-        for _ in range(150):
-            e = random_expr(rng, 2, depth=4)
-            subs = [model.random_element(rng) for _ in range(2)]
-            direct = eval_in_ring(e, subs)
-            g = from_expr(e, 2)
-            closed = eval_closed_form(model, g, [s.l for s in subs], [s.tau for s in subs])
-            assert direct == closed
+        for p, q, m in DEFAULT_QUOTIENT_GRID:
+            model = FiniteModel(ModelParams(QuotientParams(p, q, m, 2), variant))
+            for _ in range(20):
+                e = random_expr(rng, 2, depth=5)
+                subs = [model.random_element(rng) for _ in range(2)]
+                direct = eval_in_ring(e, subs)
+                g = from_expr(e, 2)
+                closed = eval_closed_form(model, g, [s.l for s in subs], [s.tau for s in subs])
+                assert direct == closed, (p, q, m, e)
 
 
 class TestUniformity:
@@ -391,12 +390,12 @@ ORACLE_MODELS = [
 
 def _census_oracle(gs, model):
     """Report JSON of a plain census: every argument tuple of model elements
-    goes through eval_closed_form, and the fibers are counted by target."""
+    goes through bracket arithmetic, and the fibers are counted by target."""
     n, k = model.n, len(gs)
+    expansions = [to_basis(g) for g in gs]
     counts = {}
     for args in itertools.product(list(model.elements()), repeat=n):
-        ls, taus = [a.l for a in args], [a.tau for a in args]
-        target = tuple(model.element_code(eval_closed_form(model, g, ls, taus)) for g in gs)
+        target = tuple(model.element_code(bracket_value(x, args)) for x in expansions)
         counts[target] = counts.get(target, 0) + 1
     expected = model.size ** (n - k)
     all_targets = list(itertools.product(range(model.size), repeat=k))
@@ -494,6 +493,22 @@ class TestHistogramOracle:
         assert rep == histogram_census(gs, model)
         if not rep["uniform"]:
             assert all(t["tau"] == ["0", "0"] for t in rep["witness_target"]["target"])
+
+    @pytest.mark.parametrize("pqm, text", [
+        ((1, 1, 3), "x2 + [[x2,x1],x1]"),
+        ((1, 1, 3), "x1 + [[x2,x1],x2]"),
+        ((1, 1, 3), "x1 + [[x2,x1],x1] + [[x2,x1],x2]"),
+        ((2, 1, 2), "x2 + [[[x2,x1],x1],x1]"),
+        ((2, 1, 2), "x1 + [[[x2,x1],x2],x2]"),
+    ])
+    def test_models_off_the_boolean_ring(self, pqm, text):
+        # Top-left values with s^p(s^q - 1) != 0 exist on these models, so
+        # the derivatives must be evaluated over Z, not reduced first; a
+        # census that reduced them reports other fibers for these systems.
+        model = FiniteModel(ModelParams(QuotientParams(*pqm, 2)))
+        gs = [mel(text)]
+        rep = uniformity_check(gs, model, budget=1 << 40)
+        assert rep.to_json(include_elapsed=False) == histogram_census(gs, model)
 
     @given(seed=st.integers(0, 10_000), m=st.integers(2, 6), n=st.integers(1, 3),
            data=st.data())
