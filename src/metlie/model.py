@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,7 +30,7 @@ from typing import Optional
 
 from metlie.expr import Generator, Bracket, Sum, ScalarMul
 from metlie.poly import (
-    QPoly, QuotientParams, Span, from_vector, power_exceeds, to_vector,
+    Poly, QPoly, QuotientParams, Span, from_vector, power_exceeds, to_vector,
 )
 from metlie.ring import MElement, from_expr
 
@@ -297,22 +298,14 @@ def _as_elements(gs, n: int) -> list[MElement]:
     return out
 
 
-def _closed_form(g: MElement, s_vals, one: QPoly) -> tuple[QPoly, list[QPoly]]:
-    """lin(g)(s) and the derivative values d_j g(s), j = 1..n.
-
-    The integer derivatives are evaluated in the quotient ring itself: the
-    substitution x_i -> s_i kills x_i^p(x_i^q - 1) only when s_i does, so a
-    derivative reduced into Z_{p,q,m}[X] first would give another map.
-    """
-    l = sum((c * s for c, s in zip(g.linear, s_vals)), 0 * one)
-    return l, [d.evaluate(s_vals, one) for d in g.deriv]
-
-
 def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> ModelElement:
     """Substituted value of g from its derivatives: (lin(g)(s), sum tau_j * d_j g(s)).
 
     `s_vals` holds the top-left entries of the substituted elements and
     `tau_vecs` their module vectors (tuples of quotient-ring coordinates).
+    The integer derivatives are evaluated in the quotient ring: x_i -> s_i
+    kills x_i^p(x_i^q - 1) only when s_i does, so reducing them first would
+    give another map.  The census evaluates them the same way.
     """
     quotient = model.quotient
     n = quotient.n
@@ -320,10 +313,42 @@ def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> Model
         raise ValueError("element and model use different generator counts")
     if len(s_vals) != n or len(tau_vecs) != n:
         raise ValueError(f"expected {n} substituted values")
-    l, coeffs = _closed_form(g, s_vals, QPoly.one(quotient))
+    one = QPoly.one(quotient)
+    l = sum((c * s for c, s in zip(g.linear, s_vals)), 0 * one)
+    coeffs = [d.evaluate(s_vals, one) for d in g.deriv]
     tau = tuple(sum((tau_vecs[t][c] * coeffs[t] for t in range(n)), QPoly.zero(quotient))
                 for c in range(n))
     return ModelElement(model.params, l, tau)
+
+
+def _onto_test(gs: list[MElement], quotient: QuotientParams, l_space: list[QPoly]):
+    """Test of "the tau map of s is onto", s given as indices into `l_space`;
+    None when `QuotientParams.residue_points` is None.
+
+    R is finite, so an R-linear map R^n -> R^k is onto iff it is onto modulo
+    every maximal ideal (Nakayama; Atiyah-Macdonald ch. 2).  Modulo (l, x - xi)
+    the map of s is the Jacobi matrix [d_j g_i] over F_l at a = s(xi), which
+    is onto iff its rank, computed once per (l, a), is k.
+    """
+    residues = quotient.residue_points()
+    if residues is None:
+        return None
+    n, k = quotient.n, len(gs)
+    points = [(ell, xi) for ell, xis in residues for xi in xis]
+    values = [[Poly(n, l.terms).evaluate(xi, 1) % ell for ell, xi in points] for l in l_space]
+    full_rank: dict[tuple, bool] = {}
+
+    def onto(s) -> bool:
+        for (ell, _), a in zip(points, zip(*(values[t] for t in s))):
+            if (ell, a) not in full_rank:
+                cols = Span(ell, k)
+                for j in range(n):
+                    cols.add([g.deriv[j].evaluate(a, 1) % ell for g in gs])
+                full_rank[ell, a] = cols.size() == ell ** k
+            if not full_rank[ell, a]:
+                return False
+        return True
+    return onto
 
 
 def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) -> UniformityReport:
@@ -334,8 +359,9 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     every module coordinate c alike.  Its image is therefore Im_s^n, where
     Im_s is the R-submodule of R^k spanned by (mu * d_j g_i(s))_i over j and
     the monomials mu, and each image point has
-    kernel_s = |R|^(n*n) / |Im_s|^n preimages.  |Im_s| comes from the
-    Howell form of those rows (`poly.Span`).
+    kernel_s = |R|^(n*n) / |Im_s|^n preimages.  |Im_s| = |R|^k where
+    `_onto_test` finds the map onto; elsewhere it comes from the Howell
+    form of those rows (`poly.Span`).
 
     No image is listed.  Let L = lin(g)(s) be the top-left key of s, W_L
     the sum of kernel_s over the s above L, and O_L the same sum over the s
@@ -364,25 +390,36 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     size = model.ring_size
     m, w = quotient.m, quotient.monomial_count
     l_monos = model.params.l_monomials
-    l_space = [QPoly(quotient, dict(zip(l_monos, v)))
-               for v in itertools.product(range(m), repeat=len(l_monos))]
+    l_digits = list(itertools.product(range(m), repeat=len(l_monos)))
+    l_space = [QPoly(quotient, dict(zip(l_monos, v))) for v in l_digits]
+    onto = _onto_test(gs, quotient, l_space)
     one = QPoly.one(quotient)
-    mono_elems = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
-    zero_tau = (QPoly.zero(quotient),) * n
+    index = {mu: b for b, mu in enumerate(quotient.monomials())}  # slots of `to_vector`
+    # slots[a][nu]: coefficient slot of monomial a times monomial nu.
+    slots = [{nu: index[tuple(map(quotient.reduce_exponent, map(operator.add, mu, nu)))]
+              for nu in index} for mu in index]
+    tau_shift = m ** (n * w)  # the key's element codes have zero tau digits
 
     expected = model.size ** (n - k)
     weight: dict[tuple, int] = {}  # W_L by top-left key, as element codes
     onto_weight: dict[tuple, int] = {}  # O_L
     mass = 0
-    for images in itertools.product(l_space, repeat=n):
-        forms = [_closed_form(g, images, one) for g in gs]
-        key = tuple(model.element_code(ModelElement(model.params, l, zero_tau))
-                    for l, _ in forms)
-        image = Span(m, k * w)
-        for j in range(n):
-            for mu in mono_elems:
-                image.add([d for _, coeffs in forms for d in to_vector(mu * coeffs[j])])
-        im = image.size()
+    for s in itertools.product(range(len(l_space)), repeat=n):
+        key = tuple(tau_shift * sum(m ** d * (sum(c * l_digits[t][d] for c, t in zip(g.linear, s)) % m)
+                                    for d in range(len(l_monos))) for g in gs)
+        if onto is not None and onto(s):
+            im = size ** k
+        else:
+            derivs = [[d.evaluate([l_space[t] for t in s], one).terms for d in g.deriv] for g in gs]
+            image = Span(m, k * w)
+            for j in range(n):
+                for shifts in slots:
+                    row = [0] * (k * w)
+                    for i, coeffs in enumerate(derivs):
+                        for nu, c in coeffs[j].items():
+                            row[i * w + shifts[nu]] += c
+                    image.add([x % m for x in row])
+            im = image.size()
         kernel = size ** (n * n) // im ** n
         mass += kernel * im ** n
         weight[key] = weight.get(key, 0) + kernel

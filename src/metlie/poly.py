@@ -208,19 +208,25 @@ class Poly:
         """Substitution homomorphism x_i -> images[i-1].
 
         `one` must be the multiplicative identity of the target ring; target
-        elements need exact +, * (including ** for small powers) and integer
-        scalar multiples via *.
+        elements need exact + and *, integer scalar multiples included.
         """
         if len(images) != self.n:
             raise ValueError(f"expected {self.n} images, got {len(images)}")
+        # powers[i][e] = images[i] ** e, each built once up to the largest
+        # exponent of x_i in use.
+        powers = []
+        for i, img in enumerate(images):
+            pw = [one, img]
+            for _ in range(max((mono[i] for mono in self.terms), default=0) - 1):
+                pw.append(pw[-1] * img)
+            powers.append(pw)
         total = 0 * one
         for mono in sorted(self.terms, key=grevlex_key):
-            coeff = self.terms[mono]
-            term = one
-            for img, e in zip(images, mono):
+            term = None
+            for pw, e in zip(powers, mono):
                 if e:
-                    term = term * img ** e
-            total = total + coeff * term
+                    term = pw[e] if term is None else term * pw[e]
+            total = total + self.terms[mono] * (one if term is None else term)
         return total
 
     def __eq__(self, other) -> bool:
@@ -295,6 +301,29 @@ class QuotientParams:
         if e < self.exponent_span:
             return e
         return self.p + (e - self.p) % self.q
+
+    def residue_points(self) -> list[tuple[int, list[tuple[int, ...]]]] | None:
+        """(l, points) for each prime l | m, in increasing order: the points xi
+        of F_l^n with xi_i^p(xi_i^q - 1) = 0, where evaluation mod l is a ring
+        map onto F_l.  When x^q - 1 splits over every F_l (with q = l^v * q',
+        l not dividing q': iff q' | l - 1), their kernels (l, x - xi) are all
+        the maximal ideals; otherwise the answer is None.  Factoring m by
+        trial division takes about sqrt(m) steps."""
+        out, rest, ell = [], self.m, 1
+        while rest > 1:
+            ell = ell + 1 if (ell + 1) ** 2 <= rest else rest
+            if rest % ell:
+                continue
+            while rest % ell == 0:
+                rest //= ell
+            q = self.q
+            while q % ell == 0:
+                q //= ell
+            if (ell - 1) % q:
+                return None
+            roots = [0] + [a for a in range(1, ell) if pow(a, q, ell) == 1]
+            out.append((ell, list(itertools.product(roots, repeat=self.n))))
+        return out
 
 
 class QPoly:
@@ -402,17 +431,6 @@ class QPoly:
         return QPoly._raw(params, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "QPoly":
-        if e < 0:
-            raise ValueError("negative exponent")
-        out = QPoly.one(self.params)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.params.n, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
@@ -533,12 +551,7 @@ def power_exceeds(base: int, exponent: int, bound: int) -> bool:
     return exponent >= bound.bit_length() or base ** exponent > bound
 
 
-def ideal_contains_finite(
-    gens: list[QPoly],
-    target: QPoly,
-    *,
-    max_ring_size: int = DEFAULT_MAX_RING_SIZE,
-) -> bool:
+def ideal_contains_finite(gens: list[QPoly], target: QPoly) -> bool:
     """Membership of `target` in the ideal generated by `gens` in Z_{p,q,m}[X].
 
     The ideal is the additive span of {g * mu : g in gens, mu canonical
@@ -554,9 +567,10 @@ def ideal_contains_finite(
             raise ValueError("mismatched quotient parameters among generators")
     if target.params != params:
         raise ValueError("target has mismatched quotient parameters")
-    if power_exceeds(params.m, params.monomial_count, max_ring_size):
+    if power_exceeds(params.m, params.monomial_count, DEFAULT_MAX_RING_SIZE):
         raise ResourceLimitError(
-            f"quotient ring of size {params.m}^{params.monomial_count} exceeds the bound {max_ring_size}"
+            f"quotient ring of size {params.m}^{params.monomial_count} "
+            f"exceeds the bound {DEFAULT_MAX_RING_SIZE}"
         )
     goal = to_vector(target)
     monos = [QPoly._raw(params, {mu: 1}) for mu in params.monomials()]

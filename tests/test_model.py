@@ -15,16 +15,18 @@ from helpers import (
 )
 from metlie.cli import main, parse_catalog
 from metlie.expr import parse, eval_in_ring
+import metlie.model
 from metlie.model import (
     BudgetError,
     FiniteModel,
     ModelElement,
     ModelParams,
+    _onto_test,
     eval_closed_form,
     uniformity_check,
     uniformity_check_abelian,
 )
-from metlie.poly import QPoly, QuotientParams
+from metlie.poly import QPoly, QuotientParams, Span, to_vector
 from metlie.primitivity import DEFAULT_QUOTIENT_GRID
 from metlie.ring import MElement, endo_apply, from_basis, from_expr, to_basis
 
@@ -510,6 +512,26 @@ class TestHistogramOracle:
         rep = uniformity_check(gs, model, budget=1 << 40)
         assert rep.to_json(include_elapsed=False) == histogram_census(gs, model)
 
+    @pytest.mark.parametrize("pqmn, variant, text", [
+        # (1,1,4): a local ring that is not a field; (1,1,6): two primes;
+        # (1,3,2): x^3 - 1 does not split over F_2, so every map is spanned.
+        ((1, 1, 4, 2), "linear", "[x2,x1]"),
+        ((1, 1, 4, 2), "linear", "2*x1 + [x2,x1]"),
+        ((1, 1, 4, 1), "full", "x1"),
+        ((1, 1, 6, 2), "linear", "3*x1 + 3*[x2,x1]"),
+        ((1, 1, 6, 1), "linear", "x1"),
+        ((1, 1, 6, 1), "full", "2*x1"),
+        ((1, 1, 6, 1), "full", "3*x1"),
+        ((1, 3, 2, 1), "linear", "x1"),
+        ((1, 3, 2, 1), "full", "x1"),
+        ((1, 3, 2, 1), "full", "2*x1"),
+    ])
+    def test_residue_fields(self, pqmn, variant, text):
+        model = FiniteModel(ModelParams(QuotientParams(*pqmn), variant))
+        gs = [mel(text, pqmn[3])]
+        rep = uniformity_check(gs, model, budget=1 << 4000)
+        assert rep.to_json(include_elapsed=False) == histogram_census(gs, model)
+
     @given(seed=st.integers(0, 10_000), m=st.integers(2, 6), n=st.integers(1, 3),
            data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -520,3 +542,63 @@ class TestHistogramOracle:
         assert rep == abelian_census(gs, m, n)
         if not rep["uniform"]:
             assert rep["witness_target"]["target"] == [0] * k
+
+
+RESIDUE_MODELS = [
+    params for params in (ModelParams(QuotientParams(*pqm, 2), variant)
+                          for pqm in DEFAULT_QUOTIENT_GRID for variant in ("linear", "full"))
+    if FiniteModel(params).l_size ** 2 <= 4096
+]
+
+
+class TestResidueOnto:
+    """The rank test at the residue points (`_onto_test`) against the Howell
+    form of the image rows mu * d_j g_i(s), top-left tuple by tuple."""
+
+    @pytest.mark.parametrize("params", RESIDUE_MODELS, ids=lambda params: "{}-{}{}{}".format(
+        params.top_left, params.quotient.p, params.quotient.q, params.quotient.m))
+    def test_matches_the_image_span(self, params):
+        model = FiniteModel(params)
+        quotient = model.quotient
+        n, m, w = quotient.n, quotient.m, quotient.monomial_count
+        l_monos = params.l_monomials
+        l_space = [QPoly(quotient, dict(zip(l_monos, v)))
+                   for v in itertools.product(range(m), repeat=len(l_monos))]
+        one = QPoly.one(quotient)
+        monos = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
+        _, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
+        verdicts = set()
+        for texts, _ in systems:
+            gs = [mel(t) for t in texts]
+            k = len(gs)
+            onto = _onto_test(gs, quotient, l_space)
+            for s in itertools.product(range(len(l_space)), repeat=n):
+                coeffs = [[d.evaluate([l_space[t] for t in s], one) for d in g.deriv] for g in gs]
+                image = Span(m, k * w)
+                for j in range(n):
+                    for mu in monos:
+                        image.add([x for c in coeffs for x in to_vector(mu * c[j])])
+                verdict = onto(s)
+                assert verdict == (image.size() == model.ring_size ** k), (texts, s)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_onto_maps_need_no_image_span(self, monkeypatch):
+        # Every map of this primitive system is onto at n = 3 on (2,2,2):
+        # the census builds rank spans of width k = 1 only, none of k * w.
+        widths = []
+
+        class CountingSpan(Span):
+            def __init__(self, m, width):
+                widths.append(width)
+                super().__init__(m, width)
+
+        monkeypatch.setattr(metlie.model, "Span", CountingSpan)
+        model = FiniteModel(ModelParams(QuotientParams(2, 2, 2, 3)))
+        rep = uniformity_check([mel("x1 + [[x2,x1],x1]", 3)], model, budget=1 << 600)
+        assert rep.uniform
+        assert set(widths) == {1}
+
+    def test_not_split_has_no_test(self):
+        quotient = QuotientParams(1, 3, 2, 2)
+        assert _onto_test([mel("x1")], quotient, [QPoly.zero(quotient)]) is None

@@ -144,6 +144,53 @@ class TestEvaluate:
             assert (a * b).evaluate(pt, 1) == a.evaluate(pt, 1) * b.evaluate(pt, 1)
             assert (a + b).evaluate(pt, 1) == a.evaluate(pt, 1) + b.evaluate(pt, 1)
 
+    def test_powers_built_once(self):
+        # x1^2..x1^5 take 4 products, x2^2 one, and x1^3 * x2^2 one; no
+        # power is built twice and no term starts from a product with one.
+        products = []
+
+        class Counted:
+            def __init__(self, value):
+                self.value = value
+
+            def __add__(self, other):
+                return Counted(self.value + other.value)
+
+            def __mul__(self, other):
+                if isinstance(other, int):
+                    return Counted(self.value * other)
+                products.append((self.value, other.value))
+                return Counted(self.value * other.value)
+
+            __rmul__ = __mul__
+
+        p = x(1) ** 5 + x(1) ** 3 * x(2) ** 2
+        assert p.evaluate([Counted(2), Counted(3)], Counted(1)).value == 2 ** 5 + 2 ** 3 * 3 ** 2
+        assert len(products) == 6
+
+
+class TestResiduePoints:
+    @pytest.mark.parametrize("p, q, m, roots", [
+        (1, 1, 2, {2: [0, 1]}),
+        (1, 2, 3, {3: [0, 1, 2]}),
+        (2, 2, 2, {2: [0, 1]}),
+        (1, 1, 6, {2: [0, 1], 3: [0, 1]}),
+        (1, 2, 12, {2: [0, 1], 3: [0, 1, 2]}),
+        (1, 3, 7, {7: [0, 1, 2, 4]}),  # 3 | 7 - 1
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_split(self, p, q, m, roots, n):
+        got = QuotientParams(p, q, m, n).residue_points()
+        assert [ell for ell, _ in got] == sorted(roots)
+        for ell, points in got:
+            assert roots[ell] == [a for a in range(ell) if a ** p * (a ** q - 1) % ell == 0]
+            assert points == list(itertools.product(roots[ell], repeat=n))
+
+    @pytest.mark.parametrize("p, q, m", [(1, 3, 2), (1, 4, 3), (1, 3, 10)])
+    def test_not_split(self, p, q, m):
+        # x^3 - 1 has no root but 1 in F_2 and F_5, x^4 - 1 only 1, 2 in F_3.
+        assert QuotientParams(p, q, m, 2).residue_points() is None
+
 
 class TestReducePqm:
     def test_exponent_rule(self):
@@ -236,8 +283,7 @@ class TestIdealContainsFinite:
     def test_resource_guard(self):
         params = QuotientParams(2, 2, 3, 2)  # ring size 3^16
         with pytest.raises(ResourceLimitError):
-            ideal_contains_finite([QPoly.one(params)], QPoly.one(params),
-                                  max_ring_size=1 << 20)
+            ideal_contains_finite([QPoly.one(params)], QPoly.one(params))
 
     @pytest.mark.parametrize("p,q,m,n", [
         (1, 1, 2, 1), (1, 1, 2, 2), (2, 1, 3, 1), (1, 1, 3, 1),
