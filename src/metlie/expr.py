@@ -105,6 +105,14 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int(digits: str, what: str, tok) -> int:
+    # int() refuses strings beyond the interpreter's digit limit (4300 by default).
+    try:
+        return int(digits)
+    except ValueError:
+        raise LieParseError(f"{what} of {len(digits)} digits is too long", tok[2], tok[3]) from None
+
+
 class _Parser:
     def __init__(self, text: str, n: int):
         self.tokens = _tokenize(text)
@@ -155,7 +163,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "INT":
             self.advance()
-            value = int(tok[1])
+            value = _int(tok[1], "integer literal", tok)
             if self.peek()[0] == "*":
                 self.advance()
                 return ScalarMul(value, self.parse_factor())
@@ -173,7 +181,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "GEN":
             self.advance()
-            index = int(tok[1][1:])
+            index = _int(tok[1][1:], "generator index", tok)
             if not 1 <= index <= self.n:
                 raise LieParseError(
                     f"generator index {index} out of range 1..{self.n}", tok[2], tok[3]

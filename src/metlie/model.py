@@ -228,14 +228,22 @@ class FiniteModel:
     # -- canonical integer encodings -------------------------------------
 
     def element_code(self, elem: ModelElement) -> int:
-        """Base-m number whose digits, least significant first, are the
-        coefficients of tau_1, .., tau_n and then of l over `l_monomials`."""
-        digits = [d for t in elem.tau for d in to_vector(t)]
-        digits += [elem.l.terms.get(mu, 0) for mu in self.params.l_monomials]
-        code = 0
-        for d in reversed(digits):
-            code = code * self.quotient.m + d
-        return code
+        """The code of `elem` (see `digits_code`)."""
+        return self.digits_code([elem.l.terms.get(mu, 0) for mu in self.params.l_monomials],
+                                [d for t in elem.tau for d in to_vector(t)])
+
+    def digits_code(self, l_digits, tau_digits=()) -> int:
+        """Base-m number whose digits, least significant first, are the n*w
+        coefficients of tau_1, .., tau_n (zeros past the end of `tau_digits`)
+        and then the coefficients of l over `l_monomials`."""
+        quotient = self.quotient
+        m = quotient.m
+        high = low = 0
+        for d in reversed(l_digits):
+            high = high * m + d
+        for d in reversed(tau_digits):
+            low = low * m + d
+        return high * m ** (quotient.n * quotient.monomial_count) + low
 
     def element_from_code(self, code: int) -> ModelElement:
         if not 0 <= code < self.size:
@@ -398,15 +406,14 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     # slots[a][nu]: coefficient slot of monomial a times monomial nu.
     slots = [{nu: index[tuple(map(quotient.reduce_exponent, map(operator.add, mu, nu)))]
               for nu in index} for mu in index]
-    tau_shift = m ** (n * w)  # the key's element codes have zero tau digits
 
     expected = model.size ** (n - k)
     weight: dict[tuple, int] = {}  # W_L by top-left key, as element codes
     onto_weight: dict[tuple, int] = {}  # O_L
     mass = 0
     for s in itertools.product(range(len(l_space)), repeat=n):
-        key = tuple(tau_shift * sum(m ** d * (sum(c * l_digits[t][d] for c, t in zip(g.linear, s)) % m)
-                                    for d in range(len(l_monos))) for g in gs)
+        key = tuple(model.digits_code([sum(c * l_digits[t][d] for c, t in zip(g.linear, s)) % m
+                                       for d in range(len(l_monos))]) for g in gs)
         if onto is not None and onto(s):
             im = size ** k
         else:

@@ -18,6 +18,7 @@ i2 < i1 and i2 <= i3 <= ... <= ik form a Z-basis of the derived subring;
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from metlie.expr import LieExpr, Generator, Bracket, Sum, ScalarMul, eval_in_ring
@@ -145,10 +146,15 @@ class MElement:
         if not isinstance(other, MElement):
             raise TypeError("bracket requires another element")
         self._require_same_ring(other)
-        la = self.linear_poly()
-        lb = other.linear_poly()
-        deriv = tuple(da * lb - db * la for da, db in zip(self.deriv, other.deriv))
-        return MElement((0,) * self.n, deriv)
+        n = self.n
+        fa, fb = _linear_factors(other.linear), _linear_factors(self.linear, -1)
+        deriv = []
+        for da, db in zip(self.deriv, other.deriv):
+            out: dict[tuple[int, ...], int] = {}
+            _add_times_linear(out, 0, da.terms, fa)
+            _add_times_linear(out, 0, db.terms, fb)
+            deriv.append(Poly._raw(n, out))
+        return MElement((0,) * n, tuple(deriv))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MElement):
@@ -182,9 +188,103 @@ def _append_signed(chunks: list[str], body: str, positive: bool) -> None:
         chunks.append(f" + {body}" if positive else f" - {body}")
 
 
+def _linear_factors(lin, sign: int = 1) -> list:
+    """(x_j as a monomial, j, sign * lin_j) for the nonzero lin_j of a linear form."""
+    n = len(lin)
+    return [((0,) * j + (1,) + (0,) * (n - j - 1), j, sign * c) for j, c in enumerate(lin) if c]
+
+
+def _add_times_linear(out: dict, const: int, terms, factors) -> None:
+    """Add (const + terms) * (the linear form of `factors`) into `out`.
+
+    The one bracket kernel: d_i [a, b] = (d_i a) * lin(b) - (d_i b) * lin(a),
+    a derivative times a linear form.  `terms` maps monomials to
+    coefficients; `out` keeps only nonzero ones.
+    """
+    if const:
+        for unit, _, c in factors:
+            s = out.get(unit, 0) + const * c
+            if s:
+                out[unit] = s
+            else:
+                del out[unit]
+    for mono, coeff in terms.items():
+        for _, j, c in factors:
+            shifted = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+            s = out.get(shifted, 0) + coeff * c
+            if s:
+                out[shifted] = s
+            else:
+                del out[shifted]
+
+
 def from_expr(e: LieExpr, n: int) -> MElement:
-    """Image of a Lie expression in the free metabelian Lie ring."""
-    return eval_in_ring(e, [MElement.generator(i, n) for i in range(1, n + 1)])
+    """Image of a Lie expression in the free metabelian Lie ring.
+
+    The expression is evaluated on a lean carrier: the linear part and the
+    non-constant terms of each derivative (None for a linear element), since
+    d_i g(0) = lin_i(g).  Only brackets touch monomials.  `eval_in_ring` over
+    `MElement.generator`s is the oracle in the tests.
+    """
+    zero = (0,) * n
+    units = [zero[:j] + (1,) + zero[j + 1:] for j in range(n)]
+    no_terms: dict = {}
+
+    def walk(e):
+        # Every call returns fresh dicts, which its caller may update in place.
+        if isinstance(e, Generator):
+            if not 1 <= e.index <= n:
+                raise ValueError(f"generator index {e.index} out of range 1..{n}")
+            return units[e.index - 1], None
+        if isinstance(e, Bracket):
+            la, ra = walk(e.left)
+            lb, rb = walk(e.right)
+            fa, fb = _linear_factors(lb), _linear_factors(la, -1)
+            rest = []
+            for i in range(n):
+                out: dict = {}
+                _add_times_linear(out, la[i], ra[i] if ra else no_terms, fa)
+                _add_times_linear(out, lb[i], rb[i] if rb else no_terms, fb)
+                rest.append(out)
+            return zero, rest
+        if isinstance(e, Sum):
+            lin, rest = walk(e.parts[0])
+            for part in e.parts[1:]:
+                plin, prest = walk(part)
+                lin = tuple(map(operator.add, lin, plin))
+                if prest is None:
+                    continue
+                if rest is None:
+                    rest = prest
+                    continue
+                for out, terms in zip(rest, prest):
+                    for mono, coeff in terms.items():
+                        s = out.get(mono, 0) + coeff
+                        if s:
+                            out[mono] = s
+                        else:
+                            del out[mono]
+            return lin, rest
+        if isinstance(e, ScalarMul):
+            c = e.coeff
+            if not isinstance(c, int):
+                raise TypeError(f"scalar multiple needs an int coefficient, got {c!r}")
+            lin, rest = walk(e.arg)
+            if not c:
+                return zero, None
+            if rest is not None and c != 1:
+                rest = [{mono: c * coeff for mono, coeff in terms.items()} for terms in rest]
+            return tuple(c * a for a in lin), rest
+        raise TypeError(f"not a Lie expression: {e!r}")
+
+    lin, rest = walk(e)
+    deriv = []
+    for i, c in enumerate(lin):
+        terms = {zero: c} if c else {}
+        if rest is not None:
+            terms.update(rest[i])
+        deriv.append(Poly._raw(n, terms))
+    return MElement(lin, deriv)
 
 
 def from_basis(terms, linear) -> MElement:

@@ -71,6 +71,14 @@ def random_expr(rng: random.Random, n: int, depth: int = 4):
     return ScalarMul(rng.randint(-3, 3), random_expr(rng, n, depth - 1))
 
 
+def bracket_by_products(a: MElement, b: MElement) -> MElement:
+    """[a, b] by the closed form d_i [a, b] = d_i a * lin(b) - d_i b * lin(a),
+    with the linear parts as polynomials and general products: the oracle of
+    `MElement.bracket`'s derivative-times-linear-form kernel."""
+    la, lb = a.linear_poly(), b.linear_poly()
+    return MElement((0,) * a.n, tuple(da * lb - db * la for da, db in zip(a.deriv, b.deriv)))
+
+
 def random_tame_automorphism(rng: random.Random, n: int, moves: int = 3):
     """Images of a product of elementary automorphisms.
 

@@ -193,6 +193,18 @@ class TestWitnessAndAuto:
         assert code == 1
         assert json.loads(out)["witness"] is None
 
+    def test_grid_gap_system(self, capsys):
+        # Non-primitive, yet uniform on every model of the default grid: its
+        # derivatives 1 - 6*x2 and 6*x1 first vanish together over F_5.
+        code, out, _ = run(capsys, "--n", "2", "--json", "primitive", "x1 + 6*[x2,x1]")
+        assert code == 1
+        assert json.loads(out)["method"] == "groebner"
+        code, out, _ = run(capsys, "--n", "2", "--json", "--budget", "100000000000000",
+                           "--grid", "1,1,5", "witness", "x1 + 6*[x2,x1]")
+        assert code == 0
+        model = json.loads(out)["witness"]["model"]
+        assert (model["p"], model["q"], model["m"]) == (1, 1, 5)
+
     def test_auto_true(self, capsys):
         code, out, _ = run(capsys, "--n", "2", "--json", "auto", "x1 + x2", "x2")
         assert code == 0
@@ -312,6 +324,12 @@ class TestHostileInput:
         code, out, err = run(capsys, "--n", "2", "normalize", text)
         assert code == 2 and not out
         assert err.startswith("error:") and "nested deeper" in err
+
+    @pytest.mark.parametrize("text", ["9" * 5000 + "*x1", "x" + "1" * 5000])
+    def test_overlong_number_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "--n", "2", "normalize", text)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "too long (line 1, column 1)" in err
 
     @pytest.mark.parametrize("scale", ["", "2*"])
     def test_minor_count_over_cap_exit_3(self, capsys, scale):

@@ -1,6 +1,7 @@
 """Tests for the Lie expression grammar, evaluation hooks and printer."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,26 @@ class TestParse:
 
     def test_whitespace_insignificant(self):
         assert parse(" [ x1 , x2 ] ", 2) == parse("[x1,x2]", 2)
+
+    # int() refuses longer digit strings; where it has no limit there is no error.
+    DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    needs_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit")
+
+    @needs_limit
+    def test_overlong_integer_literal(self):
+        digits = "7" * (self.DIGIT_LIMIT + 1)
+        with pytest.raises(LieParseError) as err:
+            parse(f"x2 - {digits}*x1", 2)
+        assert (err.value.line, err.value.col) == (1, 6)
+        assert f"integer literal of {len(digits)} digits is too long" in str(err.value)
+
+    @needs_limit
+    def test_overlong_generator_index(self):
+        digits = "1" * (self.DIGIT_LIMIT + 1)
+        with pytest.raises(LieParseError) as err:
+            parse(f"[x1,\n  x{digits}]", 2)
+        assert (err.value.line, err.value.col) == (2, 3)
+        assert f"generator index of {len(digits)} digits is too long" in str(err.value)
 
 
 class TestEvalInRing:

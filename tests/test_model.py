@@ -80,6 +80,17 @@ class TestModelBuild:
             seen.add(elem)
         assert len(seen) == model.size
 
+    def test_top_left_code(self):
+        # The census keys: the codes of the elements (l, 0) from l's digits alone.
+        for params in (ModelParams(QuotientParams(1, 1, 2, 2)),
+                       ModelParams(QuotientParams(1, 2, 3, 2), "full")):
+            model = FiniteModel(params)
+            zero = tuple(QPoly.zero(model.quotient) for _ in range(model.n))
+            monos = params.l_monomials
+            for digits in itertools.product(range(model.quotient.m), repeat=len(monos)):
+                l = QPoly(model.quotient, dict(zip(monos, digits)))
+                assert model.digits_code(digits) == model.element_code(ModelElement(params, l, zero))
+
 
 def _matrix_commutator_oracle(a: ModelElement, b: ModelElement) -> ModelElement:
     """Generic 2x2 matrix commutator, coordinate by coordinate.

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_basis_terms, random_expr, random_melement
-from metlie.expr import parse
+from helpers import bracket_by_products, random_basis_terms, random_expr, random_melement
+from metlie.expr import Bracket, Generator, ScalarMul, Sum, eval_in_ring, parse
 from metlie.poly import Poly
 from metlie.ring import (
     BasisTerm,
@@ -208,3 +210,97 @@ class TestEndoApply:
             e = random_expr(rng, n)
             images = [random_melement(rng, n) for _ in range(n)]
             assert endo_apply(e, images) == endo_apply(from_expr(e, n), images)
+
+
+def _generators(n):
+    return [MElement.generator(i, n) for i in range(1, n + 1)]
+
+
+def _assert_canonical(g):
+    for d in g.deriv:
+        assert isinstance(d, Poly) and d.n == g.n
+        assert all(d.terms.values())
+
+
+def expressions(n):
+    """Hypothesis expressions over x1..xn, zero multiples included."""
+    leaves = st.builds(Generator, st.integers(1, n))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Bracket, sub, sub),
+        st.lists(sub, min_size=1, max_size=4).map(lambda parts: Sum(tuple(parts))),
+        st.builds(ScalarMul, st.integers(-4, 4), sub),
+    ), max_leaves=12)
+
+
+class TestFromExprOracle:
+    """`from_expr` on its lean carrier against `eval_in_ring` over the
+    generators, which builds a validated element at every node."""
+
+    CASES = [
+        "0*x1", "0*[x2,x1]", "0*x1 + x2", "x1 - 0*[[x2,x1],x1] + 0",
+        "[x1,x1]", "[x1 + [x2,x1], x1 + [x2,x1]]", "[x1,x1] + [x2,x2] - x1",
+        "((x1 + [x2,x1]) + (x2 - (x1 + 3*[[x2,x1],x2])))",
+        "-(x1 + (x2 + ([x2,x1] + (x1 - [x2,x1]))))",
+        "[[x2,x1],[[x2,x1],x1]]", "[[[x2,x1],x1],2*x2 - [x2,x1]]",
+        "[2*[x2,x1] - x1, -3*[[x2,x1],x1] + x2]", "[x1 - [x2,x1], [x1 - [x2,x1], x2]]",
+        "x1 + [x2,x1] - [x2,x1]", "[x2, x1 + 6*[x2,x1]] + [x1 + 6*[x2,x1], x2]",
+    ]
+
+    def test_cases(self):
+        for n in (2, 3, 4):
+            for text in self.CASES:
+                e = parse(text, n)
+                got = from_expr(e, n)
+                _assert_canonical(got)
+                assert got == eval_in_ring(e, _generators(n)), text
+        for text in ("0*x1", "[x1,x1]", "x1 + 2*x1", "[x1, [x1,x1] + x1] - 0*x1"):
+            e = parse(text, 1)
+            assert from_expr(e, 1) == eval_in_ring(e, _generators(1)), text
+
+    def test_seeded(self):
+        rng = random.Random(61)
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            e = random_expr(rng, n, depth=rng.randint(1, 5))
+            got = from_expr(e, n)
+            _assert_canonical(got)
+            assert got == eval_in_ring(e, _generators(n))
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), expressions(n))))
+    @settings(max_examples=200, deadline=None)
+    def test_hypothesis(self, case):
+        n, e = case
+        got = from_expr(e, n)
+        _assert_canonical(got)
+        assert got == eval_in_ring(e, _generators(n))
+
+    def test_out_of_range_generator(self):
+        for e in (Generator(3), Bracket(Generator(1), Generator(3)),
+                  ScalarMul(0, Generator(3)), Sum((Generator(1), Generator(0)))):
+            with pytest.raises(ValueError) as want:
+                eval_in_ring(e, _generators(2))
+            with pytest.raises(ValueError) as got:
+                from_expr(e, 2)
+            assert str(got.value) == str(want.value)
+        assert str(got.value) == "generator index 0 out of range 1..2"
+
+    def test_not_an_expression(self):
+        for e in ("x1", Bracket(Generator(1), "x2"), Sum((Generator(1), None))):
+            with pytest.raises(TypeError) as want:
+                eval_in_ring(e, _generators(2))
+            with pytest.raises(TypeError) as got:
+                from_expr(e, 2)
+            assert str(got.value) == str(want.value)
+        assert str(got.value) == "not a Lie expression: None"
+
+
+class TestBracketOracle:
+    def test_against_products(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a, b = random_melement(rng, n), random_melement(rng, n)
+            for x, y in ((a, b), (a.bracket(b), a), (b, a.bracket(b) + b), (a, a)):
+                got = x.bracket(y)
+                _assert_canonical(got)
+                assert got == bracket_by_products(x, y)
