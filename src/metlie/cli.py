@@ -14,6 +14,8 @@ codes are a pure function of the reported verdicts:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -452,9 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = io.StringIO()
     try:
         cfg = _config_from_args(args)
-        return args.func(args, cfg)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args, cfg)
     except LieParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -470,6 +474,17 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (say `| head`).  Point stdout at devnull,
+        # as the signal module's note on SIGPIPE advises, so that the flush
+        # at exit is silent; the command's exit code stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,13 @@ over the integers needs a strong Groebner basis: Buchberger completion that
 processes both S-polynomials (cancelling leading terms through the lcm of
 monomials and coefficients) and G-polynomials (a Bezout combination reaching
 the gcd of the leading coefficients), with reduction allowed only when the
-reducer's leading coefficient divides the target coefficient.
+reducer's leading coefficient divides the target coefficient.  Pairs known
+to vanish are never built: Buchberger's product criterion (coprime leading
+monomials and coprime leading coefficients) drops an S-pair, and his chain
+criterion in the Z form drops an S- or G-pair of rows i, j when a third row k
+has lm_k | lcm(lm_i, lm_j) and lc_k dividing lcm(lc_i, lc_j) for the S-pair,
+gcd(lc_i, lc_j) for the G-pair, with the pairs of k with i and with j settled
+(Gebauer & Moeller, JSC 1988; Lichtblau, Illinois J. Math. 2012).
 
 Cheap necessary conditions run first: the gcd of the integer k x k minors of
 the linear parts must be 1, and the reduced minors must generate the unit
@@ -198,12 +204,10 @@ def _spair(f: _Row, g: _Row) -> _Row:
     ])
 
 
-def _gpair(f: _Row, g: _Row) -> Optional[_Row]:
-    # Skipped when one leading coefficient divides the other: the Bezout
-    # combination would reduce to zero by that row immediately.  Otherwise
-    # neither Bezout coefficient is zero.
-    if f.lc % g.lc == 0 or g.lc % f.lc == 0:
-        return None
+def _gpair(f: _Row, g: _Row) -> _Row:
+    # Built only when neither leading coefficient divides the other: else the
+    # Bezout combination reduces to zero by that row at once.  Then neither
+    # Bezout coefficient is zero.
     gamma = tuple(map(max, f.lm, g.lm))
     d, u, v = bezout(f.lc, g.lc)
     assert d == math.gcd(f.lc, g.lc)
@@ -222,7 +226,8 @@ def _buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
         if g.n != n:
             raise ValueError("mismatched generator counts")
     basis: list[_Row] = []
-    pairs: list[tuple[tuple, int, int, int]] = []
+    pairs: list[tuple[tuple, int, int, int, tuple]] = []
+    pending: set[tuple[int, int]] = set()
     counter = 0
 
     def is_unit(row: _Row) -> bool:
@@ -243,11 +248,19 @@ def _buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
         if stop_on_unit and is_unit(row):
             return row
         for j in range(idx):
-            other = basis[j]
-            gamma = tuple(max(a, b) for a, b in zip(row.lm, other.lm))
+            gamma = tuple(map(max, row.lm, basis[j].lm))
             counter += 1
-            heapq.heappush(pairs, (grevlex_key(gamma), counter, j, idx))
+            heapq.heappush(pairs, (grevlex_key(gamma), counter, j, idx, gamma))
+            pending.add((j, idx))
         return None
+
+    def chained(i: int, j: int, gamma: tuple, c: int) -> bool:
+        """Is there a row k outside {i, j} with lc_k | c and lm_k | gamma
+        whose pairs with i and j are both settled?"""
+        return any(c % b.lc == 0 and k != i and k != j and all(map(operator.le, b.lm, gamma))
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k, b in enumerate(basis))
 
     for i, g in enumerate(gens):
         hit = push(_Row(g, [(i, Poly.one(n))]))
@@ -255,12 +268,21 @@ def _buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
             return basis, hit
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, _, i, j, gamma = heapq.heappop(pairs)
+        pending.remove((i, j))
         f, g = basis[i], basis[j]
-        candidates = [_spair(f, g)]
-        gp = _gpair(f, g)
-        if gp is not None:
-            candidates.append(gp)
+        candidates = []
+        # Chain criterion: S(i, j) is a sum of term multiples of S(i, k) and
+        # S(j, k) once lc_k | lcm(lc_i, lc_j), and G(i, j) is
+        # (gcd / lc_k) * X^(gamma - lm_k) * row k plus such a sum once
+        # lc_k | gcd(lc_i, lc_j).  Product criterion: coprime leading
+        # monomials and coprime leading coefficients make S(i, j) reduce to 0.
+        d = math.gcd(f.lc, g.lc)
+        if not (d == 1 and not any(map(min, f.lm, g.lm))
+                or chained(i, j, gamma, _lcm(f.lc, g.lc))):
+            candidates.append(_spair(f, g))
+        if f.lc % g.lc and g.lc % f.lc and not chained(i, j, gamma, d):
+            candidates.append(_gpair(f, g))
         for cand in candidates:
             nf = _reduce_row(cand, basis, max_degree)
             if nf.poly:

@@ -3,12 +3,14 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
 from metlie.expr import Bracket, Generator, ScalarMul, Sum
 from metlie.model import ModelElement
 from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key, to_vector
+from metlie import primitivity
 from metlie.primitivity import GroebnerLimitError, _Row
 from metlie.ring import BasisTerm, MElement, from_basis, to_basis
 
@@ -300,3 +302,51 @@ def reference_reduce_row(row: _Row, basis: list, max_degree: int) -> _Row:
         if terms:
             deriv.append((parent, Poly._raw(n, terms)))
     return _Row(Poly(n, done), deriv)
+
+
+
+def reference_buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
+                         stop_on_unit: bool):
+    """`primitivity._buchberger` without pair criteria: every pair popped
+    from the heap has its S-polynomial, and its G-polynomial unless one
+    leading coefficient divides the other, reduced through
+    `primitivity._reduce_row`.  Same heap order, counter tie-break, caps
+    and unit stop; returns (basis, unit row or None)."""
+    n = gens[0].n
+    basis: list[_Row] = []
+    pairs = []
+    counter = itertools.count()
+
+    def push(row: _Row):
+        if not row.poly:
+            return None
+        row = primitivity._normalized(row)
+        if row.poly.degree() > max_degree:
+            raise GroebnerLimitError(f"degree cap {max_degree} exceeded")
+        if len(basis) >= max_basis:
+            raise GroebnerLimitError(f"basis size cap {max_basis} exceeded")
+        row.pos = len(basis)
+        basis.append(row)
+        if stop_on_unit and not any(row.lm) and row.lc == 1:
+            return row
+        for j in range(row.pos):
+            gamma = tuple(max(a, b) for a, b in zip(row.lm, basis[j].lm))
+            heapq.heappush(pairs, (grevlex_key(gamma), next(counter), j, row.pos))
+        return None
+
+    for i, g in enumerate(gens):
+        hit = push(_Row(g, [(i, Poly.one(n))]))
+        if hit is not None:
+            return basis, hit
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        f, g = basis[i], basis[j]
+        candidates = [primitivity._spair(f, g)]
+        if f.lc % g.lc and g.lc % f.lc:
+            candidates.append(primitivity._gpair(f, g))
+        for cand in candidates:
+            nf = primitivity._reduce_row(cand, basis, max_degree)
+            hit = push(nf)
+            if hit is not None:
+                return basis, hit
+    return basis, None

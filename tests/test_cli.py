@@ -1,6 +1,9 @@
 """Tests for the command-line interface: output formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -411,3 +414,26 @@ class TestFuzzMain:
             code = exc.code
         capsys.readouterr()
         assert code in (0, 1, 2, 3, 4)
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early (`metlie ... | head -c 10`) gets
+    no traceback on stderr, and the command keeps its own exit code."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["--n", "2", "--json", "derive", "x1 + [x2,x1]", "x2", "[[x2,x1],x1]"], 0),
+        (["--n", "2", "primitive", "x1 + [x2,x1]"], 1),
+    ])
+    def test_no_traceback_and_contract_exit_code(self, argv, expected):
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "metlie", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == expected

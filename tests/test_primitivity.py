@@ -1,16 +1,25 @@
 """Tests for the strong Groebner engine over Z and the primitivity decisions."""
 
+import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_melement, random_poly, random_tame_automorphism, reference_reduce_row
+from helpers import (
+    random_melement,
+    random_poly,
+    random_tame_automorphism,
+    reference_buchberger,
+    reference_reduce_row,
+)
 from metlie.calculus import PolyMatrix, identity_matrix, jacobi_matrix, matmul, minors, sigma
 from metlie.expr import parse
 from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key, reduce_pqm
@@ -19,6 +28,7 @@ from metlie.primitivity import (
     GroebnerLimitError,
     _Row,
     _buchberger,
+    _cofactors,
     _reduce_row,
     _smallest_prime_factor,
     abelian_primitive,
@@ -265,25 +275,26 @@ class TestGroebner:
 
     def test_strong_basis_closure_property(self):
         # Defining invariant: every S-polynomial and G-polynomial of basis
-        # pairs reduces to zero modulo the basis.
-        from metlie.primitivity import _Row, _gpair, _reduce_row, _spair
+        # pairs reduces to zero modulo the basis.  Scaling the generators by
+        # DIVISOR_CHAIN makes leading coefficients share factors, where the
+        # chain criterion's coefficient conditions decide.
+        from metlie.primitivity import _gpair, _spair
 
         rng = random.Random(211)
-        for _ in range(15):
-            gens = [random_poly(rng, 2, max_degree=2, max_terms=3, coeff_bound=3)
-                    for _ in range(2)]
-            gens = [g for g in gens if g]
-            if not gens:
-                continue
-            gb = groebner_z(gens)
-            rows = [_Row(g, []) for g in gb.generators]
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    s = _spair(rows[i], rows[j])
-                    assert not _reduce_row(s, rows, 40).poly
-                    gp = _gpair(rows[i], rows[j])
-                    if gp is not None:
-                        assert not _reduce_row(gp, rows, 40).poly
+        for n in (2, 3):
+            for _ in range(15):
+                gens = [rng.choice(DIVISOR_CHAIN)
+                        * random_poly(rng, n, max_degree=2, max_terms=3, coeff_bound=3)
+                        for _ in range(n)]
+                gens = [g for g in gens if g]
+                if not gens:
+                    continue
+                gb = groebner_z(gens)
+                rows = [_Row(g, []) for g in gb.generators]
+                for i in range(len(rows)):
+                    for j in range(i + 1, len(rows)):
+                        assert not _reduce_row(_spair(rows[i], rows[j]), rows, 40).poly
+                        assert not _reduce_row(_gpair(rows[i], rows[j]), rows, 40).poly
 
 
 # Coefficients that divide one another, so that several rows can reduce the
@@ -328,6 +339,82 @@ def reduce_both(row, basis, max_degree):
             _reduce_row(row, basis, max_degree)
         return None
     return _reduce_row(row, basis, max_degree), expected
+
+
+@st.composite
+def completion_cases(draw):
+    """(gens, target): up to three generators over n = 2 or 3 whose leading
+    coefficients come from DIVISOR_CHAIN, and a target that is a member of
+    their ideal plus a drawn remainder, often zero."""
+    n = draw(st.sampled_from([2, 3]))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        lm = draw(_monos(n, 2))
+        tail = draw(_polys(n, 2, st.integers(-3, 3)))
+        terms = {m: c for m, c in tail.terms.items() if grevlex_key(m) < grevlex_key(lm)}
+        terms[lm] = draw(st.sampled_from(DIVISOR_CHAIN)) * draw(st.sampled_from([1, -1]))
+        gens.append(Poly(n, terms))
+    target = draw(_polys(n, 1, st.integers(-2, 2)))
+    for g in gens:
+        target = target + draw(_polys(n, 1, st.integers(-2, 2))) * g
+    return gens, target
+
+
+CAPS = {"max_basis": 200, "max_degree": 12}
+
+
+class TestPairCriteria:
+    """The completion with pair criteria against `reference_buchberger`,
+    which reduces every pair."""
+
+    @given(completion_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_same_answers_as_all_pairs(self, case):
+        gens, target = case
+        try:
+            ref_basis, ref_unit = reference_buchberger(gens, stop_on_unit=True, **CAPS)
+            ref_full, _ = reference_buchberger(gens, stop_on_unit=False, **CAPS)
+            found, cert = ideal_contains_one(gens, **CAPS)
+            member = ideal_contains(gens, target, **CAPS)
+        except GroebnerLimitError:
+            assume(False)
+        assert found == (ref_unit is not None)
+        assert member == (not _reduce_row(_Row(target, []), ref_full, 12).poly)
+        one_n = Poly.one(gens[0].n)
+        certificates = [cert] if found else []
+        if ref_unit is not None:
+            certificates.append(_cofactors(ref_unit, ref_basis, len(gens)))
+        for cofactors in certificates:
+            assert sum((h * g for h, g in zip(cofactors, gens)), Poly.zero(gens[0].n)) == one_n
+
+    def test_golden_images_reduce_fewer_candidates(self, monkeypatch):
+        # The four decide_n3 images of the certificate golden: the criteria
+        # reduce strictly fewer candidates and reach the same basis rows.
+        import metlie.primitivity as primitivity
+
+        calls = []
+        real = primitivity._reduce_row
+
+        def counting(row, basis, max_degree):
+            calls.append(1)
+            return real(row, basis, max_degree)
+
+        monkeypatch.setattr(primitivity, "_reduce_row", counting)
+        doc = json.loads((DATA / "groebner_certificate_golden.json").read_text())
+        images = [e["texts"] for e in doc["systems"] if len(e["texts"][0]) > 40]
+        assert len(images) == 4
+        caps = {"max_basis": DEFAULT_MAX_BASIS, "max_degree": 40}
+        for texts in images:
+            gs = [mel(t, doc["n"]) for t in texts]
+            minor_polys = minors(jacobi_matrix(gs), len(gs))
+            calls.clear()
+            basis, unit = _buchberger(minor_polys, stop_on_unit=True, **caps)
+            pruned = len(calls)
+            calls.clear()
+            ref_basis, ref_unit = reference_buchberger(minor_polys, stop_on_unit=True, **caps)
+            assert pruned < len(calls)
+            assert unit is not None and ref_unit is not None
+            assert [r.poly for r in basis] == [r.poly for r in ref_basis]
 
 
 class TestReductionOracle:
@@ -605,3 +692,35 @@ def _adjugate3(m):
         return sub if (i + j) % 2 == 0 else -sub
 
     return [[cof(j, i) for j in range(3)] for i in range(3)]
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, loaded by path: the corpora it draws are read,
+    never written."""
+    path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def corpus_verdicts_digest() -> str:
+    """sha256 of the sorted-key JSON of `is_primitive` over the decide_n2
+    and decide_n3 corpora, one line per image in corpus order."""
+    inputs = _perfbench_inputs()
+    _, systems = inputs.read_catalog()
+    digest = hashlib.sha256()
+    for name in ("decide_n2", "decide_n3"):
+        spec = inputs.SPECS[name]
+        for texts, _ in inputs.corpus(spec, systems):
+            verdict = is_primitive([mel(t, spec.n) for t in texts])
+            digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_corpus_verdicts_byte_identical():
+    """All 1,200 corpus verdicts, certificates included, against the digest in
+    tests/data/corpus_verdicts.sha256."""
+    expected = (DATA / "corpus_verdicts.sha256").read_text().split()[0]
+    assert corpus_verdicts_digest() == expected
