@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from metlie.calculus import det, jacobi_matrix, matrix_to_json
-from metlie.expr import LieParseError, parse
+from metlie.expr import parse
 from metlie.model import (
     BudgetError,
     DEFAULT_ABELIAN_MODULI,
@@ -459,13 +459,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         with contextlib.redirect_stdout(out):
             code = args.func(args, cfg)
-    except LieParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, TypeError) as exc:
+        # LieParseError and CatalogError are ValueErrors too.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GroebnerLimitError, ResourceLimitError) as exc:

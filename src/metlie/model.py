@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +29,7 @@ from typing import Optional
 
 from metlie.expr import Generator, Bracket, Sum, ScalarMul
 from metlie.poly import (
-    Poly, QPoly, QuotientParams, Span, from_vector, power_exceeds, to_vector,
+    Poly, QPoly, QuotientParams, Span, module_rows, power_exceeds,
 )
 from metlie.ring import MElement, from_expr
 
@@ -229,8 +228,8 @@ class FiniteModel:
 
     def element_code(self, elem: ModelElement) -> int:
         """The code of `elem` (see `digits_code`)."""
-        return self.digits_code([elem.l.terms.get(mu, 0) for mu in self.params.l_monomials],
-                                [d for t in elem.tau for d in to_vector(t)])
+        l_digits = [elem.l.vec[self.quotient.position(mu)] for mu in self.params.l_monomials]
+        return self.digits_code(l_digits, [d for t in elem.tau for d in t.vec])
 
     def digits_code(self, l_digits, tau_digits=()) -> int:
         """Base-m number whose digits, least significant first, are the n*w
@@ -255,7 +254,8 @@ class FiniteModel:
         for _ in range(n * w + len(l_monos)):
             code, d = divmod(code, quotient.m)
             digits.append(d)
-        tau = tuple(from_vector(quotient, digits[c * w:(c + 1) * w]) for c in range(n))
+        tau = tuple(QPoly(quotient, dict(zip(quotient.monomials(), digits[c * w:(c + 1) * w])))
+                    for c in range(n))
         return ModelElement(self.params, QPoly(quotient, dict(zip(l_monos, digits[n * w:]))), tau)
 
     def elements(self):
@@ -402,10 +402,6 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     l_space = [QPoly(quotient, dict(zip(l_monos, v))) for v in l_digits]
     onto = _onto_test(gs, quotient, l_space)
     one = QPoly.one(quotient)
-    index = {mu: b for b, mu in enumerate(quotient.monomials())}  # slots of `to_vector`
-    # slots[a][nu]: coefficient slot of monomial a times monomial nu.
-    slots = [{nu: index[tuple(map(quotient.reduce_exponent, map(operator.add, mu, nu)))]
-              for nu in index} for mu in index]
 
     expected = model.size ** (n - k)
     weight: dict[tuple, int] = {}  # W_L by top-left key, as element codes
@@ -417,15 +413,10 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
         if onto is not None and onto(s):
             im = size ** k
         else:
-            derivs = [[d.evaluate([l_space[t] for t in s], one).terms for d in g.deriv] for g in gs]
+            args = [l_space[t] for t in s]
             image = Span(m, k * w)
-            for j in range(n):
-                for shifts in slots:
-                    row = [0] * (k * w)
-                    for i, coeffs in enumerate(derivs):
-                        for nu, c in coeffs[j].items():
-                            row[i * w + shifts[nu]] += c
-                    image.add([x % m for x in row])
+            for row in module_rows([[g.deriv[j].evaluate(args, one) for g in gs] for j in range(n)]):
+                image.add(row)
             im = image.size()
         kernel = size ** (n * n) // im ** n
         mass += kernel * im ** n

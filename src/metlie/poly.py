@@ -4,11 +4,13 @@ Z[X] in generators x1..xn is stored sparsely as a map from exponent vectors
 to nonzero arbitrary-precision integer coefficients.  The finite quotients
 Z_{p,q,m}[X] = Z[X] / (m, x_i^p(x_i^q - 1)) carry a canonical form of their
 own: coefficients in 0..m-1 and every exponent below p+q, obtained through
-the confluent rewrite x^(p+q) -> x^p.
+the confluent rewrite x^(p+q) -> x^p, stored densely as the coefficient
+vector over the (p+q)^n canonical monomials.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -302,6 +304,27 @@ class QuotientParams:
             return e
         return self.p + (e - self.p) % self.q
 
+    def position(self, mono) -> int:
+        """Slot of the canonical form of monomial `mono` in `monomials()` order."""
+        if len(mono) != self.n:
+            raise ValueError(f"monomial {tuple(mono)} does not have {self.n} exponents")
+        base = self.exponent_span
+        pos = 0
+        for e in mono:
+            if e < 0:
+                raise ValueError(f"negative exponent in monomial {tuple(mono)}")
+            pos = pos * base + self.reduce_exponent(e)
+        return pos
+
+    @functools.cache
+    def product_table(self) -> tuple[tuple[int, ...], ...]:
+        """table[a][b] is the slot of the product of the a-th and b-th
+        monomials of `monomials()`; built once per parameter set and kept
+        for the life of the process."""
+        monos = list(self.monomials())
+        return tuple(tuple(self.position(tuple(map(operator.add, mu, nu))) for nu in monos)
+                     for mu in monos)
+
     def residue_points(self) -> list[tuple[int, list[tuple[int, ...]]]] | None:
         """(l, points) for each prime l | m, in increasing order: the points xi
         of F_l^n with xi_i^p(xi_i^q - 1) = 0, where evaluation mod l is a ring
@@ -327,71 +350,59 @@ class QuotientParams:
 
 
 class QPoly:
-    """Canonical element of the finite quotient ring Z_{p,q,m}[X]."""
+    """Canonical element of the finite quotient ring Z_{p,q,m}[X], stored as
+    its coefficient vector `vec` in `QuotientParams.monomials()` order."""
 
-    __slots__ = ("params", "terms")
+    __slots__ = ("params", "vec")
 
     def __init__(self, params: QuotientParams, terms: Mapping[tuple[int, ...], int] | None = None):
-        clean: dict[tuple[int, ...], int] = {}
+        vec = [0] * params.monomial_count
         for mono, coeff in (terms or {}).items():
-            if len(mono) != params.n:
-                raise ValueError(f"monomial {tuple(mono)} does not have {params.n} exponents")
-            key = tuple(params.reduce_exponent(e) for e in mono)
-            c = (clean.get(key, 0) + coeff) % params.m
-            if c:
-                clean[key] = c
-            elif key in clean:
-                del clean[key]
+            vec[params.position(mono)] += coeff
         self.params = params
-        self.terms = clean
+        self.vec = tuple([c % params.m for c in vec])
 
     @classmethod
-    def _raw(cls, params: QuotientParams, terms: dict[tuple[int, ...], int]) -> "QPoly":
+    def _raw(cls, params: QuotientParams, vec: tuple[int, ...]) -> "QPoly":
+        # Internal fast path: vec must already be canonical.
         self = object.__new__(cls)
         self.params = params
-        self.terms = terms
+        self.vec = vec
         return self
 
     @classmethod
     def zero(cls, params: QuotientParams) -> "QPoly":
-        return cls._raw(params, {})
+        return cls(params)
 
     @classmethod
     def one(cls, params: QuotientParams) -> "QPoly":
-        return cls.constant(1, params)
-
-    @classmethod
-    def constant(cls, c: int, params: QuotientParams) -> "QPoly":
-        c %= params.m
-        return cls._raw(params, {(0,) * params.n: c} if c else {})
+        return cls(params, {(0,) * params.n: 1})
 
     @classmethod
     def variable(cls, i: int, params: QuotientParams) -> "QPoly":
         if not 1 <= i <= params.n:
             raise ValueError(f"generator index {i} out of range 1..{params.n}")
         mono = tuple(1 if j == i - 1 else 0 for j in range(params.n))
-        return cls._raw(params, {mono: 1})
+        return cls(params, {mono: 1})
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The nonzero coefficients by monomial, in `monomials()` order."""
+        return {mu: c for mu, c in zip(self.params.monomials(), self.vec) if c}
 
     def _require_same_ring(self, other: "QPoly") -> None:
         if self.params != other.params:
             raise ValueError("mismatched quotient parameters")
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return any(self.vec)
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
         self._require_same_ring(other)
         m = self.params.m
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = (merged.get(mono, 0) + coeff) % m
-            if s:
-                merged[mono] = s
-            elif mono in merged:
-                del merged[mono]
-        return QPoly._raw(self.params, merged)
+        return QPoly._raw(self.params, tuple([(a + b) % m for a, b in zip(self.vec, other.vec)]))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
@@ -400,45 +411,33 @@ class QPoly:
 
     def __neg__(self) -> "QPoly":
         m = self.params.m
-        return QPoly._raw(self.params, {k: (-c) % m for k, c in self.terms.items()})
+        return QPoly._raw(self.params, tuple([-a % m for a in self.vec]))
 
     def __mul__(self, other):
+        params = self.params
+        m = params.m
         if isinstance(other, int):
-            other %= self.params.m
-            if not other:
-                return QPoly.zero(self.params)
-            m = self.params.m
-            out = {}
-            for mono, c in self.terms.items():
-                s = (c * other) % m
-                if s:
-                    out[mono] = s
-            return QPoly._raw(self.params, out)
+            return QPoly._raw(params, tuple([a * other % m for a in self.vec]))
         if not isinstance(other, QPoly):
             return NotImplemented
         self._require_same_ring(other)
-        params = self.params
-        m = params.m
-        out: dict[tuple[int, ...], int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = tuple(params.reduce_exponent(a + b) for a, b in zip(ma, mb))
-                s = (out.get(mono, 0) + ca * cb) % m
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
-        return QPoly._raw(params, out)
+        right = [(b, y) for b, y in enumerate(other.vec) if y]
+        out = [0] * len(self.vec)
+        for slots, x in zip(params.product_table(), self.vec):
+            if x:
+                for b, y in right:
+                    out[slots[b]] += x * y
+        return QPoly._raw(params, tuple([c % m for c in out]))
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.params == other.params and self.terms == other.terms
+        return self.params == other.params and self.vec == other.vec
 
     def __hash__(self) -> int:
-        return hash((self.params, frozenset(self.terms.items())))
+        return hash((self.params, self.vec))
 
     def __str__(self) -> str:
         return format_terms(self.terms)
@@ -455,22 +454,20 @@ def reduce_pqm(a: Poly, params: QuotientParams) -> QPoly:
     return QPoly(params, a.terms)
 
 
-def to_vector(qp: QPoly) -> list[int]:
-    """Coefficients of `qp` in the order of `QuotientParams.monomials()`."""
-    params = qp.params
-    base = params.exponent_span
-    vec = [0] * params.monomial_count
-    for mono, c in qp.terms.items():
-        pos = 0
-        for e in mono:
-            pos = pos * base + e
-        vec[pos] = c
-    return vec
-
-
-def from_vector(params: QuotientParams, vec) -> QPoly:
-    """The element whose coefficients, in `monomials()` order, are `vec`."""
-    return QPoly(params, dict(zip(params.monomials(), vec)))
+def module_rows(columns) -> Iterator[list[int]]:
+    """The rows mu * c for each column c = (c_1, .., c_k) of quotient-ring
+    elements and each monomial mu, in `monomials()` order: the coefficient
+    vectors of mu * c_1, .., mu * c_k, one after another.  The rows of c
+    span the R-submodule of R^k that c generates."""
+    for col in columns:
+        params = col[0].params
+        m, w = params.m, params.monomial_count
+        entries = [(i * w, b, x) for i, c in enumerate(col) for b, x in enumerate(c.vec) if x]
+        for slots in params.product_table():
+            row = [0] * (len(col) * w)
+            for offset, b, x in entries:
+                row[offset + slots[b]] += x
+            yield [x % m for x in row]
 
 
 def bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -555,9 +552,9 @@ def ideal_contains_finite(gens: list[QPoly], target: QPoly) -> bool:
     """Membership of `target` in the ideal generated by `gens` in Z_{p,q,m}[X].
 
     The ideal is the additive span of {g * mu : g in gens, mu canonical
-    monomial} in the coefficient vectors of `to_vector`.  The products are
-    added to a Howell form generator by generator, and the answer is True as
-    soon as the target lies in the span; otherwise False once all are in.
+    monomial}.  These rows (`module_rows`) are added to a Howell form
+    generator by generator, and the answer is True as soon as the target
+    lies in the span; otherwise False once all are in.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -572,12 +569,9 @@ def ideal_contains_finite(gens: list[QPoly], target: QPoly) -> bool:
             f"quotient ring of size {params.m}^{params.monomial_count} "
             f"exceeds the bound {DEFAULT_MAX_RING_SIZE}"
         )
-    goal = to_vector(target)
-    monos = [QPoly._raw(params, {mu: 1}) for mu in params.monomials()]
-    span = Span(params.m, len(monos))
-    for g in gens:
-        for mu in monos:
-            span.add(to_vector(g * mu))
-            if goal in span:
-                return True
+    span = Span(params.m, params.monomial_count)
+    for row in module_rows([(g,) for g in gens]):
+        span.add(row)
+        if target.vec in span:
+            return True
     return False

@@ -9,7 +9,7 @@ import random
 
 from metlie.expr import Bracket, Generator, ScalarMul, Sum
 from metlie.model import ModelElement
-from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key, to_vector
+from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key
 from metlie import primitivity
 from metlie.primitivity import GroebnerLimitError, _Row
 from metlie.ring import BasisTerm, MElement, from_basis, to_basis
@@ -215,7 +215,7 @@ def histogram_census(gs, model):
                 args = [ModelElement(model.params, l, (mu if t == j else zero,) + (zero,) * (n - 1))
                         for t, l in enumerate(s)]
                 rows.append(tuple(d for x in expansions
-                                  for d in to_vector(bracket_value(x, args).tau[0])))
+                                  for d in bracket_value(x, args).tau[0].vec))
         image = subgroup_closure(rows, m, k * w)
         kernel = size ** (n * n) // len(image) ** n
         codes = [sum(d * wt for d, wt in zip(v, weights)) for v in image]
@@ -251,6 +251,43 @@ def reference_poly_product(a: dict, b: dict) -> dict:
             mono = tuple(x + y for x, y in zip(ma, mb))
             out[mono] = out.get(mono, 0) + ca * cb
     return {mono: c for mono, c in out.items() if c}
+
+
+def reference_qpoly_terms(terms: dict, params: QuotientParams) -> dict:
+    """Canonical term map of `terms` in Z_{p,q,m}[X]: every exponent e >= p+q
+    rewritten to p + (e - p) mod q, coefficients summed and taken mod m."""
+    p, q, m = params.p, params.q, params.m
+    out = {}
+    for mono, c in terms.items():
+        key = tuple(e if e < p + q else p + (e - p) % q for e in mono)
+        out[key] = (out.get(key, 0) + c) % m
+    return {mono: c for mono, c in out.items() if c}
+
+
+def reference_qpoly_sum(a: dict, b: dict, params: QuotientParams) -> dict:
+    """Sum of two term maps in Z_{p,q,m}[X], merged term by term."""
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, 0) + c
+    return reference_qpoly_terms(out, params)
+
+
+def reference_qpoly_product(a: dict, b: dict, params: QuotientParams) -> dict:
+    """Product of two term maps in Z_{p,q,m}[X], expanding every pair of terms."""
+    return reference_qpoly_terms(reference_poly_product(a, b), params)
+
+
+def reference_module_rows(columns, params: QuotientParams) -> list:
+    """`poly.module_rows` from term-map products: for each column and each
+    monomial mu, the coefficients of mu * c_i over `monomials()`, c_i after
+    c_(i-1)."""
+    monos = list(params.monomials())
+    rows = []
+    for col in columns:
+        for mu in monos:
+            products = [reference_qpoly_product({mu: 1}, c.terms, params) for c in col]
+            rows.append([prod.get(nu, 0) for prod in products for nu in monos])
+    return rows
 
 
 def reference_reduce_row(row: _Row, basis: list, max_degree: int) -> _Row:

@@ -241,6 +241,15 @@ class TestHugeModels:
         assert code == 4
         assert "enumeration of 4^20752 tuples exceeds the budget" in err
 
+    def test_uniform_budget_before_any_element(self, capsys):
+        # A quotient element here would hold 6^12 coefficients: the budget
+        # test must come before any element is built.
+        start = time.perf_counter()
+        code, _, err = run(capsys, "--n", "12", "uniform", "--p", "3", "--q", "3", "--m", "2", "x1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        assert "exceeds the budget" in err
+
 
 class TestCatalog:
     def test_parse_catalog(self):

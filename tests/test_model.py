@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     abelian_census, bracket_value, histogram_census, random_basis_terms, random_expr,
-    random_melement, random_tame_automorphism,
+    random_melement, random_tame_automorphism, reference_module_rows,
 )
 from metlie.cli import main, parse_catalog
 from metlie.expr import parse, eval_in_ring
@@ -26,7 +26,7 @@ from metlie.model import (
     uniformity_check,
     uniformity_check_abelian,
 )
-from metlie.poly import QPoly, QuotientParams, Span, to_vector
+from metlie.poly import QPoly, QuotientParams, Span
 from metlie.primitivity import DEFAULT_QUOTIENT_GRID
 from metlie.ring import MElement, endo_apply, from_basis, from_expr, to_basis
 
@@ -576,7 +576,6 @@ class TestResidueOnto:
         l_space = [QPoly(quotient, dict(zip(l_monos, v)))
                    for v in itertools.product(range(m), repeat=len(l_monos))]
         one = QPoly.one(quotient)
-        monos = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
         _, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
         verdicts = set()
         for texts, _ in systems:
@@ -584,11 +583,11 @@ class TestResidueOnto:
             k = len(gs)
             onto = _onto_test(gs, quotient, l_space)
             for s in itertools.product(range(len(l_space)), repeat=n):
-                coeffs = [[d.evaluate([l_space[t] for t in s], one) for d in g.deriv] for g in gs]
+                columns = [[g.deriv[j].evaluate([l_space[t] for t in s], one) for g in gs]
+                           for j in range(n)]
                 image = Span(m, k * w)
-                for j in range(n):
-                    for mu in monos:
-                        image.add([x for c in coeffs for x in to_vector(mu * c[j])])
+                for row in reference_module_rows(columns, quotient):
+                    image.add(row)
                 verdict = onto(s)
                 assert verdict == (image.size() == model.ring_size ** k), (texts, s)
                 verdicts.add(verdict)

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_poly, random_qpoly, reference_poly_product, subgroup_closure
+from helpers import (
+    random_poly, random_qpoly, reference_module_rows, reference_poly_product,
+    reference_qpoly_product, reference_qpoly_sum, reference_qpoly_terms, subgroup_closure,
+)
 from metlie.poly import (
     Poly,
     QPoly,
@@ -17,9 +20,11 @@ from metlie.poly import (
     divexact,
     format_terms,
     ideal_contains_finite,
+    module_rows,
     power_exceeds,
     reduce_pqm,
 )
+from metlie.primitivity import DEFAULT_QUOTIENT_GRID
 
 
 def x(i, n=2):
@@ -223,6 +228,41 @@ class TestReducePqm:
             QuotientParams(0, 1, 2, 1)
         with pytest.raises(ValueError):
             QuotientParams(1, 1, 1, 1)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent in monomial"):
+            QPoly(QuotientParams(1, 1, 2, 2), {(-1, 0): 1})
+
+
+@st.composite
+def _term_maps(draw, params):
+    # Exponents up to twice p+q, so the constructor's rewrite is exercised.
+    monos = st.tuples(*[st.integers(0, 2 * params.exponent_span)] * params.n)
+    coeffs = st.integers(-2 * params.m, 2 * params.m)
+    return draw(st.dictionaries(monos, coeffs, max_size=6))
+
+
+class TestQPolyOracle:
+    """The dense encoding and the one product table (`QuotientParams.product_table`)
+    against term-map arithmetic that shares neither (`helpers.reference_qpoly_*`)."""
+
+    @pytest.mark.parametrize("p, q, m", DEFAULT_QUOTIENT_GRID)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_against_term_maps(self, p, q, m, n, data):
+        params = QuotientParams(p, q, m, n)
+        ta, tb = data.draw(_term_maps(params)), data.draw(_term_maps(params))
+        c = data.draw(st.integers(-2 * m, 2 * m))
+        a, b = QPoly(params, ta), QPoly(params, tb)
+        assert a.terms == reference_qpoly_terms(ta, params)
+        assert (a + b).terms == reference_qpoly_sum(ta, tb, params)
+        assert (a - b).terms == reference_qpoly_sum(ta, {mu: -x for mu, x in tb.items()}, params)
+        assert (-a).terms == reference_qpoly_terms({mu: -x for mu, x in ta.items()}, params)
+        assert (c * a).terms == reference_qpoly_terms({mu: c * x for mu, x in ta.items()}, params)
+        assert (a * b).terms == reference_qpoly_product(ta, tb, params)
+        columns = [(a, b), (b,)]
+        assert list(module_rows(columns)) == reference_module_rows(columns, params)
 
 
 def _ideal_closure_oracle(gens, params):
