@@ -91,6 +91,10 @@ def _config_from_args(args) -> Config:
         budget = 0
     if budget < 1:
         raise CatalogError(f"{source} must be a positive integer")
+    if args.groebner_max_basis < 1:
+        raise CatalogError("--groebner-max-basis must be a positive integer")
+    if args.groebner_max_degree < 0:
+        raise CatalogError("--groebner-max-degree must be a non-negative integer")
     cfg = Config(
         n=args.n,
         budget=budget,
@@ -98,10 +102,12 @@ def _config_from_args(args) -> Config:
         groebner_max_basis=args.groebner_max_basis,
         groebner_max_degree=args.groebner_max_degree,
     )
-    if args.grid:
+    if args.grid is not None:
         cfg.grid = _parse_grid(args.grid)
-    if args.abelian:
+    if args.abelian is not None:
         cfg.abelian = tuple(int(s) for s in args.abelian.split(",") if s.strip())
+        if not cfg.abelian:
+            raise CatalogError("empty abelian modulus list")
     if getattr(args, "full_ring", False):
         cfg.variant = "full"
     return cfg

@@ -21,6 +21,7 @@ ideal in each small finite quotient ring of a configured grid.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -34,7 +35,6 @@ from metlie.poly import (
     QuotientParams,
     ResourceLimitError,
     bezout,
-    grevlex_key,
     power_exceeds,
     reduce_pqm,
     DEFAULT_MAX_RING_SIZE,
@@ -68,45 +68,156 @@ def _lcm(a: int, b: int) -> int:
     return a // math.gcd(a, b) * b
 
 
-class _Row:
-    """A polynomial together with its derivation.
+def _field_bits(max_basis: int, max_degree: int) -> int:
+    """Value bits of a packed field, so that no exponent or degree the kernel
+    meets under these caps reaches a guard bit.
 
-    The derivation is a list of (parent, multiplier) pairs whose sum of
-    multiplier * parent is the row; a parent is an earlier basis row or the
-    index of an input generator.  `pos` is the row's place in the basis.
+    Every basis row has degree <= max_degree: an input is checked before it
+    is packed, and a reduction pops every term of its result and stops above
+    the cap.  So an S- or G-pair's lcm, the terms of its candidate and every
+    multiplier have degree <= 2 * max_degree.  A cofactor weight gains one
+    multiplier per derivation level, and a derivation path runs through each
+    of at most max_basis basis rows once, from a final row down to an input:
+    at most max_basis + 1 levels.  The check's products h_i * g_i add
+    max_degree more, so every degree stays <= 2 * max_degree * (max_basis + 2).
+    """
+    return max(2 * max_degree * (max_basis + 2), 1).bit_length()
+
+
+class _Packing:
+    """Monomials over n generators packed into one int (Monagan & Pearce,
+    CASC 2007).
+
+    Each field is `bits` value bits under a guard bit.  The exponent of x_i
+    sits in field n - i (x1 highest) and the total degree in field n, above
+    them all.  While every exponent and degree is below 2^bits:
+      - the product of two monomials is the sum of their ints;
+      - a | b exactly when (b - a) & guard == 0, since a field with a_i > b_i
+        borrows from the guard bit;
+      - mono ^ low, which complements the exponent fields, orders like
+        `grevlex_key`, and mono ^ flip, which complements the degree field,
+        orders like (-degree, exponents): smallest first is grevlex-largest.
     """
 
-    __slots__ = ("poly", "deriv", "lm", "lc", "pos")
+    __slots__ = ("n", "bits", "shifts", "weights", "vmask", "guard", "low", "flip",
+                 "deg_shift", "ones")
 
-    def __init__(self, poly: Poly, deriv: list):
-        self.poly = poly
+    def __init__(self, n: int, bits: int):
+        width = bits + 1
+        self.n, self.bits = n, bits
+        self.shifts = tuple(width * (n - 1 - i) for i in range(n))
+        self.deg_shift = width * n
+        self.weights = tuple((1 << s) + (1 << self.deg_shift) for s in self.shifts)
+        self.vmask = (1 << bits) - 1
+        self.guard = sum(1 << (width * f + bits) for f in range(n + 1))
+        self.low = (1 << self.deg_shift) - 1
+        self.flip = self.vmask << self.deg_shift
+        self.ones = sum(1 << (width * f) for f in range(n))
+
+    def mono(self, exps: tuple[int, ...]) -> int:
+        return sum(map(operator.mul, exps, self.weights))
+
+    def exps(self, mono: int) -> tuple[int, ...]:
+        return tuple((mono >> s) & self.vmask for s in self.shifts)
+
+    def pack(self, terms: dict) -> dict[int, int]:
+        return {self.mono(m): c for m, c in terms.items()}
+
+    def unpack(self, terms: dict[int, int]) -> Poly:
+        return Poly._raw(self.n, {self.exps(m): c for m, c in terms.items()})
+
+    def lead(self, terms: dict[int, int]) -> Optional[int]:
+        """Grevlex-largest monomial of a packed term map; None when it is empty."""
+        return min(terms, key=self.flip.__xor__) if terms else None
+
+    def row(self, poly: Poly, deriv: list) -> "_Row":
+        terms = self.pack(poly.terms)
+        return _Row(terms, deriv, self.lead(terms))
+
+    def lcm(self, a: int, b: int) -> int:
+        # The guard bit of a field of (b | guard) - a survives where b_i >= a_i;
+        # `take` spans the value bits of those fields.  The degree field of the
+        # fieldwise maximum is the sum of its exponent fields, which one
+        # product by `ones` gathers in field n - 1.
+        t = ((b | self.guard) - a) & self.guard
+        take = t - (t >> self.bits)
+        m = (a ^ ((a ^ b) & take)) & self.low
+        return m | (((m * self.ones) >> self.shifts[0]) & self.vmask) << self.deg_shift
+
+
+@functools.cache
+def _packing(n: int, bits: int) -> _Packing:
+    return _Packing(n, bits)
+
+
+def _packing_for(gens: list[Poly], max_basis: int, max_degree: int) -> _Packing:
+    if not gens:
+        raise ValueError("empty generator list")
+    n = gens[0].n
+    if any(g.n != n for g in gens):
+        raise ValueError("mismatched generator counts")
+    return _packing(n, _field_bits(max_basis, max_degree))
+
+
+def _check_degree(poly: Poly, max_degree: int, during: str = "") -> None:
+    # Over the cap a polynomial is refused before it is packed.
+    if poly and poly.degree() > max_degree:
+        raise GroebnerLimitError(f"degree cap {max_degree} exceeded{during}")
+
+
+class _Row:
+    """A packed polynomial together with its derivation.
+
+    The derivation is a list of (parent, multiplier) pairs, the multiplier a
+    packed term map, whose sum of multiplier * parent is the row; a parent is
+    an earlier basis row or the index of an input generator.  `lm` is the
+    leading monomial, None for the zero row and for an S- or G-candidate
+    before its reduction; `pos` is the row's place in the basis.
+    """
+
+    __slots__ = ("terms", "deriv", "lm", "lc", "pos")
+
+    def __init__(self, terms: dict[int, int], deriv: list, lm: Optional[int]):
+        self.terms = terms
         self.deriv = deriv
+        self.lm = lm
+        self.lc = terms.get(lm, 0)
         self.pos = None
-        if poly:
-            self.lm, self.lc = poly.leading()
-        else:
-            self.lm, self.lc = None, 0
-
-    def negate(self) -> "_Row":
-        return _Row(-self.poly, [(parent, -m) for parent, m in self.deriv])
 
 
 def _normalized(row: _Row) -> _Row:
-    return row.negate() if row.lc < 0 else row
+    if row.lc >= 0:
+        return row
+    return _Row({m: -c for m, c in row.terms.items()},
+                [(parent, {s: -c for s, c in m.items()}) for parent, m in row.deriv], row.lm)
+
+
+def _addmul(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """acc += a * b over packed term maps; cancelled terms stay as zeros."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for x, cx in a.items():
+        for y, cy in b.items():
+            m = x + y
+            acc[m] = get(m, 0) + cx * cy
+
+
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    return {m: c for m, c in terms.items() if c}
 
 
 def _combine(rows_scales) -> _Row:
     """Sum of c * X^shift * row over (row, c, shift) triples."""
-    poly = None
+    terms: dict[int, int] = {}
     deriv = []
     for row, c, shift in rows_scales:
-        p = row.poly.mul_term(c, shift)
-        poly = p if poly is None else poly + p
-        deriv.append((row, Poly._raw(p.n, {shift: c})))
-    return _Row(poly, deriv)
+        _addmul(terms, row.terms, {shift: c})
+        deriv.append((row, {shift: c}))
+    return _Row(_nonzero(terms), deriv, None)
 
 
-def _reduce_row(row: _Row, basis: list[_Row], max_degree: int) -> _Row:
+def _reduce_row(row: _Row, basis: list[_Row], max_degree: int, packing: _Packing) -> _Row:
     """Full normal form of `row` modulo `basis`, with its derivation.
 
     A term c * X^mu reduces by a basis row exactly when the row's leading
@@ -115,223 +226,212 @@ def _reduce_row(row: _Row, basis: list[_Row], max_degree: int) -> _Row:
     and `row`'s own derivation is folded in, so the result names only the
     parents of `row` and rows of `basis`.
 
-    Pending terms sit in a heap of (-degree, monomial) entries, whose smallest
-    entry is the grevlex-largest monomial (Monagan & Pearce, CASC 2007).  A
-    reduction step only adds smaller monomials, so a popped monomial never
-    returns; an entry whose term has cancelled is skipped when popped.
+    Pending terms sit in a heap of monomials keyed by mono ^ flip, whose
+    smallest entry is the grevlex-largest monomial (Monagan & Pearce, CASC
+    2007).  A reduction step only adds smaller monomials, so a popped
+    monomial never returns; an entry whose term has cancelled is skipped when
+    popped.  The normal form is filled in descending order, so its first
+    monomial is its leading one.
     """
-    work = dict(row.poly.terms)
-    heap = [(-sum(mono), mono) for mono in work]
+    flip, guard = packing.flip, packing.guard
+    limit = max(max_degree + 1, 0) << packing.deg_shift
+    work = dict(row.terms)
+    heap = [m ^ flip for m in work]
     heapq.heapify(heap)
-    done: dict[tuple[int, ...], int] = {}
+    done: dict[int, int] = {}
     mult: dict = {}
     for parent, m in row.deriv:
         acc = mult.setdefault(parent, {})
-        for shift, c in m.terms.items():
+        for shift, c in m.items():
             acc[shift] = acc.get(shift, 0) + c
     reducers = [(b.lm, b.lc, b) for b in basis if b.lm is not None]
     while heap:
-        neg_degree, mono = heapq.heappop(heap)
+        mono = heapq.heappop(heap) ^ flip
         coeff = work.pop(mono, 0)
         if not coeff:
             continue
-        if -neg_degree > max_degree:
+        if mono >= limit:
             raise GroebnerLimitError(f"degree cap {max_degree} exceeded during reduction")
         for lm, lc, b in reducers:
-            if coeff % lc == 0 and all(map(operator.ge, mono, lm)):
+            if not coeff % lc and not (mono - lm) & guard:
                 break
         else:
             done[mono] = coeff
             continue
         q = coeff // lc
-        shift = tuple(map(operator.sub, mono, lm))
-        for m, c in b.poly.terms.items():
+        shift = mono - lm
+        for m, c in b.terms.items():
             if m == lm:
                 continue
-            m = tuple(map(operator.add, m, shift))
+            m += shift
             s = work.get(m, 0) - q * c
             if s:
                 if m not in work:
-                    heapq.heappush(heap, (-sum(m), m))
+                    heapq.heappush(heap, m ^ flip)
                 work[m] = s
             elif m in work:
                 del work[m]
         acc = mult.setdefault(b, {})
         acc[shift] = acc.get(shift, 0) - q
-    n = row.poly.n
     deriv = []
     for parent, acc in mult.items():
-        terms = {shift: c for shift, c in acc.items() if c}
+        terms = _nonzero(acc)
         if terms:
-            deriv.append((parent, Poly._raw(n, terms)))
-    return _Row(Poly._raw(n, done), deriv)
+            deriv.append((parent, terms))
+    return _Row(done, deriv, next(iter(done), None))
 
 
-def _cofactors(row: _Row, basis: list[_Row], count: int) -> list[Poly]:
-    """Cofactors h over the `count` inputs with sum h_i * g_i = row.
+def _cofactors(row: _Row, basis: list[_Row], count: int) -> list[dict[int, int]]:
+    """Packed cofactors h over the `count` inputs with sum h_i * g_i = row.
 
     Each ancestor's weight (its multiplier within `row`) is complete once
     every later row has passed its own weight down, so the ancestors are
     expanded newest first, in one loop over a heap of basis positions.
     """
-    n = row.poly.n
-    cof = [Poly.zero(n)] * count
-    weight: dict[int, Poly] = {}
+    cof: list[dict[int, int]] = [{} for _ in range(count)]
+    weight: dict[int, dict[int, int]] = {}
     todo: list[int] = []
-    deriv, w = row.deriv, Poly.one(n)
+    deriv, w = row.deriv, {0: 1}
     while True:
         for parent, m in deriv:
-            term = w * m
             if isinstance(parent, int):
-                cof[parent] = cof[parent] + term
-            elif parent.pos in weight:
-                weight[parent.pos] = weight[parent.pos] + term
+                acc = cof[parent]
             else:
-                weight[parent.pos] = term
-                heapq.heappush(todo, -parent.pos)
+                acc = weight.get(parent.pos)
+                if acc is None:
+                    acc = weight[parent.pos] = {}
+                    heapq.heappush(todo, -parent.pos)
+            _addmul(acc, w, m)
         if not todo:
-            return cof
+            return [_nonzero(h) for h in cof]
         pos = -heapq.heappop(todo)
-        deriv, w = basis[pos].deriv, weight.pop(pos)
+        deriv, w = basis[pos].deriv, _nonzero(weight.pop(pos))
 
 
-def _spair(f: _Row, g: _Row) -> _Row:
-    gamma = tuple(map(max, f.lm, g.lm))
+def _spair(f: _Row, g: _Row, gamma: int) -> _Row:
     l = _lcm(f.lc, g.lc)
-    return _combine([
-        (f, l // f.lc, tuple(map(operator.sub, gamma, f.lm))),
-        (g, -(l // g.lc), tuple(map(operator.sub, gamma, g.lm))),
-    ])
+    return _combine([(f, l // f.lc, gamma - f.lm), (g, -(l // g.lc), gamma - g.lm)])
 
 
-def _gpair(f: _Row, g: _Row) -> _Row:
+def _gpair(f: _Row, g: _Row, gamma: int) -> _Row:
     # Built only when neither leading coefficient divides the other: else the
     # Bezout combination reduces to zero by that row at once.  Then neither
     # Bezout coefficient is zero.
-    gamma = tuple(map(max, f.lm, g.lm))
     d, u, v = bezout(f.lc, g.lc)
     assert d == math.gcd(f.lc, g.lc)
-    return _combine([
-        (f, u, tuple(map(operator.sub, gamma, f.lm))),
-        (g, v, tuple(map(operator.sub, gamma, g.lm))),
-    ])
+    return _combine([(f, u, gamma - f.lm), (g, v, gamma - g.lm)])
 
 
-def _buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
+def _buchberger(gens: list[Poly], packing: _Packing, *, max_basis: int, max_degree: int,
                 stop_on_unit: bool) -> tuple[list[_Row], Optional[_Row]]:
-    if not gens:
-        raise ValueError("empty generator list")
-    n = gens[0].n
-    for g in gens:
-        if g.n != n:
-            raise ValueError("mismatched generator counts")
     basis: list[_Row] = []
-    pairs: list[tuple[tuple, int, int, int, tuple]] = []
+    pairs: list[tuple[int, int, int, int]] = []
     pending: set[tuple[int, int]] = set()
     counter = 0
-
-    def is_unit(row: _Row) -> bool:
-        return row.lm is not None and not any(row.lm) and abs(row.lc) == 1
+    guard, low = packing.guard, packing.low
 
     def push(row: _Row) -> Optional[_Row]:
+        # A reduced row has degree <= max_degree; an input is checked before
+        # it is packed.
         nonlocal counter
-        if not row.poly:
+        if not row.terms:
             return None
         row = _normalized(row)
-        if row.poly.degree() > max_degree:
-            raise GroebnerLimitError(f"degree cap {max_degree} exceeded")
         if len(basis) >= max_basis:
             raise GroebnerLimitError(f"basis size cap {max_basis} exceeded")
         idx = len(basis)
         row.pos = idx
         basis.append(row)
-        if stop_on_unit and is_unit(row):
+        if stop_on_unit and row.lm == 0 and row.lc == 1:
             return row
         for j in range(idx):
-            gamma = tuple(map(max, row.lm, basis[j].lm))
+            gamma = packing.lcm(row.lm, basis[j].lm)
             counter += 1
-            heapq.heappush(pairs, (grevlex_key(gamma), counter, j, idx, gamma))
+            heapq.heappush(pairs, (gamma ^ low, counter, j, idx))
             pending.add((j, idx))
         return None
 
-    def chained(i: int, j: int, gamma: tuple, c: int) -> bool:
+    def chained(i: int, j: int, gamma: int, c: int) -> bool:
         """Is there a row k outside {i, j} with lc_k | c and lm_k | gamma
         whose pairs with i and j are both settled?"""
-        return any(c % b.lc == 0 and k != i and k != j and all(map(operator.le, b.lm, gamma))
+        return any(c % b.lc == 0 and k != i and k != j and not (gamma - b.lm) & guard
                    and (min(i, k), max(i, k)) not in pending
                    and (min(j, k), max(j, k)) not in pending
                    for k, b in enumerate(basis))
 
     for i, g in enumerate(gens):
-        hit = push(_Row(g, [(i, Poly.one(n))]))
+        _check_degree(g, max_degree)
+        hit = push(packing.row(g, [(i, {0: 1})]))
         if hit is not None:
             return basis, hit
 
     while pairs:
-        _, _, i, j, gamma = heapq.heappop(pairs)
+        key, _, i, j = heapq.heappop(pairs)
         pending.remove((i, j))
         f, g = basis[i], basis[j]
+        gamma = key ^ low
         candidates = []
         # Chain criterion: S(i, j) is a sum of term multiples of S(i, k) and
         # S(j, k) once lc_k | lcm(lc_i, lc_j), and G(i, j) is
         # (gcd / lc_k) * X^(gamma - lm_k) * row k plus such a sum once
         # lc_k | gcd(lc_i, lc_j).  Product criterion: coprime leading
-        # monomials and coprime leading coefficients make S(i, j) reduce to 0.
+        # monomials (their lcm is their product) and coprime leading
+        # coefficients make S(i, j) reduce to 0.
         d = math.gcd(f.lc, g.lc)
-        if not (d == 1 and not any(map(min, f.lm, g.lm))
+        if not (d == 1 and gamma == f.lm + g.lm
                 or chained(i, j, gamma, _lcm(f.lc, g.lc))):
-            candidates.append(_spair(f, g))
+            candidates.append(_spair(f, g, gamma))
         if f.lc % g.lc and g.lc % f.lc and not chained(i, j, gamma, d):
-            candidates.append(_gpair(f, g))
+            candidates.append(_gpair(f, g, gamma))
         for cand in candidates:
-            nf = _reduce_row(cand, basis, max_degree)
-            if nf.poly:
+            nf = _reduce_row(cand, basis, max_degree, packing)
+            if nf.terms:
                 hit = push(nf)
                 if hit is not None:
                     return basis, hit
     return basis, None
 
 
-def _interreduce(basis: list[_Row], max_degree: int) -> list[_Row]:
+def _interreduce(basis: list[_Row], max_degree: int, packing: _Packing) -> list[_Row]:
+    low, guard = packing.low, packing.guard
+
+    def order(row: _Row) -> tuple[int, int]:
+        return row.lm ^ low, abs(row.lc)
+
     # Minimize: drop rows whose leading term is divisible (monomial and
     # coefficient) by another kept row's leading term.
-    order = sorted(range(len(basis)), key=lambda i: (grevlex_key(basis[i].lm), abs(basis[i].lc)))
     kept: list[_Row] = []
-    for idx in order:
-        row = basis[idx]
-        divisible = False
-        for other in kept:
-            if row.lc % other.lc:
-                continue
-            if all(a >= b for a, b in zip(row.lm, other.lm)):
-                divisible = True
-                break
-        if not divisible:
+    for row in sorted(basis, key=order):
+        if not any(row.lc % other.lc == 0 and not (row.lm - other.lm) & guard
+                   for other in kept):
             kept.append(row)
     # Tail-reduce each kept row against the others.
-    out: list[_Row] = []
-    for i, row in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        out.append(_normalized(_reduce_row(row, others, max_degree)))
-    out.sort(key=lambda r: (grevlex_key(r.lm), abs(r.lc)))
+    out = [_normalized(_reduce_row(row, kept[:i] + kept[i + 1:], max_degree, packing))
+           for i, row in enumerate(kept)]
+    out.sort(key=order)
     return out
 
 
 def groebner_z(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
                max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
     """Reduced strong Groebner basis over Z of the ideal generated by gens."""
-    basis, _ = _buchberger(gens, max_basis=max_basis, max_degree=max_degree,
+    packing = _packing_for(gens, max_basis, max_degree)
+    basis, _ = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree,
                            stop_on_unit=False)
-    rows = _interreduce(basis, max_degree)
-    return GroebnerBasis([r.poly for r in rows],
-                         [_cofactors(r, basis, len(gens)) for r in rows])
+    rows = _interreduce(basis, max_degree, packing)
+    return GroebnerBasis(
+        [packing.unpack(r.terms) for r in rows],
+        [[packing.unpack(h) for h in _cofactors(r, basis, len(gens))] for r in rows])
 
 
 def reduce_by_basis(p: Poly, basis: GroebnerBasis, *,
                     max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
     """Normal form of p modulo a strong Groebner basis."""
-    rows = [_Row(g, []) for g in basis.generators]
-    return _reduce_row(_Row(p, []), rows, max_degree).poly
+    _check_degree(p, max_degree, " during reduction")
+    packing = _packing(p.n, _field_bits(0, max_degree))
+    # A generator over the cap cannot divide a term that is not.
+    rows = [packing.row(g, []) for g in basis.generators if g.degree() <= max_degree]
+    return packing.unpack(_reduce_row(packing.row(p, []), rows, max_degree, packing).terms)
 
 
 def ideal_contains(gens: list[Poly], target: Poly, *,
@@ -339,9 +439,11 @@ def ideal_contains(gens: list[Poly], target: Poly, *,
                    max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
     """Exact ideal membership over Z[X]: the target reduces to zero modulo
     a strong Groebner basis exactly when it is a member."""
-    basis, _ = _buchberger(gens, max_basis=max_basis, max_degree=max_degree,
+    packing = _packing_for(gens, max_basis, max_degree)
+    basis, _ = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree,
                            stop_on_unit=False)
-    return not _reduce_row(_Row(target, []), basis, max_degree).poly
+    _check_degree(target, max_degree, " during reduction")
+    return not _reduce_row(packing.row(target, []), basis, max_degree, packing).terms
 
 
 def ideal_contains_one(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
@@ -352,19 +454,21 @@ def ideal_contains_one(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
     On a positive answer also returns cofactors h_i with sum h_i * g_i = 1,
     verified exactly before being handed back.
     """
-    basis, unit = _buchberger(gens, max_basis=max_basis, max_degree=max_degree,
+    packing = _packing_for(gens, max_basis, max_degree)
+    basis, unit = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree,
                               stop_on_unit=True)
     if unit is None:
         return False, None
     # A basis row has a positive leading coefficient, so the unit row is 1.
+    # A generator with a nonzero cofactor entered the basis, so it packs.
     cofactors = _cofactors(unit, basis, len(gens))
-    n = gens[0].n
-    check = Poly.zero(n)
+    check: dict[int, int] = {}
     for h, g in zip(cofactors, gens):
-        check = check + h * g
-    if check != Poly.one(n):
+        if h:
+            _addmul(check, h, packing.pack(g.terms))
+    if _nonzero(check) != {0: 1}:
         raise AssertionError("certificate verification failed")
-    return True, cofactors
+    return True, [packing.unpack(h) for h in cofactors]
 
 
 def abelian_primitive(rows: list) -> bool:

@@ -290,10 +290,20 @@ def reference_module_rows(columns, params: QuotientParams) -> list:
     return rows
 
 
-def reference_reduce_row(row: _Row, basis: list, max_degree: int) -> _Row:
-    """`primitivity._reduce_row` by a plain scan: every step takes the
-    grevlex-largest pending term by `max` and looks for its reducer from the
-    start of the basis."""
+class RefRow:
+    """A row of `reference_reduce_row`: a tuple-keyed Poly with its
+    derivation, a list of (parent, multiplier Poly) pairs."""
+
+    def __init__(self, poly: Poly, deriv: list):
+        self.poly = poly
+        self.deriv = deriv
+        self.lm, self.lc = poly.leading() if poly else (None, 0)
+
+
+def reference_reduce_row(row: RefRow, basis: list, max_degree: int) -> RefRow:
+    """`primitivity._reduce_row` on exponent tuples, by a plain scan: every
+    step takes the grevlex-largest pending term by `max` and looks for its
+    reducer from the start of the basis."""
     work = dict(row.poly.terms)
     done = {}
     mult = {}
@@ -338,8 +348,7 @@ def reference_reduce_row(row: _Row, basis: list, max_degree: int) -> _Row:
         terms = {shift: c for shift, c in acc.items() if c}
         if terms:
             deriv.append((parent, Poly._raw(n, terms)))
-    return _Row(Poly(n, done), deriv)
-
+    return RefRow(Poly(n, done), deriv)
 
 
 def reference_buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
@@ -347,42 +356,43 @@ def reference_buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
     """`primitivity._buchberger` without pair criteria: every pair popped
     from the heap has its S-polynomial, and its G-polynomial unless one
     leading coefficient divides the other, reduced through
-    `primitivity._reduce_row`.  Same heap order, counter tie-break, caps
-    and unit stop; returns (basis, unit row or None)."""
-    n = gens[0].n
+    `primitivity._reduce_row`.  Same packing, heap order, counter tie-break,
+    caps and unit stop; returns (basis, unit row or None) as packed rows."""
+    packing = primitivity._packing_for(gens, max_basis, max_degree)
     basis: list[_Row] = []
     pairs = []
     counter = itertools.count()
 
     def push(row: _Row):
-        if not row.poly:
+        if not row.terms:
             return None
         row = primitivity._normalized(row)
-        if row.poly.degree() > max_degree:
-            raise GroebnerLimitError(f"degree cap {max_degree} exceeded")
         if len(basis) >= max_basis:
             raise GroebnerLimitError(f"basis size cap {max_basis} exceeded")
         row.pos = len(basis)
         basis.append(row)
-        if stop_on_unit and not any(row.lm) and row.lc == 1:
+        if stop_on_unit and row.lm == 0 and row.lc == 1:
             return row
         for j in range(row.pos):
-            gamma = tuple(max(a, b) for a, b in zip(row.lm, basis[j].lm))
-            heapq.heappush(pairs, (grevlex_key(gamma), next(counter), j, row.pos))
+            gamma = packing.lcm(row.lm, basis[j].lm)
+            heapq.heappush(pairs, (gamma ^ packing.low, next(counter), j, row.pos))
         return None
 
     for i, g in enumerate(gens):
-        hit = push(_Row(g, [(i, Poly.one(n))]))
+        if g.degree() > max_degree:
+            raise GroebnerLimitError(f"degree cap {max_degree} exceeded")
+        hit = push(packing.row(g, [(i, {0: 1})]))
         if hit is not None:
             return basis, hit
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        key, _, i, j = heapq.heappop(pairs)
         f, g = basis[i], basis[j]
-        candidates = [primitivity._spair(f, g)]
+        gamma = key ^ packing.low
+        candidates = [primitivity._spair(f, g, gamma)]
         if f.lc % g.lc and g.lc % f.lc:
-            candidates.append(primitivity._gpair(f, g))
+            candidates.append(primitivity._gpair(f, g, gamma))
         for cand in candidates:
-            nf = primitivity._reduce_row(cand, basis, max_degree)
+            nf = primitivity._reduce_row(cand, basis, max_degree, packing)
             hit = push(nf)
             if hit is not None:
                 return basis, hit

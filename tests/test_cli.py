@@ -329,6 +329,24 @@ class TestHostileInput:
         assert code == 2 and not out
         assert err.startswith("error:") and "METLIE_BUDGET" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--groebner-max-basis", "-3"), ("--groebner-max-basis", "0"),
+        ("--groebner-max-degree", "-1"), ("--abelian", ","), ("--abelian", ""),
+        ("--grid", ""),
+    ])
+    def test_bad_cap_or_empty_list_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "--n", "2", flag, value, "primitive", "x1 + [[x2,x1],x1]")
+        assert code == 2 and not out
+        assert err.startswith("error:") and (flag in err or "empty" in err)
+        assert "Traceback" not in err
+
+    def test_smallest_caps_are_input(self, capsys):
+        # One basis row and degree 0 are valid caps: the completion is
+        # inconclusive, not an input error.
+        code, out, err = run(capsys, "--n", "2", "--groebner-max-basis", "1",
+                             "--groebner-max-degree", "0", "primitive", "x1 + [[x2,x1],x1]")
+        assert code == 3 and out.startswith("primitive: inconclusive")
+
     def test_deep_nesting_exit_2(self, capsys):
         text = "[x1," * 1200 + "x2" + "]" * 1200
         with pytest.raises(LieParseError, match="nested deeper"):

@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RefRow,
     random_melement,
     random_poly,
     random_tame_automorphism,
@@ -25,10 +27,13 @@ from metlie.expr import parse
 from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key, reduce_pqm
 from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
+    DEFAULT_MAX_DEGREE,
     GroebnerLimitError,
-    _Row,
     _buchberger,
     _cofactors,
+    _field_bits,
+    _packing,
+    _packing_for,
     _reduce_row,
     _smallest_prime_factor,
     abelian_primitive,
@@ -225,7 +230,8 @@ class TestGroebner:
         # Reduced candidates fold their own derivation in, so no discarded
         # S- or G-polynomial row stays reachable from the basis.
         gens = [x(1) ** 2 - 3 * x(2), 2 * x(1) * x(2) + one(), 6 * x(2) ** 2 - x(1)]
-        basis, _ = _buchberger(gens, max_basis=DEFAULT_MAX_BASIS, max_degree=40,
+        packing = _packing_for(gens, DEFAULT_MAX_BASIS, 40)
+        basis, _ = _buchberger(gens, packing, max_basis=DEFAULT_MAX_BASIS, max_degree=40,
                                stop_on_unit=False)
         assert len(basis) > len(gens)
         for row in basis:
@@ -273,6 +279,34 @@ class TestGroebner:
         with pytest.raises(GroebnerLimitError):
             groebner_z(gens, max_basis=1)
 
+    def test_degree_cap_refuses_before_packing(self):
+        # x1^(2^30) would overflow every packed field; the cap refuses it
+        # first, whether it is a generator or a target.
+        huge = x(1) ** 2 - Poly(2, {(1 << 30, 0): 1})
+        with pytest.raises(GroebnerLimitError, match="degree cap 40 exceeded"):
+            ideal_contains_one([x(2), huge])
+        with pytest.raises(GroebnerLimitError, match="during reduction"):
+            ideal_contains([x(2)], huge)
+        with pytest.raises(GroebnerLimitError, match="during reduction"):
+            reduce_by_basis(huge, groebner_z([x(2)]))
+        # A unit generator still answers before a later one is looked at.
+        assert ideal_contains_one([one(), huge])[0]
+
+    def test_corrupted_cofactor_raises(self, monkeypatch):
+        import metlie.primitivity as primitivity
+
+        real = primitivity._cofactors
+
+        def corrupted(*args):
+            cof = real(*args)
+            h = cof[0]
+            h[0] = h.get(0, 0) + 1
+            return cof
+
+        monkeypatch.setattr(primitivity, "_cofactors", corrupted)
+        with pytest.raises(AssertionError, match="certificate verification failed"):
+            ideal_contains_one([x(1), one() - x(1)])
+
     def test_strong_basis_closure_property(self):
         # Defining invariant: every S-polynomial and G-polynomial of basis
         # pairs reduces to zero modulo the basis.  Scaling the generators by
@@ -290,11 +324,14 @@ class TestGroebner:
                 if not gens:
                     continue
                 gb = groebner_z(gens)
-                rows = [_Row(g, []) for g in gb.generators]
+                packing = _packing_for(gens, DEFAULT_MAX_BASIS, 40)
+                rows = [packing.row(g, []) for g in gb.generators]
                 for i in range(len(rows)):
                     for j in range(i + 1, len(rows)):
-                        assert not _reduce_row(_spair(rows[i], rows[j]), rows, 40).poly
-                        assert not _reduce_row(_gpair(rows[i], rows[j]), rows, 40).poly
+                        gamma = packing.lcm(rows[i].lm, rows[j].lm)
+                        for pair in (_spair, _gpair):
+                            cand = pair(rows[i], rows[j], gamma)
+                            assert not _reduce_row(cand, rows, 40, packing).terms
 
 
 # Coefficients that divide one another, so that several rows can reduce the
@@ -323,22 +360,41 @@ def reduction_cases(draw):
         tail = draw(_polys(n, 2, st.integers(-5, 5)))
         terms = {m: c for m, c in tail.terms.items() if grevlex_key(m) < grevlex_key(lm)}
         terms[lm] = draw(st.sampled_from(DIVISOR_CHAIN))
-        basis.append(_Row(Poly(n, terms), [(i, Poly.one(n))]))
+        basis.append(RefRow(Poly(n, terms), [(i, Poly.one(n))]))
     poly = draw(_polys(n, 4, st.sampled_from([1, -2, 3, 6, -12, 24, 5])))
     deriv = [(0, draw(_polys(n, 1, st.integers(-3, 3)))),
              (draw(st.sampled_from(basis)), draw(_polys(n, 1, st.integers(-3, 3))))]
-    return _Row(poly, deriv), basis
+    return RefRow(poly, deriv), basis
 
 
 def reduce_both(row, basis, max_degree):
-    """Both reductions, or None when both hit the degree cap."""
+    """The kernel's reduction of the packed case and the tuple-keyed
+    reference's, each as (normal form terms, derivation) in their order, a
+    parent named by its input index or ("row", basis position); or None
+    when both hit the degree cap."""
+    packing = _packing(row.poly.n, _field_bits(DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE))
+    packed = {}
+    for b in basis:
+        packed[b] = packing.row(b.poly, [(p, packing.pack(m.terms)) for p, m in b.deriv])
+    packed_basis = [packed[b] for b in basis]
+    packed_row = packing.row(row.poly, [(packed.get(p, p), packing.pack(m.terms))
+                                        for p, m in row.deriv])
     try:
         expected = reference_reduce_row(row, basis, max_degree)
     except GroebnerLimitError:
         with pytest.raises(GroebnerLimitError):
-            _reduce_row(row, basis, max_degree)
+            _reduce_row(packed_row, packed_basis, max_degree, packing)
         return None
-    return _reduce_row(row, basis, max_degree), expected
+    got = _reduce_row(packed_row, packed_basis, max_degree, packing)
+
+    def name(parent, rows):
+        return parent if isinstance(parent, int) else ("row", rows.index(parent))
+
+    return ((list(packing.unpack(got.terms).terms.items()),
+             [(name(p, packed_basis), list(packing.unpack(m).terms.items()))
+              for p, m in got.deriv]),
+            (list(expected.poly.terms.items()),
+             [(name(p, basis), list(m.terms.items())) for p, m in expected.deriv]))
 
 
 @st.composite
@@ -370,20 +426,26 @@ class TestPairCriteria:
     @given(completion_cases())
     @settings(max_examples=80, deadline=None)
     def test_same_answers_as_all_pairs(self, case):
+        # The pruned completions run first, so that a draw over CAPS is
+        # dropped before the all-pairs reference runs.  The reference runs
+        # once, without the unit stop: up to its first unit row it pushes the
+        # same rows as a run that stops there.
         gens, target = case
         try:
-            ref_basis, ref_unit = reference_buchberger(gens, stop_on_unit=True, **CAPS)
-            ref_full, _ = reference_buchberger(gens, stop_on_unit=False, **CAPS)
             found, cert = ideal_contains_one(gens, **CAPS)
             member = ideal_contains(gens, target, **CAPS)
+            ref_full, _ = reference_buchberger(gens, stop_on_unit=False, **CAPS)
         except GroebnerLimitError:
             assume(False)
+        ref_unit = next((r for r in ref_full if r.lm == 0 and r.lc == 1), None)
         assert found == (ref_unit is not None)
-        assert member == (not _reduce_row(_Row(target, []), ref_full, 12).poly)
+        packing = _packing_for(gens, **CAPS)
+        assert member == (not _reduce_row(packing.row(target, []), ref_full, 12, packing).terms)
         one_n = Poly.one(gens[0].n)
         certificates = [cert] if found else []
         if ref_unit is not None:
-            certificates.append(_cofactors(ref_unit, ref_basis, len(gens)))
+            certificates.append([packing.unpack(h)
+                                 for h in _cofactors(ref_unit, ref_full, len(gens))])
         for cofactors in certificates:
             assert sum((h * g for h, g in zip(cofactors, gens)), Poly.zero(gens[0].n)) == one_n
 
@@ -395,9 +457,9 @@ class TestPairCriteria:
         calls = []
         real = primitivity._reduce_row
 
-        def counting(row, basis, max_degree):
+        def counting(*args):
             calls.append(1)
-            return real(row, basis, max_degree)
+            return real(*args)
 
         monkeypatch.setattr(primitivity, "_reduce_row", counting)
         doc = json.loads((DATA / "groebner_certificate_golden.json").read_text())
@@ -408,13 +470,82 @@ class TestPairCriteria:
             gs = [mel(t, doc["n"]) for t in texts]
             minor_polys = minors(jacobi_matrix(gs), len(gs))
             calls.clear()
-            basis, unit = _buchberger(minor_polys, stop_on_unit=True, **caps)
+            packing = _packing_for(minor_polys, **caps)
+            basis, unit = _buchberger(minor_polys, packing, stop_on_unit=True, **caps)
             pruned = len(calls)
             calls.clear()
             ref_basis, ref_unit = reference_buchberger(minor_polys, stop_on_unit=True, **caps)
             assert pruned < len(calls)
             assert unit is not None and ref_unit is not None
-            assert [r.poly for r in basis] == [r.poly for r in ref_basis]
+            assert [r.terms for r in basis] == [r.terms for r in ref_basis]
+
+
+@st.composite
+def packed_vectors(draw):
+    """(packing, a, b): exponent vectors over n = 1..4 with sum(a) + sum(b)
+    below 2^bits, often at that bound, so that every field of a, b and a + b
+    is in range and some exponent or degree is at its largest."""
+    n = draw(st.integers(1, 4))
+    bits = draw(st.integers(1, 10))
+    top = (1 << bits) - 1
+
+    def vector(total):
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+        return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
+
+    total = draw(st.sampled_from([0, top]) | st.integers(0, top))
+    a = vector(draw(st.sampled_from([0, total]) | st.integers(0, total)))
+    b = vector(draw(st.sampled_from([0, total - sum(a)]) | st.integers(0, total - sum(a))))
+    return _packing(n, bits), a, b
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+class TestPacking:
+    """Packed monomials against exponent tuples: order keys, divisibility,
+    products, lcm and the round trip."""
+
+    @given(packed_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_and_product(self, case):
+        packing, a, b = case
+        ma, mb = packing.mono(a), packing.mono(b)
+        assert packing.exps(ma) == a and packing.exps(mb) == b
+        assert ma + mb == packing.mono(tuple(map(sum, zip(a, b))))
+        assert ma >> packing.deg_shift == sum(a)
+
+    @given(packed_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_order_keys(self, case):
+        packing, a, b = case
+        ma, mb = packing.mono(a), packing.mono(b)
+        assert _cmp(ma ^ packing.low, mb ^ packing.low) == _cmp(grevlex_key(a), grevlex_key(b))
+        assert _cmp(ma ^ packing.flip, mb ^ packing.flip) == _cmp((-sum(a), a), (-sum(b), b))
+        terms = {ma: 1, mb: 2}
+        lead = max(terms, key=lambda m: grevlex_key(packing.exps(m)))
+        assert packing.lead(terms) == lead
+
+    @given(packed_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_divisibility_and_lcm(self, case):
+        packing, a, b = case
+        ma, mb = packing.mono(a), packing.mono(b)
+        for u, v, mu, mv in ((a, b, ma, mb), (b, a, mb, ma)):
+            assert (not (mu - mv) & packing.guard) == all(map(operator.ge, u, v))
+        assert packing.lcm(ma, mb) == packing.mono(tuple(map(max, a, b)))
+
+    def test_width_covers_the_caps(self):
+        # Cofactor degrees reach 2 * max_degree per level over max_basis + 1
+        # levels, and the check adds max_degree.
+        for max_basis, max_degree in [(1, 0), (1, 1), (3, 2), (10_000, 40)]:
+            bits = _field_bits(max_basis, max_degree)
+            assert 2 * max_degree * (max_basis + 1) + max_degree < 1 << bits
 
 
 class TestReductionOracle:
@@ -422,18 +553,14 @@ class TestReductionOracle:
     @settings(max_examples=120, deadline=None)
     def test_same_normal_form_and_derivation(self, case):
         got, expected = reduce_both(*case, 40)
-        assert list(got.poly.terms.items()) == list(expected.poly.terms.items())
-        assert len(got.deriv) == len(expected.deriv)
-        for (parent, mult), (ref_parent, ref_mult) in zip(got.deriv, expected.deriv):
-            assert parent is ref_parent
-            assert list(mult.terms.items()) == list(ref_mult.terms.items())
+        assert got == expected
 
     @given(reduction_cases(), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_same_degree_cap(self, case, max_degree):
         pair = reduce_both(*case, max_degree)
         if pair is not None:
-            assert pair[0].poly == pair[1].poly
+            assert pair[0][0] == pair[1][0]
 
 
 class TestSigmaIdealGeneration:
