@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -329,34 +330,117 @@ def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> Model
     return ModelElement(model.params, l, tau)
 
 
-def _onto_test(gs: list[MElement], quotient: QuotientParams, l_space: list[QPoly]):
-    """Test of "the tau map of s is onto", s given as indices into `l_space`;
-    None when `QuotientParams.residue_points` is None.
+class _RankTable(dict):
+    """l^rank of the Jacobi matrix [d_j g_i] over F_l at a point a, by a."""
+
+    def __init__(self, gs: list[MElement], ell: int):
+        super().__init__()
+        self.gs = gs
+        self.ell = ell
+
+    def __missing__(self, a) -> int:
+        cols = Span(self.ell, len(self.gs))
+        for j in range(len(a)):
+            cols.add([g.deriv[j].evaluate(a, 1) % self.ell for g in self.gs])
+        self[a] = size = cols.size()
+        return size
+
+
+def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPoly]):
+    """s -> |Im_s| for top-left tuples s given as indices into `l_space`.
 
     R is finite, so an R-linear map R^n -> R^k is onto iff it is onto modulo
-    every maximal ideal (Nakayama; Atiyah-Macdonald ch. 2).  Modulo (l, x - xi)
-    the map of s is the Jacobi matrix [d_j g_i] over F_l at a = s(xi), which
-    is onto iff its rank, computed once per (l, a), is k.
+    every maximal ideal (Nakayama; Atiyah-Macdonald ch. 2).  Where
+    `QuotientParams.local_factors` lists them, the map of s modulo
+    (l, x - xi) is the Jacobi matrix [d_j g_i] over F_l at a = s(xi), whose
+    span, l^rank, is computed once per (l, a); s is onto iff every rank is k.
+    For squarefree m, R is the product of the local rings A_xi
+    (Atiyah-Macdonald ch. 8), and Im_s the product of the A_xi-modules that
+    the columns d_j g(s) span there.  A factor of rank k is onto, of size
+    l^(k dim A_xi) (Nakayama); a field factor has size l^rank; any other
+    factor takes the Howell form over F_l of the rows y^nu * d_j g(s) in
+    A_xi^k, with y = x - xi, memoized by (l, e, the images of s in A_xi).
+    A map that is not onto takes the Howell form of the rows mu * d_j g(s)
+    over the whole ring only where x^q - 1 does not split or m is not
+    squarefree.
     """
-    residues = quotient.residue_points()
-    if residues is None:
-        return None
     n, k = quotient.n, len(gs)
-    points = [(ell, xi) for ell, xis in residues for xi in xis]
-    values = [[Poly(n, l.terms).evaluate(xi, 1) % ell for ell, xi in points] for l in l_space]
-    full_rank: dict[tuple, bool] = {}
+    one = QPoly.one(quotient)
 
-    def onto(s) -> bool:
-        for (ell, _), a in zip(points, zip(*(values[t] for t in s))):
-            if (ell, a) not in full_rank:
-                cols = Span(ell, k)
-                for j in range(n):
-                    cols.add([g.deriv[j].evaluate(a, 1) % ell for g in gs])
-                full_rank[ell, a] = cols.size() == ell ** k
-            if not full_rank[ell, a]:
-                return False
-        return True
-    return onto
+    def whole_ring(s) -> int:
+        args = [l_space[t] for t in s]
+        image = Span(quotient.m, k * quotient.monomial_count)
+        for row in module_rows([[g.deriv[j].evaluate(args, one) for g in gs] for j in range(n)]):
+            image.add(row)
+        return image.size()
+
+    factors = quotient.local_factors()
+    if factors is None:
+        return whole_ring
+    onto_size = quotient.ring_size ** k
+    squarefree = math.prod({ell for ell, _, _ in factors}) == quotient.m
+    # values[t][f] = l_space[t] at xi mod l, from the monomials' values at xi
+    at = [[math.prod(map(pow, xi, mu)) % ell for mu in quotient.monomials()] for ell, xi, _ in factors]
+    values = [[sum(map(operator.mul, l.vec, v)) % ell for (ell, _, _), v in zip(factors, at)]
+              for l in l_space]
+    by_prime = {ell: _RankTable(gs, ell) for ell, _, _ in factors}
+    ranks = [by_prime[ell] for ell, _, _ in factors]
+    full = [ell ** k for ell, _, _ in factors]
+    dims = [math.prod(e) for _, _, e in factors]
+    # A local image is numbered once per ring A_xi, so equal images of
+    # different t, or at different xi with equal (l, e), share a number.
+    numbers: dict[tuple, int] = {}  # number of each local image, by (l, e, its terms)
+    polys: list[Poly] = []  # the local images by number
+    images: dict[tuple, int] = {}  # number of the image of l_space[t] in A_xi, by (factor, t)
+    local: dict[tuple, int] = {}  # size of the A_xi-span, by the numbers of the images of s
+    one_n = Poly.one(n)
+
+    def image(f: int, t: int) -> int:
+        ell, xi, e = factors[f]
+        shifted = [Poly.constant(x, n) + Poly.variable(i + 1, n) for i, x in enumerate(xi)]
+        terms = Poly(n, l_space[t].terms).evaluate(shifted, one_n).terms
+        terms = {mu: c % ell for mu, c in terms.items() if c % ell and all(map(operator.lt, mu, e))}
+        key = (ell, e, tuple(sorted(terms.items())))
+        if key not in numbers:
+            numbers[key] = len(polys)
+            polys.append(Poly(n, terms))
+        return numbers[key]
+
+    def local_size(f: int, s) -> int:
+        for t in s:
+            if (f, t) not in images:
+                images[f, t] = image(f, t)
+        key = tuple([images[f, t] for t in s])
+        if key not in local:
+            ell, _, e = factors[f]
+            args = [polys[i] for i in key]
+            basis = list(itertools.product(*map(range, e)))
+            span = Span(ell, k * len(basis))
+            for j in range(n):
+                col = [g.deriv[j].evaluate(args, one_n).terms for g in gs]
+                # the coefficient of y^mu in y^nu * c is that of y^(mu - nu) in c
+                for nu in basis:
+                    span.add([c.get(tuple(map(operator.sub, mu, nu)), 0) % ell
+                              for c in col for mu in basis])
+            local[key] = span.size()
+        return local[key]
+
+    def image_size(s) -> int:
+        sizes = [rank[a] for rank, a in zip(ranks, zip(*[values[t] for t in s]))]
+        if sizes == full:
+            return onto_size
+        if not squarefree:
+            return whole_ring(s)
+        out = 1
+        for f, (size, top, dim) in enumerate(zip(sizes, full, dims)):
+            if size == top:
+                out *= top ** dim
+            elif dim == 1:
+                out *= size
+            else:
+                out *= local_size(f, s)
+        return out
+    return image_size
 
 
 def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) -> UniformityReport:
@@ -367,9 +451,9 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     every module coordinate c alike.  Its image is therefore Im_s^n, where
     Im_s is the R-submodule of R^k spanned by (mu * d_j g_i(s))_i over j and
     the monomials mu, and each image point has
-    kernel_s = |R|^(n*n) / |Im_s|^n preimages.  |Im_s| = |R|^k where
-    `_onto_test` finds the map onto; elsewhere it comes from the Howell
-    form of those rows (`poly.Span`).
+    kernel_s = |R|^(n*n) / |Im_s|^n preimages.  `_image_size` gives |Im_s|
+    from ranks at the residue points and, for a map that is not onto, from
+    the factors of the CRT split of R.
 
     No image is listed.  Let L = lin(g)(s) be the top-left key of s, W_L
     the sum of kernel_s over the s above L, and O_L the same sum over the s
@@ -396,12 +480,11 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
         )
     total = model.size ** n
     size = model.ring_size
-    m, w = quotient.m, quotient.monomial_count
+    m = quotient.m
     l_monos = model.params.l_monomials
     l_digits = list(itertools.product(range(m), repeat=len(l_monos)))
     l_space = [QPoly(quotient, dict(zip(l_monos, v))) for v in l_digits]
-    onto = _onto_test(gs, quotient, l_space)
-    one = QPoly.one(quotient)
+    image_size = _image_size(gs, quotient, l_space)
 
     expected = model.size ** (n - k)
     weight: dict[tuple, int] = {}  # W_L by top-left key, as element codes
@@ -410,14 +493,7 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     for s in itertools.product(range(len(l_space)), repeat=n):
         key = tuple(model.digits_code([sum(c * l_digits[t][d] for c, t in zip(g.linear, s)) % m
                                        for d in range(len(l_monos))]) for g in gs)
-        if onto is not None and onto(s):
-            im = size ** k
-        else:
-            args = [l_space[t] for t in s]
-            image = Span(m, k * w)
-            for row in module_rows([[g.deriv[j].evaluate(args, one) for g in gs] for j in range(n)]):
-                image.add(row)
-            im = image.size()
+        im = image_size(s)
         kernel = size ** (n * n) // im ** n
         mass += kernel * im ** n
         weight[key] = weight.get(key, 0) + kernel

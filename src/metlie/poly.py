@@ -325,13 +325,17 @@ class QuotientParams:
         return tuple(tuple(self.position(tuple(map(operator.add, mu, nu))) for nu in monos)
                      for mu in monos)
 
-    def residue_points(self) -> list[tuple[int, list[tuple[int, ...]]]] | None:
-        """(l, points) for each prime l | m, in increasing order: the points xi
-        of F_l^n with xi_i^p(xi_i^q - 1) = 0, where evaluation mod l is a ring
-        map onto F_l.  When x^q - 1 splits over every F_l (with q = l^v * q',
-        l not dividing q': iff q' | l - 1), their kernels (l, x - xi) are all
-        the maximal ideals; otherwise the answer is None.  Factoring m by
-        trial division takes about sqrt(m) steps."""
+    def local_factors(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]] | None:
+        """(l, xi, e) for each prime l | m, in increasing order, and each point
+        xi of F_l^n with xi_i^p(xi_i^q - 1) = 0, in product order; None unless
+        x^q - 1 splits over every F_l.  With q = l^v * q', l not dividing q',
+        it splits iff q' | l - 1, and then x^p(x^q - 1) = prod_a (x - a)^e(a)
+        over F_l with e(0) = p and e(a) = l^v at each root of x^q - 1.  The
+        kernels (l, x - xi) of evaluation mod l are the maximal ideals, and
+        R/lR is the product of the local rings A_xi = F_l[y]/(y_i^e_i) with
+        y = x - xi and e_i = e(xi_i) (CRT); the multiplicities at each
+        coordinate sum to p + q.  Factoring m by trial division takes about
+        sqrt(m) steps."""
         out, rest, ell = [], self.m, 1
         while rest > 1:
             ell = ell + 1 if (ell + 1) ** 2 <= rest else rest
@@ -339,13 +343,16 @@ class QuotientParams:
                 continue
             while rest % ell == 0:
                 rest //= ell
-            q = self.q
+            q, power = self.q, 1
             while q % ell == 0:
                 q //= ell
+                power *= ell
             if (ell - 1) % q:
                 return None
-            roots = [0] + [a for a in range(1, ell) if pow(a, q, ell) == 1]
-            out.append((ell, list(itertools.product(roots, repeat=self.n))))
+            roots = [(0, self.p)] + [(a, power) for a in range(1, ell) if pow(a, q, ell) == 1]
+            for point in itertools.product(roots, repeat=self.n):
+                xi, e = zip(*point)
+                out.append((ell, xi, e))
         return out
 
 

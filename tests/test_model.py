@@ -21,7 +21,7 @@ from metlie.model import (
     FiniteModel,
     ModelElement,
     ModelParams,
-    _onto_test,
+    _image_size,
     eval_closed_form,
     uniformity_check,
     uniformity_check_abelian,
@@ -476,6 +476,28 @@ class TestCensusGolden:
         assert json.dumps(out, sort_keys=True, indent=2) + "\n" == (DATA / name).read_text()
 
 
+def census_n3_reports() -> list:
+    """Reports at n = 3 on the linear carrier of four default models, for a
+    non-primitive and a primitive system, as {"system", "report"} entries."""
+    out = []
+    for text in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]"):
+        for pqm in ((1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 2, 2)):
+            model = FiniteModel(ModelParams(QuotientParams(*pqm, 3)))
+            rep = uniformity_check([mel(text, 3)], model, budget=1 << 1000)
+            out.append({"system": [text], "report": rep.to_json(include_elapsed=False)})
+    return out
+
+
+class TestCensusN3Golden:
+    """`census_n3_reports` byte for byte as the census that took a Howell
+    form over the whole ring for every map that is not onto wrote it, dumped
+    with sort_keys=True, indent=2."""
+
+    def test_reports_match_golden(self):
+        text = json.dumps(census_n3_reports(), sort_keys=True, indent=2) + "\n"
+        assert text == (DATA / "census_n3_golden.json").read_text()
+
+
 def _drawn_system(seed, n, k):
     """k elements over n generators.  For n >= 2 a third of the draws take
     k images of a tame automorphism (a uniform system) and a third add a
@@ -562,53 +584,114 @@ RESIDUE_MODELS = [
 ]
 
 
+def _whole_ring_size(gs, quotient, args) -> int:
+    """|Im_s| from the Howell form of the rows mu * d_j g_i(s) over the whole
+    ring, the rows built from term-map products."""
+    one = QPoly.one(quotient)
+    columns = [[g.deriv[j].evaluate(args, one) for g in gs] for j in range(quotient.n)]
+    image = Span(quotient.m, len(gs) * quotient.monomial_count)
+    for row in reference_module_rows(columns, quotient):
+        image.add(row)
+    return image.size()
+
+
+def _span_widths(monkeypatch) -> list:
+    """The widths of the spans `metlie.model` builds from now on."""
+    widths = []
+
+    class CountingSpan(Span):
+        def __init__(self, m, width):
+            widths.append(width)
+            super().__init__(m, width)
+
+    monkeypatch.setattr(metlie.model, "Span", CountingSpan)
+    return widths
+
+
 class TestResidueOnto:
-    """The rank test at the residue points (`_onto_test`) against the Howell
-    form of the image rows mu * d_j g_i(s), top-left tuple by tuple."""
+    """The image sizes of the census (`_image_size`: ranks at the residue
+    points, then the local factors of the CRT split) against the Howell form
+    of the image rows mu * d_j g_i(s) over the whole ring, tuple by tuple;
+    and which of those spans the census builds."""
 
     @pytest.mark.parametrize("params", RESIDUE_MODELS, ids=lambda params: "{}-{}{}{}".format(
         params.top_left, params.quotient.p, params.quotient.q, params.quotient.m))
     def test_matches_the_image_span(self, params):
         model = FiniteModel(params)
         quotient = model.quotient
-        n, m, w = quotient.n, quotient.m, quotient.monomial_count
+        n, m = quotient.n, quotient.m
         l_monos = params.l_monomials
         l_space = [QPoly(quotient, dict(zip(l_monos, v)))
                    for v in itertools.product(range(m), repeat=len(l_monos))]
-        one = QPoly.one(quotient)
         _, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
         verdicts = set()
         for texts, _ in systems:
             gs = [mel(t) for t in texts]
-            k = len(gs)
-            onto = _onto_test(gs, quotient, l_space)
+            onto_size = model.ring_size ** len(gs)
+            image_size = _image_size(gs, quotient, l_space)
             for s in itertools.product(range(len(l_space)), repeat=n):
-                columns = [[g.deriv[j].evaluate([l_space[t] for t in s], one) for g in gs]
-                           for j in range(n)]
-                image = Span(m, k * w)
-                for row in reference_module_rows(columns, quotient):
-                    image.add(row)
-                verdict = onto(s)
-                assert verdict == (image.size() == model.ring_size ** k), (texts, s)
-                verdicts.add(verdict)
+                size = _whole_ring_size(gs, quotient, [l_space[t] for t in s])
+                assert image_size(s) == size, (texts, s)
+                verdicts.add(size == onto_size)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(QuotientParams(*pqm, 2), variant)
+        for pqm in DEFAULT_QUOTIENT_GRID for variant in ("linear", "full")
+    ], ids=lambda params: "{}-{}{}{}".format(
+        params.top_left, params.quotient.p, params.quotient.q, params.quotient.m))
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_drawn_systems_match_the_image_span(self, params, seed, k):
+        # One drawn top-left pair per example, on every default model: on
+        # the full carrier l_space would be too large to list.
+        model = FiniteModel(params)
+        rng = random.Random(seed)
+        gs = _drawn_system(seed, 2, k)
+        args = [model.random_element(rng, max_terms=0).l for _ in range(2)]
+        size = _image_size(gs, model.quotient, args)((0, 1))
+        assert size == _whole_ring_size(gs, model.quotient, args)
 
     def test_onto_maps_need_no_image_span(self, monkeypatch):
         # Every map of this primitive system is onto at n = 3 on (2,2,2):
         # the census builds rank spans of width k = 1 only, none of k * w.
-        widths = []
-
-        class CountingSpan(Span):
-            def __init__(self, m, width):
-                widths.append(width)
-                super().__init__(m, width)
-
-        monkeypatch.setattr(metlie.model, "Span", CountingSpan)
+        widths = _span_widths(monkeypatch)
         model = FiniteModel(ModelParams(QuotientParams(2, 2, 2, 3)))
         rep = uniformity_check([mel("x1 + [[x2,x1],x1]", 3)], model, budget=1 << 600)
         assert rep.uniform
         assert set(widths) == {1}
 
+    def test_product_of_fields_needs_ranks_only(self, monkeypatch):
+        # On (1,1,3) R is a product of fields F_3: every size is a rank.
+        widths = _span_widths(monkeypatch)
+        model = FiniteModel(ModelParams(QuotientParams(1, 1, 3, 3)))
+        rep = uniformity_check([mel("x1 + [x2,x1]", 3)], model, budget=1 << 600)
+        assert not rep.uniform
+        assert set(widths) == {1}
+
+    def test_local_rings_need_local_spans(self, monkeypatch):
+        # On (2,2,2) each of the 8 factors is F_2[y]/(y_1^2, y_2^2, y_3^2),
+        # of dimension 8: spans of width 8, none of the whole ring's 64.
+        widths = _span_widths(monkeypatch)
+        model = FiniteModel(ModelParams(QuotientParams(2, 2, 2, 3)))
+        rep = uniformity_check([mel("x1 + [x2,x1]", 3)], model, budget=1 << 600)
+        assert not rep.uniform
+        assert set(widths) == {1, 8}
+
+    @pytest.mark.parametrize("pqm, widths", [
+        ((1, 1, 4), {1, 4}),  # the residue points of m = 4 give the onto test
+        ((1, 3, 2), {16}),    # x^3 - 1 does not split over F_2: no onto test
+    ])
+    def test_whole_ring_fallback(self, monkeypatch, pqm, widths):
+        built = _span_widths(monkeypatch)
+        model = FiniteModel(ModelParams(QuotientParams(*pqm, 2)))
+        rep = uniformity_check([mel("x1 + [x2,x1]")], model, budget=1 << 600)
+        assert not rep.uniform
+        assert set(built) == widths
+
     def test_not_split_has_no_test(self):
         quotient = QuotientParams(1, 3, 2, 2)
-        assert _onto_test([mel("x1")], quotient, [QPoly.zero(quotient)]) is None
+        assert quotient.local_factors() is None
+        args = [QPoly.variable(1, quotient), QPoly.zero(quotient)]
+        gs = [mel("x1 + [x2,x1]")]
+        assert _image_size(gs, quotient, args)((0, 1)) == _whole_ring_size(gs, quotient, args)

@@ -1,6 +1,7 @@
 """Tests for exact polynomial arithmetic and the finite quotient rings."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -175,6 +176,8 @@ class TestEvaluate:
 
 
 class TestResiduePoints:
+    """The points of `QuotientParams.local_factors`."""
+
     @pytest.mark.parametrize("p, q, m, roots", [
         (1, 1, 2, {2: [0, 1]}),
         (1, 2, 3, {3: [0, 1, 2]}),
@@ -185,16 +188,64 @@ class TestResiduePoints:
     ])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_split(self, p, q, m, roots, n):
-        got = QuotientParams(p, q, m, n).residue_points()
-        assert [ell for ell, _ in got] == sorted(roots)
-        for ell, points in got:
+        got = QuotientParams(p, q, m, n).local_factors()
+        primes = [ell for ell, _, _ in got]
+        assert primes == sorted(primes) and sorted(set(primes)) == sorted(roots)
+        for ell in roots:
             assert roots[ell] == [a for a in range(ell) if a ** p * (a ** q - 1) % ell == 0]
+            points = [xi for l2, xi, _ in got if l2 == ell]
             assert points == list(itertools.product(roots[ell], repeat=n))
 
     @pytest.mark.parametrize("p, q, m", [(1, 3, 2), (1, 4, 3), (1, 3, 10)])
     def test_not_split(self, p, q, m):
         # x^3 - 1 has no root but 1 in F_2 and F_5, x^4 - 1 only 1, 2 in F_3.
-        assert QuotientParams(p, q, m, 2).residue_points() is None
+        assert QuotientParams(p, q, m, 2).local_factors() is None
+
+
+def root_multiplicity(p, q, ell, a) -> int:
+    """The multiplicity of a as a root of x^p(x^q - 1) over F_l: the lowest
+    power of y with a coefficient prime to l in the expansion at x = a + y."""
+    shifted = Poly.constant(a, 1) + x(1, 1)
+    f = shifted ** p * (shifted ** q - Poly.one(1))
+    return min(mono[0] for mono, c in f.terms.items() if c % ell)
+
+
+class TestLocalFactors:
+    """The multiplicities e(xi) of `QuotientParams.local_factors`."""
+
+    @pytest.mark.parametrize("p, q, m", [
+        (1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3), (1, 2, 12), (3, 4, 2), (2, 6, 3),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_root_multiplicities(self, p, q, m, n):
+        params = QuotientParams(p, q, m, n)
+        got = params.local_factors()
+        for ell in sorted({ell for ell, _, _ in got}):
+            factors = [(xi, e) for l2, xi, e in got if l2 == ell]
+            for i in range(n):
+                mult = {}
+                for xi, e in factors:
+                    assert e[i] == root_multiplicity(p, q, ell, xi[i])
+                    mult[xi[i]] = e[i]
+                assert sum(mult.values()) == p + q
+            # prod l^dim A_xi = l^w: the factors have as many F_l-digits as R/lR.
+            assert sum(math.prod(e) for _, e in factors) == params.monomial_count
+
+    @pytest.mark.parametrize("p, q, m, mult", [
+        (1, 2, 3, {0: 1, 1: 1, 2: 1}),  # x(x - 1)(x + 1): a product of fields
+        (1, 2, 2, {0: 1, 1: 2}),        # x(x - 1)^2 over F_2
+        (2, 2, 2, {0: 2, 1: 2}),        # x^2(x - 1)^2 over F_2
+    ])
+    def test_multiplicities(self, p, q, m, mult):
+        got = QuotientParams(p, q, m, 2).local_factors()
+        assert got == [(m, xi, tuple(mult[a] for a in xi))
+                       for xi in itertools.product(sorted(mult), repeat=2)]
+
+    def test_square_factor_keeps_its_points(self):
+        # m = 4 is not squarefree, but its maximal ideals are still (2, x - xi),
+        # which is all the onto test needs.
+        assert QuotientParams(1, 1, 4, 2).local_factors() == [
+            (2, xi, (1, 1)) for xi in itertools.product([0, 1], repeat=2)]
 
 
 class TestReducePqm:
