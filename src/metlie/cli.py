@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from metlie.calculus import det, jacobi_matrix, matrix_to_json
 from metlie.expr import parse
@@ -117,9 +118,58 @@ def _parse_system(texts, n: int):
     return [from_expr(parse(t, n), n) for t in texts]
 
 
+def _write_json(value, out: list, indent: str = "\n") -> None:
+    """Append the text of `json.dumps(value, sort_keys=True, indent=2)` to
+    `out`, for dicts with str keys.  With `indent`, json.dumps runs its
+    pure-Python encoder; here strings go through json's C string encoder,
+    ints through int.__repr__, and only other values (floats) through
+    json.dumps."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
+def dumps(payload) -> str:
+    """`json.dumps(payload, sort_keys=True, indent=2)`, the text of --json."""
+    out: list[str] = []
+    _write_json(payload, out)
+    return "".join(out)
+
+
 def _emit(payload: dict, cfg: Config, text_lines) -> None:
     if cfg.json_output:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(dumps(payload))
     else:
         for line in text_lines:
             print(line)

@@ -9,8 +9,9 @@ term of an expression):
     generator := 'x' digits
 
 A bare integer is only a valid term when it is 0 (the zero element); any
-other constant does not denote an element of a Lie ring.  Brackets and
-parentheses nest at most MAX_NESTING deep.
+other constant does not denote an element of a Lie ring.  Digits are the
+characters int() reads (str.isdecimal), so superscripts are not digits.
+Brackets and parentheses nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", text[i:j], line, col))
             col += j - i
@@ -92,7 +93,7 @@ def _tokenize(text: str):
             continue
         if ch == "x":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise LieParseError("expected digits after 'x'", line, col)

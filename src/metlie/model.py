@@ -236,14 +236,19 @@ class FiniteModel:
         """Base-m number whose digits, least significant first, are the n*w
         coefficients of tau_1, .., tau_n (zeros past the end of `tau_digits`)
         and then the coefficients of l over `l_monomials`."""
-        quotient = self.quotient
-        m = quotient.m
+        m = self.quotient.m
         high = low = 0
         for d in reversed(l_digits):
             high = high * m + d
         for d in reversed(tau_digits):
             low = low * m + d
-        return high * m ** (quotient.n * quotient.monomial_count) + low
+        return high * self._l_shift + low
+
+    @cached_property
+    def _l_shift(self) -> int:
+        """m^(n*w), the weight of the lowest top-left digit in a code."""
+        quotient = self.quotient
+        return quotient.m ** (quotient.n * quotient.monomial_count)
 
     def element_from_code(self, code: int) -> ModelElement:
         if not 0 <= code < self.size:
@@ -339,9 +344,11 @@ class _RankTable(dict):
         self.ell = ell
 
     def __missing__(self, a) -> int:
-        cols = Span(self.ell, len(self.gs))
+        ell = self.ell
+        cols = Span(ell, len(self.gs))
         for j in range(len(a)):
-            cols.add([g.deriv[j].evaluate(a, 1) % self.ell for g in self.gs])
+            cols.add([sum(c * math.prod(map(pow, a, mu)) for mu, c in g.deriv[j].terms.items()) % ell
+                      for g in self.gs])
         self[a] = size = cols.size()
         return size
 
@@ -480,25 +487,33 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
         )
     total = model.size ** n
     size = model.ring_size
+    onto = size ** k
     m = quotient.m
     l_monos = model.params.l_monomials
     l_digits = list(itertools.product(range(m), repeat=len(l_monos)))
     l_space = [QPoly(quotient, dict(zip(l_monos, v))) for v in l_digits]
     image_size = _image_size(gs, quotient, l_space)
+    # The top-left map acts on each digit alike: top_left[v] = (lin(g_i)(v) mod m)_i for v in Z_m^n.
+    linear = [[c % m for c in g.linear] for g in gs]
+    top_left = {v: tuple([sum(map(operator.mul, row, v)) % m for row in linear])
+                for v in itertools.product(range(m), repeat=n)}
 
     expected = model.size ** (n - k)
-    weight: dict[tuple, int] = {}  # W_L by top-left key, as element codes
+    # The top-left key L of s is the digit vector of lin(g)(s), one k-tuple per digit.
+    tally: dict[tuple, int] = {}  # number of tuples s by (L, |Im_s|)
+    for s in itertools.product(range(len(l_space)), repeat=n):
+        key = (tuple(map(top_left.__getitem__, zip(*map(l_digits.__getitem__, s)))), image_size(s))
+        tally[key] = tally.get(key, 0) + 1
+    kernels = {im: size ** (n * n) // im ** n for _, im in tally}  # kernel_s by |Im_s|
+    weight: dict[tuple, int] = {}  # W_L
     onto_weight: dict[tuple, int] = {}  # O_L
     mass = 0
-    for s in itertools.product(range(len(l_space)), repeat=n):
-        key = tuple(model.digits_code([sum(c * l_digits[t][d] for c, t in zip(g.linear, s)) % m
-                                       for d in range(len(l_monos))]) for g in gs)
-        im = image_size(s)
-        kernel = size ** (n * n) // im ** n
-        mass += kernel * im ** n
-        weight[key] = weight.get(key, 0) + kernel
-        if im == size ** k:
-            onto_weight[key] = onto_weight.get(key, 0) + kernel
+    for (key, im), count in tally.items():
+        share = kernels[im] * count
+        mass += share * im ** n
+        weight[key] = weight.get(key, 0) + share
+        if im == onto:
+            onto_weight[key] = onto_weight.get(key, 0) + share
     assert mass == total, "linear images lost mass"
 
     fiber_max = max(weight.values())
@@ -508,8 +523,10 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     uniform = fiber_min == fiber_max == expected
     witness = None
     if not uniform:
-        key = min(key for key, wt in weight.items() if wt != expected)
-        witness = {"target": [model.element_from_code(c).to_json() for c in key],
+        # the smallest wrong key in element-code order
+        codes, key = min((tuple(map(model.digits_code, zip(*key))), key)
+                         for key, wt in weight.items() if wt != expected)
+        witness = {"target": [model.element_from_code(c).to_json() for c in codes],
                    "count": weight[key]}
     elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(

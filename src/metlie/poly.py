@@ -320,10 +320,17 @@ class QuotientParams:
     def product_table(self) -> tuple[tuple[int, ...], ...]:
         """table[a][b] is the slot of the product of the a-th and b-th
         monomials of `monomials()`; built once per parameter set and kept
-        for the life of the process."""
-        monos = list(self.monomials())
-        return tuple(tuple(self.position(tuple(map(operator.add, mu, nu))) for nu in monos)
-                     for mu in monos)
+        for the life of the process.  Slots are base-(p+q) numbers, one
+        digit per generator, so the table over x1..xi comes from the one
+        over x1..x(i-1) and the table of reduced exponent sums:
+        slot * (p+q) + reduce_exponent(x + y)."""
+        base = self.exponent_span
+        sums = [[self.reduce_exponent(x + y) for y in range(base)] for x in range(base)]
+        table = [[0]]
+        for _ in range(self.n):
+            table = [[slot * base + r for slot in row for r in digits]
+                     for row in table for digits in sums]
+        return tuple(map(tuple, table))
 
     def local_factors(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]] | None:
         """(l, xi, e) for each prime l | m, in increasing order, and each point

@@ -277,6 +277,14 @@ def reference_qpoly_product(a: dict, b: dict, params: QuotientParams) -> dict:
     return reference_qpoly_terms(reference_poly_product(a, b), params)
 
 
+def reference_product_table(params: QuotientParams) -> tuple:
+    """`QuotientParams.product_table` by one `position` call per pair of
+    monomials: table[a][b] is the slot of mu_a + nu_b reduced."""
+    monos = list(params.monomials())
+    return tuple(tuple(params.position(tuple(x + y for x, y in zip(mu, nu))) for nu in monos)
+                 for mu in monos)
+
+
 def reference_module_rows(columns, params: QuotientParams) -> list:
     """`poly.module_rows` from term-map products: for each column and each
     monomial mu, the coefficients of mu * c_i over `monomials()`, c_i after

@@ -11,12 +11,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from metlie import cli
 from metlie.calculus import MAX_MINORS
 from metlie.cli import main, parse_catalog, CatalogError
 from metlie.expr import LieParseError, parse
 
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def json_oracle(monkeypatch):
+    """Every --json payload a test here prints is checked against the
+    text json.dumps gives it."""
+    writer = cli.dumps
+
+    def checked(payload):
+        text = writer(payload)
+        assert text == json.dumps(payload, sort_keys=True, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "dumps", checked)
 
 
 def run(capsys, *argv):
@@ -311,6 +326,48 @@ class TestConsistency:
         code, out, _ = run(capsys, "--n", "2", "--json", "consistency", catalog)
         assert code == 0
         assert out == (DATA / "consistency_golden.json").read_text()
+
+    def test_whole_grid_golden(self, capsys):
+        # A budget of 10^37 admits all 132 entries of the default grid, not
+        # only the 48 the default budget does, so every model's census is pinned.
+        catalog = str(DATA / "acceptance_catalog.txt")
+        code, out, _ = run(capsys, "--n", "2", "--budget", str(10 ** 37), "--json",
+                           "consistency", catalog)
+        assert code == 0
+        assert out == (DATA / "consistency_whole_grid_golden.json").read_text()
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.integers(-(10 ** 80), 10 ** 80) | st.floats() | st.text())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda sub: (st.lists(sub, max_size=4) | st.lists(sub, max_size=4).map(tuple)
+                 | st.dictionaries(st.text(max_size=6), sub, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """`cli.dumps` against its oracle, json.dumps(sort_keys=True, indent=2)."""
+
+    @staticmethod
+    def same(value):
+        assert cli.dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, [[]]],
+        "caf\u00e9 \U0001d53d \x00\x1f\x7f\"\\/\n\t", {"\u00e9": 1, "e": 2, "\x01": 3},
+        10 ** 100, -(2 ** 64), 0, True, False, None, [True, 1, False, 0, None],
+        1.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf"),
+        {"z": (1, (2, [3])), "a": {"y": None, "x": [1.25, "s"]}},
+    ])
+    def test_cases(self, value):
+        self.same(value)
+
+    @given(value=JSON_VALUES)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_drawn_payloads(self, value):
+        self.same(value)
 
 
 class TestHostileInput:

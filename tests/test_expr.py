@@ -89,6 +89,22 @@ class TestParse:
         assert (err.value.line, err.value.col) == (2, 3)
         assert f"generator index of {len(digits)} digits is too long" in str(err.value)
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("x²", "expected digits after 'x'", (1, 1)),
+        ("2²*x1", "unexpected character '²'", (1, 2)),
+    ])
+    def test_superscript_digits_are_not_digits(self, text, message, position):
+        # str.isdigit accepts superscripts, which int() refuses.
+        with pytest.raises(LieParseError) as err:
+            parse(text, 2)
+        assert message in str(err.value)
+        assert (err.value.line, err.value.col) == position
+
+    def test_decimal_digits_of_other_scripts(self):
+        # int() reads every str.isdecimal digit, Arabic-Indic one included.
+        assert parse("x١", 2) == Generator(1)
+        assert parse("٢*x2", 2) == ScalarMul(2, Generator(2))
+
 
 class TestEvalInRing:
     def test_alternating(self):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     random_poly, random_qpoly, reference_module_rows, reference_poly_product,
-    reference_qpoly_product, reference_qpoly_sum, reference_qpoly_terms, subgroup_closure,
+    reference_product_table, reference_qpoly_product, reference_qpoly_sum,
+    reference_qpoly_terms, subgroup_closure,
 )
 from metlie.poly import (
     Poly,
@@ -314,6 +315,18 @@ class TestQPolyOracle:
         assert (a * b).terms == reference_qpoly_product(ta, tb, params)
         columns = [(a, b), (b,)]
         assert list(module_rows(columns)) == reference_module_rows(columns, params)
+
+
+class TestProductTable:
+    """The table built one generator at a time against one `position` call
+    per pair of monomials (`helpers.reference_product_table`)."""
+
+    @pytest.mark.parametrize("p, q", list(itertools.product(range(1, 4), repeat=2)))
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_positions(self, p, q, m, n):
+        params = QuotientParams(p, q, m, n)
+        assert params.product_table() == reference_product_table(params)
 
 
 def _ideal_closure_oracle(gens, params):
