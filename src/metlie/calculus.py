@@ -170,15 +170,6 @@ def matmul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(A.rows, B.cols, entries)
 
 
-def identity_matrix(n: int, n_gens: int | None = None) -> PolyMatrix:
-    n_gens = n if n_gens is None else n_gens
-    entries = tuple(
-        tuple(Poly.one(n_gens) if i == j else Poly.zero(n_gens) for j in range(n))
-        for i in range(n)
-    )
-    return PolyMatrix(n, n, entries)
-
-
 def matrix_to_json(A: PolyMatrix) -> dict:
     return {
         "rows": A.rows,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -445,7 +446,9 @@ def cmd_consistency(args, cfg: Config) -> int:
     return EXIT_OK if summary["ok"] else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls.
     parser = argparse.ArgumentParser(
         prog="metlie",
         description=(

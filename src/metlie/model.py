@@ -203,34 +203,7 @@ class FiniteModel:
         tau = tuple(QPoly.one(quotient) if j == i - 1 else QPoly.zero(quotient) for j in range(n))
         return ModelElement(self.params, QPoly.variable(i, quotient), tau)
 
-    def generator_images(self) -> list[ModelElement]:
-        return [self.generator_image(i) for i in range(1, self.n + 1)]
-
-    def random_element(self, rng, max_terms: Optional[int] = None) -> ModelElement:
-        """Uniform random element; max_terms caps nonzero tau coefficients per coordinate."""
-        quotient = self.quotient
-        monos = list(quotient.monomials())
-        m = quotient.m
-
-        def random_qpoly() -> QPoly:
-            if max_terms is None:
-                terms = {mu: rng.randrange(m) for mu in monos}
-            else:
-                terms = {}
-                for mu in rng.sample(monos, min(max_terms, len(monos))):
-                    terms[mu] = rng.randrange(m)
-            return QPoly(quotient, terms)
-
-        l = QPoly(quotient, {mu: rng.randrange(m) for mu in self.params.l_monomials})
-        tau = tuple(random_qpoly() for _ in range(quotient.n))
-        return ModelElement(self.params, l, tau)
-
     # -- canonical integer encodings -------------------------------------
-
-    def element_code(self, elem: ModelElement) -> int:
-        """The code of `elem` (see `digits_code`)."""
-        l_digits = [elem.l.vec[self.quotient.position(mu)] for mu in self.params.l_monomials]
-        return self.digits_code(l_digits, [d for t in elem.tau for d in t.vec])
 
     def digits_code(self, l_digits, tau_digits=()) -> int:
         """Base-m number whose digits, least significant first, are the n*w

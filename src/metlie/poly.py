@@ -129,9 +129,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.n, 0)
-
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Leading (monomial, coefficient) in grevlex order."""
         if not self.terms:
@@ -468,6 +465,26 @@ def reduce_pqm(a: Poly, params: QuotientParams) -> QPoly:
     return QPoly(params, a.terms)
 
 
+def cube_values(a: Poly) -> list[int]:
+    """The integer values of `a` at the 2^n points xi of the Boolean cube
+    {0,1}^n, in product order (x1 the highest bit of a point's index).
+    X^mu is 1 at xi when the support of mu lies in that of xi, else 0: the
+    coefficients summed by support mask, then summed over submasks, one pass
+    per generator.  In Z_{1,1,m}[X] = Z_m[X]/(x_i^2 - x_i) the factors x_i
+    and x_i - 1 are comaximal, so for every m evaluation at these points is
+    a ring isomorphism onto Z_m^(2^n) (CRT)."""
+    n = a.n
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    values = [0] * (1 << n)
+    for mono, c in a.terms.items():
+        values[sum(map(operator.mul, bits, map(bool, mono)))] += c
+    for b in bits:
+        for s in range(len(values)):
+            if s & b:
+                values[s] += values[s ^ b]
+    return values
+
+
 def module_rows(columns) -> Iterator[list[int]]:
     """The rows mu * c for each column c = (c_1, .., c_k) of quotient-ring
     elements and each monomial mu, in `monomials()` order: the coefficient
@@ -562,6 +579,16 @@ def power_exceeds(base: int, exponent: int, bound: int) -> bool:
     return exponent >= bound.bit_length() or base ** exponent > bound
 
 
+def check_ring_size(params: QuotientParams) -> None:
+    """Raise ResourceLimitError when Z_{p,q,m}[X] has more than
+    DEFAULT_MAX_RING_SIZE elements."""
+    if power_exceeds(params.m, params.monomial_count, DEFAULT_MAX_RING_SIZE):
+        raise ResourceLimitError(
+            f"quotient ring of size {params.m}^{params.monomial_count} "
+            f"exceeds the bound {DEFAULT_MAX_RING_SIZE}"
+        )
+
+
 def ideal_contains_finite(gens: list[QPoly], target: QPoly) -> bool:
     """Membership of `target` in the ideal generated by `gens` in Z_{p,q,m}[X].
 
@@ -578,11 +605,7 @@ def ideal_contains_finite(gens: list[QPoly], target: QPoly) -> bool:
             raise ValueError("mismatched quotient parameters among generators")
     if target.params != params:
         raise ValueError("target has mismatched quotient parameters")
-    if power_exceeds(params.m, params.monomial_count, DEFAULT_MAX_RING_SIZE):
-        raise ResourceLimitError(
-            f"quotient ring of size {params.m}^{params.monomial_count} "
-            f"exceeds the bound {DEFAULT_MAX_RING_SIZE}"
-        )
+    check_ring_size(params)
     span = Span(params.m, params.monomial_count)
     for row in module_rows([(g,) for g in gens]):
         span.add(row)

@@ -16,7 +16,11 @@ gcd(lc_i, lc_j) for the G-pair, with the pairs of k with i and with j settled
 
 Cheap necessary conditions run first: the gcd of the integer k x k minors of
 the linear parts must be 1, and the reduced minors must generate the unit
-ideal in each small finite quotient ring of a configured grid.
+ideal in each finite quotient ring Z_{p,q,m}[X] of a configured grid that
+fits under the ring-size cap.  For p = q = 1, x_i^2 = x_i and the ring is
+Z_m^(2^n) by evaluation on the Boolean cube {0,1}^n, so the minors generate
+1 exactly when m is coprime to the gcd of their integer values at every
+point; the other rings take a Howell form of the ideal's additive span.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from metlie.poly import (
     Poly,
     QPoly,
     QuotientParams,
-    ResourceLimitError,
     bezout,
+    check_ring_size,
+    cube_values,
     power_exceeds,
     reduce_pqm,
     DEFAULT_MAX_RING_SIZE,
@@ -508,13 +513,30 @@ def _smallest_prime_factor(v: int) -> int:
     return v
 
 
-def _reduced_minor_ideal_contains_one(minor_polys: list[Poly], params: QuotientParams) -> bool:
+@functools.cache
+def _grid_params(grid: tuple, n: int) -> tuple[QuotientParams, ...]:
+    """The rings Z_{p,q,m}[X] over n generators of a quotient grid, in grid
+    order, without those over the ring-size cap."""
+    rings = (QuotientParams(p, q, m, n) for p, q, m in grid)
+    return tuple(r for r in rings
+                 if not power_exceeds(r.m, r.monomial_count, DEFAULT_MAX_RING_SIZE))
+
+
+def _cube_gcds(minor_polys: list[Poly]) -> list[int]:
+    """The gcd of the minors' values at each point of {0,1}^n."""
+    return [math.gcd(*values) for values in zip(*map(cube_values, minor_polys))]
+
+
+def _reduced_minor_ideal_contains_one(minor_polys: list[Poly], params: QuotientParams,
+                                      cube: Optional[list[int]] = None) -> bool:
+    """Do the minors generate 1 in Z_{p,q,m}[X]?  For p = q = 1 the ring is
+    Z_m^(2^n) by evaluation on {0,1}^n (`cube_values`), so they do exactly
+    when m is coprime to their gcd at every point; `cube` holds those gcds
+    when they are known (`_cube_gcds`).  Other rings take a Howell form."""
+    if params.p == params.q == 1:
+        return all(math.gcd(params.m, g) == 1 for g in cube or _cube_gcds(minor_polys))
     from metlie.poly import ideal_contains_finite
 
-    # Refuse an oversized ring before reducing the minors into it.
-    if power_exceeds(params.m, params.monomial_count, DEFAULT_MAX_RING_SIZE):
-        raise ResourceLimitError(f"quotient ring of size {params.m}^{params.monomial_count} "
-                                 f"exceeds the bound {DEFAULT_MAX_RING_SIZE}")
     reduced = [reduce_pqm(p, params) for p in minor_polys]
     return ideal_contains_finite(reduced, QPoly.one(params))
 
@@ -530,6 +552,7 @@ def quotient_primitivity_check(gs: list[MElement], params: QuotientParams) -> bo
         raise ValueError(f"system size {k} out of range 1..{gs[0].n}")
     if params.n != gs[0].n:
         raise ValueError("quotient parameters use a different generator count")
+    check_ring_size(params)
     minor_polys = minors(jacobi_matrix(gs), k)
     return _reduced_minor_ideal_contains_one(minor_polys, params)
 
@@ -581,16 +604,15 @@ def is_primitive(gs: list[MElement], *,
         )
 
     minor_polys = minors(jacobi_matrix(gs), k)
-    for (p, q, m) in quotient_grid:
-        params = QuotientParams(p, q, m, n)
-        try:
-            ok = _reduced_minor_ideal_contains_one(minor_polys, params)
-        except ResourceLimitError:
-            continue
-        if not ok:
+    cube = None
+    for params in _grid_params(tuple(map(tuple, quotient_grid)), n):
+        if params.p == params.q == 1:
+            cube = cube or _cube_gcds(minor_polys)
+        if not _reduced_minor_ideal_contains_one(minor_polys, params, cube):
             return PrimitivityVerdict(
                 False, "quotient-refuted",
-                refutation={"kind": "quotient", "params": {"p": p, "q": q, "m": m}},
+                refutation={"kind": "quotient",
+                            "params": {"p": params.p, "q": params.q, "m": params.m}},
             )
 
     try:

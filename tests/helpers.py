@@ -7,6 +7,7 @@ import heapq
 import itertools
 import random
 
+from metlie.calculus import PolyMatrix
 from metlie.expr import Bracket, Generator, ScalarMul, Sum
 from metlie.model import ModelElement
 from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key
@@ -32,6 +33,35 @@ def random_qpoly(rng: random.Random, params: QuotientParams,
     if max_terms is not None:
         monos = rng.sample(monos, min(max_terms, len(monos)))
     return QPoly(params, {mu: rng.randrange(params.m) for mu in monos})
+
+
+def constant_term(poly: Poly) -> int:
+    return poly.terms.get((0,) * poly.n, 0)
+
+
+def identity_matrix(n: int) -> PolyMatrix:
+    entries = tuple(tuple(Poly.one(n) if i == j else Poly.zero(n) for j in range(n))
+                    for i in range(n))
+    return PolyMatrix(n, n, entries)
+
+
+def generator_images(model) -> list[ModelElement]:
+    return [model.generator_image(i) for i in range(1, model.n + 1)]
+
+
+def random_element(model, rng: random.Random, max_terms: int | None = None) -> ModelElement:
+    """Uniform random element of `model`; max_terms caps the nonzero tau
+    coefficients per coordinate."""
+    quotient = model.quotient
+    l = QPoly(quotient, {mu: rng.randrange(quotient.m) for mu in model.params.l_monomials})
+    tau = tuple(random_qpoly(rng, quotient, max_terms) for _ in range(quotient.n))
+    return ModelElement(model.params, l, tau)
+
+
+def element_code(model, elem: ModelElement) -> int:
+    """The code of `elem` (see `FiniteModel.digits_code`)."""
+    l_digits = [elem.l.vec[model.quotient.position(mu)] for mu in model.params.l_monomials]
+    return model.digits_code(l_digits, [d for t in elem.tau for d in t.vec])
 
 
 def random_basis_terms(rng: random.Random, n: int, max_words: int = 3,
@@ -191,7 +221,7 @@ def histogram_census(gs, model):
     coordinate alike.  Its image Im_s is the subgroup spanned by the values
     at tau_j = (mu, 0, .., 0), listed by closure, and every point of Im_s^n
     above the top-left key gets |R|^(n*n) / |Im_s|^n in the histogram.  Keys
-    are slot-major element codes, as `FiniteModel.element_code` orders each
+    are slot-major element codes, as `element_code` orders each
     slot.
     """
     quotient = model.quotient
@@ -208,7 +238,7 @@ def histogram_census(gs, model):
         args = [ModelElement(model.params, l, (zero,) * n) for l in s]
         base = 0
         for x in expansions:
-            base = base * R + model.element_code(bracket_value(x, args))
+            base = base * R + element_code(model, bracket_value(x, args))
         rows = []
         for j in range(n):
             for mu in monos:

@@ -500,6 +500,39 @@ class TestFuzzMain:
         assert code in (0, 1, 2, 3, 4)
 
 
+class TestRepeatedMain:
+    """`main` reuses one parser per process; a run of calls in one process,
+    an argparse error first, prints and exits as fresh processes do."""
+
+    CALLS = [
+        ["--n", "2", "nosuch", "x1"],
+        ["--n", "3", "--json", "primitive", "x1 + [x2,x3]"],
+        ["primitive", "x1 + [x2,x1]"],
+        ["uniform", "--p", "1", "--q", "1", "--m", "2", "--full-ring", "x1"],
+        ["uniform", "--p", "1", "--q", "1", "--m", "2", "x1"],
+        ["--budget", "0", "normalize", "x1"],
+        ["normalize", "[[x2,x3],x1]"],
+    ]
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_same_as_fresh_processes(self, capsys):
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        fresh = [subprocess.run([sys.executable, "-m", "metlie", *argv], capture_output=True,
+                                text=True, env=env, timeout=120)
+                 for argv in self.CALLS]
+        for argv, proc in zip(self.CALLS, fresh):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            assert (code, capsys.readouterr().out) == (proc.returncode, proc.stdout), argv
+        assert [proc.returncode for proc in fresh] == [2, 0, 1, 0, 0, 2, 2]
+
+
 class TestClosedStdout:
     """A reader that closes the pipe early (`metlie ... | head -c 10`) gets
     no traceback on stderr, and the command keeps its own exit code."""

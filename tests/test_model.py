@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    abelian_census, bracket_value, histogram_census, random_basis_terms, random_expr,
-    random_melement, random_tame_automorphism, reference_module_rows,
+    abelian_census, bracket_value, element_code, generator_images, histogram_census,
+    random_basis_terms, random_element, random_expr, random_melement, random_tame_automorphism,
+    reference_module_rows,
 )
 from metlie.cli import main, parse_catalog
 from metlie.expr import parse, eval_in_ring
@@ -76,7 +77,7 @@ class TestModelBuild:
         seen = set()
         for code in range(model.size):
             elem = model.element_from_code(code)
-            assert model.element_code(elem) == code
+            assert element_code(model, elem) == code
             seen.add(elem)
         assert len(seen) == model.size
 
@@ -89,7 +90,7 @@ class TestModelBuild:
             monos = params.l_monomials
             for digits in itertools.product(range(model.quotient.m), repeat=len(monos)):
                 l = QPoly(model.quotient, dict(zip(monos, digits)))
-                assert model.digits_code(digits) == model.element_code(ModelElement(params, l, zero))
+                assert model.digits_code(digits) == element_code(model, ModelElement(params, l, zero))
 
 
 def _matrix_commutator_oracle(a: ModelElement, b: ModelElement) -> ModelElement:
@@ -123,7 +124,7 @@ def _matrix_commutator_oracle(a: ModelElement, b: ModelElement) -> ModelElement:
 class TestModelBracket:
     def test_generator_bracket(self):
         model = flagship()
-        g1, g2 = model.generator_images()
+        g1, g2 = generator_images(model)
         b = g1.bracket(g2)
         assert not b.l
         assert b.tau == (QPoly.variable(2, model.quotient), QPoly.variable(1, model.quotient))
@@ -132,14 +133,14 @@ class TestModelBracket:
         rng = random.Random(137)
         model = flagship()
         for _ in range(50):
-            a = model.random_element(rng)
+            a = random_element(model, rng)
             assert not a.bracket(a)
 
     def test_metabelian_on_brackets(self):
         rng = random.Random(139)
         model = flagship()
         for _ in range(50):
-            a, b, c, d = (model.random_element(rng) for _ in range(4))
+            a, b, c, d = (random_element(model, rng) for _ in range(4))
             assert not a.bracket(b).bracket(c.bracket(d))
 
     def test_matches_matrix_commutator_oracle(self):
@@ -149,8 +150,8 @@ class TestModelBracket:
                        ModelParams(QuotientParams(1, 1, 2, 2), "full")]:
             model = FiniteModel(params)
             for _ in range(40):
-                a = model.random_element(rng, max_terms=4)
-                b = model.random_element(rng, max_terms=4)
+                a = random_element(model, rng, max_terms=4)
+                b = random_element(model, rng, max_terms=4)
                 assert a.bracket(b) == _matrix_commutator_oracle(a, b)
 
     def test_lie_axioms_all_grid_models(self):
@@ -160,7 +161,7 @@ class TestModelBracket:
                 for m in (2, 3):
                     model = FiniteModel(ModelParams(QuotientParams(p, q, m, 2)))
                     for _ in range(25):
-                        a, b, c = (model.random_element(rng, max_terms=3) for _ in range(3))
+                        a, b, c = (random_element(model, rng, max_terms=3) for _ in range(3))
                         assert not (a.bracket(b) + b.bracket(a))
                         jac = (a.bracket(b).bracket(c) + b.bracket(c).bracket(a)
                                + c.bracket(a).bracket(b))
@@ -171,13 +172,13 @@ class TestClosedForm:
     def test_generator_projection(self):
         model = flagship()
         rng = random.Random(157)
-        subs = [model.random_element(rng) for _ in range(2)]
+        subs = [random_element(model, rng) for _ in range(2)]
         got = eval_closed_form(model, mel("x2"), [s.l for s in subs], [s.tau for s in subs])
         assert got == subs[1]
 
     def test_bracket_word_at_generator_images(self):
         model = flagship()
-        gens = model.generator_images()
+        gens = generator_images(model)
         got = eval_closed_form(model, mel("[x2,x1]"),
                                [g.l for g in gens], [g.tau for g in gens])
         assert got == gens[1].bracket(gens[0])
@@ -186,7 +187,7 @@ class TestClosedForm:
         # tau coordinates mod 2: x1*x2 on t1 (exponent already reduced from
         # x1^2*x2 by the quotient relation) and x1 on t2.
         model = flagship()
-        gens = model.generator_images()
+        gens = generator_images(model)
         got = eval_closed_form(model, mel("[[x2,x1],x1]"),
                                [g.l for g in gens], [g.tau for g in gens])
         q = model.quotient
@@ -199,7 +200,7 @@ class TestClosedForm:
         model = flagship()
         rng = random.Random(163)
         zero_tau = tuple(QPoly.zero(model.quotient) for _ in range(2))
-        s = [model.random_element(rng).l for _ in range(2)]
+        s = [random_element(model, rng).l for _ in range(2)]
         got = eval_closed_form(model, mel("[x1,x2]"), s, [zero_tau, zero_tau])
         assert not got
 
@@ -212,7 +213,7 @@ class TestClosedForm:
             model = FiniteModel(ModelParams(QuotientParams(p, q, m, 2), variant))
             for _ in range(20):
                 e = random_expr(rng, 2, depth=5)
-                subs = [model.random_element(rng) for _ in range(2)]
+                subs = [random_element(model, rng) for _ in range(2)]
                 direct = eval_in_ring(e, subs)
                 g = from_expr(e, 2)
                 closed = eval_closed_form(model, g, [s.l for s in subs], [s.tau for s in subs])
@@ -253,7 +254,7 @@ class TestUniformity:
             counts = {}
             for elem in model.elements():
                 val = eval_closed_form(model, g, [elem.l], [elem.tau])
-                counts[model.element_code(val)] = counts.get(model.element_code(val), 0) + 1
+                counts[element_code(model, val)] = counts.get(element_code(model, val), 0) + 1
             rep = uniformity_check([g], model)
             assert sum(counts.values()) == rep.total
             fibers = set(counts.values())
@@ -408,7 +409,7 @@ def _census_oracle(gs, model):
     expansions = [to_basis(g) for g in gs]
     counts = {}
     for args in itertools.product(list(model.elements()), repeat=n):
-        target = tuple(model.element_code(bracket_value(x, args)) for x in expansions)
+        target = tuple(element_code(model, bracket_value(x, args)) for x in expansions)
         counts[target] = counts.get(target, 0) + 1
     expected = model.size ** (n - k)
     all_targets = list(itertools.product(range(model.size), repeat=k))
@@ -648,7 +649,7 @@ class TestResidueOnto:
         model = FiniteModel(params)
         rng = random.Random(seed)
         gs = _drawn_system(seed, 2, k)
-        args = [model.random_element(rng, max_terms=0).l for _ in range(2)]
+        args = [random_element(model, rng, max_terms=0).l for _ in range(2)]
         size = _image_size(gs, model.quotient, args)((0, 1))
         assert size == _whole_ring_size(gs, model.quotient, args)
 

@@ -19,6 +19,7 @@ from metlie.poly import (
     QuotientParams,
     ResourceLimitError,
     Span,
+    cube_values,
     divexact,
     format_terms,
     ideal_contains_finite,
@@ -174,6 +175,16 @@ class TestEvaluate:
         p = x(1) ** 5 + x(1) ** 3 * x(2) ** 2
         assert p.evaluate([Counted(2), Counted(3)], Counted(1)).value == 2 ** 5 + 2 ** 3 * 3 ** 2
         assert len(products) == 6
+
+
+class TestCubeValues:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_against_evaluate(self, n):
+        rng = random.Random(n)
+        points = list(itertools.product((0, 1), repeat=n))
+        for _ in range(40):
+            a = random_poly(rng, n, max_degree=3, max_terms=6)
+            assert cube_values(a) == [a.evaluate(list(xi), 1) for xi in points]
 
 
 class TestResiduePoints:

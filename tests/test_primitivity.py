@@ -16,15 +16,29 @@ from hypothesis import strategies as st
 
 from helpers import (
     RefRow,
+    constant_term,
+    identity_matrix,
     random_melement,
     random_poly,
     random_tame_automorphism,
     reference_buchberger,
     reference_reduce_row,
 )
-from metlie.calculus import PolyMatrix, identity_matrix, jacobi_matrix, matmul, minors, sigma
+from metlie.calculus import PolyMatrix, jacobi_matrix, matmul, minors, sigma
 from metlie.expr import parse
-from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key, reduce_pqm
+from metlie.poly import (
+    DEFAULT_MAX_RING_SIZE,
+    Poly,
+    QPoly,
+    QuotientParams,
+    ResourceLimitError,
+    cube_values,
+    grevlex_key,
+    ideal_contains_finite,
+    power_exceeds,
+    reduce_pqm,
+)
+from metlie import primitivity
 from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
     DEFAULT_MAX_DEGREE,
@@ -35,6 +49,7 @@ from metlie.primitivity import (
     _packing,
     _packing_for,
     _reduce_row,
+    _reduced_minor_ideal_contains_one,
     _smallest_prime_factor,
     abelian_primitive,
     groebner_z,
@@ -573,7 +588,7 @@ class TestSigmaIdealGeneration:
                 A = matmul(A, _elementary(rng, n))
             sigmas = [sigma(A, i) for i in range(1, n + 1)]
             # Containment one way is structural: no constant terms.
-            assert all(s.constant_term() == 0 for s in sigmas)
+            assert all(constant_term(s) == 0 for s in sigmas)
             for j in range(1, n + 1):
                 assert ideal_contains(sigmas, Poly.variable(j, n))
 
@@ -652,6 +667,96 @@ class TestQuotientCheck:
 
     def test_refutes_doubled_generator(self):
         assert not quotient_primitivity_check([mel("2*x1")], QuotientParams(1, 1, 2, 2))
+
+
+def howell_contains_one(gens, params):
+    """Is 1 in the ideal the reduced gens generate, by the Howell form?"""
+    return ideal_contains_finite([reduce_pqm(f, params) for f in gens], QPoly.one(params))
+
+
+CUBE_RINGS = [QuotientParams(1, 1, m, n) for n in (1, 2, 3, 4) for m in (2, 3, 4, 6, 8, 9)
+              if not power_exceeds(m, 2 ** n, DEFAULT_MAX_RING_SIZE)]
+
+# Ideals over n >= 2 generators, with the moduli m for which they are the
+# unit ideal of Z_{1,1,m}[X]: the values at each point of {0,1}^n and m
+# must be coprime.
+HAND_IDEALS = [
+    (lambda n: [x(1, n)], lambda m: False),
+    (lambda n: [Poly.constant(2, n)], lambda m: m % 2 == 1),
+    (lambda n: [x(1, n) - one(n), Poly.constant(3, n)], lambda m: m % 3 != 0),
+    (lambda n: [x(1, n) * x(2, n), x(2, n) * 2 - Poly.constant(2, n)], lambda m: False),
+    (lambda n: [x(1, n), one(n) - x(1, n)], lambda m: True),
+    (lambda n: [x(1, n) * 2 + Poly.constant(3, n)], lambda m: math.gcd(m, 15) == 1),
+    (lambda n: [x(1, n) * x(2, n) - x(1, n) - x(2, n) + one(n),
+                x(1, n) * x(2, n) * 6 + one(n)], lambda m: math.gcd(m, 7) == 1),
+]
+
+
+class TestCubeCheck:
+    """For p = q = 1 the minors-ideal check evaluates on {0,1}^n; the Howell
+    form of `ideal_contains_finite` is its oracle."""
+
+    @pytest.mark.parametrize("params", CUBE_RINGS, ids=repr)
+    def test_drawn_minors(self, params):
+        n = params.n
+        rng = random.Random(1000 * n + params.m)
+        seen = set()
+        for _ in range(30):
+            k = rng.randint(1, n)
+            gs = [random_melement(rng, n, max_len=4, coeff_bound=3) for _ in range(k)]
+            minor_polys = minors(jacobi_matrix(gs), k)
+            got = _reduced_minor_ideal_contains_one(minor_polys, params)
+            assert got == howell_contains_one(minor_polys, params)
+            seen.add(got)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("params", CUBE_RINGS, ids=repr)
+    def test_drawn_ideals(self, params):
+        rng = random.Random(2000 * params.n + params.m)
+        for _ in range(30):
+            gens = [random_poly(rng, params.n, max_degree=2, max_terms=3, coeff_bound=4)
+                    for _ in range(rng.randint(1, 3))]
+            assert (_reduced_minor_ideal_contains_one(gens, params)
+                    == howell_contains_one(gens, params))
+
+    @pytest.mark.parametrize("params", [r for r in CUBE_RINGS if r.n >= 2], ids=repr)
+    @pytest.mark.parametrize("index", range(len(HAND_IDEALS)))
+    def test_hand_picked_ideals(self, params, index):
+        make, unit = HAND_IDEALS[index]
+        gens = make(params.n)
+        assert howell_contains_one(gens, params) == unit(params.m)
+        assert _reduced_minor_ideal_contains_one(gens, params) == unit(params.m)
+
+    def test_ring_size_cap_kept(self):
+        with pytest.raises(ResourceLimitError):
+            quotient_primitivity_check([mel("x1", 4)], QuotientParams(1, 1, 3, 4))
+
+    def test_capped_grid_entry_skipped(self):
+        # (1,1,3) refutes x1 + 4*[x2,x1]; over four generators that ring
+        # (3^16 elements) is over the cap, so the Groebner basis decides.
+        text = "x1 + 4*[x2,x1]"
+        assert is_primitive([mel(text)]).refutation == {
+            "kind": "quotient", "params": {"p": 1, "q": 1, "m": 3}}
+        v = is_primitive([mel(text, 4)], quotient_grid=[[1, 1, 3]])
+        assert (v.primitive, v.method) == (False, "groebner")
+
+    def test_list_grid(self):
+        grid = [list(entry) for entry in primitivity.DEFAULT_QUOTIENT_GRID[::-1]]
+        for text in ("x1 + 4*[x2,x1]", "x1 + 2*[x2,x1]", "x1 + [[x2,x1],x1]"):
+            assert (is_primitive([mel(text)], quotient_grid=grid).to_json()
+                    == is_primitive([mel(text)], quotient_grid=tuple(map(tuple, grid))).to_json())
+
+    def test_cube_values_once_per_decision(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return cube_values(a)
+
+        monkeypatch.setattr(primitivity, "cube_values", counted)
+        gs = [mel("x1 + [[x2,x1],x1]")]
+        assert is_primitive(gs).primitive is True
+        assert calls == minors(jacobi_matrix(gs), 1)
 
 
 class TestIsPrimitive:
