@@ -1,7 +1,7 @@
 """Parsing, evaluation and printing of Lie polynomial expressions.
 
-Grammar (whitespace insignificant, unary minus allowed before the leading
-term of an expression):
+Grammar (whitespace, any character str.isspace accepts, is insignificant;
+unary minus is allowed before the leading term of an expression):
 
     expr      := ['-'] term (('+' | '-') term)*
     term      := integer ('*' factor)? | factor
@@ -11,11 +11,14 @@ term of an expression):
 A bare integer is only a valid term when it is 0 (the zero element); any
 other constant does not denote an element of a Lie ring.  Digits are the
 characters int() reads (str.isdecimal), so superscripts are not digits.
-Brackets and parentheses nest at most MAX_NESTING deep.
+Brackets and parentheses nest at most MAX_NESTING deep, and `parse` takes
+at most MAX_GENERATORS generators.  Error positions count characters; only
+"\n" starts a new line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -62,166 +65,130 @@ _SYMBOLS = "[],()+-*"
 # Deepest bracket/parenthesis nesting the recursive parser and evaluator accept.
 MAX_NESTING = 100
 
+# Largest generator count `parse` accepts.  Elements over n generators carry
+# n-long monomials, and beyond this bound even a one-element system has more
+# Jacobi minors than calculus.MAX_MINORS.
+MAX_GENERATORS = 1024
 
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            if j == i + 1:
-                raise LieParseError("expected digits after 'x'", line, col)
-            tokens.append(("GEN", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise LieParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("EOF", "", line, col))
-    return tokens
+# A token is a generator, an integer, a symbol, or "" at the end of the text;
+# the \Z alternative ends the scan after trailing whitespace without
+# backtracking into it.  A character that is none of these, or an 'x' without
+# digits, is _INVALID.  In a str pattern \s and \d match exactly what
+# str.isspace and str.isdecimal accept.
+_TOKEN = re.compile(rf"\s*(x\d+|\d+|[{re.escape(_SYMBOLS)}]|\Z)")
+_INVALID = re.compile(rf"x(?!\d)|[^\sx\d{re.escape(_SYMBOLS)}]")
 
 
-def _int(digits: str, what: str, tok) -> int:
-    # int() refuses strings beyond the interpreter's digit limit (4300 by default).
-    try:
-        return int(digits)
-    except ValueError:
-        raise LieParseError(f"{what} of {len(digits)} digits is too long", tok[2], tok[3]) from None
+def _error(message: str, text: str, at: int) -> LieParseError:
+    """The error for `message` at offset `at` of `text`; only "\n" starts a line."""
+    return LieParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text`, the last one "".  Tokens keep no offsets: only
+    an error needs one, and `_Parser.error` finds it again."""
+    invalid = _INVALID.search(text)
+    if invalid:
+        ch = invalid[0]
+        message = "expected digits after 'x'" if ch == "x" else f"unexpected character {ch!r}"
+        raise _error(message, text, invalid.start())
+    return _TOKEN.findall(text)
+
+
+def _signed(e: LieExpr, sign: int) -> LieExpr:
+    if sign == 1:
+        return e
+    if isinstance(e, ScalarMul):
+        return ScalarMul(-e.coeff, e.arg)
+    return ScalarMul(-1, e)
 
 
 class _Parser:
+    """Recursive descent over the token list.  Each rule takes the index of
+    its first token and returns (expression, index of the first token after
+    it); no rule reads past the final "".  Methods, not nested functions:
+    mutually recursive closures would leave a reference cycle per parse to
+    the garbage collector."""
+
     def __init__(self, text: str, n: int):
+        self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
         self.n = n
-        self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, message: str, i: int) -> LieParseError:
+        """The error for `message` at token `i`."""
+        return _error(message, self.text, [m.start(1) for m in _TOKEN.finditer(self.text)][i])
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def integer(self, digits: str, what: str, i: int) -> int:
+        # int() refuses strings beyond the interpreter's digit limit (4300 by default).
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"{what} of {len(digits)} digits is too long", i) from None
 
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise LieParseError(
-                f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2], tok[3]
-            )
-        return self.advance()
+    def expect(self, symbol: str, i: int) -> int:
+        tok = self.tokens[i]
+        if tok != symbol:
+            raise self.error(f"expected {symbol!r}, found {tok or 'end of input'!r}", i)
+        return i + 1
 
-    def parse_expr(self) -> LieExpr:
-        parts = []
+    def expr(self, i: int, depth: int):
+        tokens = self.tokens
         sign = 1
-        if self.peek()[0] == "-":
-            self.advance()
-            sign = -1
-        parts.append(self._signed(self.parse_term(), sign))
-        while self.peek()[0] in "+-":
-            op = self.advance()[0]
-            term = self.parse_term()
-            parts.append(self._signed(term, -1 if op == "-" else 1))
-        if len(parts) == 1:
-            return parts[0]
-        return Sum(tuple(parts))
+        if tokens[i] == "-":
+            sign, i = -1, i + 1
+        parts = []
+        while True:
+            e, i = self.term(i, depth)
+            parts.append(_signed(e, sign))
+            op = tokens[i]
+            if op != "+" and op != "-":
+                return (parts[0] if len(parts) == 1 else Sum(tuple(parts))), i
+            sign, i = (-1 if op == "-" else 1), i + 1
 
-    @staticmethod
-    def _signed(e: LieExpr, sign: int) -> LieExpr:
-        if sign == 1:
-            return e
-        if isinstance(e, ScalarMul):
-            return ScalarMul(-e.coeff, e.arg)
-        return ScalarMul(-1, e)
+    def term(self, i: int, depth: int):
+        tok = self.tokens[i]
+        if not tok.isdecimal():
+            return self.factor(i, depth)
+        value = self.integer(tok, "integer literal", i)
+        if self.tokens[i + 1] == "*":
+            e, i = self.factor(i + 2, depth)
+            return ScalarMul(value, e), i
+        if value == 0:
+            # Zero element; any generator works as the annihilated carrier.
+            return ScalarMul(0, Generator(1)), i + 1
+        raise self.error(f"bare integer {value} is not a Lie element (only 0 is allowed)", i)
 
-    def parse_term(self) -> LieExpr:
-        tok = self.peek()
-        if tok[0] == "INT":
-            self.advance()
-            value = _int(tok[1], "integer literal", tok)
-            if self.peek()[0] == "*":
-                self.advance()
-                return ScalarMul(value, self.parse_factor())
-            if value == 0:
-                # Zero element; any generator works as the annihilated carrier.
-                return ScalarMul(0, Generator(1))
-            raise LieParseError(
-                f"bare integer {value} is not a Lie element (only 0 is allowed)",
-                tok[2],
-                tok[3],
-            )
-        return self.parse_factor()
-
-    def parse_factor(self) -> LieExpr:
-        tok = self.peek()
-        if tok[0] == "GEN":
-            self.advance()
-            index = _int(tok[1][1:], "generator index", tok)
+    def factor(self, i: int, depth: int):
+        tok = self.tokens[i]
+        if tok[:1] == "x":
+            index = self.integer(tok[1:], "generator index", i)
             if not 1 <= index <= self.n:
-                raise LieParseError(
-                    f"generator index {index} out of range 1..{self.n}", tok[2], tok[3]
-                )
-            return Generator(index)
-        if tok[0] in ("[", "("):
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise LieParseError(
-                    f"brackets and parentheses nested deeper than {MAX_NESTING}", tok[2], tok[3]
-                )
-            self.advance()
-            if tok[0] == "[":
-                left = self.parse_expr()
-                self.expect(",")
-                inner = Bracket(left, self.parse_expr())
-                self.expect("]")
-            else:
-                inner = self.parse_expr()
-                self.expect(")")
-            self.depth -= 1
-            return inner
-        raise LieParseError(
-            f"expected a generator, bracket or parenthesis, found {tok[1] or 'end of input'!r}",
-            tok[2],
-            tok[3],
-        )
+                raise self.error(f"generator index {index} out of range 1..{self.n}", i)
+            return Generator(index), i + 1
+        if tok != "[" and tok != "(":
+            found = tok or "end of input"
+            raise self.error(f"expected a generator, bracket or parenthesis, found {found!r}", i)
+        if depth == MAX_NESTING:
+            raise self.error(f"brackets and parentheses nested deeper than {MAX_NESTING}", i)
+        left, i = self.expr(i + 1, depth + 1)
+        if tok == "(":
+            return left, self.expect(")", i)
+        right, i = self.expr(self.expect(",", i), depth + 1)
+        return Bracket(left, right), self.expect("]", i)
 
 
 def parse(text: str, n: int) -> LieExpr:
     """Parse `text` into a Lie expression over the generators x1..xn."""
     if n < 1:
         raise ValueError("generator count must be at least 1")
+    if n > MAX_GENERATORS:
+        raise ValueError(f"generator count {n} exceeds the limit {MAX_GENERATORS}")
     parser = _Parser(text, n)
-    expr = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "EOF":
-        raise LieParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])
-    return expr
+    e, i = parser.expr(0, 0)
+    if parser.tokens[i]:
+        raise parser.error(f"unexpected trailing input {parser.tokens[i]!r}", i)
+    return e
 
 
 def eval_in_ring(e: LieExpr, images):

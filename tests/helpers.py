@@ -8,7 +8,7 @@ import itertools
 import random
 
 from metlie.calculus import PolyMatrix
-from metlie.expr import Bracket, Generator, ScalarMul, Sum
+from metlie.expr import MAX_NESTING, Bracket, Generator, LieParseError, ScalarMul, Sum
 from metlie.model import ModelElement
 from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key
 from metlie import primitivity
@@ -101,6 +101,169 @@ def random_expr(rng: random.Random, n: int, depth: int = 4):
         count = rng.randrange(1, 4)
         return Sum(tuple(random_expr(rng, n, depth - 1) for _ in range(count)))
     return ScalarMul(rng.randint(-3, 3), random_expr(rng, n, depth - 1))
+
+
+def reference_tokenize(text: str):
+    """Tokens of `text` as (kind, text, line, column), by a character loop."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in "[],()+-*":
+            tokens.append((ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch == "x":
+            j = i + 1
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            if j == i + 1:
+                raise LieParseError("expected digits after 'x'", line, col)
+            tokens.append(("GEN", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise LieParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+def _reference_int(digits: str, what: str, tok) -> int:
+    # int() refuses strings beyond the interpreter's digit limit (4300 by default).
+    try:
+        return int(digits)
+    except ValueError:
+        raise LieParseError(f"{what} of {len(digits)} digits is too long", tok[2], tok[3]) from None
+
+
+class ReferenceParser:
+    def __init__(self, text: str, n: int):
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+        self.n = n
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise LieParseError(
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2], tok[3]
+            )
+        return self.advance()
+
+    def parse_expr(self):
+        parts = []
+        sign = 1
+        if self.peek()[0] == "-":
+            self.advance()
+            sign = -1
+        parts.append(self._signed(self.parse_term(), sign))
+        while self.peek()[0] in "+-":
+            op = self.advance()[0]
+            term = self.parse_term()
+            parts.append(self._signed(term, -1 if op == "-" else 1))
+        if len(parts) == 1:
+            return parts[0]
+        return Sum(tuple(parts))
+
+    @staticmethod
+    def _signed(e, sign: int):
+        if sign == 1:
+            return e
+        if isinstance(e, ScalarMul):
+            return ScalarMul(-e.coeff, e.arg)
+        return ScalarMul(-1, e)
+
+    def parse_term(self):
+        tok = self.peek()
+        if tok[0] == "INT":
+            self.advance()
+            value = _reference_int(tok[1], "integer literal", tok)
+            if self.peek()[0] == "*":
+                self.advance()
+                return ScalarMul(value, self.parse_factor())
+            if value == 0:
+                # Zero element; any generator works as the annihilated carrier.
+                return ScalarMul(0, Generator(1))
+            raise LieParseError(
+                f"bare integer {value} is not a Lie element (only 0 is allowed)",
+                tok[2],
+                tok[3],
+            )
+        return self.parse_factor()
+
+    def parse_factor(self):
+        tok = self.peek()
+        if tok[0] == "GEN":
+            self.advance()
+            index = _reference_int(tok[1][1:], "generator index", tok)
+            if not 1 <= index <= self.n:
+                raise LieParseError(
+                    f"generator index {index} out of range 1..{self.n}", tok[2], tok[3]
+                )
+            return Generator(index)
+        if tok[0] in ("[", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise LieParseError(
+                    f"brackets and parentheses nested deeper than {MAX_NESTING}", tok[2], tok[3]
+                )
+            self.advance()
+            if tok[0] == "[":
+                left = self.parse_expr()
+                self.expect(",")
+                inner = Bracket(left, self.parse_expr())
+                self.expect("]")
+            else:
+                inner = self.parse_expr()
+                self.expect(")")
+            self.depth -= 1
+            return inner
+        raise LieParseError(
+            f"expected a generator, bracket or parenthesis, found {tok[1] or 'end of input'!r}",
+            tok[2],
+            tok[3],
+        )
+
+
+def reference_parse(text: str, n: int):
+    """`expr.parse` as a character loop and a peek/advance descent: the
+    oracle the scanner-based parser is tested against."""
+    if n < 1:
+        raise ValueError("generator count must be at least 1")
+    parser = ReferenceParser(text, n)
+    expr = parser.parse_expr()
+    tok = parser.peek()
+    if tok[0] != "EOF":
+        raise LieParseError(f"unexpected trailing input {tok[1]!r}", tok[2], tok[3])
+    return expr
 
 
 def bracket_by_products(a: MElement, b: MElement) -> MElement:

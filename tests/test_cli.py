@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from metlie import cli
 from metlie.calculus import MAX_MINORS
 from metlie.cli import main, parse_catalog, CatalogError
-from metlie.expr import LieParseError, parse
+from metlie.expr import MAX_GENERATORS, LieParseError, parse
 
 
 DATA = Path(__file__).parent / "data"
@@ -32,6 +33,13 @@ def json_oracle(monkeypatch):
         return text
 
     monkeypatch.setattr(cli, "dumps", checked)
+
+
+def metlie_env() -> dict:
+    """The environment for a fresh `python -m metlie` on this checkout's sources."""
+    src = str(Path(__file__).parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def run(capsys, *argv):
@@ -428,6 +436,28 @@ class TestHostileInput:
         assert err.startswith("inconclusive:") and str(MAX_MINORS) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["normalize", "x1"], ["primitive", "x1"], ["consistency"]])
+    def test_generator_count_over_bound_exit_2(self, tmp_path, command):
+        # A 1 GiB address-space limit turns an allocation sized by n (one
+        # 10^9-long monomial per generator) into a MemoryError and exit 1.
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        if command == ["consistency"]:
+            catalog = tmp_path / "huge.txt"
+            catalog.write_text("n=1000000000\nx1\n", encoding="utf-8")
+            argv = ["consistency", str(catalog)]
+        else:
+            argv = ["--n", "1000000000", *command]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "metlie", *argv], capture_output=True,
+                              text=True, env=metlie_env(), timeout=60,
+                              preexec_fn=limit_address_space)
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr == (
+            f"error: generator count 1000000000 exceeds the limit {MAX_GENERATORS}\n")
+
     def test_twelve_generators_within_cap(self, capsys):
         # C(12, 6) = 924 minors fit; the quotient rings of 4^12 monomials are
         # refused by their exponent, without computing m^(4^12).
@@ -518,9 +548,7 @@ class TestRepeatedMain:
         assert cli.build_parser() is cli.build_parser()
 
     def test_same_as_fresh_processes(self, capsys):
-        src = str(Path(__file__).parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env = metlie_env()
         fresh = [subprocess.run([sys.executable, "-m", "metlie", *argv], capture_output=True,
                                 text=True, env=env, timeout=120)
                  for argv in self.CALLS]
@@ -542,9 +570,7 @@ class TestClosedStdout:
         (["--n", "2", "primitive", "x1 + [x2,x1]"], 1),
     ])
     def test_no_traceback_and_contract_exit_code(self, argv, expected):
-        src = str(Path(__file__).parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env = metlie_env()
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

@@ -759,6 +759,28 @@ class TestCubeCheck:
         assert calls == minors(jacobi_matrix(gs), 1)
 
 
+class TestSameResiduePoints:
+    """Quotient rings with the same maximal ideals give the same unit-ideal
+    answer: (1,2,2), (2,1,2) and (2,2,2) have the points of (1,1,2), xi in
+    {0,1}^n mod 2, and (2,1,3) those of (1,1,3).  So once (1,1,m) has passed,
+    the others of its group cannot refute."""
+
+    GROUPS = [[(1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2)], [(1, 1, 3), (2, 1, 3)]]
+
+    def test_groups_agree_at_n2(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(1024):
+            k = rng.randint(1, 2)
+            gs = [random_melement(rng, 2, max_len=4, coeff_bound=3) for _ in range(k)]
+            for group in self.GROUPS:
+                answers = {quotient_primitivity_check(gs, QuotientParams(p, q, m, 2))
+                           for p, q, m in group}
+                assert len(answers) == 1, (gs, group)
+                seen |= {(group[0], answer) for answer in answers}
+        assert seen == {(group[0], answer) for group in self.GROUPS for answer in (True, False)}
+
+
 class TestIsPrimitive:
     def test_single_generator(self):
         v = is_primitive([mel("x1")])
