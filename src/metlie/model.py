@@ -25,7 +25,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from metlie.expr import Generator, Bracket, Sum, ScalarMul
@@ -308,19 +308,19 @@ def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> Model
     return ModelElement(model.params, l, tau)
 
 
-class _RankTable(dict):
-    """l^rank of the Jacobi matrix [d_j g_i] over F_l at a point a, by a."""
+class _PointSpans(dict):
+    """|Z/r-span of the Jacobi matrix [d_j g_i] at a point a of (Z/r)^n|, by a."""
 
-    def __init__(self, gs: list[MElement], ell: int):
+    def __init__(self, gs: list[MElement], r: int):
         super().__init__()
         self.gs = gs
-        self.ell = ell
+        self.r = r
 
     def __missing__(self, a) -> int:
-        ell = self.ell
-        cols = Span(ell, len(self.gs))
+        r = self.r
+        cols = Span(r, len(self.gs))
         for j in range(len(a)):
-            cols.add([sum(c * math.prod(map(pow, a, mu)) for mu, c in g.deriv[j].terms.items()) % ell
+            cols.add([sum(c * math.prod(map(pow, a, mu)) for mu, c in g.deriv[j].terms.items()) % r
                       for g in self.gs])
         self[a] = size = cols.size()
         return size
@@ -329,96 +329,94 @@ class _RankTable(dict):
 def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPoly]):
     """s -> |Im_s| for top-left tuples s given as indices into `l_space`.
 
-    R is finite, so an R-linear map R^n -> R^k is onto iff it is onto modulo
-    every maximal ideal (Nakayama; Atiyah-Macdonald ch. 2).  Where
-    `QuotientParams.local_factors` lists them, the map of s modulo
-    (l, x - xi) is the Jacobi matrix [d_j g_i] over F_l at a = s(xi), whose
-    span, l^rank, is computed once per (l, a); s is onto iff every rank is k.
-    For squarefree m, R is the product of the local rings A_xi
-    (Atiyah-Macdonald ch. 8), and Im_s the product of the A_xi-modules that
-    the columns d_j g(s) span there.  A factor of rank k is onto, of size
-    l^(k dim A_xi) (Nakayama); a field factor has size l^rank; any other
-    factor takes the Howell form over F_l of the rows y^nu * d_j g(s) in
-    A_xi^k, with y = x - xi, memoized by (l, e, the images of s in A_xi).
-    A map that is not onto takes the Howell form of the rows mu * d_j g(s)
-    over the whole ring only where x^q - 1 does not split or m is not
-    squarefree.
+    Where `QuotientParams.local_factors` lists them, R is the product of the
+    local rings A_xi over Z/r (Atiyah-Macdonald ch. 8), and Im_s that of the
+    A_xi-modules the columns d_j g(s) span.  A_xi has the basis t^nu,
+    nu_i < e_i: x_i = t_i, t_i^e_i = 0 where xi_i = 0, else x_i = xi_i t_i,
+    t_i^e_i = 1.  A map onto modulo the maximal ideal, over x -> xi, is onto
+    (Nakayama): the part at xi has r^(k dim A_xi) elements iff the Z/r-span
+    of the Jacobi matrix [d_j g_i] at a = s(xi), kept per (r, a), has r^k.
+    A part of dimension 1 is that span; any other takes the Howell form over
+    Z/r of the rows t^nu * d_j g(s) in A_xi^k, kept per images of s in A_xi.
+    Where x^q - 1 does not split, the Howell form of the rows mu * d_j g(s)
+    over the whole ring gives every size.
     """
     n, k = quotient.n, len(gs)
-    one = QPoly.one(quotient)
-
-    def whole_ring(s) -> int:
-        args = [l_space[t] for t in s]
-        image = Span(quotient.m, k * quotient.monomial_count)
-        for row in module_rows([[g.deriv[j].evaluate(args, one) for g in gs] for j in range(n)]):
-            image.add(row)
-        return image.size()
-
     factors = quotient.local_factors()
     if factors is None:
+        one = QPoly.one(quotient)
+
+        def whole_ring(s) -> int:
+            args = [l_space[t] for t in s]
+            image = Span(quotient.m, k * quotient.monomial_count)
+            for row in module_rows([[g.deriv[j].evaluate(args, one) for g in gs] for j in range(n)]):
+                image.add(row)
+            return image.size()
         return whole_ring
     onto_size = quotient.ring_size ** k
-    squarefree = math.prod({ell for ell, _, _ in factors}) == quotient.m
-    # values[t][f] = l_space[t] at xi mod l, from the monomials' values at xi
-    at = [[math.prod(map(pow, xi, mu)) % ell for mu in quotient.monomials()] for ell, xi, _ in factors]
-    values = [[sum(map(operator.mul, l.vec, v)) % ell for (ell, _, _), v in zip(factors, at)]
+    # values[t][f] = l_space[t] at xi mod r, from the monomials' values at xi
+    at = [[math.prod(map(pow, xi, mu)) % r for mu in quotient.monomials()] for r, xi, _ in factors]
+    values = [[sum(map(operator.mul, l.vec, v)) % r for (r, _, _), v in zip(factors, at)]
               for l in l_space]
-    by_prime = {ell: _RankTable(gs, ell) for ell, _, _ in factors}
-    ranks = [by_prime[ell] for ell, _, _ in factors]
-    full = [ell ** k for ell, _, _ in factors]
+    by_modulus = {r: _PointSpans(gs, r) for r, _, _ in factors}
+    spans = [by_modulus[r] for r, _, _ in factors]
+    full = [r ** k for r, _, _ in factors]
     dims = [math.prod(e) for _, _, e in factors]
     # A local image is numbered once per ring A_xi, so equal images of
-    # different t, or at different xi with equal (l, e), share a number.
-    numbers: dict[tuple, int] = {}  # number of each local image, by (l, e, its terms)
-    polys: list[Poly] = []  # the local images by number
-    images: dict[tuple, int] = {}  # number of the image of l_space[t] in A_xi, by (factor, t)
+    # different t, or at different xi with equal rings, share a number.
+    numbers: dict[tuple, tuple] = {}  # (number, Poly) of each local image, by (ring, its terms)
     local: dict[tuple, int] = {}  # size of the A_xi-span, by the numbers of the images of s
     one_n = Poly.one(n)
 
-    def image(f: int, t: int) -> int:
-        ell, xi, e = factors[f]
-        shifted = [Poly.constant(x, n) + Poly.variable(i + 1, n) for i, x in enumerate(xi)]
-        terms = Poly(n, l_space[t].terms).evaluate(shifted, one_n).terms
-        terms = {mu: c % ell for mu, c in terms.items() if c % ell and all(map(operator.lt, mu, e))}
-        key = (ell, e, tuple(sorted(terms.items())))
-        if key not in numbers:
-            numbers[key] = len(polys)
-            polys.append(Poly(n, terms))
-        return numbers[key]
+    def project(f: int, a: Poly) -> dict:
+        """The terms of a polynomial in t in A_xi."""
+        r, xi, e = factors[f]
+        out = {}
+        for mu, c in a.terms.items():
+            if all(y < d or x for y, d, x in zip(mu, e, xi)):
+                nu = tuple([y % d for y, d in zip(mu, e)])
+                out[nu] = out.get(nu, 0) + c
+        return {nu: c % r for nu, c in out.items() if c % r}
+
+    @cache
+    def image(f: int, t: int) -> tuple:
+        """The (number, Poly) of the image of l_space[t] in A_xi."""
+        r, xi, e = factors[f]
+        scaled = [Poly.variable(i + 1, n) * (x or 1) for i, x in enumerate(xi)]
+        terms = project(f, Poly(n, l_space[t].terms).evaluate(scaled, one_n))
+        key = (r, e, tuple(map(bool, xi)), tuple(sorted(terms.items())))
+        return numbers.setdefault(key, (len(numbers), Poly(n, terms)))
+
+    @cache
+    def shifts(f: int) -> list:
+        """For each t^nu, the exponents in c whose coefficients are those of the
+        basis t^mu in t^nu * c: mu - nu, taken mod e_i where t_i^e_i = 1."""
+        _, xi, e = factors[f]
+        basis = list(itertools.product(*map(range, e)))
+        return [[tuple([(y - z) % d if x else y - z for y, z, d, x in zip(mu, nu, e, xi)])
+                 for mu in basis] for nu in basis]
 
     def local_size(f: int, s) -> int:
-        for t in s:
-            if (f, t) not in images:
-                images[f, t] = image(f, t)
-        key = tuple([images[f, t] for t in s])
+        images = [image(f, t) for t in s]
+        key = tuple([number for number, _ in images])
         if key not in local:
-            ell, _, e = factors[f]
-            args = [polys[i] for i in key]
-            basis = list(itertools.product(*map(range, e)))
-            span = Span(ell, k * len(basis))
+            args = [a for _, a in images]
+            span = Span(factors[f][0], k * dims[f])
             for j in range(n):
-                col = [g.deriv[j].evaluate(args, one_n).terms for g in gs]
-                # the coefficient of y^mu in y^nu * c is that of y^(mu - nu) in c
-                for nu in basis:
-                    span.add([c.get(tuple(map(operator.sub, mu, nu)), 0) % ell
-                              for c in col for mu in basis])
+                col = [project(f, g.deriv[j].evaluate(args, one_n)) for g in gs]
+                for sources in shifts(f):
+                    span.add([c.get(mu, 0) for c in col for mu in sources])
             local[key] = span.size()
         return local[key]
 
     def image_size(s) -> int:
-        sizes = [rank[a] for rank, a in zip(ranks, zip(*[values[t] for t in s]))]
+        sizes = [span[a] for span, a in zip(spans, zip(*[values[t] for t in s]))]
         if sizes == full:
             return onto_size
-        if not squarefree:
-            return whole_ring(s)
         out = 1
         for f, (size, top, dim) in enumerate(zip(sizes, full, dims)):
-            if size == top:
-                out *= top ** dim
-            elif dim == 1:
-                out *= size
-            else:
-                out *= local_size(f, s)
+            # onto; a part of dimension 1; any other part
+            out *= top ** dim if size == top else size if dim == 1 else local_size(f, s)
         return out
     return image_size
 
@@ -432,7 +430,7 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     Im_s is the R-submodule of R^k spanned by (mu * d_j g_i(s))_i over j and
     the monomials mu, and each image point has
     kernel_s = |R|^(n*n) / |Im_s|^n preimages.  `_image_size` gives |Im_s|
-    from ranks at the residue points and, for a map that is not onto, from
+    from spans at the residue points and, for a map that is not onto, from
     the factors of the CRT split of R.
 
     No image is listed.  Let L = lin(g)(s) be the top-left key of s, W_L

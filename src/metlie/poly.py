@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -330,33 +331,33 @@ class QuotientParams:
         return tuple(map(tuple, table))
 
     def local_factors(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]] | None:
-        """(l, xi, e) for each prime l | m, in increasing order, and each point
-        xi of F_l^n with xi_i^p(xi_i^q - 1) = 0, in product order; None unless
-        x^q - 1 splits over every F_l.  With q = l^v * q', l not dividing q',
-        it splits iff q' | l - 1, and then x^p(x^q - 1) = prod_a (x - a)^e(a)
-        over F_l with e(0) = p and e(a) = l^v at each root of x^q - 1.  The
-        kernels (l, x - xi) of evaluation mod l are the maximal ideals, and
-        R/lR is the product of the local rings A_xi = F_l[y]/(y_i^e_i) with
-        y = x - xi and e_i = e(xi_i) (CRT); the multiplicities at each
-        coordinate sum to p + q.  Factoring m by trial division takes about
-        sqrt(m) steps."""
+        """(r, xi, e) for each prime power r = l^a exactly dividing m, in
+        increasing order of l, and each point xi of (Z/r)^n, in product order;
+        None unless x^q - 1 splits over every F_l.  With q = l^v * q', l not
+        dividing q', it splits iff q' | l - 1, and then x^q - 1 =
+        prod_a (x^(l^v) - a~) over Z/r (Hensel), a~ = a^(r/l) mod r being the
+        Teichmueller lift of a root a of x^q' - 1 in F_l, so a~^l = a~.  With
+        x^p these factors are pairwise comaximal, each a power of x - a mod l,
+        so R/rR is the product of the local rings A_xi = (Z/r)[X]/(f_i) (CRT):
+        f_i = x_i^e_i, e_i = p, where xi_i = 0, and f_i = x_i^e_i - xi_i,
+        e_i = l^v, where xi_i = a~.  The multiplicities at each coordinate sum
+        to p + q, and x -> xi is a ring map A_xi -> Z/r.  Factoring m by trial
+        division takes about sqrt(m) steps."""
         out, rest, ell = [], self.m, 1
         while rest > 1:
             ell = ell + 1 if (ell + 1) ** 2 <= rest else rest
             if rest % ell:
                 continue
-            while rest % ell == 0:
-                rest //= ell
-            q, power = self.q, 1
-            while q % ell == 0:
-                q //= ell
-                power *= ell
+            r = math.gcd(rest, ell ** rest.bit_length())  # l^a
+            power = math.gcd(self.q, ell ** self.q.bit_length())  # l^v
+            rest, q = rest // r, self.q // power
             if (ell - 1) % q:
                 return None
-            roots = [(0, self.p)] + [(a, power) for a in range(1, ell) if pow(a, q, ell) == 1]
+            roots = [(0, self.p)] + [(pow(a, r // ell, r), power)
+                                     for a in range(1, ell) if pow(a, q, ell) == 1]
             for point in itertools.product(roots, repeat=self.n):
                 xi, e = zip(*point)
-                out.append((ell, xi, e))
+                out.append((r, xi, e))
         return out
 
 

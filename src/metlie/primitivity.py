@@ -563,8 +563,15 @@ class PrimitivityVerdict:
 
     primitive: Optional[bool]
     method: str
-    certificate: Optional[dict] = None
     refutation: Optional[dict] = None
+    minors: Optional[list[Poly]] = None
+    cofactors: Optional[list[Poly]] = None  # sum h_i * minors_i = 1 when present
+
+    @property
+    def certificate(self) -> Optional[dict]:
+        """The minors and cofactors as text, formatted only when read."""
+        if self.cofactors is not None:
+            return {"minors": list(map(str, self.minors)), "cofactors": list(map(str, self.cofactors))}
 
     def to_json(self) -> dict:
         return {
@@ -621,13 +628,7 @@ def is_primitive(gs: list[MElement], *,
     except GroebnerLimitError:
         return PrimitivityVerdict(None, "groebner")
     if found:
-        return PrimitivityVerdict(
-            True, "groebner",
-            certificate={
-                "minors": [str(p) for p in minor_polys],
-                "cofactors": [str(h) for h in cofactors],
-            },
-        )
+        return PrimitivityVerdict(True, "groebner", minors=minor_polys, cofactors=cofactors)
     return PrimitivityVerdict(False, "groebner")
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -499,6 +500,32 @@ class TestCensusN3Golden:
         assert text == (DATA / "census_n3_golden.json").read_text()
 
 
+def census_prime_power_reports() -> list:
+    """Reports on the linear carrier of rings whose m is a prime power: the
+    acceptance catalog at n = 2 on five of them, and a non-primitive and a
+    primitive system at n = 3 on (1,1,4), as {"system", "report"} entries."""
+    n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
+    runs = [(pqm, n, texts) for pqm in ((1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 4), (1, 1, 9))
+            for texts, _ in systems]
+    runs += [((1, 1, 4), 3, [text]) for text in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]")]
+    out = []
+    for pqm, n, texts in runs:
+        model = FiniteModel(ModelParams(QuotientParams(*pqm, n)))
+        rep = uniformity_check([mel(t, n) for t in texts], model, budget=1 << 1000)
+        out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
+    return out
+
+
+class TestCensusPrimePowerGolden:
+    """`census_prime_power_reports` byte for byte as the census that took a
+    Howell form over the whole ring for every map that was not onto on these
+    rings wrote it, dumped with sort_keys=True, indent=2."""
+
+    def test_reports_match_golden(self):
+        text = json.dumps(census_prime_power_reports(), sort_keys=True, indent=2) + "\n"
+        assert text == (DATA / "census_prime_power_golden.json").read_text()
+
+
 def _drawn_system(seed, n, k):
     """k elements over n generators.  For n >= 2 a third of the draws take
     k images of a tame automorphism (a uniform system) and a third add a
@@ -578,9 +605,13 @@ class TestHistogramOracle:
             assert rep["witness_target"]["target"] == [0] * k
 
 
+# The default grid, and rings whose m is a prime power with a square factor.
+PRIME_POWER_GRID = ((1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 4), (1, 1, 8))
+
 RESIDUE_MODELS = [
     params for params in (ModelParams(QuotientParams(*pqm, 2), variant)
-                          for pqm in DEFAULT_QUOTIENT_GRID for variant in ("linear", "full"))
+                          for pqm in DEFAULT_QUOTIENT_GRID + PRIME_POWER_GRID
+                          for variant in ("linear", "full"))
     if FiniteModel(params).l_size ** 2 <= 4096
 ]
 
@@ -610,7 +641,7 @@ def _span_widths(monkeypatch) -> list:
 
 
 class TestResidueOnto:
-    """The image sizes of the census (`_image_size`: ranks at the residue
+    """The image sizes of the census (`_image_size`: spans at the residue
     points, then the local factors of the CRT split) against the Howell form
     of the image rows mu * d_j g_i(s) over the whole ring, tuple by tuple;
     and which of those spans the census builds."""
@@ -638,7 +669,7 @@ class TestResidueOnto:
 
     @pytest.mark.parametrize("params", [
         ModelParams(QuotientParams(*pqm, 2), variant)
-        for pqm in DEFAULT_QUOTIENT_GRID for variant in ("linear", "full")
+        for pqm in DEFAULT_QUOTIENT_GRID + ((1, 1, 9), (1, 2, 9)) for variant in ("linear", "full")
     ], ids=lambda params: "{}-{}{}{}".format(
         params.top_left, params.quotient.p, params.quotient.q, params.quotient.m))
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 2))
@@ -679,16 +710,31 @@ class TestResidueOnto:
         assert not rep.uniform
         assert set(widths) == {1, 8}
 
-    @pytest.mark.parametrize("pqm, widths", [
-        ((1, 1, 4), {1, 4}),  # the residue points of m = 4 give the onto test
-        ((1, 3, 2), {16}),    # x^3 - 1 does not split over F_2: no onto test
+    @pytest.mark.parametrize("pqm, dims", [
+        ((1, 1, 4), {1}),        # Z_4[X] = Z_4^(2^n): every part is Z/4
+        ((1, 2, 4), {1, 2, 4}),  # x^2 - 1 is one local factor over Z/4
     ])
-    def test_whole_ring_fallback(self, monkeypatch, pqm, widths):
+    @pytest.mark.parametrize("text", ["x1 + [x2,x1]", "x1 + [x2,x1]; x2"])
+    def test_prime_powers_need_local_spans(self, monkeypatch, pqm, dims, text):
+        # The census of a ring whose m has a square factor builds spans over
+        # the local rings only: k wide at the points, k * dim A_xi for the
+        # other parts; none of the whole ring's k * w.
         built = _span_widths(monkeypatch)
         model = FiniteModel(ModelParams(QuotientParams(*pqm, 2)))
+        gs = [mel(t) for t in text.split("; ")]
+        rep = uniformity_check(gs, model, budget=1 << 600)
+        assert not rep.uniform
+        assert {math.prod(e) for _, _, e in model.quotient.local_factors()} == dims
+        assert set(built) == {len(gs) * dim for dim in dims}
+
+    def test_whole_ring_fallback(self, monkeypatch):
+        # x^3 - 1 does not split over F_2: no onto test, every size a
+        # Howell form over the whole ring.
+        built = _span_widths(monkeypatch)
+        model = FiniteModel(ModelParams(QuotientParams(1, 3, 2, 2)))
         rep = uniformity_check([mel("x1 + [x2,x1]")], model, budget=1 << 600)
         assert not rep.uniform
-        assert set(built) == widths
+        assert set(built) == {16}
 
     def test_not_split_has_no_test(self):
         quotient = QuotientParams(1, 3, 2, 2)

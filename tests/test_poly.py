@@ -187,6 +187,16 @@ class TestCubeValues:
             assert cube_values(a) == [a.evaluate(list(xi), 1) for xi in points]
 
 
+def prime_powers(m) -> dict:
+    """{l: l^a} for each prime power l^a exactly dividing m, by trial division."""
+    out = {}
+    for ell in range(2, m + 1):
+        while m % ell == 0:
+            m //= ell
+            out[ell] = out.get(ell, 1) * ell
+    return out
+
+
 class TestResiduePoints:
     """The points of `QuotientParams.local_factors`."""
 
@@ -195,23 +205,59 @@ class TestResiduePoints:
         (1, 2, 3, {3: [0, 1, 2]}),
         (2, 2, 2, {2: [0, 1]}),
         (1, 1, 6, {2: [0, 1], 3: [0, 1]}),
-        (1, 2, 12, {2: [0, 1], 3: [0, 1, 2]}),
+        (1, 2, 12, {4: [0, 1], 3: [0, 1, 2]}),  # 3 is a root mod 4 too, above 1 mod 2
         (1, 3, 7, {7: [0, 1, 2, 4]}),  # 3 | 7 - 1
     ])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_split(self, p, q, m, roots, n):
         got = QuotientParams(p, q, m, n).local_factors()
-        primes = [ell for ell, _, _ in got]
-        assert primes == sorted(primes) and sorted(set(primes)) == sorted(roots)
-        for ell in roots:
-            assert roots[ell] == [a for a in range(ell) if a ** p * (a ** q - 1) % ell == 0]
-            points = [xi for l2, xi, _ in got if l2 == ell]
-            assert points == list(itertools.product(roots[ell], repeat=n))
+        assert list(dict.fromkeys(r for r, _, _ in got)) == list(roots)
+        for r in roots:
+            assert all(a ** p * (a ** q - 1) % r == 0 for a in roots[r])
+            points = [xi for r2, xi, _ in got if r2 == r]
+            assert points == list(itertools.product(roots[r], repeat=n))
 
     @pytest.mark.parametrize("p, q, m", [(1, 3, 2), (1, 4, 3), (1, 3, 10)])
     def test_not_split(self, p, q, m):
         # x^3 - 1 has no root but 1 in F_2 and F_5, x^4 - 1 only 1, 2 in F_3.
         assert QuotientParams(p, q, m, 2).local_factors() is None
+
+    def test_split_iff_roots(self):
+        # p, q <= 4, m <= 16, n in {1, 2}: None exactly when x^q' - 1 has
+        # fewer than q' roots in some F_l; otherwise the lifted roots are
+        # roots of unity of order dividing q', fixed by a -> a^(l^v),
+        # distinct mod l, x^p(x^q - 1) = x^p prod (x^(l^v) - a) over Z/r,
+        # and the dimensions of the local rings at each r sum to (p+q)^n.
+        y = Poly.variable(1, 1)
+        outcomes = set()
+        for p, q, m, n in itertools.product(range(1, 5), range(1, 5), range(2, 17), (1, 2)):
+            got = QuotientParams(p, q, m, n).local_factors()
+            outcomes.add(got is None)
+            split = {}  # q' and l^v by l
+            for ell in prime_powers(m):
+                power = prime_powers(q).get(ell, 1)
+                split[ell] = (q // power, power)
+            if any(sum(pow(a, qq, ell) == 1 for a in range(1, ell)) < qq
+                   for ell, (qq, _) in split.items()):
+                assert got is None, (p, q, m, n)
+                continue
+            assert list(dict.fromkeys(r for r, _, _ in got)) == list(prime_powers(m).values())
+            for ell, r in prime_powers(m).items():
+                qq, power = split[ell]
+                coords = {}
+                for r2, xi, e in got:
+                    if r2 == r:
+                        coords.update(zip(xi, e))
+                roots = [a for a in coords if a]
+                assert len(roots) == qq and coords[0] == p
+                assert all(pow(a, qq, r) == 1 and pow(a, power, r) == a and coords[a] == power
+                           for a in roots)
+                assert len({a % ell for a in coords}) == len(coords)
+                f = math.prod((y ** power - Poly.constant(a, 1) for a in roots), start=y ** p)
+                g = y ** p * (y ** q - Poly.one(1))
+                assert all(c % r == 0 for c in (f - g).terms.values()), (p, q, m)
+                assert sum(math.prod(e) for r2, _, e in got if r2 == r) == (p + q) ** n
+        assert outcomes == {True, False}
 
 
 def root_multiplicity(p, q, ell, a) -> int:
@@ -232,15 +278,15 @@ class TestLocalFactors:
     def test_root_multiplicities(self, p, q, m, n):
         params = QuotientParams(p, q, m, n)
         got = params.local_factors()
-        for ell in sorted({ell for ell, _, _ in got}):
-            factors = [(xi, e) for l2, xi, e in got if l2 == ell]
+        for ell, r in prime_powers(m).items():
+            factors = [(xi, e) for r2, xi, e in got if r2 == r]
             for i in range(n):
                 mult = {}
                 for xi, e in factors:
-                    assert e[i] == root_multiplicity(p, q, ell, xi[i])
+                    assert e[i] == root_multiplicity(p, q, ell, xi[i] % ell)
                     mult[xi[i]] = e[i]
                 assert sum(mult.values()) == p + q
-            # prod l^dim A_xi = l^w: the factors have as many F_l-digits as R/lR.
+            # prod r^dim A_xi = r^w: the factors have as many Z/r-digits as R/rR.
             assert sum(math.prod(e) for _, e in factors) == params.monomial_count
 
     @pytest.mark.parametrize("p, q, m, mult", [
@@ -254,10 +300,16 @@ class TestLocalFactors:
                        for xi in itertools.product(sorted(mult), repeat=2)]
 
     def test_square_factor_keeps_its_points(self):
-        # m = 4 is not squarefree, but its maximal ideals are still (2, x - xi),
-        # which is all the onto test needs.
+        # Over Z/4, x(x - 1) splits at 0 and 1 into two copies of Z/4;
+        # x(x^2 - 1) has the local factor x^2 - 1 at 1 (3 is a root mod 4 too).
+        # Over Z/9 the roots 1, 2 of x^2 - 1 mod 3 lift to 1 and 2^3 = 8.
         assert QuotientParams(1, 1, 4, 2).local_factors() == [
-            (2, xi, (1, 1)) for xi in itertools.product([0, 1], repeat=2)]
+            (4, xi, (1, 1)) for xi in itertools.product([0, 1], repeat=2)]
+        assert QuotientParams(1, 2, 4, 1).local_factors() == [(4, (0,), (1,)), (4, (1,), (2,))]
+        assert QuotientParams(1, 2, 12, 1).local_factors() == [
+            (4, (0,), (1,)), (4, (1,), (2,)), (3, (0,), (1,)), (3, (1,), (1,)), (3, (2,), (1,))]
+        assert QuotientParams(2, 2, 9, 1).local_factors() == [
+            (9, (0,), (2,)), (9, (1,), (1,)), (9, (8,), (1,))]
 
 
 class TestReducePqm:
