@@ -359,10 +359,12 @@ def _buchberger(gens: list[Poly], packing: _Packing, *, max_basis: int, max_degr
     def chained(i: int, j: int, gamma: int, c: int) -> bool:
         """Is there a row k outside {i, j} with lc_k | c and lm_k | gamma
         whose pairs with i and j are both settled?"""
-        return any(c % b.lc == 0 and k != i and k != j and not (gamma - b.lm) & guard
-                   and (min(i, k), max(i, k)) not in pending
-                   and (min(j, k), max(j, k)) not in pending
-                   for k, b in enumerate(basis))
+        for k, b in enumerate(basis):
+            if (c % b.lc == 0 and k != i and k != j and not (gamma - b.lm) & guard
+                    and (min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
 
     for i, g in enumerate(gens):
         _check_degree(g, max_degree)

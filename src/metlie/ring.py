@@ -18,7 +18,6 @@ i2 < i1 and i2 <= i3 <= ... <= ik form a Z-basis of the derived subring;
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from metlie.expr import LieExpr, Generator, Bracket, Sum, ScalarMul, eval_in_ring
@@ -62,13 +61,22 @@ def check_basis_word(word: tuple[int, ...], n: int) -> None:
         raise ValueError(f"word {word} violates i2 <= i3 <= ... <= ik")
 
 
+def _int_tuple(linear) -> tuple:
+    """`linear` as a tuple, every entry an int (a bool is one)."""
+    linear = tuple(linear)
+    for c in linear:
+        if not isinstance(c, int):
+            raise TypeError(f"linear coefficients must be ints, got {c!r}")
+    return linear
+
+
 class MElement:
     """Element of the free metabelian Lie ring, in (linear, derivative) form."""
 
     __slots__ = ("n", "linear", "deriv")
 
     def __init__(self, linear, deriv):
-        linear = tuple(int(c) for c in linear)
+        linear = _int_tuple(linear)
         deriv = tuple(deriv)
         n = len(linear)
         if n < 1:
@@ -188,10 +196,10 @@ def _append_signed(chunks: list[str], body: str, positive: bool) -> None:
         chunks.append(f" + {body}" if positive else f" - {body}")
 
 
-def _linear_factors(lin, sign: int = 1) -> list:
-    """(x_j as a monomial, j, sign * lin_j) for the nonzero lin_j of a linear form."""
+def _linear_factors(lin, scale: int = 1) -> list:
+    """(x_j as a monomial, j, scale * lin_j) for the nonzero lin_j of a linear form."""
     n = len(lin)
-    return [((0,) * j + (1,) + (0,) * (n - j - 1), j, sign * c) for j, c in enumerate(lin) if c]
+    return [((0,) * j + (1,) + (0,) * (n - j - 1), j, scale * c) for j, c in enumerate(lin) if c]
 
 
 def _add_times_linear(out: dict, const: int, terms, factors) -> None:
@@ -221,70 +229,45 @@ def _add_times_linear(out: dict, const: int, terms, factors) -> None:
 def from_expr(e: LieExpr, n: int) -> MElement:
     """Image of a Lie expression in the free metabelian Lie ring.
 
-    The expression is evaluated on a lean carrier: the linear part and the
-    non-constant terms of each derivative (None for a linear element), since
-    d_i g(0) = lin_i(g).  Only brackets touch monomials.  `eval_in_ring` over
+    The expression is evaluated in destination-passing style: walk(e, c,
+    lin, rest) adds c * e into the caller's accumulators, the linear part
+    `lin` and the non-constant terms `rest` of each derivative, since
+    d_i g(0) = lin_i(g).  Only a bracket allocates, for its two sides, and
+    only brackets touch monomials.  `eval_in_ring` over
     `MElement.generator`s is the oracle in the tests.
     """
-    zero = (0,) * n
-    units = [zero[:j] + (1,) + zero[j + 1:] for j in range(n)]
-    no_terms: dict = {}
-
-    def walk(e):
-        # Every call returns fresh dicts, which its caller may update in place.
+    def walk(e, c, lin, rest):
         if isinstance(e, Generator):
             if not 1 <= e.index <= n:
                 raise ValueError(f"generator index {e.index} out of range 1..{n}")
-            return units[e.index - 1], None
-        if isinstance(e, Bracket):
-            la, ra = walk(e.left)
-            lb, rb = walk(e.right)
-            fa, fb = _linear_factors(lb), _linear_factors(la, -1)
-            rest = []
-            for i in range(n):
-                out: dict = {}
-                _add_times_linear(out, la[i], ra[i] if ra else no_terms, fa)
-                _add_times_linear(out, lb[i], rb[i] if rb else no_terms, fb)
-                rest.append(out)
-            return zero, rest
-        if isinstance(e, Sum):
-            lin, rest = walk(e.parts[0])
-            for part in e.parts[1:]:
-                plin, prest = walk(part)
-                lin = tuple(map(operator.add, lin, plin))
-                if prest is None:
-                    continue
-                if rest is None:
-                    rest = prest
-                    continue
-                for out, terms in zip(rest, prest):
-                    for mono, coeff in terms.items():
-                        s = out.get(mono, 0) + coeff
-                        if s:
-                            out[mono] = s
-                        else:
-                            del out[mono]
-            return lin, rest
-        if isinstance(e, ScalarMul):
-            c = e.coeff
-            if not isinstance(c, int):
-                raise TypeError(f"scalar multiple needs an int coefficient, got {c!r}")
-            lin, rest = walk(e.arg)
-            if not c:
-                return zero, None
-            if rest is not None and c != 1:
-                rest = [{mono: c * coeff for mono, coeff in terms.items()} for terms in rest]
-            return tuple(c * a for a in lin), rest
-        raise TypeError(f"not a Lie expression: {e!r}")
+            lin[e.index - 1] += c
+        elif isinstance(e, Sum):
+            for part in e.parts:
+                walk(part, c, lin, rest)
+        elif isinstance(e, ScalarMul):
+            k = e.coeff
+            if not isinstance(k, int):
+                raise TypeError(f"scalar multiple needs an int coefficient, got {k!r}")
+            walk(e.arg, c * k, lin, rest)
+        elif isinstance(e, Bracket):
+            # Both sides are walked even under c = 0, so that they are checked.
+            la, ra = [0] * n, [{} for _ in range(n)]
+            walk(e.left, 1, la, ra)
+            lb, rb = [0] * n, [{} for _ in range(n)]
+            walk(e.right, 1, lb, rb)
+            if c:
+                fa, fb = _linear_factors(lb, c), _linear_factors(la, -c)
+                for out, ca, ta, cb, tb in zip(rest, la, ra, lb, rb):
+                    _add_times_linear(out, ca, ta, fa)
+                    _add_times_linear(out, cb, tb, fb)
+        else:
+            raise TypeError(f"not a Lie expression: {e!r}")
 
-    lin, rest = walk(e)
-    deriv = []
-    for i, c in enumerate(lin):
-        terms = {zero: c} if c else {}
-        if rest is not None:
-            terms.update(rest[i])
-        deriv.append(Poly._raw(n, terms))
-    return MElement(lin, deriv)
+    lin, rest = [0] * n, [{} for _ in range(n)]
+    walk(e, 1, lin, rest)
+    zero = (0,) * n
+    return MElement(lin, [Poly._raw(n, {zero: c, **terms} if c else terms)
+                          for c, terms in zip(lin, rest)])
 
 
 def from_basis(terms, linear) -> MElement:
@@ -294,7 +277,7 @@ def from_basis(terms, linear) -> MElement:
     monomials: d_{i1} gets +coeff * x_{i2} x_{i3}..x_{ik} and d_{i2} gets
     -coeff * x_{i1} x_{i3}..x_{ik}.
     """
-    linear = tuple(int(c) for c in linear)
+    linear = _int_tuple(linear)
     n = len(linear)
     deriv = [dict() for _ in range(n)]
 

@@ -106,6 +106,42 @@ class TestParse:
         assert parse("٢*x2", 2) == ScalarMul(2, Generator(2))
 
 
+def _nodes():
+    """One fresh node of each type."""
+    return [Generator(1), Bracket(Generator(2), Generator(1)),
+            Sum((Generator(1), Generator(2))), ScalarMul(1, Generator(1))]
+
+
+class TestNodes:
+    """Nodes compare and hash by type and fields, and print as dataclasses."""
+
+    NODES = _nodes()
+
+    def test_equal_nodes_hash_alike(self):
+        for e, twin in zip(self.NODES, _nodes()):
+            assert twin == e and hash(twin) == hash(e) and twin is not e
+        assert len({*self.NODES, *_nodes()}) == 4
+        assert ScalarMul(2, Generator(1)) != ScalarMul(2, Generator(2))
+
+    def test_types_never_compare_equal(self):
+        assert Generator(1) != ScalarMul(1, Generator(1))
+        for a in self.NODES:
+            for b in self.NODES:
+                assert (a == b) == (a is b)
+
+    def test_repr(self):
+        assert [repr(e) for e in self.NODES] == [
+            "Generator(index=1)",
+            "Bracket(left=Generator(index=2), right=Generator(index=1))",
+            "Sum(parts=(Generator(index=1), Generator(index=2)))",
+            "ScalarMul(coeff=1, arg=Generator(index=1))",
+        ]
+
+    def test_empty_sum_rejected(self):
+        with pytest.raises(ValueError, match="at least one part"):
+            Sum(())
+
+
 class TestEvalInRing:
     def test_alternating(self):
         e = parse("[x1,x1]", 2)

@@ -616,15 +616,18 @@ RESIDUE_MODELS = [
 ]
 
 
-def _whole_ring_size(gs, quotient, args) -> int:
+def _whole_ring_size(gs, quotient, args, sizes: dict) -> int:
     """|Im_s| from the Howell form of the rows mu * d_j g_i(s) over the whole
-    ring, the rows built from term-map products."""
+    ring, the rows built from term-map products.  The evaluated columns
+    d_j g_i(s) alone fix the size, so `sizes` memoizes it by them."""
     one = QPoly.one(quotient)
-    columns = [[g.deriv[j].evaluate(args, one) for g in gs] for j in range(quotient.n)]
-    image = Span(quotient.m, len(gs) * quotient.monomial_count)
-    for row in reference_module_rows(columns, quotient):
-        image.add(row)
-    return image.size()
+    columns = tuple(tuple(g.deriv[j].evaluate(args, one) for g in gs) for j in range(quotient.n))
+    if columns not in sizes:
+        image = Span(quotient.m, len(gs) * quotient.monomial_count)
+        for row in reference_module_rows(columns, quotient):
+            image.add(row)
+        sizes[columns] = image.size()
+    return sizes[columns]
 
 
 def _span_widths(monkeypatch) -> list:
@@ -656,13 +659,13 @@ class TestResidueOnto:
         l_space = [QPoly(quotient, dict(zip(l_monos, v)))
                    for v in itertools.product(range(m), repeat=len(l_monos))]
         _, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
-        verdicts = set()
+        verdicts, sizes = set(), {}
         for texts, _ in systems:
             gs = [mel(t) for t in texts]
             onto_size = model.ring_size ** len(gs)
             image_size = _image_size(gs, quotient, l_space)
             for s in itertools.product(range(len(l_space)), repeat=n):
-                size = _whole_ring_size(gs, quotient, [l_space[t] for t in s])
+                size = _whole_ring_size(gs, quotient, [l_space[t] for t in s], sizes)
                 assert image_size(s) == size, (texts, s)
                 verdicts.add(size == onto_size)
         assert verdicts == {True, False}
@@ -682,7 +685,7 @@ class TestResidueOnto:
         gs = _drawn_system(seed, 2, k)
         args = [random_element(model, rng, max_terms=0).l for _ in range(2)]
         size = _image_size(gs, model.quotient, args)((0, 1))
-        assert size == _whole_ring_size(gs, model.quotient, args)
+        assert size == _whole_ring_size(gs, model.quotient, args, {})
 
     def test_onto_maps_need_no_image_span(self, monkeypatch):
         # Every map of this primitive system is onto at n = 3 on (2,2,2):
@@ -741,4 +744,4 @@ class TestResidueOnto:
         assert quotient.local_factors() is None
         args = [QPoly.variable(1, quotient), QPoly.zero(quotient)]
         gs = [mel("x1 + [x2,x1]")]
-        assert _image_size(gs, quotient, args)((0, 1)) == _whole_ring_size(gs, quotient, args)
+        assert _image_size(gs, quotient, args)((0, 1)) == _whole_ring_size(gs, quotient, args, {})

@@ -172,6 +172,19 @@ class TestBasisConversion:
         with pytest.raises(ValueError):
             to_basis(bad)
 
+    def test_linear_coefficients_must_be_ints(self):
+        # int() would truncate the float and parse the string; a bool is an int.
+        deriv = (Poly.one(2), Poly.zero(2))
+        for linear in ((1.7, 0), (1, "2"), (1.0, 0)):
+            with pytest.raises(TypeError, match="linear coefficients must be ints"):
+                MElement(linear, deriv)
+            with pytest.raises(TypeError, match="linear coefficients must be ints"):
+                from_basis([], linear)
+        with pytest.raises(TypeError, match="got 1.7"):
+            MElement((1.7, "2"), deriv)
+        assert MElement((True, False), deriv) == MElement.generator(1, 2)
+        assert from_basis([], (True, False)) == MElement.generator(1, 2)
+
     def test_basis_constraints_enforced(self):
         with pytest.raises(ValueError):
             from_basis([BasisTerm(1, (1, 2))], [0, 0])
@@ -244,6 +257,7 @@ class TestFromExprOracle:
         "[[x2,x1],[[x2,x1],x1]]", "[[[x2,x1],x1],2*x2 - [x2,x1]]",
         "[2*[x2,x1] - x1, -3*[[x2,x1],x1] + x2]", "[x1 - [x2,x1], [x1 - [x2,x1], x2]]",
         "x1 + [x2,x1] - [x2,x1]", "[x2, x1 + 6*[x2,x1]] + [x1 + 6*[x2,x1], x2]",
+        "[x1, 0*[x2,x1]] - 0*[[x2,x1],x1]",
     ]
 
     def test_cases(self):
@@ -275,8 +289,10 @@ class TestFromExprOracle:
         assert got == eval_in_ring(e, _generators(n))
 
     def test_out_of_range_generator(self):
+        # A zero scale still checks both sides of a bracket.
         for e in (Generator(3), Bracket(Generator(1), Generator(3)),
-                  ScalarMul(0, Generator(3)), Sum((Generator(1), Generator(0)))):
+                  ScalarMul(0, Generator(3)), ScalarMul(0, Bracket(Generator(1), Generator(3))),
+                  Sum((Generator(1), Generator(0)))):
             with pytest.raises(ValueError) as want:
                 eval_in_ring(e, _generators(2))
             with pytest.raises(ValueError) as got:
@@ -285,7 +301,8 @@ class TestFromExprOracle:
         assert str(got.value) == "generator index 0 out of range 1..2"
 
     def test_not_an_expression(self):
-        for e in ("x1", Bracket(Generator(1), "x2"), Sum((Generator(1), None))):
+        for e in ("x1", Bracket(Generator(1), "x2"), ScalarMul(0, Bracket(Generator(1), "x2")),
+                  Sum((Generator(1), None))):
             with pytest.raises(TypeError) as want:
                 eval_in_ring(e, _generators(2))
             with pytest.raises(TypeError) as got:
