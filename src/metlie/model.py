@@ -30,7 +30,7 @@ from typing import Optional
 
 from metlie.expr import Generator, Bracket, Sum, ScalarMul
 from metlie.poly import (
-    Poly, QPoly, QuotientParams, Span, module_rows, power_exceeds,
+    Poly, QPoly, QuotientParams, Span, power_exceeds,
 )
 from metlie.ring import MElement, from_expr
 
@@ -329,30 +329,25 @@ class _PointSpans(dict):
 def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPoly]):
     """s -> |Im_s| for top-left tuples s given as indices into `l_space`.
 
-    Where `QuotientParams.local_factors` lists them, R is the product of the
-    local rings A_xi over Z/r (Atiyah-Macdonald ch. 8), and Im_s that of the
-    A_xi-modules the columns d_j g(s) span.  A_xi has the basis t^nu,
-    nu_i < e_i: x_i = t_i, t_i^e_i = 0 where xi_i = 0, else x_i = xi_i t_i,
-    t_i^e_i = 1.  A map onto modulo the maximal ideal, over x -> xi, is onto
-    (Nakayama): the part at xi has r^(k dim A_xi) elements iff the Z/r-span
-    of the Jacobi matrix [d_j g_i] at a = s(xi), kept per (r, a), has r^k.
-    A part of dimension 1 is that span; any other takes the Howell form over
-    Z/r of the rows t^nu * d_j g(s) in A_xi^k, kept per images of s in A_xi.
-    Where x^q - 1 does not split, the Howell form of the rows mu * d_j g(s)
-    over the whole ring gives every size.
+    R is the product of rings A_xi over Z/r (CRT, Atiyah-Macdonald ch. 8),
+    and Im_s that of the A_xi-modules the columns d_j g(s) span.  A_xi has
+    the basis t^nu, nu_i < e_i: x_i = t_i, t_i^e_i = 0 where xi_i = 0, else
+    x_i = xi_i t_i, t_i^e_i = 1.  Where `QuotientParams.local_factors` lists
+    them, each A_xi is local; elsewhere x^p and x^q - 1 = -1 mod x are still
+    comaximal, so r = m and xi runs over {0,1}^n with e_i = p or q, and only
+    A_0, where t is nilpotent, is tested for onto.  A map onto modulo the
+    kernel of x -> xi is onto (Nakayama): the part at xi has r^(k dim A_xi)
+    elements iff the Z/r-span of the Jacobi matrix [d_j g_i] at a = s(xi),
+    kept per (r, a), has r^k.  A part of dimension 1 is that span; any other
+    takes the Howell form over Z/r of the rows t^nu * d_j g(s) in A_xi^k,
+    kept per images of s in A_xi.
     """
     n, k = quotient.n, len(gs)
     factors = quotient.local_factors()
-    if factors is None:
-        one = QPoly.one(quotient)
-
-        def whole_ring(s) -> int:
-            args = [l_space[t] for t in s]
-            image = Span(quotient.m, k * quotient.monomial_count)
-            for row in module_rows([[g.deriv[j].evaluate(args, one) for g in gs] for j in range(n)]):
-                image.add(row)
-            return image.size()
-        return whole_ring
+    split = factors is not None
+    if not split:
+        factors = [(quotient.m, *zip(*point))
+                   for point in itertools.product(((0, quotient.p), (1, quotient.q)), repeat=n)]
     onto_size = quotient.ring_size ** k
     # values[t][f] = l_space[t] at xi mod r, from the monomials' values at xi
     at = [[math.prod(map(pow, xi, mu)) % r for mu in quotient.monomials()] for r, xi, _ in factors]
@@ -360,7 +355,7 @@ def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPol
               for l in l_space]
     by_modulus = {r: _PointSpans(gs, r) for r, _, _ in factors}
     spans = [by_modulus[r] for r, _, _ in factors]
-    full = [r ** k for r, _, _ in factors]
+    full = [r ** k if split or not any(xi) else 0 for r, xi, _ in factors]
     dims = [math.prod(e) for _, _, e in factors]
     # A local image is numbered once per ring A_xi, so equal images of
     # different t, or at different xi with equal rings, share a number.

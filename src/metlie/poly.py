@@ -81,7 +81,8 @@ class Poly:
                 raise ValueError(f"monomial {key} does not have {n} exponents")
             if any(e < 0 for e in key):
                 raise ValueError(f"negative exponent in monomial {key}")
-            coeff = int(coeff)
+            if not isinstance(coeff, int):  # a bool is one
+                raise TypeError(f"polynomial coefficients must be ints, got {coeff!r}")
             if coeff:
                 clean[key] = clean.get(key, 0) + coeff
                 if not clean[key]:

@@ -290,6 +290,8 @@ def from_basis(terms, linear) -> MElement:
 
     for t in terms:
         check_basis_word(t.word, n)
+        if not isinstance(t.coeff, int):
+            raise TypeError(f"basis-term coefficients must be ints, got {t.coeff!r}")
         i1, i2, *tail = t.word
         base = [0] * n
         for i in tail:

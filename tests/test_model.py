@@ -526,6 +526,34 @@ class TestCensusPrimePowerGolden:
         assert text == (DATA / "census_prime_power_golden.json").read_text()
 
 
+def census_nonsplit_reports() -> list:
+    """Reports on the linear carrier of rings where x^q - 1 does not split:
+    the acceptance catalog at n = 2 on four of them, and two non-primitive
+    systems and a primitive one at n = 3 on (1,3,2), as {"system", "report"}
+    entries."""
+    n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
+    runs = [(pqm, n, texts) for pqm in ((1, 3, 2), (2, 3, 2), (1, 4, 3), (1, 3, 4))
+            for texts, _ in systems]
+    runs += [((1, 3, 2), 3, texts.split("; "))
+             for texts in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]", "x1 + [x2,x1]; x3")]
+    out = []
+    for pqm, n, texts in runs:
+        model = FiniteModel(ModelParams(QuotientParams(*pqm, n)))
+        rep = uniformity_check([mel(t, n) for t in texts], model, budget=1 << 4000)
+        out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
+    return out
+
+
+class TestCensusNonsplitGolden:
+    """`census_nonsplit_reports` byte for byte as the census that took a
+    Howell form over the whole ring for every tuple on these rings wrote it,
+    dumped with sort_keys=True, indent=2."""
+
+    def test_reports_match_golden(self):
+        text = json.dumps(census_nonsplit_reports(), sort_keys=True, indent=2) + "\n"
+        assert text == (DATA / "census_nonsplit_golden.json").read_text()
+
+
 def _drawn_system(seed, n, k):
     """k elements over n generators.  For n >= 2 a third of the draws take
     k images of a tame automorphism (a uniform system) and a third add a
@@ -575,7 +603,8 @@ class TestHistogramOracle:
 
     @pytest.mark.parametrize("pqmn, variant, text", [
         # (1,1,4): a local ring that is not a field; (1,1,6): two primes;
-        # (1,3,2): x^3 - 1 does not split over F_2, so every map is spanned.
+        # (1,3,2): x^3 - 1 does not split over F_2, so only the part at 0
+        # has an onto test.
         ((1, 1, 4, 2), "linear", "[x2,x1]"),
         ((1, 1, 4, 2), "linear", "2*x1 + [x2,x1]"),
         ((1, 1, 4, 1), "full", "x1"),
@@ -605,12 +634,14 @@ class TestHistogramOracle:
             assert rep["witness_target"]["target"] == [0] * k
 
 
-# The default grid, and rings whose m is a prime power with a square factor.
+# The default grid, rings whose m is a prime power with a square factor, and
+# rings where x^q - 1 does not split (the filter keeps their linear carrier).
 PRIME_POWER_GRID = ((1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 4), (1, 1, 8))
+NONSPLIT_GRID = ((1, 3, 2), (2, 3, 2), (1, 4, 3), (1, 3, 4))
 
 RESIDUE_MODELS = [
     params for params in (ModelParams(QuotientParams(*pqm, 2), variant)
-                          for pqm in DEFAULT_QUOTIENT_GRID + PRIME_POWER_GRID
+                          for pqm in DEFAULT_QUOTIENT_GRID + PRIME_POWER_GRID + NONSPLIT_GRID
                           for variant in ("linear", "full"))
     if FiniteModel(params).l_size ** 2 <= 4096
 ]
@@ -731,13 +762,17 @@ class TestResidueOnto:
         assert set(built) == {len(gs) * dim for dim in dims}
 
     def test_whole_ring_fallback(self, monkeypatch):
-        # x^3 - 1 does not split over F_2: no onto test, every size a
-        # Howell form over the whole ring.
-        built = _span_widths(monkeypatch)
-        model = FiniteModel(ModelParams(QuotientParams(1, 3, 2, 2)))
-        rep = uniformity_check([mel("x1 + [x2,x1]")], model, budget=1 << 600)
-        assert not rep.uniform
-        assert set(built) == {16}
+        # x^3 - 1 does not split over F_2, yet x and x^3 - 1 are comaximal:
+        # the census of (1,3,2) builds spans over the parts at xi in {0,1}^2
+        # only, k wide at the point 0 and k * {3, 9} for the parts with some
+        # xi_i = 1; none of the whole ring's k * 16.
+        for text in ("x1 + [x2,x1]", "x1 + [x2,x1]; x2"):
+            built = _span_widths(monkeypatch)
+            model = FiniteModel(ModelParams(QuotientParams(1, 3, 2, 2)))
+            gs = [mel(t) for t in text.split("; ")]
+            rep = uniformity_check(gs, model, budget=1 << 600)
+            assert not rep.uniform
+            assert set(built) == {len(gs) * dim for dim in (1, 3, 9)}
 
     def test_not_split_has_no_test(self):
         quotient = QuotientParams(1, 3, 2, 2)

@@ -57,6 +57,13 @@ class TestPolyArithmetic:
         assert (0, 1) not in p.terms
         assert not (p - p).terms
 
+    def test_coefficients_must_be_ints(self):
+        # int() would truncate the float and parse the string; a bool is an int.
+        for coeff in (2.9, "2", 1.0):
+            with pytest.raises(TypeError, match=f"polynomial coefficients must be ints, got {coeff!r}"):
+                Poly(2, {(1, 0): coeff})
+        assert Poly(2, {(1, 0): True, (0, 1): False}) == x(1)
+
     def test_scalar_and_pow(self):
         p = 3 * x(1)
         assert p.terms == {(1, 0): 3}

@@ -185,6 +185,13 @@ class TestBasisConversion:
         assert MElement((True, False), deriv) == MElement.generator(1, 2)
         assert from_basis([], (True, False)) == MElement.generator(1, 2)
 
+    def test_basis_coefficients_must_be_ints(self):
+        # A float was truncated to 1 and a string failed inside the sum.
+        for coeff in (1.7, "2", 1.0):
+            with pytest.raises(TypeError, match=f"basis-term coefficients must be ints, got {coeff!r}"):
+                from_basis([BasisTerm(coeff, (2, 1))], [0, 0])
+        assert from_basis([BasisTerm(True, (2, 1))], [0, 0]) == from_basis([BasisTerm(1, (2, 1))], [0, 0])
+
     def test_basis_constraints_enforced(self):
         with pytest.raises(ValueError):
             from_basis([BasisTerm(1, (1, 2))], [0, 0])
