@@ -245,14 +245,21 @@ def cmd_uniform(args, cfg: Config) -> int:
     return EXIT_OK if report.uniform else EXIT_NEGATIVE
 
 
-def grid_walk(gs, n: int, cfg: Config):
-    """Census of every grid entry, cheapest first: abelian models, then
-    matrix models by size.  Yields (model description, report, None), or
-    (model description, None, reason) for a budget-skipped entry."""
+def grid_entries(n: int, cfg: Config) -> list:
+    """The grid, cheapest first: abelian moduli, then matrix models by size.
+    Built once per run, so that every system's census of a matrix model
+    shares the model's top-left carrier."""
     models = [FiniteModel(ModelParams(QuotientParams(p, q, m, n), cfg.variant))
               for (p, q, m) in cfg.grid]
     models.sort(key=lambda mod: (mod.size_order(), mod.quotient.p, mod.quotient.q, mod.quotient.m))
-    for entry in sorted(cfg.abelian) + models:
+    return sorted(cfg.abelian) + models
+
+
+def grid_walk(gs, n: int, entries: list, cfg: Config):
+    """Census of every entry of `grid_entries`, in order.  Yields (model
+    description, report, None), or (model description, None, reason) for a
+    budget-skipped entry."""
+    for entry in entries:
         try:
             if isinstance(entry, int):
                 desc = {"variant": "abelian", "m": entry, "n": n, "size": entry}
@@ -269,7 +276,7 @@ def grid_walk(gs, n: int, cfg: Config):
 def cmd_witness(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
     payload = {"witness": None, "checked": [], "skipped": []}
-    for desc, report, reason in grid_walk(gs, cfg.n, cfg):
+    for desc, report, reason in grid_walk(gs, cfg.n, grid_entries(cfg.n, cfg), cfg):
         if report is None:
             payload["skipped"].append({"model": desc, "reason": reason})
             continue
@@ -353,8 +360,11 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
     contradictions = []
     warnings = []
     out_systems = []
+    entries = None  # built once the first system parses, which bounds n
     for idx, (texts, expected) in enumerate(systems):
         gs = _parse_system(texts, n)
+        if entries is None:
+            entries = grid_entries(n, cfg)
         verdict = is_primitive(
             gs,
             quotient_grid=cfg.grid,
@@ -365,7 +375,7 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
         reports = []
         skipped = []
         witness = None
-        for desc, report, reason in grid_walk(gs, n, cfg):
+        for desc, report, reason in grid_walk(gs, n, entries, cfg):
             if report is None:
                 skipped.append({"model": desc, "reason": reason})
                 continue

@@ -233,9 +233,32 @@ class FiniteModel:
         for _ in range(n * w + len(l_monos)):
             code, d = divmod(code, quotient.m)
             digits.append(d)
-        tau = tuple(QPoly(quotient, dict(zip(quotient.monomials(), digits[c * w:(c + 1) * w])))
-                    for c in range(n))
+        # the tau digits are a canonical vector already
+        tau = tuple(QPoly._raw(quotient, tuple(digits[c * w:(c + 1) * w])) for c in range(n))
         return ModelElement(self.params, QPoly(quotient, dict(zip(l_monos, digits[n * w:]))), tau)
+
+    # -- the top-left carrier, built once per model ------------------------
+
+    @cached_property
+    def l_digits(self) -> list:
+        """The digit vectors of the top-left entries over `l_monomials`."""
+        return list(itertools.product(range(self.quotient.m), repeat=self.params.l_count))
+
+    @cached_property
+    def l_space(self) -> list:
+        """The top-left entries, one per digit vector of `l_digits`."""
+        l_monos = self.params.l_monomials
+        return [QPoly(self.quotient, dict(zip(l_monos, v))) for v in self.l_digits]
+
+    @cached_property
+    def split(self) -> bool:
+        """Whether `QuotientParams.local_factors` lists the local rings of R."""
+        return self.quotient.local_factors() is not None
+
+    @cached_property
+    def parts(self) -> tuple:
+        """The parts of R and the values of `l_space` there (`_parts`)."""
+        return _parts(self.quotient, self.l_space)
 
     def elements(self):
         """All elements in canonical (l, tau) code order."""
@@ -326,8 +349,26 @@ class _PointSpans(dict):
         return size
 
 
-def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPoly]):
-    """s -> |Im_s| for top-left tuples s given as indices into `l_space`.
+def _parts(quotient: QuotientParams, l_space: list[QPoly]) -> tuple:
+    """(split, factors, values) for `_image_size`: the parts A_xi of R as
+    (r, xi, e), whether they are the local rings of
+    `QuotientParams.local_factors`, and values[t][f] = l_space[t] at xi mod r."""
+    factors = quotient.local_factors()
+    split = factors is not None
+    if not split:
+        factors = [(quotient.m, *zip(*point))
+                   for point in itertools.product(((0, quotient.p), (1, quotient.q)), repeat=quotient.n)]
+    # the monomials' values at xi mod r
+    at = [[math.prod(map(pow, xi, mu)) % r for mu in quotient.monomials()] for r, xi, _ in factors]
+    values = [[sum(map(operator.mul, l.vec, v)) % r for (r, _, _), v in zip(factors, at)]
+              for l in l_space]
+    return split, factors, values
+
+
+def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPoly],
+                parts: tuple | None = None):
+    """s -> |Im_s| for top-left tuples s given as indices into `l_space`,
+    whose `_parts` may be passed in.
 
     R is the product of rings A_xi over Z/r (CRT, Atiyah-Macdonald ch. 8),
     and Im_s that of the A_xi-modules the columns d_j g(s) span.  A_xi has
@@ -343,16 +384,8 @@ def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPol
     kept per images of s in A_xi.
     """
     n, k = quotient.n, len(gs)
-    factors = quotient.local_factors()
-    split = factors is not None
-    if not split:
-        factors = [(quotient.m, *zip(*point))
-                   for point in itertools.product(((0, quotient.p), (1, quotient.q)), repeat=n)]
+    split, factors, values = parts or _parts(quotient, l_space)
     onto_size = quotient.ring_size ** k
-    # values[t][f] = l_space[t] at xi mod r, from the monomials' values at xi
-    at = [[math.prod(map(pow, xi, mu)) % r for mu in quotient.monomials()] for r, xi, _ in factors]
-    values = [[sum(map(operator.mul, l.vec, v)) % r for (r, _, _), v in zip(factors, at)]
-              for l in l_space]
     by_modulus = {r: _PointSpans(gs, r) for r, _, _ in factors}
     spans = [by_modulus[r] for r, _, _ in factors]
     full = [r ** k if split or not any(xi) else 0 for r, xi, _ in factors]
@@ -416,6 +449,81 @@ def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPol
     return image_size
 
 
+def _onto_at_points(gs: list[MElement], quotient: QuotientParams) -> bool:
+    """Whether the top-left map and every top-left tuple's map are onto, on
+    a ring that `QuotientParams.local_factors` splits: whether the Jacobi
+    matrix J(a) has rank k over F_l at every a in F_l^n, for each prime
+    l | m.
+
+    By `_image_size`, the map of s is onto iff the Z/r-span of J(s(xi)) has
+    r^k elements at every local factor (r, xi, e), that is iff J(s(xi)) has
+    rank k mod l (Nakayama, Atiyah-Macdonald Cor. 2.7).  Every s(xi) mod l
+    lies in F_l^n, and at xi = (1, .., 1), a point of every split ring, the
+    values s(xi) = (sum of the digits of s_i)_i of either carrier run over
+    all of (Z/m)^n.  So the points of F_l^n decide every map, and p and q do
+    not enter.  The point 0 decides the top-left map too: J(0) is the linear
+    part of the system, which is onto mod m iff it is onto mod every l.
+    """
+    n, k = quotient.n, len(gs)
+    ell, rest = 1, quotient.m
+    while rest > 1:
+        ell += 1
+        if rest % ell:
+            continue
+        while rest % ell == 0:
+            rest //= ell
+        spans = _PointSpans(gs, ell)
+        if any(spans[a] != ell ** k for a in itertools.product(range(ell), repeat=n)):
+            return False
+    return True
+
+
+def _walk(gs: list[MElement], model: FiniteModel) -> tuple:
+    """(fiber_min, fiber_max, witness) of the census, from the image size of
+    every top-left tuple: see `uniformity_check`."""
+    quotient = model.quotient
+    n, k, m = quotient.n, len(gs), quotient.m
+    size = model.ring_size
+    onto = size ** k
+    l_digits = model.l_digits
+    image_size = _image_size(gs, quotient, model.l_space, model.parts)
+    # The top-left map acts on each digit alike: top_left[v] = (lin(g_i)(v) mod m)_i for v in Z_m^n.
+    linear = [[c % m for c in g.linear] for g in gs]
+    top_left = {v: tuple([sum(map(operator.mul, row, v)) % m for row in linear])
+                for v in itertools.product(range(m), repeat=n)}
+
+    expected = model.size ** (n - k)
+    # The top-left key L of s is the digit vector of lin(g)(s), one k-tuple per digit.
+    tally: dict[tuple, int] = {}  # number of tuples s by (L, |Im_s|)
+    for s in itertools.product(range(len(l_digits)), repeat=n):
+        key = (tuple(map(top_left.__getitem__, zip(*map(l_digits.__getitem__, s)))), image_size(s))
+        tally[key] = tally.get(key, 0) + 1
+    kernels = {im: size ** (n * n) // im ** n for _, im in tally}  # kernel_s by |Im_s|
+    weight: dict[tuple, int] = {}  # W_L
+    onto_weight: dict[tuple, int] = {}  # O_L
+    mass = 0
+    for (key, im), count in tally.items():
+        share = kernels[im] * count
+        mass += share * im ** n
+        weight[key] = weight.get(key, 0) + share
+        if im == onto:
+            onto_weight[key] = onto_weight.get(key, 0) + share
+    assert mass == model.size ** n, "linear images lost mass"
+
+    fiber_max = max(weight.values())
+    fiber_min = 0
+    if len(weight) == model.l_size ** k:
+        fiber_min = min(onto_weight.get(key, 0) for key in weight)
+    witness = None
+    if not fiber_min == fiber_max == expected:
+        # the smallest wrong key in element-code order
+        codes, key = min((tuple(map(model.digits_code, zip(*key))), key)
+                         for key, wt in weight.items() if wt != expected)
+        witness = {"target": [model.element_from_code(c).to_json() for c in codes],
+                   "count": weight[key]}
+    return fiber_min, fiber_max, witness
+
+
 def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) -> UniformityReport:
     """Exact fiber census of the substitution map over the model.
 
@@ -438,6 +546,11 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     equality iff the top-left map and every map above L are onto.  Every
     wrong fiber therefore lies above an L with W_L != expected, and the
     smallest wrong target is (L, 0) for the smallest such L.
+
+    On a split ring `_onto_at_points` decides whether all those maps are
+    onto, and then every fiber is the expected one; only a census that is
+    not uniform, or one on a ring that does not split, walks the top-left
+    tuples (`_walk`).
     """
     start = time.perf_counter()
     quotient = model.quotient
@@ -451,54 +564,17 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
             f"enumeration of {_size_value(quotient.m, model.size_exponent * n)} tuples "
             f"exceeds the budget {budget}"
         )
-    total = model.size ** n
-    size = model.ring_size
-    onto = size ** k
-    m = quotient.m
-    l_monos = model.params.l_monomials
-    l_digits = list(itertools.product(range(m), repeat=len(l_monos)))
-    l_space = [QPoly(quotient, dict(zip(l_monos, v))) for v in l_digits]
-    image_size = _image_size(gs, quotient, l_space)
-    # The top-left map acts on each digit alike: top_left[v] = (lin(g_i)(v) mod m)_i for v in Z_m^n.
-    linear = [[c % m for c in g.linear] for g in gs]
-    top_left = {v: tuple([sum(map(operator.mul, row, v)) % m for row in linear])
-                for v in itertools.product(range(m), repeat=n)}
-
     expected = model.size ** (n - k)
-    # The top-left key L of s is the digit vector of lin(g)(s), one k-tuple per digit.
-    tally: dict[tuple, int] = {}  # number of tuples s by (L, |Im_s|)
-    for s in itertools.product(range(len(l_space)), repeat=n):
-        key = (tuple(map(top_left.__getitem__, zip(*map(l_digits.__getitem__, s)))), image_size(s))
-        tally[key] = tally.get(key, 0) + 1
-    kernels = {im: size ** (n * n) // im ** n for _, im in tally}  # kernel_s by |Im_s|
-    weight: dict[tuple, int] = {}  # W_L
-    onto_weight: dict[tuple, int] = {}  # O_L
-    mass = 0
-    for (key, im), count in tally.items():
-        share = kernels[im] * count
-        mass += share * im ** n
-        weight[key] = weight.get(key, 0) + share
-        if im == onto:
-            onto_weight[key] = onto_weight.get(key, 0) + share
-    assert mass == total, "linear images lost mass"
-
-    fiber_max = max(weight.values())
-    fiber_min = 0
-    if len(weight) == model.l_size ** k:
-        fiber_min = min(onto_weight.get(key, 0) for key in weight)
-    uniform = fiber_min == fiber_max == expected
-    witness = None
-    if not uniform:
-        # the smallest wrong key in element-code order
-        codes, key = min((tuple(map(model.digits_code, zip(*key))), key)
-                         for key, wt in weight.items() if wt != expected)
-        witness = {"target": [model.element_from_code(c).to_json() for c in codes],
-                   "count": weight[key]}
+    if model.split and _onto_at_points(gs, quotient):
+        fiber_min = fiber_max = expected
+        witness = None
+    else:
+        fiber_min, fiber_max, witness = _walk(gs, model)
     elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
-        model=model.describe(), k=k, n=n, size=model.size, total=total,
+        model=model.describe(), k=k, n=n, size=model.size, total=model.size ** n,
         expected_fiber=expected, fiber_min=fiber_min, fiber_max=fiber_max,
-        uniform=uniform, witness=witness, elapsed_ms=elapsed,
+        uniform=fiber_min == fiber_max == expected, witness=witness, elapsed_ms=elapsed,
     )
 
 

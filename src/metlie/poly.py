@@ -371,6 +371,8 @@ class QPoly:
     def __init__(self, params: QuotientParams, terms: Mapping[tuple[int, ...], int] | None = None):
         vec = [0] * params.monomial_count
         for mono, coeff in (terms or {}).items():
+            if not isinstance(coeff, int):  # a bool is one
+                raise TypeError(f"polynomial coefficients must be ints, got {coeff!r}")
             vec[params.position(mono)] += coeff
         self.params = params
         self.vec = tuple([c % params.m for c in vec])

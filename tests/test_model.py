@@ -1,9 +1,11 @@
 """Tests for the finite matrix Lie rings and exhaustive uniformity checks."""
 
+import gc
 import itertools
 import json
 import math
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,15 +17,19 @@ from helpers import (
     random_basis_terms, random_element, random_expr, random_melement, random_tame_automorphism,
     reference_module_rows,
 )
-from metlie.cli import main, parse_catalog
+import metlie.cli
+from metlie.cli import Config, main, parse_catalog, run_consistency
 from metlie.expr import parse, eval_in_ring
 import metlie.model
 from metlie.model import (
+    DEFAULT_BUDGET,
     BudgetError,
     FiniteModel,
     ModelElement,
     ModelParams,
     _image_size,
+    _onto_at_points,
+    _walk,
     eval_closed_form,
     uniformity_check,
     uniformity_check_abelian,
@@ -780,3 +786,102 @@ class TestResidueOnto:
         args = [QPoly.variable(1, quotient), QPoly.zero(quotient)]
         gs = [mel("x1 + [x2,x1]")]
         assert _image_size(gs, quotient, args)((0, 1)) == _whole_ring_size(gs, quotient, args, {})
+
+
+# Split rings at n = 2 for the point verdict: the default grid, prime
+# powers, and the residue fields F_5 and F_7; the full carrier where it
+# fits the default budget.
+POINT_MODELS = [
+    params for params in (ModelParams(QuotientParams(*pqm, 2), variant)
+                          for pqm in DEFAULT_QUOTIENT_GRID + ((1, 1, 4), (1, 2, 4), (1, 1, 5), (1, 3, 7))
+                          for variant in ("linear", "full"))
+    if params.top_left == "linear" or FiniteModel(params).size ** 2 <= DEFAULT_BUDGET
+]
+PERTURBATIONS = ("[x2,x1]", "[[x2,x1],x1]", "[[x2,x1],x2]")
+
+
+@st.composite
+def _point_systems(draw):
+    """A catalog system, perhaps with c * (a bracket word) added to one of
+    its elements (say x1 + 6*[x2,x1]), or a `_drawn_system`."""
+    if draw(st.booleans()):
+        return _drawn_system(draw(st.integers(0, 10_000)), 2, draw(st.integers(1, 2)))
+    _, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
+    texts, _ = draw(st.sampled_from(systems))
+    gs = [mel(t) for t in texts]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(gs) - 1))
+        gs[i] = gs[i] + draw(st.integers(-7, 7)) * mel(draw(st.sampled_from(PERTURBATIONS)))
+    return gs
+
+
+class TestPointVerdict:
+    """`_onto_at_points`, which decides the uniform reports of a split ring,
+    against the walk over every top-left tuple (`_walk`)."""
+
+    @pytest.mark.parametrize("params", POINT_MODELS, ids=lambda params: "{}-{}{}{}".format(
+        params.top_left, params.quotient.p, params.quotient.q, params.quotient.m))
+    @given(gs=_point_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_walk(self, params, gs):
+        model = FiniteModel(params)
+        fiber_min, fiber_max, witness = _walk(gs, model)
+        uniform = fiber_min == fiber_max == model.size ** (2 - len(gs))
+        assert _onto_at_points(gs, model.quotient) == uniform
+        assert (witness is None) == uniform
+
+    def test_grid_gap_is_uniform(self):
+        # x1 + 6*[x2,x1] is not primitive, but its Jacobi matrix has rank 1
+        # at every point over F_2 and F_3: uniform on m = 2, 3, not on m = 5.
+        gs = [mel("x1 + 6*[x2,x1]")]
+        for pqm, uniform in (((1, 1, 2), True), ((1, 2, 3), True), ((1, 1, 5), False)):
+            model = FiniteModel(ModelParams(QuotientParams(*pqm, 2)))
+            assert _onto_at_points(gs, model.quotient) is uniform
+            assert uniformity_check(gs, model, budget=1 << 100).uniform is uniform
+
+    def test_split_rings_walk_only_reports_not_uniform(self, monkeypatch, capsys):
+        # x^3 - 1 does not split over F_2: (1,3,2) has no point test, so the
+        # walk decides even the uniform report of x1 there; on (1,1,2) the
+        # points decide it and nothing walks.
+        walked = []
+
+        def walk(gs, model):
+            walked.append(model.quotient)
+            return _walk(gs, model)
+
+        monkeypatch.setattr(metlie.model, "_walk", walk)
+        for grid, walks in (("1,3,2", [QuotientParams(1, 3, 2, 2)]), ("1,1,2", [])):
+            walked.clear()
+            code = main(["--grid", grid, "--budget", str(1 << 100), "--json", "witness", "x1"])
+            payload = json.loads(capsys.readouterr().out)
+            assert code == 1 and payload["witness"] is None and not payload["skipped"]
+            assert walked == walks
+
+
+class TestCarrierLifetime:
+    """The top-left carrier is built once per model and run, and dies with
+    the model: `consistency` builds its grid models once, and nothing in
+    `metlie` keeps them."""
+
+    def test_shared_by_systems_and_dropped_with_the_run(self, monkeypatch):
+        calls = []  # (weakref to the model, its l_space after the census)
+
+        def census(gs, model, **kwargs):
+            ref = weakref.ref(model)
+            try:
+                return uniformity_check(gs, model, **kwargs)
+            finally:
+                calls.append((ref, vars(model).get("l_space")))
+
+        monkeypatch.setattr(metlie.cli, "uniformity_check", census)
+        n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
+        summary = run_consistency(n, systems, Config(n=n))
+        walked = [(ref, space) for ref, space in calls if space is not None]
+        # The non-uniform systems on (1,1,2) walk one model's one l_space.
+        assert len(walked) >= 2
+        assert len({id(space) for _, space in walked}) == 1
+        assert all(ref() is walked[0][0]() for ref, _ in walked)
+        assert len(calls) == len(systems) * len(DEFAULT_QUOTIENT_GRID)
+        del summary, walked
+        gc.collect()
+        assert all(ref() is None for ref, _ in calls)

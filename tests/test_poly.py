@@ -355,6 +355,16 @@ class TestReducePqm:
         with pytest.raises(ValueError, match="negative exponent in monomial"):
             QPoly(QuotientParams(1, 1, 2, 2), {(-1, 0): 1})
 
+    def test_coefficients_must_be_ints(self):
+        # As for Poly: `% m` would keep a float's fraction; a bool is an int.
+        params = QuotientParams(1, 1, 2, 2)
+        for coeff in (2.9, "2"):
+            with pytest.raises(TypeError, match=f"polynomial coefficients must be ints, got {coeff!r}"):
+                QPoly(params, {(1, 0): coeff})
+        got = QPoly(params, {(1, 0): True, (0, 1): False})
+        assert got == QPoly.variable(1, params)
+        assert all(type(c) is int for c in got.vec)
+
 
 @st.composite
 def _term_maps(draw, params):
