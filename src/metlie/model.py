@@ -30,7 +30,7 @@ from typing import Optional
 
 from metlie.expr import Generator, Bracket, Sum, ScalarMul
 from metlie.poly import (
-    Poly, QPoly, QuotientParams, Span, power_exceeds,
+    Poly, QPoly, QuotientParams, Span, power_exceeds, prime_power_factors,
 )
 from metlie.ring import MElement, from_expr
 
@@ -203,27 +203,11 @@ class FiniteModel:
         tau = tuple(QPoly.one(quotient) if j == i - 1 else QPoly.zero(quotient) for j in range(n))
         return ModelElement(self.params, QPoly.variable(i, quotient), tau)
 
-    # -- canonical integer encodings -------------------------------------
-
-    def digits_code(self, l_digits, tau_digits=()) -> int:
-        """Base-m number whose digits, least significant first, are the n*w
-        coefficients of tau_1, .., tau_n (zeros past the end of `tau_digits`)
-        and then the coefficients of l over `l_monomials`."""
-        m = self.quotient.m
-        high = low = 0
-        for d in reversed(l_digits):
-            high = high * m + d
-        for d in reversed(tau_digits):
-            low = low * m + d
-        return high * self._l_shift + low
-
-    @cached_property
-    def _l_shift(self) -> int:
-        """m^(n*w), the weight of the lowest top-left digit in a code."""
-        quotient = self.quotient
-        return quotient.m ** (quotient.n * quotient.monomial_count)
+    # -- canonical integer encoding --------------------------------------
 
     def element_from_code(self, code: int) -> ModelElement:
+        """The element whose base-m code, least significant digit first, lists
+        the n*w coefficients of tau_1, .., tau_n, then those of l over `l_monomials`."""
         if not 0 <= code < self.size:
             raise ValueError(f"element code {code} out of range")
         quotient = self.quotient
@@ -332,20 +316,20 @@ def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> Model
 
 
 class _PointSpans(dict):
-    """|Z/r-span of the Jacobi matrix [d_j g_i] at a point a of (Z/r)^n|, by a."""
+    """|Z/r-span of the Jacobi matrix [d_j g_i] at a point a of (Z/r)^n|, by
+    the flat key (r, a_1, .., a_n); one table serves a whole census."""
 
-    def __init__(self, gs: list[MElement], r: int):
+    def __init__(self, gs: list[MElement]):
         super().__init__()
         self.gs = gs
-        self.r = r
 
-    def __missing__(self, a) -> int:
-        r = self.r
+    def __missing__(self, key) -> int:
+        r, *a = key
         cols = Span(r, len(self.gs))
         for j in range(len(a)):
             cols.add([sum(c * math.prod(map(pow, a, mu)) for mu, c in g.deriv[j].terms.items()) % r
                       for g in self.gs])
-        self[a] = size = cols.size()
+        self[key] = size = cols.size()
         return size
 
 
@@ -365,10 +349,9 @@ def _parts(quotient: QuotientParams, l_space: list[QPoly]) -> tuple:
     return split, factors, values
 
 
-def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPoly],
-                parts: tuple | None = None):
+def _image_size(points: _PointSpans, quotient: QuotientParams, l_space: list[QPoly], parts: tuple):
     """s -> |Im_s| for top-left tuples s given as indices into `l_space`,
-    whose `_parts` may be passed in.
+    whose `_parts` are `parts`, reading the point spans from `points`.
 
     R is the product of rings A_xi over Z/r (CRT, Atiyah-Macdonald ch. 8),
     and Im_s that of the A_xi-modules the columns d_j g(s) span.  A_xi has
@@ -379,15 +362,15 @@ def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPol
     A_0, where t is nilpotent, is tested for onto.  A map onto modulo the
     kernel of x -> xi is onto (Nakayama): the part at xi has r^(k dim A_xi)
     elements iff the Z/r-span of the Jacobi matrix [d_j g_i] at a = s(xi),
-    kept per (r, a), has r^k.  A part of dimension 1 is that span; any other
+    kept in `points`, has r^k.  A part of dimension 1 is that span; any other
     takes the Howell form over Z/r of the rows t^nu * d_j g(s) in A_xi^k,
     kept per images of s in A_xi.
     """
+    gs = points.gs
     n, k = quotient.n, len(gs)
-    split, factors, values = parts or _parts(quotient, l_space)
+    split, factors, values = parts
     onto_size = quotient.ring_size ** k
-    by_modulus = {r: _PointSpans(gs, r) for r, _, _ in factors}
-    spans = [by_modulus[r] for r, _, _ in factors]
+    moduli = [r for r, _, _ in factors]
     full = [r ** k if split or not any(xi) else 0 for r, xi, _ in factors]
     dims = [math.prod(e) for _, _, e in factors]
     # A local image is numbered once per ring A_xi, so equal images of
@@ -438,7 +421,7 @@ def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPol
         return local[key]
 
     def image_size(s) -> int:
-        sizes = [span[a] for span, a in zip(spans, zip(*[values[t] for t in s]))]
+        sizes = [points[key] for key in zip(moduli, *[values[t] for t in s])]
         if sizes == full:
             return onto_size
         out = 1
@@ -449,7 +432,7 @@ def _image_size(gs: list[MElement], quotient: QuotientParams, l_space: list[QPol
     return image_size
 
 
-def _onto_at_points(gs: list[MElement], quotient: QuotientParams) -> bool:
+def _onto_at_points(points: _PointSpans, quotient: QuotientParams) -> bool:
     """Whether the top-left map and every top-left tuple's map are onto, on
     a ring that `QuotientParams.local_factors` splits: whether the Jacobi
     matrix J(a) has rank k over F_l at every a in F_l^n, for each prime
@@ -464,29 +447,21 @@ def _onto_at_points(gs: list[MElement], quotient: QuotientParams) -> bool:
     not enter.  The point 0 decides the top-left map too: J(0) is the linear
     part of the system, which is onto mod m iff it is onto mod every l.
     """
-    n, k = quotient.n, len(gs)
-    ell, rest = 1, quotient.m
-    while rest > 1:
-        ell += 1
-        if rest % ell:
-            continue
-        while rest % ell == 0:
-            rest //= ell
-        spans = _PointSpans(gs, ell)
-        if any(spans[a] != ell ** k for a in itertools.product(range(ell), repeat=n)):
-            return False
-    return True
+    k = len(points.gs)
+    return all(points[key] == ell ** k for ell, _ in prime_power_factors(quotient.m)
+               for key in itertools.product([ell], *[range(ell)] * quotient.n))
 
 
-def _walk(gs: list[MElement], model: FiniteModel) -> tuple:
+def _walk(points: _PointSpans, model: FiniteModel) -> tuple:
     """(fiber_min, fiber_max, witness) of the census, from the image size of
     every top-left tuple: see `uniformity_check`."""
+    gs = points.gs
     quotient = model.quotient
     n, k, m = quotient.n, len(gs), quotient.m
     size = model.ring_size
     onto = size ** k
     l_digits = model.l_digits
-    image_size = _image_size(gs, quotient, model.l_space, model.parts)
+    image_size = _image_size(points, quotient, model.l_space, model.parts)
     # The top-left map acts on each digit alike: top_left[v] = (lin(g_i)(v) mod m)_i for v in Z_m^n.
     linear = [[c % m for c in g.linear] for g in gs]
     top_left = {v: tuple([sum(map(operator.mul, row, v)) % m for row in linear])
@@ -516,11 +491,14 @@ def _walk(gs: list[MElement], model: FiniteModel) -> tuple:
         fiber_min = min(onto_weight.get(key, 0) for key in weight)
     witness = None
     if not fiber_min == fiber_max == expected:
-        # the smallest wrong key in element-code order
-        codes, key = min((tuple(map(model.digits_code, zip(*key))), key)
-                         for key, wt in weight.items() if wt != expected)
-        witness = {"target": [model.element_from_code(c).to_json() for c in codes],
-                   "count": weight[key]}
+        # The smallest wrong key in element-code order: with tau = 0 that is
+        # the order of the top-left digit vectors read from the last digit.
+        key = min((key for key, wt in weight.items() if wt != expected),
+                  key=lambda key: [digits[::-1] for digits in zip(*key)])
+        l_monos, zero = model.params.l_monomials, (QPoly.zero(quotient),) * n
+        targets = [ModelElement(model.params, QPoly(quotient, dict(zip(l_monos, digits))), zero)
+                   for digits in zip(*key)]
+        witness = {"target": [target.to_json() for target in targets], "count": weight[key]}
     return fiber_min, fiber_max, witness
 
 
@@ -565,11 +543,12 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
             f"exceeds the budget {budget}"
         )
     expected = model.size ** (n - k)
-    if model.split and _onto_at_points(gs, quotient):
+    points = _PointSpans(gs)
+    if model.split and _onto_at_points(points, quotient):
         fiber_min = fiber_max = expected
         witness = None
     else:
-        fiber_min, fiber_max, witness = _walk(gs, model)
+        fiber_min, fiber_max, witness = _walk(points, model)
     elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
         model=model.describe(), k=k, n=n, size=model.size, total=model.size ** n,
@@ -586,7 +565,8 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
     linear parts evaluated mod `modulus`: the map r -> lin(g)(r) on
     (Z/modulus)^n.  Every point of its image Im has modulus^n / |Im|
     preimages and every other target none, so the system is uniform iff the
-    map is onto; otherwise the smallest wrong target is 0.
+    map is onto; otherwise the smallest wrong target is 0.  Im is spanned by
+    the Jacobi matrix at the point 0, since d_j g(0) = lin_j(g).
     """
     start = time.perf_counter()
     if modulus < 2:
@@ -598,10 +578,7 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
     if power_exceeds(modulus, n, budget):
         raise BudgetError(f"enumeration of {_size_value(modulus, n)} tuples exceeds the budget {budget}")
     total = modulus ** n
-    image = Span(modulus, k)
-    for j in range(n):
-        image.add([g.linear[j] % modulus for g in gs])
-    fiber_max = total // image.size()
+    fiber_max = total // _PointSpans(gs)[(modulus,) + (0,) * n]
     expected = modulus ** (n - k)
     uniform = fiber_max == expected
     fiber_min = fiber_max if uniform else 0

@@ -264,6 +264,18 @@ def divexact(a: Poly, b: Poly) -> Poly:
     return Poly(a.n, quotient)
 
 
+def prime_power_factors(m: int) -> Iterator[tuple[int, int]]:
+    """(l, l^a) for each prime l dividing m, l^a exactly dividing m, in
+    increasing order of l.  Trial division takes about sqrt(m) steps."""
+    rest, ell = m, 1
+    while rest > 1:
+        ell = ell + 1 if (ell + 1) ** 2 <= rest else rest
+        if rest % ell == 0:
+            r = math.gcd(rest, ell ** rest.bit_length())
+            rest //= r
+            yield ell, r
+
+
 @dataclass(frozen=True)
 class QuotientParams:
     """Parameters (p, q, m, n) of the finite quotient Z_{p,q,m}[X]."""
@@ -333,8 +345,8 @@ class QuotientParams:
 
     def local_factors(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]] | None:
         """(r, xi, e) for each prime power r = l^a exactly dividing m, in
-        increasing order of l, and each point xi of (Z/r)^n, in product order;
-        None unless x^q - 1 splits over every F_l.  With q = l^v * q', l not
+        `prime_power_factors` order, and each point xi of (Z/r)^n, in product
+        order; None unless x^q - 1 splits over every F_l.  With q = l^v * q', l not
         dividing q', it splits iff q' | l - 1, and then x^q - 1 =
         prod_a (x^(l^v) - a~) over Z/r (Hensel), a~ = a^(r/l) mod r being the
         Teichmueller lift of a root a of x^q' - 1 in F_l, so a~^l = a~.  With
@@ -342,16 +354,11 @@ class QuotientParams:
         so R/rR is the product of the local rings A_xi = (Z/r)[X]/(f_i) (CRT):
         f_i = x_i^e_i, e_i = p, where xi_i = 0, and f_i = x_i^e_i - xi_i,
         e_i = l^v, where xi_i = a~.  The multiplicities at each coordinate sum
-        to p + q, and x -> xi is a ring map A_xi -> Z/r.  Factoring m by trial
-        division takes about sqrt(m) steps."""
-        out, rest, ell = [], self.m, 1
-        while rest > 1:
-            ell = ell + 1 if (ell + 1) ** 2 <= rest else rest
-            if rest % ell:
-                continue
-            r = math.gcd(rest, ell ** rest.bit_length())  # l^a
+        to p + q, and x -> xi is a ring map A_xi -> Z/r."""
+        out = []
+        for ell, r in prime_power_factors(self.m):
             power = math.gcd(self.q, ell ** self.q.bit_length())  # l^v
-            rest, q = rest // r, self.q // power
+            q = self.q // power
             if (ell - 1) % q:
                 return None
             roots = [(0, self.p)] + [(pow(a, r // ell, r), power)

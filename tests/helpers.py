@@ -59,9 +59,17 @@ def random_element(model, rng: random.Random, max_terms: int | None = None) -> M
 
 
 def element_code(model, elem: ModelElement) -> int:
-    """The code of `elem` (see `FiniteModel.digits_code`)."""
-    l_digits = [elem.l.vec[model.quotient.position(mu)] for mu in model.params.l_monomials]
-    return model.digits_code(l_digits, [d for t in elem.tau for d in t.vec])
+    """The code of `elem`: the base-m number whose digits, least significant
+    first, are the coefficients of tau_1, .., tau_n in `monomials()` order
+    and then those of l over `l_monomials` (`FiniteModel.element_from_code`
+    decodes it)."""
+    quotient = model.quotient
+    digits = [d for t in elem.tau for d in t.vec]
+    digits += [elem.l.vec[quotient.position(mu)] for mu in model.params.l_monomials]
+    code = 0
+    for d in reversed(digits):
+        code = code * quotient.m + d
+    return code
 
 
 def random_basis_terms(rng: random.Random, n: int, max_words: int = 3,

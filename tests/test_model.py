@@ -27,8 +27,10 @@ from metlie.model import (
     FiniteModel,
     ModelElement,
     ModelParams,
+    _PointSpans,
     _image_size,
     _onto_at_points,
+    _parts,
     _walk,
     eval_closed_form,
     uniformity_check,
@@ -89,15 +91,21 @@ class TestModelBuild:
         assert len(seen) == model.size
 
     def test_top_left_code(self):
-        # The census keys: the codes of the elements (l, 0) from l's digits alone.
+        # The census orders its witness keys by their top-left digit vectors
+        # read from the last digit: that is element-code order on the
+        # elements (l, 0), and those codes decode to the same elements.
         for params in (ModelParams(QuotientParams(1, 1, 2, 2)),
                        ModelParams(QuotientParams(1, 2, 3, 2), "full")):
             model = FiniteModel(params)
             zero = tuple(QPoly.zero(model.quotient) for _ in range(model.n))
             monos = params.l_monomials
-            for digits in itertools.product(range(model.quotient.m), repeat=len(monos)):
-                l = QPoly(model.quotient, dict(zip(monos, digits)))
-                assert model.digits_code(digits) == element_code(model, ModelElement(params, l, zero))
+            vectors = list(itertools.product(range(model.quotient.m), repeat=len(monos)))
+            codes = {}
+            for digits in vectors:
+                elem = ModelElement(params, QPoly(model.quotient, dict(zip(monos, digits))), zero)
+                codes[digits] = element_code(model, elem)
+                assert model.element_from_code(codes[digits]) == elem
+            assert sorted(vectors, key=lambda v: v[::-1]) == sorted(vectors, key=codes.__getitem__)
 
 
 def _matrix_commutator_oracle(a: ModelElement, b: ModelElement) -> ModelElement:
@@ -667,6 +675,11 @@ def _whole_ring_size(gs, quotient, args, sizes: dict) -> int:
     return sizes[columns]
 
 
+def _sizes(gs, quotient, l_space):
+    """`_image_size` of `gs` over `l_space`, with a table of its own."""
+    return _image_size(_PointSpans(gs), quotient, l_space, _parts(quotient, l_space))
+
+
 def _span_widths(monkeypatch) -> list:
     """The widths of the spans `metlie.model` builds from now on."""
     widths = []
@@ -700,7 +713,7 @@ class TestResidueOnto:
         for texts, _ in systems:
             gs = [mel(t) for t in texts]
             onto_size = model.ring_size ** len(gs)
-            image_size = _image_size(gs, quotient, l_space)
+            image_size = _sizes(gs, quotient, l_space)
             for s in itertools.product(range(len(l_space)), repeat=n):
                 size = _whole_ring_size(gs, quotient, [l_space[t] for t in s], sizes)
                 assert image_size(s) == size, (texts, s)
@@ -721,7 +734,7 @@ class TestResidueOnto:
         rng = random.Random(seed)
         gs = _drawn_system(seed, 2, k)
         args = [random_element(model, rng, max_terms=0).l for _ in range(2)]
-        size = _image_size(gs, model.quotient, args)((0, 1))
+        size = _sizes(gs, model.quotient, args)((0, 1))
         assert size == _whole_ring_size(gs, model.quotient, args, {})
 
     def test_onto_maps_need_no_image_span(self, monkeypatch):
@@ -785,7 +798,7 @@ class TestResidueOnto:
         assert quotient.local_factors() is None
         args = [QPoly.variable(1, quotient), QPoly.zero(quotient)]
         gs = [mel("x1 + [x2,x1]")]
-        assert _image_size(gs, quotient, args)((0, 1)) == _whole_ring_size(gs, quotient, args, {})
+        assert _sizes(gs, quotient, args)((0, 1)) == _whole_ring_size(gs, quotient, args, {})
 
 
 # Split rings at n = 2 for the point verdict: the default grid, prime
@@ -825,9 +838,9 @@ class TestPointVerdict:
     @settings(max_examples=40, deadline=None)
     def test_matches_the_walk(self, params, gs):
         model = FiniteModel(params)
-        fiber_min, fiber_max, witness = _walk(gs, model)
+        fiber_min, fiber_max, witness = _walk(_PointSpans(gs), model)
         uniform = fiber_min == fiber_max == model.size ** (2 - len(gs))
-        assert _onto_at_points(gs, model.quotient) == uniform
+        assert _onto_at_points(_PointSpans(gs), model.quotient) == uniform
         assert (witness is None) == uniform
 
     def test_grid_gap_is_uniform(self):
@@ -836,7 +849,7 @@ class TestPointVerdict:
         gs = [mel("x1 + 6*[x2,x1]")]
         for pqm, uniform in (((1, 1, 2), True), ((1, 2, 3), True), ((1, 1, 5), False)):
             model = FiniteModel(ModelParams(QuotientParams(*pqm, 2)))
-            assert _onto_at_points(gs, model.quotient) is uniform
+            assert _onto_at_points(_PointSpans(gs), model.quotient) is uniform
             assert uniformity_check(gs, model, budget=1 << 100).uniform is uniform
 
     def test_split_rings_walk_only_reports_not_uniform(self, monkeypatch, capsys):
@@ -845,9 +858,9 @@ class TestPointVerdict:
         # points decide it and nothing walks.
         walked = []
 
-        def walk(gs, model):
+        def walk(points, model):
             walked.append(model.quotient)
-            return _walk(gs, model)
+            return _walk(points, model)
 
         monkeypatch.setattr(metlie.model, "_walk", walk)
         for grid, walks in (("1,3,2", [QuotientParams(1, 3, 2, 2)]), ("1,1,2", [])):
@@ -856,6 +869,51 @@ class TestPointVerdict:
             payload = json.loads(capsys.readouterr().out)
             assert code == 1 and payload["witness"] is None and not payload["skipped"]
             assert walked == walks
+
+
+class TestOnePointTable:
+    """A census builds one table of point spans (`_PointSpans`), which the
+    point test and the walk share, and evaluates each (modulus, point) once."""
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_each_point_is_evaluated_once(self, monkeypatch, m):
+        tables, evaluated, read, phase = [], [], [], [None]
+
+        class CountingSpans(_PointSpans):
+            def __init__(self, gs):
+                tables.append(self)
+                super().__init__(gs)
+
+            def __missing__(self, key):
+                evaluated.append(key)
+                return super().__missing__(key)
+
+            def __getitem__(self, key):
+                read.append((phase[0], key))
+                return super().__getitem__(key)
+
+        def in_phase(name, step):
+            def run(points, arg):
+                phase[0] = name
+                return step(points, arg)
+            return run
+
+        monkeypatch.setattr(metlie.model, "_PointSpans", CountingSpans)
+        monkeypatch.setattr(metlie.model, "_onto_at_points", in_phase("points", _onto_at_points))
+        monkeypatch.setattr(metlie.model, "_walk", in_phase("walk", _walk))
+        model = FiniteModel(ModelParams(QuotientParams(1, 1, m, 2)))
+        assert not uniformity_check([mel("x1 + [x2,x1]")], model, budget=1 << 100).uniform
+        assert len(tables) == 1
+        assert len(evaluated) == len(set(evaluated)) > 0
+        at_points = {key for name, key in read if name == "points"}
+        walked = {key for name, key in read if name == "walk"}
+        assert set(evaluated) == at_points | walked
+        # The point test reads points of F_2^2 only, also over Z/4.
+        assert at_points and all(r == 2 and set(a) <= {0, 1} for r, *a in at_points)
+        if m == 2:
+            assert at_points <= walked
+        else:
+            assert {r for r, *_ in walked} == {4}
 
 
 class TestCarrierLifetime:

@@ -25,6 +25,7 @@ from metlie.poly import (
     ideal_contains_finite,
     module_rows,
     power_exceeds,
+    prime_power_factors,
     reduce_pqm,
 )
 from metlie.primitivity import DEFAULT_QUOTIENT_GRID
@@ -202,6 +203,44 @@ def prime_powers(m) -> dict:
             m //= ell
             out[ell] = out.get(ell, 1) * ell
     return out
+
+
+class TestPrimePowerFactors:
+    """`prime_power_factors`, the one factorisation of m behind the census's
+    local factors and its point test."""
+
+    def test_matches_a_sieve(self):
+        bound = 5000
+        smallest = list(range(bound + 1))  # the smallest prime factor of each m
+        for ell in range(2, math.isqrt(bound) + 1):
+            if smallest[ell] == ell:
+                for multiple in range(ell * ell, bound + 1, ell):
+                    smallest[multiple] = min(smallest[multiple], ell)
+        for m in range(2, bound + 1):
+            factors, rest = {}, m
+            while rest > 1:
+                ell = smallest[rest]
+                factors[ell] = factors.get(ell, 1) * ell
+                rest //= ell
+            assert list(prime_power_factors(m)) == sorted(factors.items()), m
+
+    def test_large_prime(self):
+        # About 10^6 trial divisions, not 10^12.
+        assert list(prime_power_factors(999_999_999_989)) == [(999_999_999_989, 999_999_999_989)]
+
+    @pytest.mark.parametrize("p, q, m", DEFAULT_QUOTIENT_GRID + (
+        (1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 4), (1, 1, 8),  # prime powers
+        (1, 3, 2), (2, 3, 2), (1, 4, 3), (1, 3, 4),  # x^q - 1 does not split
+    ))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_moduli_of_the_local_factors(self, p, q, m, n):
+        got = QuotientParams(p, q, m, n).local_factors()
+        factors = list(prime_power_factors(m))
+        if got is None:
+            # Some F_l lacks a q'-th root of unity, q' the part of q prime to l.
+            assert any((ell - 1) % (q // math.gcd(q, ell ** q)) for ell, _ in factors)
+        else:
+            assert list(dict.fromkeys(r for r, _, _ in got)) == [r for _, r in factors]
 
 
 class TestResiduePoints:
