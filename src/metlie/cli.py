@@ -212,14 +212,15 @@ def cmd_jacobian(args, cfg: Config) -> int:
     return EXIT_OK
 
 
+def _decide(gs, cfg: Config):
+    # Looked up per call: a wrapper patched onto metlie.cli.is_primitive sees it.
+    return is_primitive(gs, quotient_grid=cfg.grid, max_basis=cfg.groebner_max_basis,
+                        max_degree=cfg.groebner_max_degree)
+
+
 def cmd_primitive(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
-    verdict = is_primitive(
-        gs,
-        quotient_grid=cfg.grid,
-        max_basis=cfg.groebner_max_basis,
-        max_degree=cfg.groebner_max_degree,
-    )
+    verdict = _decide(gs, cfg)
     payload = verdict.to_json()
     lines = [f"primitive: {payload['primitive']} (method: {verdict.method})"]
     if verdict.refutation:
@@ -365,12 +366,7 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
         gs = _parse_system(texts, n)
         if entries is None:
             entries = grid_entries(n, cfg)
-        verdict = is_primitive(
-            gs,
-            quotient_grid=cfg.grid,
-            max_basis=cfg.groebner_max_basis,
-            max_degree=cfg.groebner_max_degree,
-        )
+        verdict = _decide(gs, cfg)
         label = "; ".join(texts)
         reports = []
         skipped = []

@@ -28,11 +28,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
 
-from metlie.expr import Generator, Bracket, Sum, ScalarMul
 from metlie.poly import (
     Poly, QPoly, QuotientParams, Span, power_exceeds, prime_power_factors,
 )
-from metlie.ring import MElement, from_expr
+from metlie.ring import MElement
 
 DEFAULT_BUDGET = 1 << 28
 
@@ -280,15 +279,14 @@ class UniformityReport:
 
 
 def _as_elements(gs, n: int) -> list[MElement]:
-    out = []
-    for g in gs:
-        if isinstance(g, (Generator, Bracket, Sum, ScalarMul)):
-            g = from_expr(g, n)
+    out = list(gs)
+    for g in out:
         if not isinstance(g, MElement):
             raise TypeError(f"not a Lie ring element: {g!r}")
         if g.n != n:
             raise ValueError("mismatched generator counts")
-        out.append(g)
+    if not 1 <= len(out) <= n:
+        raise ValueError(f"system size {len(out)} out of range 1..{n}")
     return out
 
 
@@ -535,8 +533,6 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     n = quotient.n
     gs = _as_elements(gs, n)
     k = len(gs)
-    if not 1 <= k <= n:
-        raise ValueError(f"system size {k} out of range 1..{n}")
     if power_exceeds(quotient.m, model.size_exponent * n, budget):
         raise BudgetError(
             f"enumeration of {_size_value(quotient.m, model.size_exponent * n)} tuples "
@@ -573,8 +569,6 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
         raise ValueError("modulus must be at least 2")
     gs = _as_elements(gs, n)
     k = len(gs)
-    if not 1 <= k <= n:
-        raise ValueError(f"system size {k} out of range 1..{n}")
     if power_exceeds(modulus, n, budget):
         raise BudgetError(f"enumeration of {_size_value(modulus, n)} tuples exceeds the budget {budget}")
     total = modulus ** n

@@ -139,25 +139,18 @@ class Poly:
         return mono, self.terms[mono]
 
     def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._require_same_ring(other)
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = merged.get(mono, 0) + coeff
-            if s:
-                merged[mono] = s
-            else:
-                del merged[mono]
-        return Poly._raw(self.n, merged)
+        return self._merge(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        return self._merge(other, -1)
+
+    def _merge(self, other: "Poly", sign: int) -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_same_ring(other)
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
-            s = merged.get(mono, 0) - coeff
+            s = merged.get(mono, 0) + sign * coeff
             if s:
                 merged[mono] = s
             else:
@@ -222,12 +215,12 @@ class Poly:
                 pw.append(pw[-1] * img)
             powers.append(pw)
         total = 0 * one
-        for mono in sorted(self.terms, key=grevlex_key):
+        for mono, coeff in self.terms.items():
             term = None
             for pw, e in zip(powers, mono):
                 if e:
                     term = pw[e] if term is None else term * pw[e]
-            total = total + self.terms[mono] * (one if term is None else term)
+            total = total + coeff * (one if term is None else term)
         return total
 
     def __eq__(self, other) -> bool:
@@ -496,19 +489,18 @@ def cube_values(a: Poly) -> list[int]:
     return values
 
 
-def module_rows(columns) -> Iterator[list[int]]:
-    """The rows mu * c for each column c = (c_1, .., c_k) of quotient-ring
-    elements and each monomial mu, in `monomials()` order: the coefficient
-    vectors of mu * c_1, .., mu * c_k, one after another.  The rows of c
-    span the R-submodule of R^k that c generates."""
-    for col in columns:
-        params = col[0].params
+def module_rows(elements) -> Iterator[list[int]]:
+    """The coefficient vectors of mu * c for each quotient-ring element c
+    and each monomial mu, in `monomials()` order.  The rows of c span the
+    ideal that c generates."""
+    for c in elements:
+        params = c.params
         m, w = params.m, params.monomial_count
-        entries = [(i * w, b, x) for i, c in enumerate(col) for b, x in enumerate(c.vec) if x]
+        entries = [(b, x) for b, x in enumerate(c.vec) if x]
         for slots in params.product_table():
-            row = [0] * (len(col) * w)
-            for offset, b, x in entries:
-                row[offset + slots[b]] += x
+            row = [0] * w
+            for b, x in entries:
+                row[slots[b]] += x
             yield [x % m for x in row]
 
 
@@ -618,7 +610,7 @@ def ideal_contains_finite(gens: list[QPoly], target: QPoly) -> bool:
         raise ValueError("target has mismatched quotient parameters")
     check_ring_size(params)
     span = Span(params.m, params.monomial_count)
-    for row in module_rows([(g,) for g in gens]):
+    for row in module_rows(gens):
         span.add(row)
         if target.vec in span:
             return True

@@ -487,9 +487,10 @@ def reference_product_table(params: QuotientParams) -> tuple:
 
 
 def reference_module_rows(columns, params: QuotientParams) -> list:
-    """`poly.module_rows` from term-map products: for each column and each
+    """The rows that span the submodule of R^k generated by columns
+    c = (c_1, .., c_k), from term-map products: for each column and each
     monomial mu, the coefficients of mu * c_i over `monomials()`, c_i after
-    c_(i-1)."""
+    c_(i-1).  On one-entry columns (c,) these are `poly.module_rows([c])`."""
     monos = list(params.monomials())
     rows = []
     for col in columns:

@@ -313,6 +313,25 @@ class TestConsistency:
         assert records[1]["witness"]["model"]["variant"] == "abelian"
         assert records[2]["witness"] is not None
 
+    def test_decisions_go_through_the_module_global(self, tmp_path, capsys, monkeypatch):
+        # Tracing wraps `metlie.cli.is_primitive` by name, so `primitive` and
+        # `consistency` look it up when they decide, with the configured caps.
+        decide = cli.is_primitive
+        calls = []
+
+        def counted(gs, **caps):
+            calls.append(caps)
+            return decide(gs, **caps)
+
+        monkeypatch.setattr(cli, "is_primitive", counted)
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("n=2\nx1 @ primitive\n2*x1 @ non-primitive\n")
+        assert run(capsys, "--groebner-max-basis", "50", "primitive", "x1")[0] == 0
+        assert run(capsys, "--grid", "1,1,2", "consistency", str(catalog))[0] == 0
+        assert [c["max_basis"] for c in calls] == [50, cli.DEFAULT_MAX_BASIS, cli.DEFAULT_MAX_BASIS]
+        assert [c["quotient_grid"] for c in calls[1:]] == [((1, 1, 2),)] * 2
+        assert all(set(c) == {"quotient_grid", "max_basis", "max_degree"} for c in calls)
+
     def test_expectation_mismatch_fails(self, tmp_path, capsys):
         catalog = tmp_path / "catalog.txt"
         catalog.write_text("n=2\n2*x1 @ primitive\n")

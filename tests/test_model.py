@@ -360,6 +360,30 @@ class TestAbelianUniformity:
                 assert direct == Zm(linear, m)
 
 
+def _census(kind, gs):
+    if kind == "matrix":
+        return uniformity_check(gs, flagship())
+    return uniformity_check_abelian(gs, 2, 2)
+
+
+class TestSystemInput:
+    """Both censuses take 1..n Lie ring elements and nothing else."""
+
+    @pytest.mark.parametrize("kind", ["matrix", "abelian"])
+    def test_lie_expression_is_rejected(self, kind):
+        with pytest.raises(TypeError, match="not a Lie ring element: "):
+            _census(kind, [parse("x1", 2)])
+        with pytest.raises(TypeError, match="not a Lie ring element: "):
+            _census(kind, [mel("x1"), parse("x2", 2)])
+
+    @pytest.mark.parametrize("kind", ["matrix", "abelian"])
+    @pytest.mark.parametrize("texts", [[], ["x1", "x2", "x1 + [x1,x2]"]])
+    def test_system_size_out_of_range(self, kind, texts):
+        with pytest.raises(ValueError) as err:
+            _census(kind, [mel(t) for t in texts])
+        assert str(err.value) == f"system size {len(texts)} out of range 1..2"
+
+
 class TestWitnessSearch:
     """The `witness` command's walk over the default grid, stopping at the
     first non-uniform report."""

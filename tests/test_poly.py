@@ -22,6 +22,7 @@ from metlie.poly import (
     cube_values,
     divexact,
     format_terms,
+    grevlex_key,
     ideal_contains_finite,
     module_rows,
     power_exceeds,
@@ -101,6 +102,8 @@ class TestRingAxioms:
     @settings(max_examples=100, deadline=None)
     def test_hypothesis_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)
+        diff = {mono: a.terms.get(mono, 0) - b.terms.get(mono, 0) for mono in a.terms.keys() | b.terms.keys()}
+        assert (a - b).terms == {mono: x for mono, x in diff.items() if x}
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
@@ -159,6 +162,30 @@ class TestEvaluate:
             pt = [rng.randint(-4, 4), rng.randint(-4, 4)]
             assert (a * b).evaluate(pt, 1) == a.evaluate(pt, 1) * b.evaluate(pt, 1)
             assert (a + b).evaluate(pt, 1) == a.evaluate(pt, 1) + b.evaluate(pt, 1)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        _polys_in(n), st.lists(st.integers(-4, 4), min_size=n, max_size=n))),
+        st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_term_order_does_not_change_the_value(self, case, rng):
+        # evaluate sums the terms in dict order; in a commutative target
+        # ring the value does not depend on the order they were inserted in.
+        a, ints = case
+        n = a.n
+        shuffled = list(a.terms.items())
+        rng.shuffle(shuffled)
+        orders = [shuffled, sorted(a.terms.items(), key=lambda t: grevlex_key(t[0]))]
+        params = QuotientParams(1, 2, 3, n)
+        targets = [
+            (ints, 1),
+            ([random_poly(rng, n, max_degree=1, max_terms=3) for _ in range(n)], Poly.one(n)),
+            ([random_qpoly(rng, params, max_terms=3) for _ in range(n)], QPoly.one(params)),
+        ]
+        for items in orders:
+            b = Poly(n, dict(items))
+            assert list(b.terms.items()) == items and b == a
+            for images, one in targets:
+                assert b.evaluate(images, one) == a.evaluate(images, one)
 
     def test_powers_built_once(self):
         # x1^2..x1^5 take 4 products, x2^2 one, and x1^3 * x2^2 one; no
@@ -432,8 +459,7 @@ class TestQPolyOracle:
         assert (-a).terms == reference_qpoly_terms({mu: -x for mu, x in ta.items()}, params)
         assert (c * a).terms == reference_qpoly_terms({mu: c * x for mu, x in ta.items()}, params)
         assert (a * b).terms == reference_qpoly_product(ta, tb, params)
-        columns = [(a, b), (b,)]
-        assert list(module_rows(columns)) == reference_module_rows(columns, params)
+        assert list(module_rows([a, b])) == reference_module_rows([(a,), (b,)], params)
 
 
 class TestProductTable:
