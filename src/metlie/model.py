@@ -325,8 +325,12 @@ class _PointSpans(dict):
         r, *a = key
         cols = Span(r, len(self.gs))
         for j in range(len(a)):
-            cols.add([sum(c * math.prod(map(pow, a, mu)) for mu, c in g.deriv[j].terms.items()) % r
-                      for g in self.gs])
+            terms = [g.deriv[j].terms for g in self.gs]
+            if any(a):
+                col = [sum(c * math.prod(map(pow, a, mu)) for mu, c in t.items()) for t in terms]
+            else:  # at 0 only the constant terms survive
+                col = [t.get(key[1:], 0) for t in terms]
+            cols.add([x % r for x in col])
         self[key] = size = cols.size()
         return size
 

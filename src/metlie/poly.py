@@ -531,6 +531,12 @@ class Span:
     later pivots; for composite m this is what field elimination misses.
     With it every element is sum c_i * row_i with 0 <= c_i < m/g_i in
     exactly one way: membership is a reduction and the size is prod m/g_i.
+    The pivot of column c keeps its entries from c on, and a step at column
+    c rewrites only those of the row: before c both are zero.
+
+    Over Z/2 the Howell form is echelon form over a field: a row is one int,
+    one byte per column (bit 8c is entry c), the pivot of column c is keyed
+    by its lowest set bit, a step is an XOR, and the size is 2^(pivots).
     """
 
     __slots__ = ("m", "width", "pivots")
@@ -538,41 +544,63 @@ class Span:
     def __init__(self, m: int, width: int):
         self.m = m
         self.width = width
-        self.pivots: dict[int, list[int]] = {}
+        self.pivots: dict[int, list[int] | int] = {}
 
-    def _reduce(self, v: list[int]) -> tuple[int, list[int]]:
-        # Clear leading columns by pivot multiples; stop at the first column
-        # the pivots cannot clear, or at `width` when v reduces to zero.
-        m = self.m
-        for c in range(self.width):
+    def _reduce(self, v: list[int], start: int) -> int:
+        # Clear v from column `start` on, in place, by pivot multiples; stop at
+        # the first column the pivots cannot clear, or at `width` when v is zero.
+        m, pivots = self.m, self.pivots
+        for c in range(start, self.width):
             a = v[c]
             if a:
-                p = self.pivots.get(c)
-                if p is None or a % p[c]:
-                    return c, v
-                q = a // p[c]
-                v = [(x - q * y) % m for x, y in zip(v, p)]
-        return self.width, v
+                p = pivots.get(c)
+                if p is None or a % p[0]:
+                    return c
+                q = a // p[0]
+                v[c:] = [(x - q * y) % m for x, y in zip(v[c:], p)]
+        return self.width
+
+    def _reduce_bits(self, v: int) -> int:
+        # XOR out the pivot of v's lowest set bit while there is one.
+        pivots = self.pivots
+        while v:
+            p = pivots.get(v & -v)
+            if p is None:
+                return v
+            v ^= p
+        return 0
 
     def add(self, row) -> None:
         """Extend the span by `row`, a sequence of `width` entries in 0..m-1."""
         m = self.m
-        c, v = self._reduce(list(row))
+        if m == 2:
+            v = self._reduce_bits(int.from_bytes(bytes(row), "little"))
+            if v:
+                self.pivots[v & -v] = v
+            return
+        v = list(row)
+        c = self._reduce(v, 0)
         while c < self.width:
-            p = self.pivots.get(c) or [0] * self.width
-            g = p[c] or m
-            a = v[c]
+            tail = v[c:]
+            p = self.pivots.get(c) or [0] * len(tail)
+            g = p[0] or m
+            a = tail[0]
             d, s, t = bezout(g, a)
-            self.pivots[c] = [(s * x + t * y) % m for x, y in zip(p, v)]
-            c, v = self._reduce([(g // d * y - a // d * x) % m for x, y in zip(p, v)])
+            self.pivots[c] = [(s * x + t * y) % m for x, y in zip(p, tail)]
+            v[c:] = [(g // d * y - a // d * x) % m for x, y in zip(p, tail)]
+            c = self._reduce(v, c + 1)
 
     def __contains__(self, row) -> bool:
-        return self._reduce(list(row))[0] == self.width
+        if self.m == 2:
+            return not self._reduce_bits(int.from_bytes(bytes(row), "little"))
+        return self._reduce(list(row), 0) == self.width
 
     def size(self) -> int:
+        if self.m == 2:
+            return 1 << len(self.pivots)
         out = 1
-        for c, p in self.pivots.items():
-            out *= self.m // p[c]
+        for p in self.pivots.values():
+            out *= self.m // p[0]
         return out
 
 

@@ -761,6 +761,32 @@ class TestResidueOnto:
         size = _sizes(gs, model.quotient, args)((0, 1))
         assert size == _whole_ring_size(gs, model.quotient, args, {})
 
+    def test_local_spans_over_z2(self, monkeypatch):
+        # On (1,2,2), x^2 - 1 = (x - 1)^2 over F_2: the parts at xi with some
+        # xi_i = 1 have dimension 2 or 4, and their spans over Z/2 (the XOR
+        # path of `Span`) give every image size of x1 + [x2,x1] that the
+        # Howell form over the whole ring gives.
+        built = []
+
+        class RecordingSpan(Span):
+            def size(self):
+                out = super().size()
+                built.append((self.m, self.width, out))
+                return out
+
+        monkeypatch.setattr(metlie.model, "Span", RecordingSpan)
+        quotient = QuotientParams(1, 2, 2, 2)
+        model = FiniteModel(ModelParams(quotient))
+        l_space = model.l_space
+        gs = [mel("x1 + [x2,x1]")]
+        image_size, sizes = _sizes(gs, quotient, l_space), {}
+        for s in itertools.product(range(len(l_space)), repeat=2):
+            assert image_size(s) == _whole_ring_size(gs, quotient, [l_space[t] for t in s], sizes)
+        local = {(width, size) for m, width, size in built if width > 1}
+        assert {m for m, _, _ in built} == {2}
+        assert {width for width, _ in local} == {2, 4}
+        assert any(1 < size < 2 ** width for width, size in local)
+
     def test_onto_maps_need_no_image_span(self, monkeypatch):
         # Every map of this primitive system is onto at n = 3 on (2,2,2):
         # the census builds rank spans of width k = 1 only, none of k * w.

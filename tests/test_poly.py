@@ -563,22 +563,24 @@ class TestPowerExceeds:
 
 
 class TestSpan:
-    """The Howell-form span against a plain closure, composite moduli included."""
+    """The span against a plain closure: the XOR path over Z/2, prime fields,
+    and the Howell form over composite moduli."""
 
-    @pytest.mark.parametrize("m", [4, 6, 8, 12])
+    @pytest.mark.parametrize("m", [2, 3, 5, 4, 6, 8, 12])
     def test_against_brute_force_closure(self, m):
         rng = random.Random(m)
-        for _ in range(40):
+        for i in range(40):
             width = rng.randrange(1, 4)
             rows = [tuple(rng.choice([0, rng.randrange(m)]) for _ in range(width))
                     for _ in range(rng.randrange(4))]
             span = Span(m, width)
-            for r in rows:
-                span.add(r)
+            for j, r in enumerate(rows):
+                span.add(r if (i + j) % 2 else list(r))
             oracle = subgroup_closure(rows, m, width)
             assert span.size() == len(oracle)
             for v in itertools.product(range(m), repeat=width):
                 assert (v in span) == (v in oracle)
+                assert (list(v) in span) == (v in oracle)
 
 
 class TestDivexact:
