@@ -57,9 +57,8 @@ def jacobi_substituted(gs: list[MElement], fs) -> PolyMatrix:
     Each f may be an element (its linear part is used) or a polynomial
     substituted as-is.
     """
-    if not gs:
-        raise ValueError("empty system of elements")
-    n = gs[0].n
+    base = jacobi_matrix(gs)
+    n = base.rows
     if len(fs) != n:
         raise ValueError(f"expected {n} substitutions, got {len(fs)}")
     images = []
@@ -71,7 +70,6 @@ def jacobi_substituted(gs: list[MElement], fs) -> PolyMatrix:
         else:
             raise TypeError(f"cannot substitute {f!r}")
     one = Poly.one(n)
-    base = jacobi_matrix(gs)
     entries = tuple(
         tuple(e.evaluate(images, one) for e in row) for row in base.entries
     )

@@ -34,12 +34,13 @@ from metlie.model import (
     uniformity_check,
     uniformity_check_abelian,
 )
-from metlie.poly import Poly, QuotientParams, ResourceLimitError
+from metlie.poly import QuotientParams, ResourceLimitError
 from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
     DEFAULT_MAX_DEGREE,
     DEFAULT_QUOTIENT_GRID,
     GroebnerLimitError,
+    is_automorphism_system,
     is_primitive,
 )
 from metlie.ring import from_expr
@@ -257,33 +258,36 @@ def grid_entries(n: int, cfg: Config) -> list:
 
 
 def grid_walk(gs, n: int, entries: list, cfg: Config):
-    """Census of every entry of `grid_entries`, in order.  Yields (model
-    description, report, None), or (model description, None, reason) for a
-    budget-skipped entry."""
+    """Census of every entry of `grid_entries`, in order.  Yields (report,
+    None), or (None, skip record) for a budget-skipped entry; `report.model`
+    describes an evaluated entry."""
     for entry in entries:
+        abelian = isinstance(entry, int)
         try:
-            if isinstance(entry, int):
-                desc = {"variant": "abelian", "m": entry, "n": n, "size": entry}
-                report = uniformity_check_abelian(gs, entry, n, budget=cfg.budget)
-            else:
-                desc = entry.describe()
-                report = uniformity_check(gs, entry, budget=cfg.budget)
+            report = (uniformity_check_abelian(gs, entry, n, budget=cfg.budget) if abelian
+                      else uniformity_check(gs, entry, budget=cfg.budget))
         except BudgetError as exc:
-            yield desc, None, str(exc)
-            continue
-        yield desc, report, None
+            desc = ({"variant": "abelian", "m": entry, "n": n, "size": entry} if abelian
+                    else entry.describe())
+            yield None, {"model": desc, "reason": str(exc)}
+        else:
+            yield report, None
+
+
+def _witness_record(report) -> dict:
+    return {"model": report.model, "report": report.to_json(include_elapsed=False)}
 
 
 def cmd_witness(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
     payload = {"witness": None, "checked": [], "skipped": []}
-    for desc, report, reason in grid_walk(gs, cfg.n, grid_entries(cfg.n, cfg), cfg):
+    for report, skip in grid_walk(gs, cfg.n, grid_entries(cfg.n, cfg), cfg):
         if report is None:
-            payload["skipped"].append({"model": desc, "reason": reason})
+            payload["skipped"].append(skip)
             continue
-        payload["checked"].append(desc)
+        payload["checked"].append(report.model)
         if not report.uniform:
-            payload["witness"] = {"model": desc, "report": report.to_json(include_elapsed=False)}
+            payload["witness"] = _witness_record(report)
             break
     if payload["witness"]:
         lines = [f"witness found: {payload['witness']['model']}"]
@@ -297,10 +301,8 @@ def cmd_witness(args, cfg: Config) -> int:
 
 def cmd_auto(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
-    if len(gs) != cfg.n:
-        raise CatalogError(f"automorphism test needs exactly {cfg.n} elements")
+    ok = is_automorphism_system(gs)
     d = det(jacobi_matrix(gs))
-    ok = d in (Poly.one(cfg.n), -Poly.one(cfg.n))
     payload = {"automorphism": ok, "determinant": str(d)}
     _emit(payload, cfg, [f"automorphism: {ok} (det = {d})"])
     return EXIT_OK if ok else EXIT_NEGATIVE
@@ -370,15 +372,12 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
         label = "; ".join(texts)
         reports = []
         skipped = []
-        witness = None
-        for desc, report, reason in grid_walk(gs, n, entries, cfg):
+        for report, skip in grid_walk(gs, n, entries, cfg):
             if report is None:
-                skipped.append({"model": desc, "reason": reason})
-                continue
-            reports.append(report)
-            if witness is None and not report.uniform:
-                witness = {"model": desc,
-                           "report": report.to_json(include_elapsed=False)}
+                skipped.append(skip)
+            else:
+                reports.append(report)
+        witness = next((_witness_record(r) for r in reports if not r.uniform), None)
         sys_warnings = []
         if verdict.primitive is True:
             for report in reports:

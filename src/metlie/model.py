@@ -31,7 +31,7 @@ from typing import Optional
 from metlie.poly import (
     Poly, QPoly, QuotientParams, Span, power_exceeds, prime_power_factors,
 )
-from metlie.ring import MElement
+from metlie.ring import MElement, check_system
 
 DEFAULT_BUDGET = 1 << 28
 
@@ -51,6 +51,13 @@ def _size_value(base: int, exponent: int):
 
 class BudgetError(Exception):
     """An exhaustive enumeration would exceed the configured budget."""
+
+
+def _charge(base: int, exponent: int, budget: int) -> None:
+    """Raise BudgetError when base^exponent tuples exceed the budget."""
+    if power_exceeds(base, exponent, budget):
+        raise BudgetError(f"enumeration of {_size_value(base, exponent)} tuples "
+                          f"exceeds the budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -234,11 +241,6 @@ class FiniteModel:
         return [QPoly(self.quotient, dict(zip(l_monos, v))) for v in self.l_digits]
 
     @cached_property
-    def split(self) -> bool:
-        """Whether `QuotientParams.local_factors` lists the local rings of R."""
-        return self.quotient.local_factors() is not None
-
-    @cached_property
     def parts(self) -> tuple:
         """The parts of R and the values of `l_space` there (`_parts`)."""
         return _parts(self.quotient, self.l_space)
@@ -276,18 +278,6 @@ class UniformityReport:
         if include_elapsed:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
-
-
-def _as_elements(gs, n: int) -> list[MElement]:
-    out = list(gs)
-    for g in out:
-        if not isinstance(g, MElement):
-            raise TypeError(f"not a Lie ring element: {g!r}")
-        if g.n != n:
-            raise ValueError("mismatched generator counts")
-    if not 1 <= len(out) <= n:
-        raise ValueError(f"system size {len(out)} out of range 1..{n}")
-    return out
 
 
 def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> ModelElement:
@@ -535,16 +525,12 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     start = time.perf_counter()
     quotient = model.quotient
     n = quotient.n
-    gs = _as_elements(gs, n)
+    gs = check_system(gs, n)
     k = len(gs)
-    if power_exceeds(quotient.m, model.size_exponent * n, budget):
-        raise BudgetError(
-            f"enumeration of {_size_value(quotient.m, model.size_exponent * n)} tuples "
-            f"exceeds the budget {budget}"
-        )
+    _charge(quotient.m, model.size_exponent * n, budget)
     expected = model.size ** (n - k)
     points = _PointSpans(gs)
-    if model.split and _onto_at_points(points, quotient):
+    if model.parts[0] and _onto_at_points(points, quotient):
         fiber_min = fiber_max = expected
         witness = None
     else:
@@ -571,10 +557,9 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
     start = time.perf_counter()
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    gs = _as_elements(gs, n)
+    gs = check_system(gs, n)
     k = len(gs)
-    if power_exceeds(modulus, n, budget):
-        raise BudgetError(f"enumeration of {_size_value(modulus, n)} tuples exceeds the budget {budget}")
+    _charge(modulus, n, budget)
     total = modulus ** n
     fiber_max = total // _PointSpans(gs)[(modulus,) + (0,) * n]
     expected = modulus ** (n - k)

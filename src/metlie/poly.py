@@ -587,6 +587,8 @@ class Span:
             a = tail[0]
             d, s, t = bezout(g, a)
             self.pivots[c] = [(s * x + t * y) % m for x, y in zip(p, tail)]
+            if d == 1 and g == m:
+                return  # a unit entry took an empty column: the second row is m * tail = 0
             v[c:] = [(g // d * y - a // d * x) % m for x, y in zip(p, tail)]
             c = self._reduce(v, c + 1)
 

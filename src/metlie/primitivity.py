@@ -44,7 +44,7 @@ from metlie.poly import (
     reduce_pqm,
     DEFAULT_MAX_RING_SIZE,
 )
-from metlie.ring import MElement
+from metlie.ring import MElement, check_system
 
 DEFAULT_MAX_BASIS = 10_000
 DEFAULT_MAX_DEGREE = 40
@@ -327,8 +327,11 @@ def _gpair(f: _Row, g: _Row, gamma: int) -> _Row:
     return _combine([(f, u, gamma - f.lm), (g, v, gamma - g.lm)])
 
 
-def _buchberger(gens: list[Poly], packing: _Packing, *, max_basis: int, max_degree: int,
-                stop_on_unit: bool) -> tuple[list[_Row], Optional[_Row]]:
+def _buchberger(gens: list[Poly], packing: _Packing, *, max_basis: int,
+                max_degree: int) -> tuple[list[_Row], Optional[_Row]]:
+    """The rows of a strong basis of the ideal of gens, and its unit row, None
+    when 1 is not in the ideal.  The completion stops at the unit row: every
+    later candidate reduces to 0 by it, so the rows up to it are a basis."""
     basis: list[_Row] = []
     pairs: list[tuple[int, int, int, int]] = []
     pending: set[tuple[int, int]] = set()
@@ -347,7 +350,7 @@ def _buchberger(gens: list[Poly], packing: _Packing, *, max_basis: int, max_degr
         idx = len(basis)
         row.pos = idx
         basis.append(row)
-        if stop_on_unit and row.lm == 0 and row.lc == 1:
+        if row.lm == 0 and row.lc == 1:
             return row
         for j in range(idx):
             gamma = packing.lcm(row.lm, basis[j].lm)
@@ -423,8 +426,7 @@ def groebner_z(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
                max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
     """Reduced strong Groebner basis over Z of the ideal generated by gens."""
     packing = _packing_for(gens, max_basis, max_degree)
-    basis, _ = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree,
-                           stop_on_unit=False)
+    basis, _ = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree)
     rows = _interreduce(basis, max_degree, packing)
     return GroebnerBasis(
         [packing.unpack(r.terms) for r in rows],
@@ -447,8 +449,7 @@ def ideal_contains(gens: list[Poly], target: Poly, *,
     """Exact ideal membership over Z[X]: the target reduces to zero modulo
     a strong Groebner basis exactly when it is a member."""
     packing = _packing_for(gens, max_basis, max_degree)
-    basis, _ = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree,
-                           stop_on_unit=False)
+    basis, _ = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree)
     _check_degree(target, max_degree, " during reduction")
     return not _reduce_row(packing.row(target, []), basis, max_degree, packing).terms
 
@@ -462,8 +463,7 @@ def ideal_contains_one(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
     verified exactly before being handed back.
     """
     packing = _packing_for(gens, max_basis, max_degree)
-    basis, unit = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree,
-                              stop_on_unit=True)
+    basis, unit = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree)
     if unit is None:
         return False, None
     # A basis row has a positive leading coefficient, so the unit row is 1.
@@ -549,13 +549,11 @@ def quotient_primitivity_check(gs: list[MElement], params: QuotientParams) -> bo
     A False answer for any parameters certifies non-primitivity; True is
     only a pass of the necessary condition.
     """
-    k = len(gs)
-    if not 1 <= k <= gs[0].n:
-        raise ValueError(f"system size {k} out of range 1..{gs[0].n}")
+    gs = check_system(gs)
     if params.n != gs[0].n:
         raise ValueError("quotient parameters use a different generator count")
     check_ring_size(params)
-    minor_polys = minors(jacobi_matrix(gs), k)
+    minor_polys = minors(jacobi_matrix(gs), len(gs))
     return _reduced_minor_ideal_contains_one(minor_polys, params)
 
 
@@ -593,15 +591,8 @@ def is_primitive(gs: list[MElement], *,
     Refutation fast paths run first (integer linear parts, then the finite
     quotient grid); the exact minors-ideal test over Z[X] settles the rest.
     """
-    if not gs:
-        raise ValueError("empty system")
-    n = gs[0].n
-    k = len(gs)
-    for g in gs:
-        if g.n != n:
-            raise ValueError("mismatched generator counts in the system")
-    if k > n:
-        raise ValueError(f"system size {k} exceeds generator count {n}")
+    gs = check_system(gs)
+    n, k = gs[0].n, len(gs)
 
     lin = [list(g.linear) for g in gs]
     gcd_minors = _abelian_minor_gcd(lin)
@@ -636,8 +627,7 @@ def is_primitive(gs: list[MElement], *,
 
 def is_automorphism_system(gs: list[MElement]) -> bool:
     """True when (g_1, .., g_n) generates freely: det of the Jacobi matrix is +-1."""
-    if not gs:
-        raise ValueError("empty system")
+    gs = check_system(gs)
     n = gs[0].n
     if len(gs) != n:
         raise ValueError(f"expected exactly {n} elements, got {len(gs)}")

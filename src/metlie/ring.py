@@ -226,45 +226,66 @@ def _add_times_linear(out: dict, const: int, terms, factors) -> None:
                 del out[shifted]
 
 
+def check_system(gs, n=None) -> list:
+    """The system gs as a list of 1 <= k <= n Lie ring elements over n
+    generators; n defaults to the generator count of the first element."""
+    gs = list(gs)
+    for g in gs:
+        if not isinstance(g, MElement):
+            raise TypeError(f"not a Lie ring element: {g!r}")
+        n = g.n if n is None else n
+        if g.n != n:
+            raise ValueError("mismatched generator counts")
+    if n is None:
+        raise ValueError("empty system")
+    if not 1 <= len(gs) <= n:
+        raise ValueError(f"system size {len(gs)} out of range 1..{n}")
+    return gs
+
+
+def _add_expr(e, c: int, lin: list, rest: list, n: int) -> None:
+    """Add c * e into the accumulators of `from_expr`.  A module-level
+    function, not a nested one: a recursive closure would leave a reference
+    cycle per call to the garbage collector."""
+    if isinstance(e, Generator):
+        if not 1 <= e.index <= n:
+            raise ValueError(f"generator index {e.index} out of range 1..{n}")
+        lin[e.index - 1] += c
+    elif isinstance(e, Sum):
+        for part in e.parts:
+            _add_expr(part, c, lin, rest, n)
+    elif isinstance(e, ScalarMul):
+        k = e.coeff
+        if not isinstance(k, int):
+            raise TypeError(f"scalar multiple needs an int coefficient, got {k!r}")
+        _add_expr(e.arg, c * k, lin, rest, n)
+    elif isinstance(e, Bracket):
+        # Both sides are walked even under c = 0, so that they are checked.
+        la, ra = [0] * n, [{} for _ in range(n)]
+        _add_expr(e.left, 1, la, ra, n)
+        lb, rb = [0] * n, [{} for _ in range(n)]
+        _add_expr(e.right, 1, lb, rb, n)
+        if c:
+            fa, fb = _linear_factors(lb, c), _linear_factors(la, -c)
+            for out, ca, ta, cb, tb in zip(rest, la, ra, lb, rb):
+                _add_times_linear(out, ca, ta, fa)
+                _add_times_linear(out, cb, tb, fb)
+    else:
+        raise TypeError(f"not a Lie expression: {e!r}")
+
+
 def from_expr(e: LieExpr, n: int) -> MElement:
     """Image of a Lie expression in the free metabelian Lie ring.
 
-    The expression is evaluated in destination-passing style: walk(e, c,
-    lin, rest) adds c * e into the caller's accumulators, the linear part
-    `lin` and the non-constant terms `rest` of each derivative, since
-    d_i g(0) = lin_i(g).  Only a bracket allocates, for its two sides, and
-    only brackets touch monomials.  `eval_in_ring` over
-    `MElement.generator`s is the oracle in the tests.
+    The expression is evaluated in destination-passing style:
+    `_add_expr(e, c, lin, rest, n)` adds c * e into the caller's
+    accumulators, the linear part `lin` and the non-constant terms `rest` of
+    each derivative, since d_i g(0) = lin_i(g).  Only a bracket allocates,
+    for its two sides, and only brackets touch monomials.  `eval_in_ring`
+    over `MElement.generator`s is the oracle in the tests.
     """
-    def walk(e, c, lin, rest):
-        if isinstance(e, Generator):
-            if not 1 <= e.index <= n:
-                raise ValueError(f"generator index {e.index} out of range 1..{n}")
-            lin[e.index - 1] += c
-        elif isinstance(e, Sum):
-            for part in e.parts:
-                walk(part, c, lin, rest)
-        elif isinstance(e, ScalarMul):
-            k = e.coeff
-            if not isinstance(k, int):
-                raise TypeError(f"scalar multiple needs an int coefficient, got {k!r}")
-            walk(e.arg, c * k, lin, rest)
-        elif isinstance(e, Bracket):
-            # Both sides are walked even under c = 0, so that they are checked.
-            la, ra = [0] * n, [{} for _ in range(n)]
-            walk(e.left, 1, la, ra)
-            lb, rb = [0] * n, [{} for _ in range(n)]
-            walk(e.right, 1, lb, rb)
-            if c:
-                fa, fb = _linear_factors(lb, c), _linear_factors(la, -c)
-                for out, ca, ta, cb, tb in zip(rest, la, ra, lb, rb):
-                    _add_times_linear(out, ca, ta, fa)
-                    _add_times_linear(out, cb, tb, fb)
-        else:
-            raise TypeError(f"not a Lie expression: {e!r}")
-
     lin, rest = [0] * n, [{} for _ in range(n)]
-    walk(e, 1, lin, rest)
+    _add_expr(e, 1, lin, rest, n)
     zero = (0,) * n
     return MElement(lin, [Poly._raw(n, {zero: c, **terms} if c else terms)
                           for c, terms in zip(lin, rest)])

@@ -582,6 +582,21 @@ class TestSpan:
                 assert (v in span) == (v in oracle)
                 assert (list(v) in span) == (v in oracle)
 
+    def test_unit_into_an_empty_column_reduces_once(self, monkeypatch):
+        # The second row of that step is m * tail = 0, so nothing is left to reduce.
+        starts = []
+        real = Span._reduce
+
+        def counting(self, v, start):
+            starts.append(start)
+            return real(self, v, start)
+
+        monkeypatch.setattr(Span, "_reduce", counting)
+        span = Span(3, 4)
+        span.add([0, 1, 2, 0])
+        assert starts == [0]
+        assert span.size() == 3 and [0, 2, 1, 0] in span
+
 
 class TestDivexact:
     def test_exact_quotient(self):

@@ -39,6 +39,7 @@ from metlie.poly import (
     reduce_pqm,
 )
 from metlie import primitivity
+from metlie.model import FiniteModel, ModelParams, uniformity_check, uniformity_check_abelian
 from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
     DEFAULT_MAX_DEGREE,
@@ -212,6 +213,20 @@ class TestGroebner:
         assert ideal_contains(gens, x(1))
         assert not ideal_contains(gens, one())
 
+    def test_unit_among_the_inputs(self):
+        gb = groebner_z([x(1), one(), x(2)])
+        assert gb.generators == [one()]
+        assert gb.cofactors == [[Poly.zero(2), one(), Poly.zero(2)]]
+
+    def test_unit_found_mid_completion(self):
+        # 1 = (2*x1 + 1) - 2 * x1 is the S-polynomial of the two inputs.
+        gens = [2 * x(1) + one(), x(1)]
+        gb = groebner_z(gens)
+        assert gb.generators == [one()]
+        assert sum((h * g for h, g in zip(gb.cofactors[0], gens)), Poly.zero(2)) == one()
+        for target in [one(), x(2), 7 * x(1) * x(2) ** 3 - 5 * one()]:
+            assert ideal_contains(gens, target)
+
     def test_cofactor_rows_track_exactly(self):
         rng = random.Random(101)
         for _ in range(30):
@@ -246,8 +261,7 @@ class TestGroebner:
         # S- or G-polynomial row stays reachable from the basis.
         gens = [x(1) ** 2 - 3 * x(2), 2 * x(1) * x(2) + one(), 6 * x(2) ** 2 - x(1)]
         packing = _packing_for(gens, DEFAULT_MAX_BASIS, 40)
-        basis, _ = _buchberger(gens, packing, max_basis=DEFAULT_MAX_BASIS, max_degree=40,
-                               stop_on_unit=False)
+        basis, _ = _buchberger(gens, packing, max_basis=DEFAULT_MAX_BASIS, max_degree=40)
         assert len(basis) > len(gens)
         for row in basis:
             for parent, mult in row.deriv:
@@ -486,7 +500,7 @@ class TestPairCriteria:
             minor_polys = minors(jacobi_matrix(gs), len(gs))
             calls.clear()
             packing = _packing_for(minor_polys, **caps)
-            basis, unit = _buchberger(minor_polys, packing, stop_on_unit=True, **caps)
+            basis, unit = _buchberger(minor_polys, packing, **caps)
             pruned = len(calls)
             calls.clear()
             ref_basis, ref_unit = reference_buchberger(minor_polys, stop_on_unit=True, **caps)
@@ -892,6 +906,38 @@ class TestCertificateGolden:
             gs = [mel(t, doc["n"]) for t in entry["texts"]]
             entry["verdict"] = is_primitive(gs).to_json()
         assert json.dumps(doc, indent=1, sort_keys=True) + "\n" == text
+
+
+class TestSystemCheck:
+    """Every decision and census takes 1..n Lie ring elements over one
+    generator count, with the same message per fault.  The decisions read n
+    from the first element; the censuses take their model's n = 2."""
+
+    ENTRY_POINTS = {
+        "is_primitive": is_primitive,
+        "quotient": lambda gs: quotient_primitivity_check(gs, QuotientParams(1, 2, 2, 2)),
+        "automorphism": is_automorphism_system,
+        "census": lambda gs: uniformity_check(gs, FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2)))),
+        "abelian census": lambda gs: uniformity_check_abelian(gs, 2, 2),
+    }
+    CASES = {
+        "empty": ([], ValueError, "empty system"),
+        "mixed counts": ([mel("x1"), mel("x1", 3)], ValueError, "mismatched generator counts"),
+        "k = n + 1": ([mel("x1"), mel("x2"), mel("x1 + [x1,x2]")], ValueError,
+                      "system size 3 out of range 1..2"),
+        "expression": ([mel("x1"), parse("x2", 2)], TypeError,
+                       f"not a Lie ring element: {parse('x2', 2)!r}"),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_message_per_fault(self, entry, case):
+        gs, kind, text = self.CASES[case]
+        if case == "empty" and "census" in entry:
+            text = "system size 0 out of range 1..2"
+        with pytest.raises(kind) as err:
+            self.ENTRY_POINTS[entry](gs)
+        assert str(err.value) == text
 
 
 class TestAutomorphismSystem:

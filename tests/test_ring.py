@@ -1,5 +1,6 @@
 """Tests for free metabelian Lie ring arithmetic and basis conversion."""
 
+import gc
 import random
 
 import pytest
@@ -101,6 +102,17 @@ class TestFromExpr:
             lhs = from_expr(parse(f"[{_s(a)},{_s(b)}]", n), n)
             rhs = from_expr(parse(f"-[{_s(b)},{_s(a)}]", n), n)
             assert lhs == rhs
+
+    def test_leaves_no_reference_cycle(self):
+        e = parse("x1 + 3*[[x2,x1],x1] - [x1,x2]", 2)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                from_expr(e, 2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _s(e):

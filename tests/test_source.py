@@ -1,9 +1,11 @@
 """Checks on the source tree of `metlie` itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "metlie"
+WORKER = Path(__file__).parent.parent / "perfbench" / "worker.py"
 
 
 def _trees() -> dict:
@@ -45,3 +47,27 @@ class TestPrivateHelpers:
         tree = ast.parse("def _used():\n    pass\n\n\ndef _unused():\n    return _used()\n")
         assert "_used" in _referenced_names(tree)
         assert "_unused" not in _referenced_names(tree)
+
+
+class TestPerfbenchPatches:
+    def test_every_patched_name_exists(self):
+        """The benchmark's traced runs wrap (module, attribute) pairs by
+        name; a rename in `src/` that leaves one behind fails here, not
+        first in CI's traced runs."""
+        lists = {}
+
+        def value(node):
+            if isinstance(node, ast.Name):
+                return lists[node.id]
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                return value(node.left) + value(node.right)
+            return ast.literal_eval(node)
+
+        for node in ast.parse(WORKER.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and getattr(node.targets[0], "id", "").endswith("_PATCHES")):
+                lists[node.targets[0].id] = value(node.value)
+        assert set(lists) == {"DECIDE_PATCHES", "CONSISTENCY_PATCHES"}
+        missing = [f"{module}.{attr}" for patches in lists.values() for module, attr, _ in patches
+                   if not hasattr(importlib.import_module(module), attr)]
+        assert all(lists.values()) and missing == []
