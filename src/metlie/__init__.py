@@ -16,7 +16,7 @@ from metlie.poly import (
     ideal_contains_finite,
     reduce_pqm,
 )
-from metlie.expr import LieParseError, eval_in_ring, format_value, parse
+from metlie.expr import LieParseError, parse
 from metlie.ring import (
     BasisTerm,
     MElement,

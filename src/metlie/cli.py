@@ -31,6 +31,7 @@ from metlie.model import (
     DEFAULT_BUDGET,
     FiniteModel,
     ModelParams,
+    describe_abelian,
     uniformity_check,
     uniformity_check_abelian,
 )
@@ -117,6 +118,9 @@ def _config_from_args(args) -> Config:
 
 
 def _parse_system(texts, n: int):
+    """The elements that `texts` denote, the one front-end call of every
+    command.  `from_expr` only passes each element through; the benchmark's
+    traced runs wrap both names here."""
     return [from_expr(parse(t, n), n) for t in texts]
 
 
@@ -178,10 +182,8 @@ def _emit(payload: dict, cfg: Config, text_lines) -> None:
 
 
 def cmd_normalize(args, cfg: Config) -> int:
-    results = []
-    for text in args.exprs:
-        g = from_expr(parse(text, cfg.n), cfg.n)
-        results.append({"input": text, "normal": str(g)})
+    results = [{"input": text, "normal": str(g)}
+               for text, g in zip(args.exprs, _parse_system(args.exprs, cfg.n))]
     _emit({"results": results}, cfg, [r["normal"] for r in results])
     return EXIT_OK
 
@@ -189,8 +191,7 @@ def cmd_normalize(args, cfg: Config) -> int:
 def cmd_derive(args, cfg: Config) -> int:
     results = []
     lines = []
-    for text in args.exprs:
-        g = from_expr(parse(text, cfg.n), cfg.n)
+    for text, g in zip(args.exprs, _parse_system(args.exprs, cfg.n)):
         entry = {
             "input": text,
             "normal": str(g),
@@ -267,8 +268,7 @@ def grid_walk(gs, n: int, entries: list, cfg: Config):
             report = (uniformity_check_abelian(gs, entry, n, budget=cfg.budget) if abelian
                       else uniformity_check(gs, entry, budget=cfg.budget))
         except BudgetError as exc:
-            desc = ({"variant": "abelian", "m": entry, "n": n, "size": entry} if abelian
-                    else entry.describe())
+            desc = describe_abelian(entry, n) if abelian else entry.describe()
             yield None, {"model": desc, "reason": str(exc)}
         else:
             yield report, None

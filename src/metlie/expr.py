@@ -1,4 +1,5 @@
-"""Parsing, evaluation and printing of Lie polynomial expressions.
+"""Parsing of Lie polynomial expressions into elements of the free
+metabelian Lie ring.
 
 Grammar (whitespace, any character str.isspace accepts, is insignificant;
 unary minus is allowed before the leading term of an expression):
@@ -19,8 +20,9 @@ at most MAX_GENERATORS generators.  Error positions count characters; only
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+
+from metlie.poly import Poly
+from metlie.ring import MElement, _add_times_linear, _linear_factors
 
 
 class LieParseError(ValueError):
@@ -32,40 +34,9 @@ class LieParseError(ValueError):
         self.col = col
 
 
-# AST nodes compare and hash by type and fields.  They are slotted rather
-# than frozen, which builds them about three times faster; nothing assigns
-# to a field after construction.
-@dataclass(slots=True, unsafe_hash=True)
-class Generator:
-    index: int
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Bracket:
-    left: "LieExpr"
-    right: "LieExpr"
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Sum:
-    parts: tuple["LieExpr", ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("sum must have at least one part")
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ScalarMul:
-    coeff: int
-    arg: "LieExpr"
-
-
-LieExpr = Union[Generator, Bracket, Sum, ScalarMul]
-
 _SYMBOLS = "[],()+-*"
 
-# Deepest bracket/parenthesis nesting the recursive parser and evaluator accept.
+# Deepest bracket/parenthesis nesting the recursive parser accepts.
 MAX_NESTING = 100
 
 # Largest generator count `parse` accepts.  Elements over n generators carry
@@ -98,20 +69,17 @@ def _tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text)
 
 
-def _signed(e: LieExpr, sign: int) -> LieExpr:
-    if sign == 1:
-        return e
-    if isinstance(e, ScalarMul):
-        return ScalarMul(-e.coeff, e.arg)
-    return ScalarMul(-1, e)
-
-
 class _Parser:
-    """Recursive descent over the token list.  Each rule takes the index of
-    its first token and returns (expression, index of the first token after
-    it); no rule reads past the final "".  Methods, not nested functions:
-    mutually recursive closures would leave a reference cycle per parse to
-    the garbage collector."""
+    """Recursive descent over the token list that builds the element as it
+    reads.  Each rule takes the index of its first token, a scale c and the
+    accumulators of the element under construction: `lin`, its linear part,
+    and `rest`, the non-constant terms of each derivative as plain dicts
+    (d_i g(0) = lin_i(g)).  It adds c times what it reads into them and
+    returns the index of the first token after it; no rule reads past the
+    final "".  A scale is always known before its operand: a sign comes
+    before its term and an integer before its '*' factor.  Methods, not
+    nested functions: mutually recursive closures would leave a reference
+    cycle per parse to the garbage collector."""
 
     def __init__(self, text: str, n: int):
         self.text = text
@@ -135,122 +103,74 @@ class _Parser:
             raise self.error(f"expected {symbol!r}, found {tok or 'end of input'!r}", i)
         return i + 1
 
-    def expr(self, i: int, depth: int):
+    def expr(self, i: int, depth: int, c: int, lin: list, rest: list) -> int:
         tokens = self.tokens
-        sign = 1
+        scale = c
         if tokens[i] == "-":
-            sign, i = -1, i + 1
-        parts = []
+            scale, i = -c, i + 1
         while True:
-            e, i = self.term(i, depth)
-            parts.append(_signed(e, sign))
+            i = self.term(i, depth, scale, lin, rest)
             op = tokens[i]
             if op != "+" and op != "-":
-                return (parts[0] if len(parts) == 1 else Sum(tuple(parts))), i
-            sign, i = (-1 if op == "-" else 1), i + 1
+                return i
+            scale, i = (-c if op == "-" else c), i + 1
 
-    def term(self, i: int, depth: int):
+    def term(self, i: int, depth: int, c: int, lin: list, rest: list) -> int:
         tok = self.tokens[i]
         if not tok.isdecimal():
-            return self.factor(i, depth)
+            return self.factor(i, depth, c, lin, rest)
         value = self.integer(tok, "integer literal", i)
         if self.tokens[i + 1] == "*":
-            e, i = self.factor(i + 2, depth)
-            return ScalarMul(value, e), i
+            return self.factor(i + 2, depth, c * value, lin, rest)
         if value == 0:
-            # Zero element; any generator works as the annihilated carrier.
-            return ScalarMul(0, Generator(1)), i + 1
+            return i + 1  # the zero element adds nothing
         raise self.error(f"bare integer {value} is not a Lie element (only 0 is allowed)", i)
 
-    def factor(self, i: int, depth: int):
+    def factor(self, i: int, depth: int, c: int, lin: list, rest: list) -> int:
         tok = self.tokens[i]
         if tok[:1] == "x":
             index = self.integer(tok[1:], "generator index", i)
             if not 1 <= index <= self.n:
                 raise self.error(f"generator index {index} out of range 1..{self.n}", i)
-            return Generator(index), i + 1
+            lin[index - 1] += c
+            return i + 1
         if tok != "[" and tok != "(":
             found = tok or "end of input"
             raise self.error(f"expected a generator, bracket or parenthesis, found {found!r}", i)
         if depth == MAX_NESTING:
             raise self.error(f"brackets and parentheses nested deeper than {MAX_NESTING}", i)
-        left, i = self.expr(i + 1, depth + 1)
         if tok == "(":
-            return left, self.expect(")", i)
-        right, i = self.expr(self.expect(",", i), depth + 1)
-        return Bracket(left, right), self.expect("]", i)
+            return self.expect(")", self.expr(i + 1, depth + 1, c, lin, rest))
+        # A bracket reads each side into fresh accumulators, then adds
+        # c * (d_i a * lin(b) - d_i b * lin(a)) into its caller's dicts through
+        # the kernel of `MElement.bracket`.  Under c = 0 both sides are still
+        # read, and so checked.
+        n = self.n
+        la, ra = [0] * n, [{} for _ in range(n)]
+        i = self.expect(",", self.expr(i + 1, depth + 1, 1, la, ra))
+        lb, rb = [0] * n, [{} for _ in range(n)]
+        i = self.expect("]", self.expr(i, depth + 1, 1, lb, rb))
+        if c:
+            fa, fb = _linear_factors(lb, c), _linear_factors(la, -c)
+            for out, ca, ta, cb, tb in zip(rest, la, ra, lb, rb):
+                _add_times_linear(out, ca, ta, fa)
+                _add_times_linear(out, cb, tb, fb)
+        return i
 
 
-def parse(text: str, n: int) -> LieExpr:
-    """Parse `text` into a Lie expression over the generators x1..xn."""
+def parse(text: str, n: int) -> MElement:
+    """The element of the free metabelian Lie ring over x1..xn that `text`
+    denotes.  Only brackets touch monomials, and the validating `MElement`
+    constructor runs once, on the result."""
     if n < 1:
         raise ValueError("generator count must be at least 1")
     if n > MAX_GENERATORS:
         raise ValueError(f"generator count {n} exceeds the limit {MAX_GENERATORS}")
     parser = _Parser(text, n)
-    e, i = parser.expr(0, 0)
+    lin, rest = [0] * n, [{} for _ in range(n)]
+    i = parser.expr(0, 0, 1, lin, rest)
     if parser.tokens[i]:
         raise parser.error(f"unexpected trailing input {parser.tokens[i]!r}", i)
-    return e
-
-
-def eval_in_ring(e: LieExpr, images):
-    """Evaluate `e` under the substitution x_i -> images[i-1].
-
-    The target ring is duck-typed: its elements must support +, integer
-    scalar multiples via * and the Lie product as `.bracket(other)`.
-    """
-    if isinstance(e, Generator):
-        if not 1 <= e.index <= len(images):
-            raise ValueError(f"generator index {e.index} out of range 1..{len(images)}")
-        return images[e.index - 1]
-    if isinstance(e, Bracket):
-        return eval_in_ring(e.left, images).bracket(eval_in_ring(e.right, images))
-    if isinstance(e, Sum):
-        total = eval_in_ring(e.parts[0], images)
-        for part in e.parts[1:]:
-            total = total + eval_in_ring(part, images)
-        return total
-    if isinstance(e, ScalarMul):
-        return e.coeff * eval_in_ring(e.arg, images)
-    raise TypeError(f"not a Lie expression: {e!r}")
-
-
-def _format_atom(e: LieExpr) -> str:
-    """Format for use as a multiplicand: anything but a generator or a
-    bracket needs parentheses to parse back as a factor."""
-    if isinstance(e, (Generator, Bracket)):
-        return format_expr(e)
-    if isinstance(e, ScalarMul) and e.coeff == 1:
-        return _format_atom(e.arg)
-    return f"({format_expr(e)})"
-
-
-def format_expr(e: LieExpr) -> str:
-    if isinstance(e, Generator):
-        return f"x{e.index}"
-    if isinstance(e, Bracket):
-        return f"[{format_expr(e.left)},{format_expr(e.right)}]"
-    if isinstance(e, ScalarMul):
-        if e.coeff == 1:
-            return format_expr(e.arg)
-        if e.coeff == -1:
-            return f"-{_format_atom(e.arg)}"
-        return f"{e.coeff}*{_format_atom(e.arg)}"
-    if isinstance(e, Sum):
-        out = format_expr(e.parts[0])
-        for part in e.parts[1:]:
-            text = format_expr(part)
-            if text.startswith("-"):
-                out += f" - {text[1:]}"
-            else:
-                out += f" + {text}"
-        return out
-    raise TypeError(f"not a Lie expression: {e!r}")
-
-
-def format_value(v) -> str:
-    """Canonical text for a Lie expression or any algebra value with __str__."""
-    if isinstance(v, (Generator, Bracket, Sum, ScalarMul)):
-        return format_expr(v)
-    return str(v)
+    zero = (0,) * n
+    return MElement(lin, [Poly._raw(n, {zero: c, **terms} if c else terms)
+                          for c, terms in zip(lin, rest)])

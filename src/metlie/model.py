@@ -543,6 +543,12 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     )
 
 
+def describe_abelian(modulus: int, n: int) -> dict:
+    """The `model` record of the abelian Lie ring Z_modulus over n generators,
+    evaluated or skipped."""
+    return {"variant": "abelian", "m": modulus, "n": n, "size": modulus}
+
+
 def uniformity_check_abelian(gs, modulus: int, n: int, *,
                              budget: int = DEFAULT_BUDGET) -> UniformityReport:
     """Exact fiber census on the abelian Lie ring Z_modulus.
@@ -568,7 +574,7 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
     witness = None if uniform else {"target": [0] * k, "count": fiber_max}
     elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
-        model={"variant": "abelian", "m": modulus, "n": n, "size": modulus},
+        model=describe_abelian(modulus, n),
         k=k, n=n, size=modulus, total=total, expected_fiber=expected,
         fiber_min=fiber_min, fiber_max=fiber_max, uniform=uniform,
         witness=witness, elapsed_ms=elapsed,

@@ -44,7 +44,7 @@ from metlie.poly import (
     reduce_pqm,
     DEFAULT_MAX_RING_SIZE,
 )
-from metlie.ring import MElement, check_system
+from metlie.ring import MElement, check_shape, check_system
 
 DEFAULT_MAX_BASIS = 10_000
 DEFAULT_MAX_DEGREE = 40
@@ -480,18 +480,14 @@ def ideal_contains_one(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
 
 def abelian_primitive(rows: list) -> bool:
     """Primitivity of integer linear parts: gcd of all k x k minors is 1."""
-    k = len(rows)
-    if k < 1:
-        raise ValueError("empty system")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged linear-part matrix")
-    if k > n:
-        raise ValueError(f"system size {k} exceeds generator count {n}")
+    check_shape([len(r) for r in rows])
     return _abelian_minor_gcd(rows) == 1
 
 
 def _abelian_minor_gcd(rows: list) -> int:
+    """gcd of the k x k minors of a system's linear parts, k x n integer rows
+    of a shape that `ring.check_shape` has passed: the one abelian step of
+    `abelian_primitive` and `is_primitive`."""
     k = len(rows)
     g = 0
     for _, cols in minor_positions(k, len(rows[0]), k):

@@ -6,9 +6,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Union
 
 from metlie.calculus import PolyMatrix
-from metlie.expr import MAX_NESTING, Bracket, Generator, LieParseError, ScalarMul, Sum
+from metlie.expr import MAX_NESTING, LieParseError
 from metlie.model import ModelElement
 from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key
 from metlie import primitivity
@@ -99,6 +101,39 @@ def random_melement(rng: random.Random, n: int, max_words: int = 3,
     return from_basis(random_basis_terms(rng, n, max_words, max_len, coeff_bound), linear)
 
 
+# The reference expression tree: `reference_parse` builds it from text,
+# `reference_eval` evaluates it in any ring and `reference_format` prints it
+# as text that parses back.  `expr.parse` builds the element directly; these
+# are its oracle.  Nodes compare and hash by type and fields.
+@dataclass(slots=True, unsafe_hash=True)
+class Generator:
+    index: int
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Bracket:
+    left: "LieExpr"
+    right: "LieExpr"
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Sum:
+    parts: tuple["LieExpr", ...]
+
+    def __post_init__(self):
+        if not self.parts:
+            raise ValueError("sum must have at least one part")
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class ScalarMul:
+    coeff: int
+    arg: "LieExpr"
+
+
+LieExpr = Union[Generator, Bracket, Sum, ScalarMul]
+
+
 def random_expr(rng: random.Random, n: int, depth: int = 4):
     r = rng.random()
     if depth == 0 or r < 0.35:
@@ -109,6 +144,68 @@ def random_expr(rng: random.Random, n: int, depth: int = 4):
         count = rng.randrange(1, 4)
         return Sum(tuple(random_expr(rng, n, depth - 1) for _ in range(count)))
     return ScalarMul(rng.randint(-3, 3), random_expr(rng, n, depth - 1))
+
+
+def reference_eval(e: LieExpr, images):
+    """Evaluate `e` under the substitution x_i -> images[i-1], node by node.
+
+    The target ring is duck-typed: its elements must support +, integer
+    scalar multiples via * and the Lie product as `.bracket(other)`.
+    """
+    if isinstance(e, Generator):
+        if not 1 <= e.index <= len(images):
+            raise ValueError(f"generator index {e.index} out of range 1..{len(images)}")
+        return images[e.index - 1]
+    if isinstance(e, Bracket):
+        return reference_eval(e.left, images).bracket(reference_eval(e.right, images))
+    if isinstance(e, Sum):
+        total = reference_eval(e.parts[0], images)
+        for part in e.parts[1:]:
+            total = total + reference_eval(part, images)
+        return total
+    if isinstance(e, ScalarMul):
+        return e.coeff * reference_eval(e.arg, images)
+    raise TypeError(f"not a Lie expression: {e!r}")
+
+
+def reference_element(e: LieExpr, n: int) -> MElement:
+    """`e` in the free metabelian Lie ring over n generators, evaluated over
+    `MElement.generator`s: a validated element at every node."""
+    return reference_eval(e, [MElement.generator(i, n) for i in range(1, n + 1)])
+
+
+def _format_atom(e: LieExpr) -> str:
+    """Format for use as a multiplicand: anything but a generator or a
+    bracket needs parentheses to parse back as a factor."""
+    if isinstance(e, (Generator, Bracket)):
+        return reference_format(e)
+    if isinstance(e, ScalarMul) and e.coeff == 1:
+        return _format_atom(e.arg)
+    return f"({reference_format(e)})"
+
+
+def reference_format(e: LieExpr) -> str:
+    """`e` as text in the grammar of `expr.parse`."""
+    if isinstance(e, Generator):
+        return f"x{e.index}"
+    if isinstance(e, Bracket):
+        return f"[{reference_format(e.left)},{reference_format(e.right)}]"
+    if isinstance(e, ScalarMul):
+        if e.coeff == 1:
+            return reference_format(e.arg)
+        if e.coeff == -1:
+            return f"-{_format_atom(e.arg)}"
+        return f"{e.coeff}*{_format_atom(e.arg)}"
+    if isinstance(e, Sum):
+        out = reference_format(e.parts[0])
+        for part in e.parts[1:]:
+            text = reference_format(part)
+            if text.startswith("-"):
+                out += f" - {text[1:]}"
+            else:
+                out += f" + {text}"
+        return out
+    raise TypeError(f"not a Lie expression: {e!r}")
 
 
 def reference_tokenize(text: str):
@@ -261,9 +358,10 @@ class ReferenceParser:
         )
 
 
-def reference_parse(text: str, n: int):
-    """`expr.parse` as a character loop and a peek/advance descent: the
-    oracle the scanner-based parser is tested against."""
+def reference_parse(text: str, n: int) -> LieExpr:
+    """The expression tree of `text`, by a character loop and a
+    peek/advance descent; with `reference_element` it is the oracle that the
+    scanner-based `expr.parse` is tested against."""
     if n < 1:
         raise ValueError("generator count must be at least 1")
     parser = ReferenceParser(text, n)

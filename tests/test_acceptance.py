@@ -16,15 +16,15 @@ import pytest
 
 from helpers import (
     constant_term, identity_matrix, random_element, random_expr, random_melement,
-    random_tame_automorphism,
+    random_tame_automorphism, reference_eval, reference_format,
 )
 from metlie.calculus import jacobi_matrix, jacobi_substituted, matmul, minors, sigma
 from metlie.cli import main
-from metlie.expr import eval_in_ring, parse
+from metlie.expr import parse
 from metlie.model import FiniteModel, ModelParams, eval_closed_form, uniformity_check_abelian
 from metlie.poly import Poly, QuotientParams
 from metlie.primitivity import abelian_primitive, ideal_contains, ideal_contains_one, is_primitive
-from metlie.ring import from_basis, from_expr, to_basis
+from metlie.ring import from_basis, to_basis
 from test_primitivity import PolyMatrix, bounded_combination_exists, _elementary
 
 CATALOG = Path(__file__).parent / "data" / "acceptance_catalog.txt"
@@ -85,8 +85,8 @@ def test_criterion_02_closed_form_equivalence():
         model = models[i % len(models)]
         e = random_expr(rng, 2, depth=4)
         subs = [random_element(model, rng) for _ in range(2)]
-        direct = eval_in_ring(e, subs)
-        g = from_expr(e, 2)
+        direct = reference_eval(e, subs)
+        g = parse(reference_format(e), 2)
         closed = eval_closed_form(model, g, [s.l for s in subs], [s.tau for s in subs])
         assert direct == closed
     _report("2 closed-form vs bracket evaluation (1000 pairs over the grid, both carriers, exact)",
@@ -217,7 +217,7 @@ def test_criterion_09_abelian_necessary_condition(consistency_runs):
     payload = json.loads(out)
     violations = 0
     for record in payload["systems"]:
-        gs = [from_expr(parse(t, 2), 2) for t in record["input"]]
+        gs = [parse(t, 2) for t in record["input"]]
         lin = [list(g.linear) for g in gs]
         if not abelian_primitive(lin):
             # Failing the abelianization must force non-primitivity and a

@@ -19,11 +19,11 @@ from metlie.calculus import (
 )
 from metlie.expr import parse
 from metlie.poly import Poly
-from metlie.ring import MElement, endo_apply, from_expr
+from metlie.ring import MElement, endo_apply
 
 
 def mel(text, n=2):
-    return from_expr(parse(text, n), n)
+    return parse(text, n)
 
 
 def x(i, n=2):

@@ -219,6 +219,20 @@ class TestWitnessAndAuto:
         assert code == 1
         assert json.loads(out)["witness"] is None
 
+    def test_skipped_and_evaluated_entries_print_the_same_model(self, capsys):
+        # Every entry is skipped under the budget 1; under the default the
+        # abelian moduli and (1,1,2) are checked.  Each model, abelian or
+        # matrix, is described alike either way.
+        code, out, _ = run(capsys, "--n", "2", "--json", "--budget", "1", "witness", "x1")
+        assert code == 1
+        skipped = [entry["model"] for entry in json.loads(out)["skipped"]]
+        code, out, _ = run(capsys, "--n", "2", "--json", "witness", "x1")
+        assert code == 1
+        checked = json.loads(out)["checked"]
+        assert [model["variant"] for model in checked] == ["abelian"] * 3 + ["linear"]
+        assert checked == skipped[:4]
+        assert checked[0] == {"variant": "abelian", "m": 2, "n": 2, "size": 2}
+
     def test_grid_gap_system(self, capsys):
         # Non-primitive, yet uniform on every model of the default grid: its
         # derivatives 1 - 6*x2 and 6*x1 first vanish together over F_5.

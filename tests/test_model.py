@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from helpers import (
     abelian_census, bracket_value, element_code, generator_images, histogram_census,
     random_basis_terms, random_element, random_expr, random_melement, random_tame_automorphism,
-    reference_module_rows,
+    reference_eval, reference_format, reference_module_rows, reference_parse,
 )
 import metlie.cli
 from metlie.cli import Config, main, parse_catalog, run_consistency
-from metlie.expr import parse, eval_in_ring
+from metlie.expr import parse
 import metlie.model
 from metlie.model import (
     DEFAULT_BUDGET,
@@ -38,11 +38,11 @@ from metlie.model import (
 )
 from metlie.poly import QPoly, QuotientParams, Span
 from metlie.primitivity import DEFAULT_QUOTIENT_GRID
-from metlie.ring import MElement, endo_apply, from_basis, from_expr, to_basis
+from metlie.ring import MElement, endo_apply, from_basis, to_basis
 
 
 def mel(text, n=2):
-    return from_expr(parse(text, n), n)
+    return parse(text, n)
 
 
 def flagship():
@@ -208,7 +208,7 @@ class TestClosedForm:
         q = model.quotient
         assert not got.l
         assert got.tau == (QPoly(q, {(1, 1): 1}), QPoly(q, {(1, 0): 1}))
-        direct = eval_in_ring(parse("[[x2,x1],x1]", 2), gens)
+        direct = reference_eval(reference_parse("[[x2,x1],x1]", 2), gens)
         assert got == direct
 
     def test_zero_module_vectors_kill_derived_elements(self):
@@ -229,8 +229,8 @@ class TestClosedForm:
             for _ in range(20):
                 e = random_expr(rng, 2, depth=5)
                 subs = [random_element(model, rng) for _ in range(2)]
-                direct = eval_in_ring(e, subs)
-                g = from_expr(e, 2)
+                direct = reference_eval(e, subs)
+                g = parse(reference_format(e), 2)
                 closed = eval_closed_form(model, g, [s.l for s in subs], [s.tau for s in subs])
                 assert direct == closed, (p, q, m, e)
 
@@ -352,10 +352,10 @@ class TestAbelianUniformity:
 
         for _ in range(20):
             e = random_expr(rng, 2, depth=3)
-            g = from_expr(e, 2)
+            g = parse(reference_format(e), 2)
             m = rng.choice([2, 3, 4])
             for r in itertools.product(range(m), repeat=2):
-                direct = eval_in_ring(e, [Zm(r[0], m), Zm(r[1], m)])
+                direct = reference_eval(e, [Zm(r[0], m), Zm(r[1], m)])
                 linear = sum(c * t for c, t in zip(g.linear, r)) % m
                 assert direct == Zm(linear, m)
 
@@ -371,10 +371,11 @@ class TestSystemInput:
 
     @pytest.mark.parametrize("kind", ["matrix", "abelian"])
     def test_lie_expression_is_rejected(self, kind):
+        # An expression tree, not the element that `parse` returns.
         with pytest.raises(TypeError, match="not a Lie ring element: "):
-            _census(kind, [parse("x1", 2)])
+            _census(kind, [reference_parse("x1", 2)])
         with pytest.raises(TypeError, match="not a Lie ring element: "):
-            _census(kind, [mel("x1"), parse("x2", 2)])
+            _census(kind, [mel("x1"), reference_parse("x2", 2)])
 
     @pytest.mark.parametrize("kind", ["matrix", "abelian"])
     @pytest.mark.parametrize("texts", [[], ["x1", "x2", "x1 + [x1,x2]"]])
@@ -488,7 +489,7 @@ class TestCensusOracle:
     @settings(max_examples=25, deadline=None)
     def test_random_element(self, params, seed):
         model = FiniteModel(params)
-        gs = [from_expr(random_expr(random.Random(seed), 1, depth=3), 1)]
+        gs = [parse(reference_format(random_expr(random.Random(seed), 1, depth=3)), 1)]
         rep = uniformity_check(gs, model)
         assert rep.to_json(include_elapsed=False) == _census_oracle(gs, model)
 

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Generator,
     RefRow,
     constant_term,
     identity_matrix,
@@ -61,14 +62,13 @@ from metlie.primitivity import (
     quotient_primitivity_check,
     reduce_by_basis,
 )
-from metlie.ring import from_expr
 
 
 DATA = Path(__file__).parent / "data"
 
 
 def mel(text, n=2):
-    return from_expr(parse(text, n), n)
+    return parse(text, n)
 
 
 def x(i, n=2):
@@ -649,8 +649,15 @@ class TestAbelianPrimitive:
         assert abelian_primitive([[2, 3]])
 
     def test_k_exceeds_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             abelian_primitive([[1], [0]])
+        assert str(err.value) == "system size 2 out of range 1..1"
+
+    def test_shape_messages_match_check_system(self):
+        for rows, text in (([], "empty system"), ([[1, 0], [1]], "mismatched generator counts")):
+            with pytest.raises(ValueError) as err:
+                abelian_primitive(rows)
+            assert str(err.value) == text
 
     def test_refuting_modulus_within_the_trial_bound(self):
         def smallest_factor(v):
@@ -925,8 +932,8 @@ class TestSystemCheck:
         "mixed counts": ([mel("x1"), mel("x1", 3)], ValueError, "mismatched generator counts"),
         "k = n + 1": ([mel("x1"), mel("x2"), mel("x1 + [x1,x2]")], ValueError,
                       "system size 3 out of range 1..2"),
-        "expression": ([mel("x1"), parse("x2", 2)], TypeError,
-                       f"not a Lie ring element: {parse('x2', 2)!r}"),
+        "expression": ([mel("x1"), Generator(2)], TypeError,
+                       "not a Lie ring element: Generator(index=2)"),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -7,8 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bracket_by_products, random_basis_terms, random_expr, random_melement
-from metlie.expr import Bracket, Generator, ScalarMul, Sum, eval_in_ring, parse
+from helpers import (
+    Bracket,
+    Generator,
+    ScalarMul,
+    Sum,
+    bracket_by_products,
+    random_basis_terms,
+    random_expr,
+    random_melement,
+    reference_element,
+    reference_eval,
+    reference_format,
+    reference_parse,
+)
+from metlie.expr import LieParseError, parse
 from metlie.poly import Poly
 from metlie.ring import (
     BasisTerm,
@@ -21,7 +34,7 @@ from metlie.ring import (
 
 
 def mel(text, n=2):
-    return from_expr(parse(text, n), n)
+    return parse(text, n)
 
 
 class TestGenerator:
@@ -99,26 +112,23 @@ class TestFromExpr:
             a = random_expr(rng, n)
             b = random_expr(rng, n)
             # Syntactic consequences of anticommutativity and Jacobi.
-            lhs = from_expr(parse(f"[{_s(a)},{_s(b)}]", n), n)
-            rhs = from_expr(parse(f"-[{_s(b)},{_s(a)}]", n), n)
+            lhs = parse(f"[{_s(a)},{_s(b)}]", n)
+            rhs = parse(f"-[{_s(b)},{_s(a)}]", n)
             assert lhs == rhs
 
     def test_leaves_no_reference_cycle(self):
-        e = parse("x1 + 3*[[x2,x1],x1] - [x1,x2]", 2)
         gc.collect()
         gc.disable()
         try:
             for _ in range(100):
-                from_expr(e, 2)
+                parse("x1 + 3*[[x2,x1],x1] - [x1,x2]", 2)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
 
 def _s(e):
-    from metlie.expr import format_expr
-
-    return format_expr(e)
+    return reference_format(e)
 
 
 class TestLieAxiomsBulk:
@@ -236,12 +246,17 @@ class TestEndoApply:
             assert list(got.linear) == expected
 
     def test_expr_and_element_paths_agree(self):
+        # The image of the parsed element is the expression evaluated at the images.
         rng = random.Random(71)
         for _ in range(200):
             n = rng.choice([2, 3])
             e = random_expr(rng, n)
             images = [random_melement(rng, n) for _ in range(n)]
-            assert endo_apply(e, images) == endo_apply(from_expr(e, n), images)
+            assert reference_eval(e, images) == endo_apply(parse(reference_format(e), n), images)
+
+    def test_takes_only_elements(self):
+        with pytest.raises(TypeError, match="cannot apply endomorphism"):
+            endo_apply(Generator(1), [MElement.generator(1, 1)])
 
 
 def _generators(n):
@@ -265,8 +280,9 @@ def expressions(n):
 
 
 class TestFromExprOracle:
-    """`from_expr` on its lean carrier against `eval_in_ring` over the
-    generators, which builds a validated element at every node."""
+    """`parse` building the element as it reads, against the reference
+    parser and `reference_eval` over the generators, which builds a
+    validated element at every node."""
 
     CASES = [
         "0*x1", "0*[x2,x1]", "0*x1 + x2", "x1 - 0*[[x2,x1],x1] + 0",
@@ -282,30 +298,28 @@ class TestFromExprOracle:
     def test_cases(self):
         for n in (2, 3, 4):
             for text in self.CASES:
-                e = parse(text, n)
-                got = from_expr(e, n)
+                got = parse(text, n)
                 _assert_canonical(got)
-                assert got == eval_in_ring(e, _generators(n)), text
+                assert got == reference_element(reference_parse(text, n), n), text
         for text in ("0*x1", "[x1,x1]", "x1 + 2*x1", "[x1, [x1,x1] + x1] - 0*x1"):
-            e = parse(text, 1)
-            assert from_expr(e, 1) == eval_in_ring(e, _generators(1)), text
+            assert parse(text, 1) == reference_element(reference_parse(text, 1), 1), text
 
     def test_seeded(self):
         rng = random.Random(61)
         for _ in range(400):
             n = rng.randint(1, 4)
             e = random_expr(rng, n, depth=rng.randint(1, 5))
-            got = from_expr(e, n)
+            got = parse(reference_format(e), n)
             _assert_canonical(got)
-            assert got == eval_in_ring(e, _generators(n))
+            assert got == reference_element(e, n)
 
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), expressions(n))))
     @settings(max_examples=200, deadline=None)
     def test_hypothesis(self, case):
         n, e = case
-        got = from_expr(e, n)
+        got = parse(reference_format(e), n)
         _assert_canonical(got)
-        assert got == eval_in_ring(e, _generators(n))
+        assert got == reference_element(e, n)
 
     def test_out_of_range_generator(self):
         # A zero scale still checks both sides of a bracket.
@@ -313,21 +327,24 @@ class TestFromExprOracle:
                   ScalarMul(0, Generator(3)), ScalarMul(0, Bracket(Generator(1), Generator(3))),
                   Sum((Generator(1), Generator(0)))):
             with pytest.raises(ValueError) as want:
-                eval_in_ring(e, _generators(2))
-            with pytest.raises(ValueError) as got:
-                from_expr(e, 2)
-            assert str(got.value) == str(want.value)
-        assert str(got.value) == "generator index 0 out of range 1..2"
+                reference_element(e, 2)
+            with pytest.raises(LieParseError) as got:
+                parse(reference_format(e), 2)
+            assert str(got.value).startswith(f"{want.value} (line 1, column ")
+        assert str(got.value) == "generator index 0 out of range 1..2 (line 1, column 6)"
 
     def test_not_an_expression(self):
+        # `from_expr` only passes an element through.
         for e in ("x1", Bracket(Generator(1), "x2"), ScalarMul(0, Bracket(Generator(1), "x2")),
                   Sum((Generator(1), None))):
             with pytest.raises(TypeError) as want:
-                eval_in_ring(e, _generators(2))
+                reference_element(e, 2)
             with pytest.raises(TypeError) as got:
                 from_expr(e, 2)
-            assert str(got.value) == str(want.value)
-        assert str(got.value) == "not a Lie expression: None"
+            assert str(got.value) == f"not a Lie ring element: {e!r}"
+        assert str(want.value) == "not a Lie expression: None"
+        g = parse("x1 + [x2,x1]", 2)
+        assert from_expr(g, 2) is g
 
 
 class TestBracketOracle:

@@ -71,3 +71,22 @@ class TestPerfbenchPatches:
         missing = [f"{module}.{attr}" for patches in lists.values() for module, attr, _ in patches
                    if not hasattr(importlib.import_module(module), attr)]
         assert all(lists.values()) and missing == []
+
+    def test_every_name_run_decide_reads_exists(self):
+        """`run_decide` reads its entry points off the metlie modules it
+        imports (`expr.parse`, `ring.from_expr`, ...); a rename in `src/`
+        fails here, not first in the benchmark's runs."""
+        worker = ast.parse(WORKER.read_text(encoding="utf-8"))
+        body = next(node for node in worker.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "run_decide")
+        modules = {alias.asname or alias.name: f"{node.module}.{alias.name}"
+                   for node in ast.walk(body) if isinstance(node, ast.ImportFrom)
+                   and node.module == "metlie" for alias in node.names}
+        read = {(modules[node.value.id], node.attr) for node in ast.walk(body)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules}
+        assert {("metlie.expr", "parse"), ("metlie.ring", "from_expr"),
+                ("metlie.primitivity", "is_primitive")} <= read
+        missing = [f"{module}.{attr}" for module, attr in sorted(read)
+                   if not hasattr(importlib.import_module(module), attr)]
+        assert missing == []
