@@ -50,7 +50,6 @@ from metlie.model import (
     BudgetError,
     FiniteModel,
     ModelElement,
-    ModelParams,
     UniformityReport,
     eval_closed_form,
     uniformity_check,

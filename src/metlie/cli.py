@@ -23,14 +23,13 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from metlie.calculus import det, jacobi_matrix, matrix_to_json
+from metlie.calculus import jacobi_matrix, matrix_to_json
 from metlie.expr import parse
 from metlie.model import (
     BudgetError,
     DEFAULT_ABELIAN_MODULI,
     DEFAULT_BUDGET,
     FiniteModel,
-    ModelParams,
     describe_abelian,
     uniformity_check,
     uniformity_check_abelian,
@@ -41,7 +40,7 @@ from metlie.primitivity import (
     DEFAULT_MAX_DEGREE,
     DEFAULT_QUOTIENT_GRID,
     GroebnerLimitError,
-    is_automorphism_system,
+    _automorphism_det,
     is_primitive,
 )
 from metlie.ring import from_expr
@@ -235,8 +234,7 @@ def cmd_primitive(args, cfg: Config) -> int:
 
 def cmd_uniform(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
-    params = ModelParams(QuotientParams(args.p, args.q, args.m, cfg.n), cfg.variant)
-    model = FiniteModel(params)
+    model = FiniteModel(QuotientParams(args.p, args.q, args.m, cfg.n), cfg.variant)
     report = uniformity_check(gs, model, budget=cfg.budget)
     payload = report.to_json(include_elapsed=True)
     lines = [
@@ -252,8 +250,7 @@ def grid_entries(n: int, cfg: Config) -> list:
     """The grid, cheapest first: abelian moduli, then matrix models by size.
     Built once per run, so that every system's census of a matrix model
     shares the model's top-left carrier."""
-    models = [FiniteModel(ModelParams(QuotientParams(p, q, m, n), cfg.variant))
-              for (p, q, m) in cfg.grid]
+    models = [FiniteModel(QuotientParams(p, q, m, n), cfg.variant) for (p, q, m) in cfg.grid]
     models.sort(key=lambda mod: (mod.size_order(), mod.quotient.p, mod.quotient.q, mod.quotient.m))
     return sorted(cfg.abelian) + models
 
@@ -301,8 +298,7 @@ def cmd_witness(args, cfg: Config) -> int:
 
 def cmd_auto(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
-    ok = is_automorphism_system(gs)
-    d = det(jacobi_matrix(gs))
+    ok, d = _automorphism_det(gs)
     payload = {"automorphism": ok, "determinant": str(d)}
     _emit(payload, cfg, [f"automorphism: {ok} (det = {d})"])
     return EXIT_OK if ok else EXIT_NEGATIVE

@@ -29,7 +29,7 @@ from functools import cache, cached_property
 from typing import Optional
 
 from metlie.poly import (
-    Poly, QPoly, QuotientParams, Span, power_exceeds, prime_power_factors,
+    Poly, QPoly, QuotientParams, Span, format_terms, power_exceeds, prime_power_factors,
 )
 from metlie.ring import MElement, check_system
 
@@ -60,10 +60,88 @@ def _charge(base: int, exponent: int, budget: int) -> None:
                           f"exceeds the budget {budget}")
 
 
+class ModelElement:
+    """Element of the finite matrix Lie ring: top-left l plus module vector tau."""
+
+    __slots__ = ("model", "l", "tau")
+
+    def __init__(self, model: "FiniteModel", l: QPoly, tau):
+        quotient = model.quotient
+        if (not isinstance(l, QPoly) or l.params != quotient
+                or any(mu not in model.l_monomials for mu in l.terms)):
+            raise ValueError("top-left entry must lie in the model's top-left carrier")
+        tau = tuple(tau)
+        if len(tau) != quotient.n or any(not isinstance(t, QPoly) or t.params != quotient for t in tau):
+            raise ValueError("tau must be a vector of n quotient-ring coordinates")
+        self.model = model
+        self.l = l
+        self.tau = tau
+
+    def _require_same_model(self, other: "ModelElement") -> None:
+        if self.model != other.model:
+            raise ValueError("mismatched models")
+
+    def __bool__(self) -> bool:
+        return bool(self.l) or any(self.tau)
+
+    def __add__(self, other: "ModelElement") -> "ModelElement":
+        if not isinstance(other, ModelElement):
+            return NotImplemented
+        self._require_same_model(other)
+        return ModelElement(self.model, self.l + other.l,
+                            tuple(a + b for a, b in zip(self.tau, other.tau)))
+
+    def __neg__(self) -> "ModelElement":
+        return ModelElement(self.model, -self.l, tuple(-t for t in self.tau))
+
+    def __sub__(self, other: "ModelElement") -> "ModelElement":
+        if not isinstance(other, ModelElement):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, c):
+        if not isinstance(c, int):
+            return NotImplemented
+        return ModelElement(self.model, c * self.l, tuple(c * t for t in self.tau))
+
+    __rmul__ = __mul__
+
+    def bracket(self, other: "ModelElement") -> "ModelElement":
+        """Matrix commutator: zero top-left, tau1 * l2 - tau2 * l1 below."""
+        if not isinstance(other, ModelElement):
+            raise TypeError("bracket requires another model element")
+        self._require_same_model(other)
+        tau = tuple(ta * other.l - tb * self.l for ta, tb in zip(self.tau, other.tau))
+        return ModelElement(self.model, QPoly.zero(self.model.quotient), tau)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModelElement):
+            return NotImplemented
+        return self.model == other.model and self.l == other.l and self.tau == other.tau
+
+    def __hash__(self) -> int:
+        return hash((self.l, self.tau))
+
+    def to_json(self) -> dict:
+        return {"l": str(self.l), "tau": [str(t) for t in self.tau]}
+
+    def __str__(self) -> str:
+        taus = ", ".join(str(t) for t in self.tau)
+        return f"(l={self.l}; tau=[{taus}])"
+
+    def __repr__(self) -> str:
+        return f"ModelElement{self!s}"
+
+
 @dataclass(frozen=True)
-class ModelParams:
+class FiniteModel:
+    """Finite matrix Lie ring over `quotient`, its top-left carrier chosen
+    by `top_left`: "linear" (no free term, coefficients mod m) or "full"
+    (the whole quotient ring).  Compares by those two fields; the carrier's
+    data are cached on first use."""
+
     quotient: QuotientParams
-    top_left: str = "linear"  # "linear": no free term, coefficients mod m; "full": whole ring
+    top_left: str = "linear"
 
     def __post_init__(self):
         if self.top_left not in ("linear", "full"):
@@ -85,98 +163,16 @@ class ModelParams:
             return tuple(tuple(int(j == i) for j in range(n)) for i in range(n))
         return tuple(quotient.monomials())
 
-
-class ModelElement:
-    """Element of the finite matrix Lie ring: top-left l plus module vector tau."""
-
-    __slots__ = ("params", "l", "tau")
-
-    def __init__(self, params: ModelParams, l: QPoly, tau):
-        quotient = params.quotient
-        if (not isinstance(l, QPoly) or l.params != quotient
-                or any(mu not in params.l_monomials for mu in l.terms)):
-            raise ValueError("top-left entry must lie in the model's top-left carrier")
-        tau = tuple(tau)
-        if len(tau) != quotient.n or any(not isinstance(t, QPoly) or t.params != quotient for t in tau):
-            raise ValueError("tau must be a vector of n quotient-ring coordinates")
-        self.params = params
-        self.l = l
-        self.tau = tau
-
-    def _require_same_model(self, other: "ModelElement") -> None:
-        if self.params != other.params:
-            raise ValueError("mismatched model parameters")
-
-    def __bool__(self) -> bool:
-        return bool(self.l) or any(self.tau)
-
-    def __add__(self, other: "ModelElement") -> "ModelElement":
-        if not isinstance(other, ModelElement):
-            return NotImplemented
-        self._require_same_model(other)
-        return ModelElement(self.params, self.l + other.l,
-                            tuple(a + b for a, b in zip(self.tau, other.tau)))
-
-    def __neg__(self) -> "ModelElement":
-        return ModelElement(self.params, -self.l, tuple(-t for t in self.tau))
-
-    def __sub__(self, other: "ModelElement") -> "ModelElement":
-        if not isinstance(other, ModelElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
-        return ModelElement(self.params, c * self.l, tuple(c * t for t in self.tau))
-
-    __rmul__ = __mul__
-
-    def bracket(self, other: "ModelElement") -> "ModelElement":
-        """Matrix commutator: zero top-left, tau1 * l2 - tau2 * l1 below."""
-        if not isinstance(other, ModelElement):
-            raise TypeError("bracket requires another model element")
-        self._require_same_model(other)
-        tau = tuple(ta * other.l - tb * self.l for ta, tb in zip(self.tau, other.tau))
-        return ModelElement(self.params, QPoly.zero(self.params.quotient), tau)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelElement):
-            return NotImplemented
-        return self.params == other.params and self.l == other.l and self.tau == other.tau
-
-    def __hash__(self) -> int:
-        return hash((self.l, self.tau))
-
-    def to_json(self) -> dict:
-        return {"l": str(self.l), "tau": [str(t) for t in self.tau]}
-
-    def __str__(self) -> str:
-        taus = ", ".join(str(t) for t in self.tau)
-        return f"(l={self.l}; tau=[{taus}])"
-
-    def __repr__(self) -> str:
-        return f"ModelElement{self!s}"
-
-
-class FiniteModel:
-    """Enumerable carrier of a finite matrix Lie ring with fixed parameters."""
-
-    def __init__(self, params: ModelParams):
-        quotient = params.quotient
-        self.params = params
-        self.quotient = quotient
-        # m^size_exponent elements: n tau coordinates of monomial_count
-        # digits each, then the top-left digits.
-        self.size_exponent = quotient.n * quotient.monomial_count + params.l_count
-
     @cached_property
-    def ring_size(self) -> int:
-        return self.quotient.ring_size
+    def size_exponent(self) -> int:
+        """m^size_exponent elements: n tau coordinates of monomial_count
+        digits each, then the top-left digits."""
+        quotient = self.quotient
+        return quotient.n * quotient.monomial_count + self.l_count
 
     @cached_property
     def l_size(self) -> int:
-        return self.quotient.m ** self.params.l_count
+        return self.quotient.m ** self.l_count
 
     @cached_property
     def size(self) -> int:
@@ -189,15 +185,11 @@ class FiniteModel:
             return (0, size)
         return (1, self.size_exponent * math.log2(self.quotient.m))
 
-    @property
-    def n(self) -> int:
-        return self.quotient.n
-
     def describe(self) -> dict:
         q = self.quotient
         return {
             "p": q.p, "q": q.q, "m": q.m, "n": q.n,
-            "variant": self.params.top_left, "size": _size_value(q.m, self.size_exponent),
+            "variant": self.top_left, "size": _size_value(q.m, self.size_exponent),
         }
 
     def generator_image(self, i: int) -> ModelElement:
@@ -207,7 +199,7 @@ class FiniteModel:
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} out of range 1..{n}")
         tau = tuple(QPoly.one(quotient) if j == i - 1 else QPoly.zero(quotient) for j in range(n))
-        return ModelElement(self.params, QPoly.variable(i, quotient), tau)
+        return ModelElement(self, QPoly.variable(i, quotient), tau)
 
     # -- canonical integer encoding --------------------------------------
 
@@ -218,32 +210,26 @@ class FiniteModel:
             raise ValueError(f"element code {code} out of range")
         quotient = self.quotient
         n, w = quotient.n, quotient.monomial_count
-        l_monos = self.params.l_monomials
+        l_monos = self.l_monomials
         digits = []
         for _ in range(n * w + len(l_monos)):
             code, d = divmod(code, quotient.m)
             digits.append(d)
         # the tau digits are a canonical vector already
         tau = tuple(QPoly._raw(quotient, tuple(digits[c * w:(c + 1) * w])) for c in range(n))
-        return ModelElement(self.params, QPoly(quotient, dict(zip(l_monos, digits[n * w:]))), tau)
+        return ModelElement(self, QPoly(quotient, dict(zip(l_monos, digits[n * w:]))), tau)
 
     # -- the top-left carrier, built once per model ------------------------
 
     @cached_property
     def l_digits(self) -> list:
         """The digit vectors of the top-left entries over `l_monomials`."""
-        return list(itertools.product(range(self.quotient.m), repeat=self.params.l_count))
-
-    @cached_property
-    def l_space(self) -> list:
-        """The top-left entries, one per digit vector of `l_digits`."""
-        l_monos = self.params.l_monomials
-        return [QPoly(self.quotient, dict(zip(l_monos, v))) for v in self.l_digits]
+        return list(itertools.product(range(self.quotient.m), repeat=self.l_count))
 
     @cached_property
     def parts(self) -> tuple:
-        """The parts of R and the values of `l_space` there (`_parts`)."""
-        return _parts(self.quotient, self.l_space)
+        """The parts of R and the values of `l_digits` there (`_parts`)."""
+        return _parts(self.quotient, self.l_monomials, self.l_digits)
 
     def elements(self):
         """All elements in canonical (l, tau) code order."""
@@ -255,7 +241,6 @@ class FiniteModel:
 class UniformityReport:
     model: dict
     k: int
-    n: int
     size: int
     total: int
     expected_fiber: int
@@ -300,7 +285,7 @@ def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> Model
     coeffs = [d.evaluate(s_vals, one) for d in g.deriv]
     tau = tuple(sum((tau_vecs[t][c] * coeffs[t] for t in range(n)), QPoly.zero(quotient))
                 for c in range(n))
-    return ModelElement(model.params, l, tau)
+    return ModelElement(model, l, tau)
 
 
 class _PointSpans(dict):
@@ -325,25 +310,28 @@ class _PointSpans(dict):
         return size
 
 
-def _parts(quotient: QuotientParams, l_space: list[QPoly]) -> tuple:
+def _parts(quotient: QuotientParams, l_monos: tuple, l_digits: list) -> tuple:
     """(split, factors, values) for `_image_size`: the parts A_xi of R as
     (r, xi, e), whether they are the local rings of
-    `QuotientParams.local_factors`, and values[t][f] = l_space[t] at xi mod r."""
+    `QuotientParams.local_factors`, and values[t][f] = the top-left entry
+    with digits l_digits[t] over `l_monos` at xi mod r."""
     factors = quotient.local_factors()
     split = factors is not None
     if not split:
         factors = [(quotient.m, *zip(*point))
                    for point in itertools.product(((0, quotient.p), (1, quotient.q)), repeat=quotient.n)]
-    # the monomials' values at xi mod r
-    at = [[math.prod(map(pow, xi, mu)) % r for mu in quotient.monomials()] for r, xi, _ in factors]
-    values = [[sum(map(operator.mul, l.vec, v)) % r for (r, _, _), v in zip(factors, at)]
-              for l in l_space]
+    # the carrier's monomials' values at xi mod r
+    at = [[math.prod(map(pow, xi, mu)) % r for mu in l_monos] for r, xi, _ in factors]
+    values = [[sum(map(operator.mul, digits, v)) % r for (r, _, _), v in zip(factors, at)]
+              for digits in l_digits]
     return split, factors, values
 
 
-def _image_size(points: _PointSpans, quotient: QuotientParams, l_space: list[QPoly], parts: tuple):
-    """s -> |Im_s| for top-left tuples s given as indices into `l_space`,
-    whose `_parts` are `parts`, reading the point spans from `points`.
+def _image_size(points: _PointSpans, quotient: QuotientParams, l_monos: tuple,
+                l_digits: list, parts: tuple):
+    """s -> |Im_s| for top-left tuples s given as indices into `l_digits`,
+    digit vectors over `l_monos` whose `_parts` are `parts`, reading the
+    point spans from `points`.
 
     R is the product of rings A_xi over Z/r (CRT, Atiyah-Macdonald ch. 8),
     and Im_s that of the A_xi-modules the columns d_j g(s) span.  A_xi has
@@ -383,10 +371,10 @@ def _image_size(points: _PointSpans, quotient: QuotientParams, l_space: list[QPo
 
     @cache
     def image(f: int, t: int) -> tuple:
-        """The (number, Poly) of the image of l_space[t] in A_xi."""
+        """The (number, Poly) of the image of the entry l_digits[t] in A_xi."""
         r, xi, e = factors[f]
         scaled = [Poly.variable(i + 1, n) * (x or 1) for i, x in enumerate(xi)]
-        terms = project(f, Poly(n, l_space[t].terms).evaluate(scaled, one_n))
+        terms = project(f, Poly(n, dict(zip(l_monos, l_digits[t]))).evaluate(scaled, one_n))
         key = (r, e, tuple(map(bool, xi)), tuple(sorted(terms.items())))
         return numbers.setdefault(key, (len(numbers), Poly(n, terms)))
 
@@ -450,10 +438,10 @@ def _walk(points: _PointSpans, model: FiniteModel) -> tuple:
     gs = points.gs
     quotient = model.quotient
     n, k, m = quotient.n, len(gs), quotient.m
-    size = model.ring_size
+    size = quotient.ring_size
     onto = size ** k
-    l_digits = model.l_digits
-    image_size = _image_size(points, quotient, model.l_space, model.parts)
+    l_monos, l_digits = model.l_monomials, model.l_digits
+    image_size = _image_size(points, quotient, l_monos, l_digits, model.parts)
     # The top-left map acts on each digit alike: top_left[v] = (lin(g_i)(v) mod m)_i for v in Z_m^n.
     linear = [[c % m for c in g.linear] for g in gs]
     top_left = {v: tuple([sum(map(operator.mul, row, v)) % m for row in linear])
@@ -487,10 +475,9 @@ def _walk(points: _PointSpans, model: FiniteModel) -> tuple:
         # the order of the top-left digit vectors read from the last digit.
         key = min((key for key, wt in weight.items() if wt != expected),
                   key=lambda key: [digits[::-1] for digits in zip(*key)])
-        l_monos, zero = model.params.l_monomials, (QPoly.zero(quotient),) * n
-        targets = [ModelElement(model.params, QPoly(quotient, dict(zip(l_monos, digits))), zero)
-                   for digits in zip(*key)]
-        witness = {"target": [target.to_json() for target in targets], "count": weight[key]}
+        targets = [{"l": format_terms({mu: d for mu, d in zip(l_monos, digits) if d}),
+                    "tau": ["0"] * n} for digits in zip(*key)]
+        witness = {"target": targets, "count": weight[key]}
     return fiber_min, fiber_max, witness
 
 
@@ -537,7 +524,7 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
         fiber_min, fiber_max, witness = _walk(points, model)
     elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
-        model=model.describe(), k=k, n=n, size=model.size, total=model.size ** n,
+        model=model.describe(), k=k, size=model.size, total=model.size ** n,
         expected_fiber=expected, fiber_min=fiber_min, fiber_max=fiber_max,
         uniform=fiber_min == fiber_max == expected, witness=witness, elapsed_ms=elapsed,
     )
@@ -575,7 +562,7 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
     elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
         model=describe_abelian(modulus, n),
-        k=k, n=n, size=modulus, total=total, expected_fiber=expected,
+        k=k, size=modulus, total=total, expected_fiber=expected,
         fiber_min=fiber_min, fiber_max=fiber_max, uniform=uniform,
         witness=witness, elapsed_ms=elapsed,
     )

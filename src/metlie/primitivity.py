@@ -621,11 +621,17 @@ def is_primitive(gs: list[MElement], *,
     return PrimitivityVerdict(False, "groebner")
 
 
-def is_automorphism_system(gs: list[MElement]) -> bool:
-    """True when (g_1, .., g_n) generates freely: det of the Jacobi matrix is +-1."""
+def _automorphism_det(gs: list[MElement]) -> tuple[bool, Poly]:
+    """(whether (g_1, .., g_n) generates freely, det of its Jacobi matrix):
+    it does iff that determinant is +-1."""
     gs = check_system(gs)
     n = gs[0].n
     if len(gs) != n:
         raise ValueError(f"expected exactly {n} elements, got {len(gs)}")
     d = det(jacobi_matrix(gs))
-    return d.terms == {(0,) * n: 1} or d.terms == {(0,) * n: -1}
+    return d.terms in ({(0,) * n: 1}, {(0,) * n: -1}), d
+
+
+def is_automorphism_system(gs: list[MElement]) -> bool:
+    """True when (g_1, .., g_n) generates freely: det of the Jacobi matrix is +-1."""
+    return _automorphism_det(gs)[0]

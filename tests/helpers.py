@@ -48,16 +48,16 @@ def identity_matrix(n: int) -> PolyMatrix:
 
 
 def generator_images(model) -> list[ModelElement]:
-    return [model.generator_image(i) for i in range(1, model.n + 1)]
+    return [model.generator_image(i) for i in range(1, model.quotient.n + 1)]
 
 
 def random_element(model, rng: random.Random, max_terms: int | None = None) -> ModelElement:
     """Uniform random element of `model`; max_terms caps the nonzero tau
     coefficients per coordinate."""
     quotient = model.quotient
-    l = QPoly(quotient, {mu: rng.randrange(quotient.m) for mu in model.params.l_monomials})
+    l = QPoly(quotient, {mu: rng.randrange(quotient.m) for mu in model.l_monomials})
     tau = tuple(random_qpoly(rng, quotient, max_terms) for _ in range(quotient.n))
-    return ModelElement(model.params, l, tau)
+    return ModelElement(model, l, tau)
 
 
 def element_code(model, elem: ModelElement) -> int:
@@ -67,7 +67,7 @@ def element_code(model, elem: ModelElement) -> int:
     decodes it)."""
     quotient = model.quotient
     digits = [d for t in elem.tau for d in t.vec]
-    digits += [elem.l.vec[quotient.position(mu)] for mu in model.params.l_monomials]
+    digits += [elem.l.vec[quotient.position(mu)] for mu in model.l_monomials]
     code = 0
     for d in reversed(digits):
         code = code * quotient.m + d
@@ -495,23 +495,23 @@ def histogram_census(gs, model):
     """
     quotient = model.quotient
     n, k = quotient.n, len(gs)
-    m, w, size, R = quotient.m, quotient.monomial_count, model.ring_size, model.size
+    m, w, size, R = quotient.m, quotient.monomial_count, quotient.ring_size, model.size
     zero = QPoly.zero(quotient)
-    l_space = [QPoly(quotient, dict(zip(model.params.l_monomials, v)))
-               for v in itertools.product(range(m), repeat=len(model.params.l_monomials))]
+    l_space = [QPoly(quotient, dict(zip(model.l_monomials, v)))
+               for v in itertools.product(range(m), repeat=len(model.l_monomials))]
     monos = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
     weights = [R ** (k - 1 - i) * m ** d for i in range(k) for d in range(w)]
     expansions = [to_basis(g) for g in gs]
     hist = {}
     for s in itertools.product(l_space, repeat=n):
-        args = [ModelElement(model.params, l, (zero,) * n) for l in s]
+        args = [ModelElement(model, l, (zero,) * n) for l in s]
         base = 0
         for x in expansions:
             base = base * R + element_code(model, bracket_value(x, args))
         rows = []
         for j in range(n):
             for mu in monos:
-                args = [ModelElement(model.params, l, (mu if t == j else zero,) + (zero,) * (n - 1))
+                args = [ModelElement(model, l, (mu if t == j else zero,) + (zero,) * (n - 1))
                         for t, l in enumerate(s)]
                 rows.append(tuple(d for x in expansions
                                   for d in bracket_value(x, args).tau[0].vec))

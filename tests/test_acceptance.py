@@ -21,7 +21,7 @@ from helpers import (
 from metlie.calculus import jacobi_matrix, jacobi_substituted, matmul, minors, sigma
 from metlie.cli import main
 from metlie.expr import parse
-from metlie.model import FiniteModel, ModelParams, eval_closed_form, uniformity_check_abelian
+from metlie.model import FiniteModel, eval_closed_form, uniformity_check_abelian
 from metlie.poly import Poly, QuotientParams
 from metlie.primitivity import abelian_primitive, ideal_contains, ideal_contains_one, is_primitive
 from metlie.ring import from_basis, to_basis
@@ -79,7 +79,7 @@ def test_criterion_01_primitive_iff_uniform(consistency_runs):
 def test_criterion_02_closed_form_equivalence():
     start = time.perf_counter()
     rng = random.Random(2024)
-    models = [FiniteModel(ModelParams(QuotientParams(p, q, m, 2), variant))
+    models = [FiniteModel(QuotientParams(p, q, m, 2), variant)
               for (p, q, m) in GRID for variant in ("linear", "full")]
     for i in range(1000):
         model = models[i % len(models)]
@@ -139,7 +139,7 @@ def test_criterion_05_lie_axioms():
                 for _ in range(4)))
     samples_per_model = 10_000 // len(GRID) + 1
     for (p, q, m) in GRID:
-        model = FiniteModel(ModelParams(QuotientParams(p, q, m, 2)))
+        model = FiniteModel(QuotientParams(p, q, m, 2))
         for _ in range(samples_per_model):
             check(*(random_element(model, rng, max_terms=3) for _ in range(4)))
     _report("5 Lie axioms in the free ring and every grid model (exact)", start)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from metlie import cli
+from metlie import calculus, cli
 from metlie.calculus import MAX_MINORS
 from metlie.cli import main, parse_catalog, CatalogError
 from metlie.expr import MAX_GENERATORS, LieParseError, parse
@@ -256,6 +256,20 @@ class TestWitnessAndAuto:
         assert code == 1
         payload = json.loads(out)
         assert payload["determinant"] == "-x2 + 1"
+
+    def test_auto_computes_the_determinant_once(self, capsys, monkeypatch):
+        sizes = []
+        bareiss = calculus._det_bareiss
+
+        def counted(rows):
+            sizes.append(len(rows))
+            return bareiss(rows)
+
+        monkeypatch.setattr(calculus, "_det_bareiss", counted)
+        code, out, _ = run(capsys, "--n", "3", "auto", "x1 + [x2,x3]", "x2", "x3")
+        assert code == 0
+        assert out == "automorphism: True (det = 1)\n"
+        assert sizes == [3]
 
 
 class TestHugeModels:

@@ -26,7 +26,6 @@ from metlie.model import (
     BudgetError,
     FiniteModel,
     ModelElement,
-    ModelParams,
     _PointSpans,
     _image_size,
     _onto_at_points,
@@ -46,25 +45,39 @@ def mel(text, n=2):
 
 
 def flagship():
-    return FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2)))
+    return FiniteModel(QuotientParams(1, 1, 2, 2))
 
 
 class TestModelBuild:
     def test_flagship_cardinalities(self):
         model = flagship()
-        assert model.ring_size == 16
+        assert model.quotient.ring_size == 16
         assert model.l_size == 4
         assert model.size == 1024
 
     def test_one_generator_model(self):
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 1)))
-        assert model.ring_size == 4
+        model = FiniteModel(QuotientParams(1, 1, 2, 1))
+        assert model.quotient.ring_size == 4
         assert model.size == 8
 
     def test_full_ring_variant(self):
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2), "full"))
+        model = FiniteModel(QuotientParams(1, 1, 2, 2), "full")
         assert model.l_size == 16
         assert model.size == 4096
+
+    def test_a_model_is_its_ring_and_carrier(self):
+        # A model compares and hashes by (quotient, top_left) alone; its
+        # elements combine with those of an equal model.
+        quotient = QuotientParams(1, 1, 2, 2)
+        a, b, full = FiniteModel(quotient), FiniteModel(quotient, "linear"), FiniteModel(quotient, "full")
+        a.l_digits  # a cached carrier does not enter the comparison
+        assert a == b and hash(a) == hash(b) and len({a, b, full}) == 2
+        assert a != full
+        assert a.generator_image(1) + b.generator_image(2) == b.generator_image(1) + a.generator_image(2)
+        with pytest.raises(ValueError, match="mismatched models"):
+            a.generator_image(1) + full.generator_image(1)
+        with pytest.raises(ValueError, match="top_left must be"):
+            FiniteModel(quotient, "affine")
 
     def test_generator_image(self):
         model = flagship()
@@ -74,15 +87,14 @@ class TestModelBuild:
 
     def test_huge_model_in_power_form(self):
         # 12 generators: |R|^n has about 3e8 bits, so the size stays a power.
-        params = ModelParams(QuotientParams(2, 2, 3, 12), "full")
-        model = FiniteModel(params)
+        model = FiniteModel(QuotientParams(2, 2, 3, 12), "full")
         assert model.size_exponent == 13 * 4 ** 12
         assert model.describe()["size"] == f"3^{13 * 4 ** 12}"
         with pytest.raises(BudgetError, match=r"enumeration of 3\^2617245696 tuples exceeds"):
             uniformity_check([mel("x1", 12)], model, budget=1 << 28)
 
     def test_element_code_round_trip(self):
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 1)))
+        model = FiniteModel(QuotientParams(1, 1, 2, 1))
         seen = set()
         for code in range(model.size):
             elem = model.element_from_code(code)
@@ -94,15 +106,14 @@ class TestModelBuild:
         # The census orders its witness keys by their top-left digit vectors
         # read from the last digit: that is element-code order on the
         # elements (l, 0), and those codes decode to the same elements.
-        for params in (ModelParams(QuotientParams(1, 1, 2, 2)),
-                       ModelParams(QuotientParams(1, 2, 3, 2), "full")):
-            model = FiniteModel(params)
-            zero = tuple(QPoly.zero(model.quotient) for _ in range(model.n))
-            monos = params.l_monomials
+        for model in (FiniteModel(QuotientParams(1, 1, 2, 2)),
+                      FiniteModel(QuotientParams(1, 2, 3, 2), "full")):
+            zero = tuple(QPoly.zero(model.quotient) for _ in range(model.quotient.n))
+            monos = model.l_monomials
             vectors = list(itertools.product(range(model.quotient.m), repeat=len(monos)))
             codes = {}
             for digits in vectors:
-                elem = ModelElement(params, QPoly(model.quotient, dict(zip(monos, digits))), zero)
+                elem = ModelElement(model, QPoly(model.quotient, dict(zip(monos, digits))), zero)
                 codes[digits] = element_code(model, elem)
                 assert model.element_from_code(codes[digits]) == elem
             assert sorted(vectors, key=lambda v: v[::-1]) == sorted(vectors, key=codes.__getitem__)
@@ -115,7 +126,7 @@ def _matrix_commutator_oracle(a: ModelElement, b: ModelElement) -> ModelElement:
     matrix over the quotient ring; [A,B] = AB - BA via literal matrix
     products gives the expected bracket coordinatewise.
     """
-    quotient = a.params.quotient
+    quotient = a.model.quotient
     la, lb = a.l, b.l
     zero = QPoly.zero(quotient)
     taus = []
@@ -133,7 +144,7 @@ def _matrix_commutator_oracle(a: ModelElement, b: ModelElement) -> ModelElement:
         comm = [[AB[i][j] - BA[i][j] for j in range(2)] for i in range(2)]
         assert not comm[0][0] and not comm[0][1] and not comm[1][1]
         taus.append(comm[1][0])
-    return ModelElement(a.params, zero, tuple(taus))
+    return ModelElement(a.model, zero, tuple(taus))
 
 
 class TestModelBracket:
@@ -160,10 +171,9 @@ class TestModelBracket:
 
     def test_matches_matrix_commutator_oracle(self):
         rng = random.Random(149)
-        for params in [ModelParams(QuotientParams(1, 1, 2, 2)),
-                       ModelParams(QuotientParams(2, 1, 3, 2)),
-                       ModelParams(QuotientParams(1, 1, 2, 2), "full")]:
-            model = FiniteModel(params)
+        for model in [FiniteModel(QuotientParams(1, 1, 2, 2)),
+                      FiniteModel(QuotientParams(2, 1, 3, 2)),
+                      FiniteModel(QuotientParams(1, 1, 2, 2), "full")]:
             for _ in range(40):
                 a = random_element(model, rng, max_terms=4)
                 b = random_element(model, rng, max_terms=4)
@@ -174,7 +184,7 @@ class TestModelBracket:
         for p in (1, 2):
             for q in (1, 2):
                 for m in (2, 3):
-                    model = FiniteModel(ModelParams(QuotientParams(p, q, m, 2)))
+                    model = FiniteModel(QuotientParams(p, q, m, 2))
                     for _ in range(25):
                         a, b, c = (random_element(model, rng, max_terms=3) for _ in range(3))
                         assert not (a.bracket(b) + b.bracket(a))
@@ -225,7 +235,7 @@ class TestClosedForm:
         # s satisfy s^p(s^q - 1) = 0.
         rng = random.Random(167)
         for p, q, m in DEFAULT_QUOTIENT_GRID:
-            model = FiniteModel(ModelParams(QuotientParams(p, q, m, 2), variant))
+            model = FiniteModel(QuotientParams(p, q, m, 2), variant)
             for _ in range(20):
                 e = random_expr(rng, 2, depth=5)
                 subs = [random_element(model, rng) for _ in range(2)]
@@ -249,12 +259,12 @@ class TestUniformity:
         assert rep.witness is not None
 
     def test_histogram_conservation_small_model(self):
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 1)))
+        model = FiniteModel(QuotientParams(1, 1, 2, 1))
         rep = uniformity_check([mel("3*x1", 1)], model)
         assert rep.total == model.size ** 1
 
     def test_generator_system_is_a_bijection(self):
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 1)))
+        model = FiniteModel(QuotientParams(1, 1, 2, 1))
         rep = uniformity_check([mel("x1", 1)], model)
         assert rep.uniform and rep.expected_fiber == 1
 
@@ -262,7 +272,7 @@ class TestUniformity:
         # Independent oracle on the 8-element model: evaluate every element
         # through the element-level closed form and build the histogram by
         # hand.
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 1)))
+        model = FiniteModel(QuotientParams(1, 1, 2, 1))
         g = mel("x1 + 2*[x1,x1]", 1)  # collapses to x1
         for target_expr in ["x1", "3*x1"]:
             g = mel(target_expr, 1)
@@ -302,13 +312,13 @@ class TestUniformity:
 
 class TestVariantAndModulusPaths:
     def test_full_ring_variant_uniformity(self):
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 1), "full"))
+        model = FiniteModel(QuotientParams(1, 1, 2, 1), "full")
         assert model.size == 16
         assert uniformity_check([mel("x1", 1)], model).uniform
         assert not uniformity_check([mel("2*x1", 1)], model).uniform
 
     def test_mod_three_model_uniformity(self):
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 3, 1)))
+        model = FiniteModel(QuotientParams(1, 1, 3, 1))
         assert model.size == 27
         rep = uniformity_check([mel("x1", 1)], model)
         assert rep.uniform and rep.expected_fiber == 1
@@ -434,18 +444,18 @@ class TestUniformityInvariance:
 DATA = Path(__file__).parent / "data"
 
 ORACLE_MODELS = [
-    ModelParams(QuotientParams(1, 1, 2, 1)),
-    ModelParams(QuotientParams(1, 1, 3, 1)),
-    ModelParams(QuotientParams(1, 1, 4, 1)),
-    ModelParams(QuotientParams(1, 1, 2, 1), "full"),
-    ModelParams(QuotientParams(1, 1, 4, 1), "full"),
+    FiniteModel(QuotientParams(1, 1, 2, 1)),
+    FiniteModel(QuotientParams(1, 1, 3, 1)),
+    FiniteModel(QuotientParams(1, 1, 4, 1)),
+    FiniteModel(QuotientParams(1, 1, 2, 1), "full"),
+    FiniteModel(QuotientParams(1, 1, 4, 1), "full"),
 ]
 
 
 def _census_oracle(gs, model):
     """Report JSON of a plain census: every argument tuple of model elements
     goes through bracket arithmetic, and the fibers are counted by target."""
-    n, k = model.n, len(gs)
+    n, k = model.quotient.n, len(gs)
     expansions = [to_basis(g) for g in gs]
     counts = {}
     for args in itertools.product(list(model.elements()), repeat=n):
@@ -478,7 +488,7 @@ class TestCensusOracle:
     @pytest.mark.parametrize("params", ORACLE_MODELS)
     @pytest.mark.parametrize("text", ["x1", "2*x1", "3*x1", "-x1", "0"])
     def test_fixed_systems(self, params, text):
-        model = FiniteModel(params)
+        model = params
         gs = [mel(text, 1)]
         rep = uniformity_check(gs, model)
         assert rep.to_json(include_elapsed=False) == _census_oracle(gs, model)
@@ -488,7 +498,7 @@ class TestCensusOracle:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_random_element(self, params, seed):
-        model = FiniteModel(params)
+        model = params
         gs = [parse(reference_format(random_expr(random.Random(seed), 1, depth=3)), 1)]
         rep = uniformity_check(gs, model)
         assert rep.to_json(include_elapsed=False) == _census_oracle(gs, model)
@@ -507,7 +517,7 @@ class TestCensusGolden:
     ])
     def test_reports_match_golden(self, variant, name):
         n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, n), variant))
+        model = FiniteModel(QuotientParams(1, 1, 2, n), variant)
         out = []
         for texts, _ in systems:
             if variant == "full" and len(texts) != 1:
@@ -523,7 +533,7 @@ def census_n3_reports() -> list:
     out = []
     for text in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]"):
         for pqm in ((1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 2, 2)):
-            model = FiniteModel(ModelParams(QuotientParams(*pqm, 3)))
+            model = FiniteModel(QuotientParams(*pqm, 3))
             rep = uniformity_check([mel(text, 3)], model, budget=1 << 1000)
             out.append({"system": [text], "report": rep.to_json(include_elapsed=False)})
     return out
@@ -549,7 +559,7 @@ def census_prime_power_reports() -> list:
     runs += [((1, 1, 4), 3, [text]) for text in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]")]
     out = []
     for pqm, n, texts in runs:
-        model = FiniteModel(ModelParams(QuotientParams(*pqm, n)))
+        model = FiniteModel(QuotientParams(*pqm, n))
         rep = uniformity_check([mel(t, n) for t in texts], model, budget=1 << 1000)
         out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
     return out
@@ -577,7 +587,7 @@ def census_nonsplit_reports() -> list:
              for texts in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]", "x1 + [x2,x1]; x3")]
     out = []
     for pqm, n, texts in runs:
-        model = FiniteModel(ModelParams(QuotientParams(*pqm, n)))
+        model = FiniteModel(QuotientParams(*pqm, n))
         rep = uniformity_check([mel(t, n) for t in texts], model, budget=1 << 4000)
         out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
     return out
@@ -617,7 +627,7 @@ class TestHistogramOracle:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=12, deadline=None)
     def test_flagship_models(self, variant, k, seed):
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2), variant))
+        model = FiniteModel(QuotientParams(1, 1, 2, 2), variant)
         gs = _drawn_system(seed, 2, k)
         rep = uniformity_check(gs, model).to_json(include_elapsed=False)
         assert rep == histogram_census(gs, model)
@@ -635,7 +645,7 @@ class TestHistogramOracle:
         # Top-left values with s^p(s^q - 1) != 0 exist on these models, so
         # the derivatives must be evaluated over Z, not reduced first; a
         # census that reduced them reports other fibers for these systems.
-        model = FiniteModel(ModelParams(QuotientParams(*pqm, 2)))
+        model = FiniteModel(QuotientParams(*pqm, 2))
         gs = [mel(text)]
         rep = uniformity_check(gs, model, budget=1 << 40)
         assert rep.to_json(include_elapsed=False) == histogram_census(gs, model)
@@ -656,7 +666,7 @@ class TestHistogramOracle:
         ((1, 3, 2, 1), "full", "2*x1"),
     ])
     def test_residue_fields(self, pqmn, variant, text):
-        model = FiniteModel(ModelParams(QuotientParams(*pqmn), variant))
+        model = FiniteModel(QuotientParams(*pqmn), variant)
         gs = [mel(text, pqmn[3])]
         rep = uniformity_check(gs, model, budget=1 << 4000)
         assert rep.to_json(include_elapsed=False) == histogram_census(gs, model)
@@ -679,10 +689,10 @@ PRIME_POWER_GRID = ((1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 4), (1, 1, 8))
 NONSPLIT_GRID = ((1, 3, 2), (2, 3, 2), (1, 4, 3), (1, 3, 4))
 
 RESIDUE_MODELS = [
-    params for params in (ModelParams(QuotientParams(*pqm, 2), variant)
-                          for pqm in DEFAULT_QUOTIENT_GRID + PRIME_POWER_GRID + NONSPLIT_GRID
-                          for variant in ("linear", "full"))
-    if FiniteModel(params).l_size ** 2 <= 4096
+    model for model in (FiniteModel(QuotientParams(*pqm, 2), variant)
+                        for pqm in DEFAULT_QUOTIENT_GRID + PRIME_POWER_GRID + NONSPLIT_GRID
+                        for variant in ("linear", "full"))
+    if model.l_size ** 2 <= 4096
 ]
 
 
@@ -700,9 +710,16 @@ def _whole_ring_size(gs, quotient, args, sizes: dict) -> int:
     return sizes[columns]
 
 
-def _sizes(gs, quotient, l_space):
-    """`_image_size` of `gs` over `l_space`, with a table of its own."""
-    return _image_size(_PointSpans(gs), quotient, l_space, _parts(quotient, l_space))
+def _sizes(gs, quotient, l_monos, l_digits):
+    """`_image_size` of `gs` over the digit vectors `l_digits` on `l_monos`,
+    with a table of its own."""
+    return _image_size(_PointSpans(gs), quotient, l_monos, l_digits,
+                       _parts(quotient, l_monos, l_digits))
+
+
+def _entries(quotient, l_monos, l_digits) -> list:
+    """The top-left entries with digits `l_digits` over `l_monos`."""
+    return [QPoly(quotient, dict(zip(l_monos, v))) for v in l_digits]
 
 
 def _span_widths(monkeypatch) -> list:
@@ -724,42 +741,41 @@ class TestResidueOnto:
     of the image rows mu * d_j g_i(s) over the whole ring, tuple by tuple;
     and which of those spans the census builds."""
 
-    @pytest.mark.parametrize("params", RESIDUE_MODELS, ids=lambda params: "{}-{}{}{}".format(
-        params.top_left, params.quotient.p, params.quotient.q, params.quotient.m))
-    def test_matches_the_image_span(self, params):
-        model = FiniteModel(params)
+    @pytest.mark.parametrize("model", RESIDUE_MODELS, ids=lambda model: "{}-{}{}{}".format(
+        model.top_left, model.quotient.p, model.quotient.q, model.quotient.m))
+    def test_matches_the_image_span(self, model):
         quotient = model.quotient
-        n, m = quotient.n, quotient.m
-        l_monos = params.l_monomials
-        l_space = [QPoly(quotient, dict(zip(l_monos, v)))
-                   for v in itertools.product(range(m), repeat=len(l_monos))]
+        n = quotient.n
+        l_monos, l_digits = model.l_monomials, model.l_digits
+        l_space = _entries(quotient, l_monos, l_digits)
         _, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
         verdicts, sizes = set(), {}
         for texts, _ in systems:
             gs = [mel(t) for t in texts]
-            onto_size = model.ring_size ** len(gs)
-            image_size = _sizes(gs, quotient, l_space)
+            onto_size = quotient.ring_size ** len(gs)
+            image_size = _sizes(gs, quotient, l_monos, l_digits)
             for s in itertools.product(range(len(l_space)), repeat=n):
                 size = _whole_ring_size(gs, quotient, [l_space[t] for t in s], sizes)
                 assert image_size(s) == size, (texts, s)
                 verdicts.add(size == onto_size)
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize("params", [
-        ModelParams(QuotientParams(*pqm, 2), variant)
+    @pytest.mark.parametrize("model", [
+        FiniteModel(QuotientParams(*pqm, 2), variant)
         for pqm in DEFAULT_QUOTIENT_GRID + ((1, 1, 9), (1, 2, 9)) for variant in ("linear", "full")
-    ], ids=lambda params: "{}-{}{}{}".format(
-        params.top_left, params.quotient.p, params.quotient.q, params.quotient.m))
+    ], ids=lambda model: "{}-{}{}{}".format(
+        model.top_left, model.quotient.p, model.quotient.q, model.quotient.m))
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 2))
     @settings(max_examples=20, deadline=None)
-    def test_drawn_systems_match_the_image_span(self, params, seed, k):
+    def test_drawn_systems_match_the_image_span(self, model, seed, k):
         # One drawn top-left pair per example, on every default model: on
-        # the full carrier l_space would be too large to list.
-        model = FiniteModel(params)
+        # the full carrier l_digits would be too large to list.
         rng = random.Random(seed)
         gs = _drawn_system(seed, 2, k)
-        args = [random_element(model, rng, max_terms=0).l for _ in range(2)]
-        size = _sizes(gs, model.quotient, args)((0, 1))
+        l_monos = model.l_monomials
+        digits = [tuple(rng.randrange(model.quotient.m) for _ in l_monos) for _ in range(2)]
+        size = _sizes(gs, model.quotient, l_monos, digits)((0, 1))
+        args = _entries(model.quotient, l_monos, digits)
         assert size == _whole_ring_size(gs, model.quotient, args, {})
 
     def test_local_spans_over_z2(self, monkeypatch):
@@ -777,10 +793,10 @@ class TestResidueOnto:
 
         monkeypatch.setattr(metlie.model, "Span", RecordingSpan)
         quotient = QuotientParams(1, 2, 2, 2)
-        model = FiniteModel(ModelParams(quotient))
-        l_space = model.l_space
+        model = FiniteModel(quotient)
+        l_space = _entries(quotient, model.l_monomials, model.l_digits)
         gs = [mel("x1 + [x2,x1]")]
-        image_size, sizes = _sizes(gs, quotient, l_space), {}
+        image_size, sizes = _sizes(gs, quotient, model.l_monomials, model.l_digits), {}
         for s in itertools.product(range(len(l_space)), repeat=2):
             assert image_size(s) == _whole_ring_size(gs, quotient, [l_space[t] for t in s], sizes)
         local = {(width, size) for m, width, size in built if width > 1}
@@ -792,7 +808,7 @@ class TestResidueOnto:
         # Every map of this primitive system is onto at n = 3 on (2,2,2):
         # the census builds rank spans of width k = 1 only, none of k * w.
         widths = _span_widths(monkeypatch)
-        model = FiniteModel(ModelParams(QuotientParams(2, 2, 2, 3)))
+        model = FiniteModel(QuotientParams(2, 2, 2, 3))
         rep = uniformity_check([mel("x1 + [[x2,x1],x1]", 3)], model, budget=1 << 600)
         assert rep.uniform
         assert set(widths) == {1}
@@ -800,7 +816,7 @@ class TestResidueOnto:
     def test_product_of_fields_needs_ranks_only(self, monkeypatch):
         # On (1,1,3) R is a product of fields F_3: every size is a rank.
         widths = _span_widths(monkeypatch)
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, 3, 3)))
+        model = FiniteModel(QuotientParams(1, 1, 3, 3))
         rep = uniformity_check([mel("x1 + [x2,x1]", 3)], model, budget=1 << 600)
         assert not rep.uniform
         assert set(widths) == {1}
@@ -809,7 +825,7 @@ class TestResidueOnto:
         # On (2,2,2) each of the 8 factors is F_2[y]/(y_1^2, y_2^2, y_3^2),
         # of dimension 8: spans of width 8, none of the whole ring's 64.
         widths = _span_widths(monkeypatch)
-        model = FiniteModel(ModelParams(QuotientParams(2, 2, 2, 3)))
+        model = FiniteModel(QuotientParams(2, 2, 2, 3))
         rep = uniformity_check([mel("x1 + [x2,x1]", 3)], model, budget=1 << 600)
         assert not rep.uniform
         assert set(widths) == {1, 8}
@@ -824,7 +840,7 @@ class TestResidueOnto:
         # the local rings only: k wide at the points, k * dim A_xi for the
         # other parts; none of the whole ring's k * w.
         built = _span_widths(monkeypatch)
-        model = FiniteModel(ModelParams(QuotientParams(*pqm, 2)))
+        model = FiniteModel(QuotientParams(*pqm, 2))
         gs = [mel(t) for t in text.split("; ")]
         rep = uniformity_check(gs, model, budget=1 << 600)
         assert not rep.uniform
@@ -838,7 +854,7 @@ class TestResidueOnto:
         # xi_i = 1; none of the whole ring's k * 16.
         for text in ("x1 + [x2,x1]", "x1 + [x2,x1]; x2"):
             built = _span_widths(monkeypatch)
-            model = FiniteModel(ModelParams(QuotientParams(1, 3, 2, 2)))
+            model = FiniteModel(QuotientParams(1, 3, 2, 2))
             gs = [mel(t) for t in text.split("; ")]
             rep = uniformity_check(gs, model, budget=1 << 600)
             assert not rep.uniform
@@ -847,19 +863,20 @@ class TestResidueOnto:
     def test_not_split_has_no_test(self):
         quotient = QuotientParams(1, 3, 2, 2)
         assert quotient.local_factors() is None
-        args = [QPoly.variable(1, quotient), QPoly.zero(quotient)]
+        l_monos, digits = FiniteModel(quotient).l_monomials, [(1, 0), (0, 0)]
+        args = _entries(quotient, l_monos, digits)
         gs = [mel("x1 + [x2,x1]")]
-        assert _sizes(gs, quotient, args)((0, 1)) == _whole_ring_size(gs, quotient, args, {})
+        assert _sizes(gs, quotient, l_monos, digits)((0, 1)) == _whole_ring_size(gs, quotient, args, {})
 
 
 # Split rings at n = 2 for the point verdict: the default grid, prime
 # powers, and the residue fields F_5 and F_7; the full carrier where it
 # fits the default budget.
 POINT_MODELS = [
-    params for params in (ModelParams(QuotientParams(*pqm, 2), variant)
-                          for pqm in DEFAULT_QUOTIENT_GRID + ((1, 1, 4), (1, 2, 4), (1, 1, 5), (1, 3, 7))
-                          for variant in ("linear", "full"))
-    if params.top_left == "linear" or FiniteModel(params).size ** 2 <= DEFAULT_BUDGET
+    model for model in (FiniteModel(QuotientParams(*pqm, 2), variant)
+                        for pqm in DEFAULT_QUOTIENT_GRID + ((1, 1, 4), (1, 2, 4), (1, 1, 5), (1, 3, 7))
+                        for variant in ("linear", "full"))
+    if model.top_left == "linear" or model.size ** 2 <= DEFAULT_BUDGET
 ]
 PERTURBATIONS = ("[x2,x1]", "[[x2,x1],x1]", "[[x2,x1],x2]")
 
@@ -883,12 +900,11 @@ class TestPointVerdict:
     """`_onto_at_points`, which decides the uniform reports of a split ring,
     against the walk over every top-left tuple (`_walk`)."""
 
-    @pytest.mark.parametrize("params", POINT_MODELS, ids=lambda params: "{}-{}{}{}".format(
-        params.top_left, params.quotient.p, params.quotient.q, params.quotient.m))
+    @pytest.mark.parametrize("model", POINT_MODELS, ids=lambda model: "{}-{}{}{}".format(
+        model.top_left, model.quotient.p, model.quotient.q, model.quotient.m))
     @given(gs=_point_systems())
     @settings(max_examples=40, deadline=None)
-    def test_matches_the_walk(self, params, gs):
-        model = FiniteModel(params)
+    def test_matches_the_walk(self, model, gs):
         fiber_min, fiber_max, witness = _walk(_PointSpans(gs), model)
         uniform = fiber_min == fiber_max == model.size ** (2 - len(gs))
         assert _onto_at_points(_PointSpans(gs), model.quotient) == uniform
@@ -899,7 +915,7 @@ class TestPointVerdict:
         # at every point over F_2 and F_3: uniform on m = 2, 3, not on m = 5.
         gs = [mel("x1 + 6*[x2,x1]")]
         for pqm, uniform in (((1, 1, 2), True), ((1, 2, 3), True), ((1, 1, 5), False)):
-            model = FiniteModel(ModelParams(QuotientParams(*pqm, 2)))
+            model = FiniteModel(QuotientParams(*pqm, 2))
             assert _onto_at_points(_PointSpans(gs), model.quotient) is uniform
             assert uniformity_check(gs, model, budget=1 << 100).uniform is uniform
 
@@ -952,7 +968,7 @@ class TestOnePointTable:
         monkeypatch.setattr(metlie.model, "_PointSpans", CountingSpans)
         monkeypatch.setattr(metlie.model, "_onto_at_points", in_phase("points", _onto_at_points))
         monkeypatch.setattr(metlie.model, "_walk", in_phase("walk", _walk))
-        model = FiniteModel(ModelParams(QuotientParams(1, 1, m, 2)))
+        model = FiniteModel(QuotientParams(1, 1, m, 2))
         assert not uniformity_check([mel("x1 + [x2,x1]")], model, budget=1 << 100).uniform
         assert len(tables) == 1
         assert len(evaluated) == len(set(evaluated)) > 0
@@ -973,20 +989,20 @@ class TestCarrierLifetime:
     `metlie` keeps them."""
 
     def test_shared_by_systems_and_dropped_with_the_run(self, monkeypatch):
-        calls = []  # (weakref to the model, its l_space after the census)
+        calls = []  # (weakref to the model, its l_digits after the census)
 
         def census(gs, model, **kwargs):
             ref = weakref.ref(model)
             try:
                 return uniformity_check(gs, model, **kwargs)
             finally:
-                calls.append((ref, vars(model).get("l_space")))
+                calls.append((ref, vars(model).get("l_digits")))
 
         monkeypatch.setattr(metlie.cli, "uniformity_check", census)
         n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
         summary = run_consistency(n, systems, Config(n=n))
         walked = [(ref, space) for ref, space in calls if space is not None]
-        # The non-uniform systems on (1,1,2) walk one model's one l_space.
+        # The non-uniform systems on (1,1,2) walk one model's one l_digits.
         assert len(walked) >= 2
         assert len({id(space) for _, space in walked}) == 1
         assert all(ref() is walked[0][0]() for ref, _ in walked)
@@ -994,3 +1010,33 @@ class TestCarrierLifetime:
         del summary, walked
         gc.collect()
         assert all(ref() is None for ref, _ in calls)
+
+
+class TestCensusOnDigits:
+    """The census works on the top-left digit vectors alone: it builds no
+    quotient-ring element and no model element, witness targets included."""
+
+    @pytest.mark.parametrize("pqmn, variant, texts, uniform", [
+        ((1, 1, 2, 2), "linear", ["x1 + [[x2,x1],x1]"], True),
+        ((1, 1, 2, 2), "linear", ["x1 + [x2,x1]"], False),
+        ((2, 2, 3, 3), "linear", ["x1 + [x2,x1]"], False),
+        ((1, 3, 2, 2), "linear", ["x1 + [x2,x1]", "x2"], False),
+        ((1, 1, 2, 2), "full", ["x1 + [x2,x1]"], False),
+    ], ids=["uniform-112", "walk-112", "walk-223-n3", "nonsplit-132", "full-112"])
+    def test_builds_no_ring_element(self, monkeypatch, pqmn, variant, texts, uniform):
+        built = []
+
+        def counted(name, step):
+            def wrapper(*args, **kwargs):
+                built.append(name)
+                return step(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(QPoly, "__init__", counted("QPoly", QPoly.__init__))
+        monkeypatch.setattr(QPoly, "_raw", staticmethod(counted("QPoly._raw", QPoly._raw)))
+        monkeypatch.setattr(ModelElement, "__init__", counted("ModelElement", ModelElement.__init__))
+        model = FiniteModel(QuotientParams(*pqmn), variant)
+        rep = uniformity_check([mel(t, pqmn[3]) for t in texts], model, budget=1 << 1000)
+        assert rep.uniform is uniform
+        assert (rep.witness is None) is uniform
+        assert built == []

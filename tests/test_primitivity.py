@@ -40,7 +40,7 @@ from metlie.poly import (
     reduce_pqm,
 )
 from metlie import primitivity
-from metlie.model import FiniteModel, ModelParams, uniformity_check, uniformity_check_abelian
+from metlie.model import FiniteModel, uniformity_check, uniformity_check_abelian
 from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
     DEFAULT_MAX_DEGREE,
@@ -924,7 +924,7 @@ class TestSystemCheck:
         "is_primitive": is_primitive,
         "quotient": lambda gs: quotient_primitivity_check(gs, QuotientParams(1, 2, 2, 2)),
         "automorphism": is_automorphism_system,
-        "census": lambda gs: uniformity_check(gs, FiniteModel(ModelParams(QuotientParams(1, 1, 2, 2)))),
+        "census": lambda gs: uniformity_check(gs, FiniteModel(QuotientParams(1, 1, 2, 2))),
         "abelian census": lambda gs: uniformity_check_abelian(gs, 2, 2),
     }
     CASES = {

@@ -49,6 +49,34 @@ class TestPrivateHelpers:
         assert "_unused" not in _referenced_names(tree)
 
 
+def _unread_imports(tree) -> list:
+    """The names a module imports and never reads, in import order; a
+    `__future__` import binds no name."""
+    imported = [alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+class TestUnusedImports:
+    def test_every_import_is_read(self):
+        """Each module of `src/` reads every name it imports; `__init__.py`
+        imports to re-export and is not checked."""
+        unread = [f"{module}:{name}" for module, tree in _trees().items()
+                  if module != "__init__.py" for name in _unread_imports(tree)]
+        assert unread == []
+
+    def test_the_check_sees_an_unused_import(self):
+        tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                         "import json as js\nfrom math import gcd, lcm\n\n\n"
+                         "def f(a: int) -> int:\n    return gcd(a, len(os.sep))\n")
+        assert _unread_imports(tree) == ["js", "lcm"]
+
+
 class TestPerfbenchPatches:
     def test_every_patched_name_exists(self):
         """The benchmark's traced runs wrap (module, attribute) pairs by
