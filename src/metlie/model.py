@@ -179,11 +179,11 @@ class FiniteModel:
         return self.quotient.m ** self.size_exponent
 
     def size_order(self) -> tuple:
-        """Sort key of the size: exact below 2^SIZE_BITS, by logarithm above."""
+        """Sort key of the size: exact below 2^SIZE_BITS, by log2(log2 size) above (finite at any n)."""
         size = _size_value(self.quotient.m, self.size_exponent)
         if isinstance(size, int):
             return (0, size)
-        return (1, self.size_exponent * math.log2(self.quotient.m))
+        return (1, math.log2(self.size_exponent) + math.log2(math.log2(self.quotient.m)))
 
     def describe(self) -> dict:
         q = self.quotient
@@ -517,7 +517,7 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     _charge(quotient.m, model.size_exponent * n, budget)
     expected = model.size ** (n - k)
     points = _PointSpans(gs)
-    if model.parts[0] and _onto_at_points(points, quotient):
+    if quotient.local_factors() is not None and _onto_at_points(points, quotient):
         fiber_min = fiber_max = expected
         witness = None
     else:

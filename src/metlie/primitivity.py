@@ -32,6 +32,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
+import metlie.poly
 from metlie.calculus import _det_bareiss, det, jacobi_matrix, minor_positions, minors
 from metlie.poly import (
     Poly,
@@ -67,10 +68,6 @@ class GroebnerBasis:
 
     generators: list[Poly]
     cofactors: list[list[Poly]]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
 
 
 def _field_bits(max_basis: int, max_degree: int) -> int:
@@ -314,7 +311,7 @@ def _cofactors(row: _Row, basis: list[_Row], count: int) -> list[dict[int, int]]
 
 
 def _spair(f: _Row, g: _Row, gamma: int) -> _Row:
-    l = _lcm(f.lc, g.lc)
+    l = math.lcm(f.lc, g.lc)
     return _combine([(f, l // f.lc, gamma - f.lm), (g, -(l // g.lc), gamma - g.lm)])
 
 
@@ -389,7 +386,7 @@ def _buchberger(gens: list[Poly], packing: _Packing, *, max_basis: int,
         # coefficients make S(i, j) reduce to 0.
         d = math.gcd(f.lc, g.lc)
         if not (d == 1 and gamma == f.lm + g.lm
-                or chained(i, j, gamma, _lcm(f.lc, g.lc))):
+                or chained(i, j, gamma, math.lcm(f.lc, g.lc))):
             candidates.append(_spair(f, g, gamma))
         if f.lc % g.lc and g.lc % f.lc and not chained(i, j, gamma, d):
             candidates.append(_gpair(f, g, gamma))
@@ -520,23 +517,24 @@ def _grid_params(grid: tuple, n: int) -> tuple[QuotientParams, ...]:
                  if not power_exceeds(r.m, r.monomial_count, DEFAULT_MAX_RING_SIZE))
 
 
-def _cube_gcds(minor_polys: list[Poly]) -> list[int]:
-    """The gcd of the minors' values at each point of {0,1}^n."""
-    return [math.gcd(*values) for values in zip(*map(cube_values, minor_polys))]
-
-
-def _reduced_minor_ideal_contains_one(minor_polys: list[Poly], params: QuotientParams,
-                                      cube: Optional[list[int]] = None) -> bool:
-    """Do the minors generate 1 in Z_{p,q,m}[X]?  For p = q = 1 the ring is
-    Z_m^(2^n) by evaluation on {0,1}^n (`cube_values`), so they do exactly
-    when m is coprime to their gcd at every point; `cube` holds those gcds
-    when they are known (`_cube_gcds`).  Other rings take a Howell form."""
-    if params.p == params.q == 1:
-        return all(math.gcd(params.m, g) == 1 for g in cube or _cube_gcds(minor_polys))
-    from metlie.poly import ideal_contains_finite
-
-    reduced = [reduce_pqm(p, params) for p in minor_polys]
-    return ideal_contains_finite(reduced, QPoly.one(params))
+def _quotient_refutation(minor_polys: list[Poly], rings) -> Optional[QuotientParams]:
+    """The first ring Z_{p,q,m}[X] of `rings` in which the minors do not
+    generate 1, or None.  For p = q = 1 the ring is Z_m^(2^n) by evaluation
+    on {0,1}^n (`cube_values`), so they generate 1 exactly when m is coprime
+    to their gcd at every point; those gcds are taken once per call.  Other
+    rings take a Howell form; `reduce_pqm` and `ideal_contains_finite` are
+    looked up per call, so a wrapper patched onto either sees every check."""
+    cube = None
+    for params in rings:
+        if params.p == params.q == 1:
+            if cube is None:
+                cube = [math.gcd(*values) for values in zip(*map(cube_values, minor_polys))]
+            if any(math.gcd(params.m, g) != 1 for g in cube):
+                return params
+        elif not metlie.poly.ideal_contains_finite(
+                [reduce_pqm(p, params) for p in minor_polys], QPoly.one(params)):
+            return params
+    return None
 
 
 def quotient_primitivity_check(gs: list[MElement], params: QuotientParams) -> bool:
@@ -549,8 +547,7 @@ def quotient_primitivity_check(gs: list[MElement], params: QuotientParams) -> bo
     if params.n != gs[0].n:
         raise ValueError("quotient parameters use a different generator count")
     check_ring_size(params)
-    minor_polys = minors(jacobi_matrix(gs), len(gs))
-    return _reduced_minor_ideal_contains_one(minor_polys, params)
+    return _quotient_refutation(minors(jacobi_matrix(gs), len(gs)), [params]) is None
 
 
 @dataclass
@@ -600,16 +597,13 @@ def is_primitive(gs: list[MElement], *,
         )
 
     minor_polys = minors(jacobi_matrix(gs), k)
-    cube = None
-    for params in _grid_params(tuple(map(tuple, quotient_grid)), n):
-        if params.p == params.q == 1:
-            cube = cube or _cube_gcds(minor_polys)
-        if not _reduced_minor_ideal_contains_one(minor_polys, params, cube):
-            return PrimitivityVerdict(
-                False, "quotient-refuted",
-                refutation={"kind": "quotient",
-                            "params": {"p": params.p, "q": params.q, "m": params.m}},
-            )
+    params = _quotient_refutation(minor_polys, _grid_params(tuple(map(tuple, quotient_grid)), n))
+    if params is not None:
+        return PrimitivityVerdict(
+            False, "quotient-refuted",
+            refutation={"kind": "quotient",
+                        "params": {"p": params.p, "q": params.q, "m": params.m}},
+        )
 
     try:
         found, cofactors = ideal_contains_one(minor_polys, max_basis=max_basis,

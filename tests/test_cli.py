@@ -287,6 +287,26 @@ class TestHugeModels:
         reasons = {s["model"]["size"]: s["reason"] for s in payload["skipped"]}
         assert reasons[size] == f"enumeration of {tuples} tuples exceeds the budget {1 << 28}"
 
+    # From n = 508 the size exponent of a default grid entry times log2(m)
+    # is past the float range; ordering the grid must not compute it.
+    @pytest.mark.parametrize("argv", [
+        ("--n", "508", "witness", "x1"),
+        ("--n", "1024", "--grid", "1,1,2", "witness", "2*x1"),
+        ("--n", "508", "witness", "--full-ring", "x1"),
+    ])
+    def test_witness_orders_grids_past_the_float_range(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert out.startswith("no witness found on the configured grid\n")
+
+    def test_consistency_orders_grids_past_the_float_range(self, capsys, tmp_path):
+        catalog = tmp_path / "n600.txt"
+        catalog.write_text("n=600\nx1 @ primitive\n")
+        code, out, _ = run(capsys, "--json", "consistency", str(catalog))
+        assert code == 0
+        skipped = [entry["model"] for entry in json.loads(out)["systems"][0]["skipped"]]
+        assert [model.get("variant") for model in skipped] == ["abelian"] * 3 + ["linear"] * 8
+
     def test_uniform_budget_exit_4(self, capsys):
         code, _, err = run(capsys, "--n", "4", "uniform", "--p", "3", "--q", "3", "--m", "4", "x1")
         assert code == 4

@@ -1040,3 +1040,13 @@ class TestCensusOnDigits:
         assert rep.uniform is uniform
         assert (rep.witness is None) is uniform
         assert built == []
+
+    @pytest.mark.parametrize("variant", ["linear", "full"])
+    @pytest.mark.parametrize("pqmn", [(1, 1, 2, 2), (1, 2, 3, 2)], ids=repr)
+    def test_uniform_report_lists_no_carrier(self, pqmn, variant):
+        # A split ring's points decide a uniform report; its top-left
+        # carrier is never listed.
+        model = FiniteModel(QuotientParams(*pqmn), variant)
+        assert model.quotient.local_factors() is not None
+        assert uniformity_check([mel("x1 + [[x2,x1],x1]")], model, budget=1 << 1000).uniform
+        assert "l_digits" not in vars(model) and "parts" not in vars(model)

@@ -4,6 +4,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import metlie.poly
+import metlie.primitivity
+from metlie.expr import parse
+
 SRC = Path(__file__).parent.parent / "src" / "metlie"
 WORKER = Path(__file__).parent.parent / "perfbench" / "worker.py"
 
@@ -77,6 +81,27 @@ class TestUnusedImports:
         assert _unread_imports(tree) == ["js", "lcm"]
 
 
+def _function_imports(tree) -> list:
+    """(function, line) of each import inside a function or method body."""
+    return [(node.name, inner.lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))]
+
+
+class TestModuleLevelImports:
+    def test_no_import_inside_a_function(self):
+        """Every module of `src/` imports at module level; a name looked up
+        per call is read off its module (`metlie.poly.ideal_contains_finite`)."""
+        inner = [f"{module}:{name}:{line}" for module, tree in _trees().items()
+                 for name, line in _function_imports(tree)]
+        assert inner == []
+
+    def test_the_check_sees_a_function_import(self):
+        tree = ast.parse("import os\n\n\nclass A:\n    def f(self):\n"
+                         "        from math import gcd\n        return gcd\n")
+        assert _function_imports(tree) == [("f", 6)]
+
+
 class TestPerfbenchPatches:
     def test_every_patched_name_exists(self):
         """The benchmark's traced runs wrap (module, attribute) pairs by
@@ -118,3 +143,23 @@ class TestPerfbenchPatches:
         missing = [f"{module}.{attr}" for module, attr in sorted(read)
                    if not hasattr(importlib.import_module(module), attr)]
         assert missing == []
+
+    def test_howell_checks_go_through_the_patched_names(self, monkeypatch):
+        """The decide workloads wrap `metlie.primitivity.reduce_pqm` and
+        `metlie.poly.ideal_contains_finite` after import; a decision must
+        call both through those wrappers."""
+        calls = []
+
+        def wrapped(owner, attr):
+            step = getattr(owner, attr)
+
+            def wrapper(*args):
+                calls.append(attr)
+                return step(*args)
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        wrapped(metlie.primitivity, "reduce_pqm")
+        wrapped(metlie.poly, "ideal_contains_finite")
+        verdict = metlie.primitivity.is_primitive([parse("x1 + [[x2,x1],x1]", 2)])
+        assert verdict.primitive is True
+        assert {"reduce_pqm", "ideal_contains_finite"} == set(calls)
