@@ -227,8 +227,8 @@ class FiniteModel:
         return list(itertools.product(range(self.quotient.m), repeat=self.l_count))
 
     @cached_property
-    def parts(self) -> tuple:
-        """The parts of R and the values of `l_digits` there (`_parts`)."""
+    def parts(self) -> list:
+        """The values of `l_digits` at the parts of R (`_parts`)."""
         return _parts(self.quotient, self.l_monomials, self.l_digits)
 
     def elements(self):
@@ -310,49 +310,41 @@ class _PointSpans(dict):
         return size
 
 
-def _parts(quotient: QuotientParams, l_monos: tuple, l_digits: list) -> tuple:
-    """(split, factors, values) for `_image_size`: the parts A_xi of R as
-    (r, xi, e), whether they are the local rings of
-    `QuotientParams.local_factors`, and values[t][f] = the top-left entry
-    with digits l_digits[t] over `l_monos` at xi mod r."""
+def _parts(quotient: QuotientParams, l_monos: tuple, l_digits: list) -> list:
+    """values[t][f] for `_image_size`: the top-left entry with digits
+    l_digits[t] over `l_monos` at the point xi mod r of the f-th part
+    (r, xi, e, local) of `QuotientParams.local_factors`."""
     factors = quotient.local_factors()
-    split = factors is not None
-    if not split:
-        factors = [(quotient.m, *zip(*point))
-                   for point in itertools.product(((0, quotient.p), (1, quotient.q)), repeat=quotient.n)]
     # the carrier's monomials' values at xi mod r
-    at = [[math.prod(map(pow, xi, mu)) % r for mu in l_monos] for r, xi, _ in factors]
-    values = [[sum(map(operator.mul, digits, v)) % r for (r, _, _), v in zip(factors, at)]
-              for digits in l_digits]
-    return split, factors, values
+    at = [[math.prod(map(pow, xi, mu)) % r for mu in l_monos] for r, xi, _, _ in factors]
+    return [[sum(map(operator.mul, digits, v)) % r for (r, *_), v in zip(factors, at)]
+            for digits in l_digits]
 
 
 def _image_size(points: _PointSpans, quotient: QuotientParams, l_monos: tuple,
-                l_digits: list, parts: tuple):
+                l_digits: list, values: list):
     """s -> |Im_s| for top-left tuples s given as indices into `l_digits`,
-    digit vectors over `l_monos` whose `_parts` are `parts`, reading the
+    digit vectors over `l_monos` whose `_parts` are `values`, reading the
     point spans from `points`.
 
     R is the product of rings A_xi over Z/r (CRT, Atiyah-Macdonald ch. 8),
     and Im_s that of the A_xi-modules the columns d_j g(s) span.  A_xi has
     the basis t^nu, nu_i < e_i: x_i = t_i, t_i^e_i = 0 where xi_i = 0, else
-    x_i = xi_i t_i, t_i^e_i = 1.  Where `QuotientParams.local_factors` lists
-    them, each A_xi is local; elsewhere x^p and x^q - 1 = -1 mod x are still
-    comaximal, so r = m and xi runs over {0,1}^n with e_i = p or q, and only
-    A_0, where t is nilpotent, is tested for onto.  A map onto modulo the
-    kernel of x -> xi is onto (Nakayama): the part at xi has r^(k dim A_xi)
-    elements iff the Z/r-span of the Jacobi matrix [d_j g_i] at a = s(xi),
-    kept in `points`, has r^k.  A part of dimension 1 is that span; any other
-    takes the Howell form over Z/r of the rows t^nu * d_j g(s) in A_xi^k,
-    kept per images of s in A_xi.
+    x_i = xi_i t_i, t_i^e_i = 1.  `QuotientParams.local_factors` lists the
+    parts and marks the local ones, and only those are tested for onto: on a
+    local part a map onto modulo the kernel of x -> xi is onto (Nakayama), so
+    the part at xi has r^(k dim A_xi) elements iff the Z/r-span of the
+    Jacobi matrix [d_j g_i] at a = s(xi), kept in `points`, has r^k.  A part
+    of dimension 1 is that span; any other takes the Howell form over Z/r of
+    the rows t^nu * d_j g(s) in A_xi^k, kept per images of s in A_xi.
     """
     gs = points.gs
     n, k = quotient.n, len(gs)
-    split, factors, values = parts
+    factors = quotient.local_factors()
     onto_size = quotient.ring_size ** k
-    moduli = [r for r, _, _ in factors]
-    full = [r ** k if split or not any(xi) else 0 for r, xi, _ in factors]
-    dims = [math.prod(e) for _, _, e in factors]
+    moduli = [r for r, *_ in factors]
+    full = [r ** k if local else 0 for r, _, _, local in factors]
+    dims = [math.prod(e) for _, _, e, _ in factors]
     # A local image is numbered once per ring A_xi, so equal images of
     # different t, or at different xi with equal rings, share a number.
     numbers: dict[tuple, tuple] = {}  # (number, Poly) of each local image, by (ring, its terms)
@@ -361,7 +353,7 @@ def _image_size(points: _PointSpans, quotient: QuotientParams, l_monos: tuple,
 
     def project(f: int, a: Poly) -> dict:
         """The terms of a polynomial in t in A_xi."""
-        r, xi, e = factors[f]
+        r, xi, e, _ = factors[f]
         out = {}
         for mu, c in a.terms.items():
             if all(y < d or x for y, d, x in zip(mu, e, xi)):
@@ -372,7 +364,7 @@ def _image_size(points: _PointSpans, quotient: QuotientParams, l_monos: tuple,
     @cache
     def image(f: int, t: int) -> tuple:
         """The (number, Poly) of the image of the entry l_digits[t] in A_xi."""
-        r, xi, e = factors[f]
+        r, xi, e, _ = factors[f]
         scaled = [Poly.variable(i + 1, n) * (x or 1) for i, x in enumerate(xi)]
         terms = project(f, Poly(n, dict(zip(l_monos, l_digits[t]))).evaluate(scaled, one_n))
         key = (r, e, tuple(map(bool, xi)), tuple(sorted(terms.items())))
@@ -382,7 +374,7 @@ def _image_size(points: _PointSpans, quotient: QuotientParams, l_monos: tuple,
     def shifts(f: int) -> list:
         """For each t^nu, the exponents in c whose coefficients are those of the
         basis t^mu in t^nu * c: mu - nu, taken mod e_i where t_i^e_i = 1."""
-        _, xi, e = factors[f]
+        _, xi, e, _ = factors[f]
         basis = list(itertools.product(*map(range, e)))
         return [[tuple([(y - z) % d if x else y - z for y, z, d, x in zip(mu, nu, e, xi)])
                  for mu in basis] for nu in basis]
@@ -414,14 +406,14 @@ def _image_size(points: _PointSpans, quotient: QuotientParams, l_monos: tuple,
 
 def _onto_at_points(points: _PointSpans, quotient: QuotientParams) -> bool:
     """Whether the top-left map and every top-left tuple's map are onto, on
-    a ring that `QuotientParams.local_factors` splits: whether the Jacobi
-    matrix J(a) has rank k over F_l at every a in F_l^n, for each prime
-    l | m.
+    a ring whose parts in `QuotientParams.local_factors` are all local:
+    whether the Jacobi matrix J(a) has rank k over F_l at every a in F_l^n,
+    for each prime l | m.
 
     By `_image_size`, the map of s is onto iff the Z/r-span of J(s(xi)) has
-    r^k elements at every local factor (r, xi, e), that is iff J(s(xi)) has
+    r^k elements at every part (r, xi, e, local), that is iff J(s(xi)) has
     rank k mod l (Nakayama, Atiyah-Macdonald Cor. 2.7).  Every s(xi) mod l
-    lies in F_l^n, and at xi = (1, .., 1), a point of every split ring, the
+    lies in F_l^n, and at xi = (1, .., 1), a point of every such ring, the
     values s(xi) = (sum of the digits of s_i)_i of either carrier run over
     all of (Z/m)^n.  So the points of F_l^n decide every map, and p and q do
     not enter.  The point 0 decides the top-left map too: J(0) is the linear
@@ -504,10 +496,10 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     wrong fiber therefore lies above an L with W_L != expected, and the
     smallest wrong target is (L, 0) for the smallest such L.
 
-    On a split ring `_onto_at_points` decides whether all those maps are
-    onto, and then every fiber is the expected one; only a census that is
-    not uniform, or one on a ring that does not split, walks the top-left
-    tuples (`_walk`).
+    On a ring whose parts are all local `_onto_at_points` decides whether
+    all those maps are onto, and then every fiber is the expected one; only
+    a census that is not uniform, or one on a ring with a part that is not
+    local, walks the top-left tuples (`_walk`).
     """
     start = time.perf_counter()
     quotient = model.quotient
@@ -517,7 +509,7 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     _charge(quotient.m, model.size_exponent * n, budget)
     expected = model.size ** (n - k)
     points = _PointSpans(gs)
-    if quotient.local_factors() is not None and _onto_at_points(points, quotient):
+    if all(local for *_, local in quotient.local_factors()) and _onto_at_points(points, quotient):
         fiber_min = fiber_max = expected
         witness = None
     else:

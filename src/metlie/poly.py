@@ -336,29 +336,31 @@ class QuotientParams:
                      for row in table for digits in sums]
         return tuple(map(tuple, table))
 
-    def local_factors(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]] | None:
-        """(r, xi, e) for each prime power r = l^a exactly dividing m, in
+    def local_factors(self) -> list[tuple[int, tuple[int, ...], tuple[int, ...], bool]]:
+        """(r, xi, e, local) for each prime power r = l^a exactly dividing m, in
         `prime_power_factors` order, and each point xi of (Z/r)^n, in product
-        order; None unless x^q - 1 splits over every F_l.  With q = l^v * q', l not
-        dividing q', it splits iff q' | l - 1, and then x^q - 1 =
-        prod_a (x^(l^v) - a~) over Z/r (Hensel), a~ = a^(r/l) mod r being the
-        Teichmueller lift of a root a of x^q' - 1 in F_l, so a~^l = a~.  With
-        x^p these factors are pairwise comaximal, each a power of x - a mod l,
-        so R/rR is the product of the local rings A_xi = (Z/r)[X]/(f_i) (CRT):
-        f_i = x_i^e_i, e_i = p, where xi_i = 0, and f_i = x_i^e_i - xi_i,
-        e_i = l^v, where xi_i = a~.  The multiplicities at each coordinate sum
-        to p + q, and x -> xi is a ring map A_xi -> Z/r."""
+        order: R/rR is the product of the rings A_xi = (Z/r)[X]/(f_i) (CRT),
+        f_i = x_i^e_i, e_i = p, where xi_i = 0, and f_i = x_i^e_i - xi_i
+        elsewhere, and x -> xi is a ring map A_xi -> Z/r.  With q = l^v * q',
+        l not dividing q', x^q - 1 splits over F_l iff q' | l - 1, and then
+        x^q - 1 = prod_a (x^(l^v) - a~) over Z/r (Hensel), a~ = a^(r/l) mod r
+        being the Teichmueller lift of a root a of x^q' - 1 in F_l, so
+        a~^l = a~, and e_i = l^v where xi_i = a~.  With x^p these factors are
+        pairwise comaximal, each a power of x - a mod l, so every A_xi is local.
+        Elsewhere x^p and x^q - 1 = -1 mod x are still comaximal: xi_i runs
+        over {0, 1} with e_i = q where xi_i = 1, and only A_0, where x is
+        nilpotent, is local.  The multiplicities at each coordinate sum to p + q."""
         out = []
         for ell, r in prime_power_factors(self.m):
             power = math.gcd(self.q, ell ** self.q.bit_length())  # l^v
             q = self.q // power
-            if (ell - 1) % q:
-                return None
-            roots = [(0, self.p)] + [(pow(a, r // ell, r), power)
-                                     for a in range(1, ell) if pow(a, q, ell) == 1]
+            split = (ell - 1) % q == 0
+            roots = [(0, self.p)] + ([(pow(a, r // ell, r), power)
+                                      for a in range(1, ell) if pow(a, q, ell) == 1]
+                                     if split else [(1, self.q)])
             for point in itertools.product(roots, repeat=self.n):
                 xi, e = zip(*point)
-                out.append((r, xi, e))
+                out.append((r, xi, e, split or not any(xi)))
         return out
 
 

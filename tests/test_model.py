@@ -504,103 +504,97 @@ class TestCensusOracle:
         assert rep.to_json(include_elapsed=False) == _census_oracle(gs, model)
 
 
-class TestCensusGolden:
-    """Reports on the flagship models, byte for byte as the exhaustive tuple
-    enumeration (1024^2 and 4096^2 tuples per system) produced them: for every
-    acceptance-catalog system on (1,1,2,2), and for its one-element systems on
-    the full-ring (1,1,2,2) model.  Each file is a JSON list of
-    {"system", "report"} entries dumped with sort_keys=True, indent=2."""
+def census_flagship_reports(variant: str) -> list:
+    """Reports on a flagship model, as {"system", "report"} entries: every
+    acceptance-catalog system on the linear (1,1,2,2) model, or its
+    one-element systems on the full-ring one."""
+    n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
+    model = FiniteModel(QuotientParams(1, 1, 2, n), variant)
+    return [{"system": texts,
+             "report": uniformity_check([mel(t, n) for t in texts], model).to_json(include_elapsed=False)}
+            for texts, _ in systems if variant == "linear" or len(texts) == 1]
 
-    @pytest.mark.parametrize("variant, name", [
-        ("linear", "flagship_census_golden.json"),
-        ("full", "flagship_full_census_golden.json"),
-    ])
-    def test_reports_match_golden(self, variant, name):
-        n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
-        model = FiniteModel(QuotientParams(1, 1, 2, n), variant)
-        out = []
-        for texts, _ in systems:
-            if variant == "full" and len(texts) != 1:
-                continue
-            rep = uniformity_check([mel(t, n) for t in texts], model)
-            out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
-        assert json.dumps(out, sort_keys=True, indent=2) + "\n" == (DATA / name).read_text()
+
+def census_reports(runs, budget: int) -> list:
+    """The reports of (pqm, n, texts) runs on the linear carrier, as
+    {"system", "report"} entries."""
+    out = []
+    for pqm, n, texts in runs:
+        model = FiniteModel(QuotientParams(*pqm, n))
+        rep = uniformity_check([mel(t, n) for t in texts], model, budget=budget)
+        out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
+    return out
+
+
+def catalog_runs(pqms) -> list:
+    """(pqm, n, texts) for every acceptance-catalog system on each ring."""
+    n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
+    return [(pqm, n, texts) for pqm in pqms for texts, _ in systems]
 
 
 def census_n3_reports() -> list:
     """Reports at n = 3 on the linear carrier of four default models, for a
-    non-primitive and a primitive system, as {"system", "report"} entries."""
-    out = []
-    for text in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]"):
-        for pqm in ((1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 2, 2)):
-            model = FiniteModel(QuotientParams(*pqm, 3))
-            rep = uniformity_check([mel(text, 3)], model, budget=1 << 1000)
-            out.append({"system": [text], "report": rep.to_json(include_elapsed=False)})
-    return out
-
-
-class TestCensusN3Golden:
-    """`census_n3_reports` byte for byte as the census that took a Howell
-    form over the whole ring for every map that is not onto wrote it, dumped
-    with sort_keys=True, indent=2."""
-
-    def test_reports_match_golden(self):
-        text = json.dumps(census_n3_reports(), sort_keys=True, indent=2) + "\n"
-        assert text == (DATA / "census_n3_golden.json").read_text()
+    non-primitive and a primitive system."""
+    return census_reports([(pqm, 3, [text]) for text in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]")
+                           for pqm in ((1, 1, 2), (1, 1, 3), (1, 2, 3), (2, 2, 2))], 1 << 1000)
 
 
 def census_prime_power_reports() -> list:
-    """Reports on the linear carrier of rings whose m is a prime power: the
-    acceptance catalog at n = 2 on five of them, and a non-primitive and a
-    primitive system at n = 3 on (1,1,4), as {"system", "report"} entries."""
-    n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
-    runs = [(pqm, n, texts) for pqm in ((1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 4), (1, 1, 9))
-            for texts, _ in systems]
+    """Reports on rings whose m is a prime power: the acceptance catalog at
+    n = 2 on five of them, and a non-primitive and a primitive system at
+    n = 3 on (1,1,4)."""
+    runs = catalog_runs(((1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 4), (1, 1, 9)))
     runs += [((1, 1, 4), 3, [text]) for text in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]")]
-    out = []
-    for pqm, n, texts in runs:
-        model = FiniteModel(QuotientParams(*pqm, n))
-        rep = uniformity_check([mel(t, n) for t in texts], model, budget=1 << 1000)
-        out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
-    return out
-
-
-class TestCensusPrimePowerGolden:
-    """`census_prime_power_reports` byte for byte as the census that took a
-    Howell form over the whole ring for every map that was not onto on these
-    rings wrote it, dumped with sort_keys=True, indent=2."""
-
-    def test_reports_match_golden(self):
-        text = json.dumps(census_prime_power_reports(), sort_keys=True, indent=2) + "\n"
-        assert text == (DATA / "census_prime_power_golden.json").read_text()
+    return census_reports(runs, 1 << 1000)
 
 
 def census_nonsplit_reports() -> list:
-    """Reports on the linear carrier of rings where x^q - 1 does not split:
-    the acceptance catalog at n = 2 on four of them, and two non-primitive
-    systems and a primitive one at n = 3 on (1,3,2), as {"system", "report"}
-    entries."""
-    n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
-    runs = [(pqm, n, texts) for pqm in ((1, 3, 2), (2, 3, 2), (1, 4, 3), (1, 3, 4))
-            for texts, _ in systems]
+    """Reports on rings of prime-power m where x^q - 1 does not split: the
+    acceptance catalog at n = 2 on four of them, and two non-primitive
+    systems and a primitive one at n = 3 on (1,3,2)."""
+    runs = catalog_runs(((1, 3, 2), (2, 3, 2), (1, 4, 3), (1, 3, 4)))
     runs += [((1, 3, 2), 3, texts.split("; "))
              for texts in ("x1 + [x2,x1]", "x1 + [[x2,x1],x1]", "x1 + [x2,x1]; x3")]
-    out = []
-    for pqm, n, texts in runs:
-        model = FiniteModel(QuotientParams(*pqm, n))
-        rep = uniformity_check([mel(t, n) for t in texts], model, budget=1 << 4000)
-        out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
-    return out
+    return census_reports(runs, 1 << 4000)
 
 
-class TestCensusNonsplitGolden:
-    """`census_nonsplit_reports` byte for byte as the census that took a
-    Howell form over the whole ring for every tuple on these rings wrote it,
-    dumped with sort_keys=True, indent=2."""
+def census_composite_nonsplit_reports() -> list:
+    """Reports on rings of composite m where x^q - 1 splits over one F_l
+    and not over the other: the acceptance catalog at n = 2 on three of them."""
+    return census_reports(catalog_runs(((1, 3, 6), (2, 3, 6), (1, 4, 6))), 1 << 4000)
 
-    def test_reports_match_golden(self):
-        text = json.dumps(census_nonsplit_reports(), sort_keys=True, indent=2) + "\n"
-        assert text == (DATA / "census_nonsplit_golden.json").read_text()
+
+GOLDEN_REPORTS = {
+    "linear": lambda: census_flagship_reports("linear"),
+    "full": lambda: census_flagship_reports("full"),
+    "n3": census_n3_reports,
+    "prime_power": census_prime_power_reports,
+    "nonsplit": census_nonsplit_reports,
+    "composite_nonsplit": census_composite_nonsplit_reports,
+}
+
+
+class TestCensusGolden:
+    """Each report builder's output byte for byte as an earlier census wrote
+    it, dumped with sort_keys=True, indent=2: the flagship reports as the
+    exhaustive tuple enumeration (1024^2 and 4096^2 tuples per system) wrote
+    them; the n = 3 and prime-power reports as the census that took a Howell
+    form over the whole ring for every map that was not onto; the non-split
+    reports as the one that took it for every tuple; and the composite
+    non-split reports as the one that took Howell forms over all of Z/m on
+    the parts x^p and x^q - 1 per coordinate."""
+
+    @pytest.mark.parametrize("reports, name", [
+        ("linear", "flagship_census_golden.json"),
+        ("full", "flagship_full_census_golden.json"),
+        ("n3", "census_n3_golden.json"),
+        ("prime_power", "census_prime_power_golden.json"),
+        ("nonsplit", "census_nonsplit_golden.json"),
+        ("composite_nonsplit", "census_composite_nonsplit_golden.json"),
+    ])
+    def test_reports_match_golden(self, reports, name):
+        text = json.dumps(GOLDEN_REPORTS[reports](), sort_keys=True, indent=2) + "\n"
+        assert text == (DATA / name).read_text()
 
 
 def _drawn_system(seed, n, k):
@@ -762,14 +756,16 @@ class TestResidueOnto:
 
     @pytest.mark.parametrize("model", [
         FiniteModel(QuotientParams(*pqm, 2), variant)
-        for pqm in DEFAULT_QUOTIENT_GRID + ((1, 1, 9), (1, 2, 9)) for variant in ("linear", "full")
+        for pqm in DEFAULT_QUOTIENT_GRID + ((1, 1, 9), (1, 2, 9), (1, 3, 6), (1, 3, 10))
+        for variant in ("linear", "full")
     ], ids=lambda model: "{}-{}{}{}".format(
         model.top_left, model.quotient.p, model.quotient.q, model.quotient.m))
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 2))
     @settings(max_examples=20, deadline=None)
     def test_drawn_systems_match_the_image_span(self, model, seed, k):
-        # One drawn top-left pair per example, on every default model: on
-        # the full carrier l_digits would be too large to list.
+        # One drawn top-left pair per example, on every default model, two
+        # rings over Z/9 and two where x^3 - 1 splits over F_3 and F_5 but
+        # not over F_2: on the full carrier l_digits would be too large to list.
         rng = random.Random(seed)
         gs = _drawn_system(seed, 2, k)
         l_monos = model.l_monomials
@@ -844,7 +840,7 @@ class TestResidueOnto:
         gs = [mel(t) for t in text.split("; ")]
         rep = uniformity_check(gs, model, budget=1 << 600)
         assert not rep.uniform
-        assert {math.prod(e) for _, _, e in model.quotient.local_factors()} == dims
+        assert {math.prod(e) for _, _, e, _ in model.quotient.local_factors()} == dims
         assert set(built) == {len(gs) * dim for dim in dims}
 
     def test_whole_ring_fallback(self, monkeypatch):
@@ -862,7 +858,7 @@ class TestResidueOnto:
 
     def test_not_split_has_no_test(self):
         quotient = QuotientParams(1, 3, 2, 2)
-        assert quotient.local_factors() is None
+        assert not all(local for *_, local in quotient.local_factors())
         l_monos, digits = FiniteModel(quotient).l_monomials, [(1, 0), (0, 0)]
         args = _entries(quotient, l_monos, digits)
         gs = [mel("x1 + [x2,x1]")]
@@ -1047,6 +1043,6 @@ class TestCensusOnDigits:
         # A split ring's points decide a uniform report; its top-left
         # carrier is never listed.
         model = FiniteModel(QuotientParams(*pqmn), variant)
-        assert model.quotient.local_factors() is not None
+        assert all(local for *_, local in model.quotient.local_factors())
         assert uniformity_check([mel("x1 + [[x2,x1],x1]")], model, budget=1 << 1000).uniform
         assert "l_digits" not in vars(model) and "parts" not in vars(model)

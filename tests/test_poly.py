@@ -263,11 +263,10 @@ class TestPrimePowerFactors:
     def test_moduli_of_the_local_factors(self, p, q, m, n):
         got = QuotientParams(p, q, m, n).local_factors()
         factors = list(prime_power_factors(m))
-        if got is None:
+        if not all(local for *_, local in got):
             # Some F_l lacks a q'-th root of unity, q' the part of q prime to l.
             assert any((ell - 1) % (q // math.gcd(q, ell ** q)) for ell, _ in factors)
-        else:
-            assert list(dict.fromkeys(r for r, _, _ in got)) == [r for _, r in factors]
+        assert list(dict.fromkeys(r for r, *_ in got)) == [r for _, r in factors]
 
 
 class TestResiduePoints:
@@ -284,43 +283,46 @@ class TestResiduePoints:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_split(self, p, q, m, roots, n):
         got = QuotientParams(p, q, m, n).local_factors()
-        assert list(dict.fromkeys(r for r, _, _ in got)) == list(roots)
+        assert list(dict.fromkeys(r for r, *_ in got)) == list(roots)
+        assert all(local for *_, local in got)
         for r in roots:
             assert all(a ** p * (a ** q - 1) % r == 0 for a in roots[r])
-            points = [xi for r2, xi, _ in got if r2 == r]
+            points = [xi for r2, xi, *_ in got if r2 == r]
             assert points == list(itertools.product(roots[r], repeat=n))
 
     @pytest.mark.parametrize("p, q, m", [(1, 3, 2), (1, 4, 3), (1, 3, 10)])
     def test_not_split(self, p, q, m):
         # x^3 - 1 has no root but 1 in F_2 and F_5, x^4 - 1 only 1, 2 in F_3.
-        assert QuotientParams(p, q, m, 2).local_factors() is None
+        assert not all(local for *_, local in QuotientParams(p, q, m, 2).local_factors())
 
     def test_split_iff_roots(self):
-        # p, q <= 4, m <= 16, n in {1, 2}: None exactly when x^q' - 1 has
-        # fewer than q' roots in some F_l; otherwise the lifted roots are
-        # roots of unity of order dividing q', fixed by a -> a^(l^v),
-        # distinct mod l, x^p(x^q - 1) = x^p prod (x^(l^v) - a) over Z/r,
-        # and the dimensions of the local rings at each r sum to (p+q)^n.
+        # p, q <= 4, m <= 16, n in {1, 2}: at each r = l^a the dimensions of
+        # the parts sum to (p+q)^n, and exactly the parts at 0 and those over
+        # an l where x^q' - 1 has q' roots in F_l are local.  Where it has
+        # fewer, the parts are x^p and x^q - 1 per coordinate; otherwise the
+        # lifted roots are roots of unity of order dividing q', fixed by
+        # a -> a^(l^v), distinct mod l, and
+        # x^p(x^q - 1) = x^p prod (x^(l^v) - a) over Z/r.
         y = Poly.variable(1, 1)
         outcomes = set()
         for p, q, m, n in itertools.product(range(1, 5), range(1, 5), range(2, 17), (1, 2)):
             got = QuotientParams(p, q, m, n).local_factors()
-            outcomes.add(got is None)
-            split = {}  # q' and l^v by l
-            for ell in prime_powers(m):
-                power = prime_powers(q).get(ell, 1)
-                split[ell] = (q // power, power)
-            if any(sum(pow(a, qq, ell) == 1 for a in range(1, ell)) < qq
-                   for ell, (qq, _) in split.items()):
-                assert got is None, (p, q, m, n)
-                continue
-            assert list(dict.fromkeys(r for r, _, _ in got)) == list(prime_powers(m).values())
+            outcomes.add(all(local for *_, local in got))
+            assert list(dict.fromkeys(r for r, *_ in got)) == list(prime_powers(m).values())
             for ell, r in prime_powers(m).items():
-                qq, power = split[ell]
+                power = prime_powers(q).get(ell, 1)
+                qq = q // power
+                split = sum(pow(a, qq, ell) == 1 for a in range(1, ell)) == qq
+                parts = [(xi, e, local) for r2, xi, e, local in got if r2 == r]
+                assert sum(math.prod(e) for _, e, _ in parts) == (p + q) ** n
+                assert all(local == (split or not any(xi)) for xi, _, local in parts), (p, q, m, n)
+                if not split:
+                    assert [xi for xi, _, _ in parts] == list(itertools.product((0, 1), repeat=n))
+                    assert all(e == tuple(q if x else p for x in xi) for xi, e, _ in parts)
+                    continue
                 coords = {}
-                for r2, xi, e in got:
-                    if r2 == r:
-                        coords.update(zip(xi, e))
+                for xi, e, _ in parts:
+                    coords.update(zip(xi, e))
                 roots = [a for a in coords if a]
                 assert len(roots) == qq and coords[0] == p
                 assert all(pow(a, qq, r) == 1 and pow(a, power, r) == a and coords[a] == power
@@ -329,7 +331,6 @@ class TestResiduePoints:
                 f = math.prod((y ** power - Poly.constant(a, 1) for a in roots), start=y ** p)
                 g = y ** p * (y ** q - Poly.one(1))
                 assert all(c % r == 0 for c in (f - g).terms.values()), (p, q, m)
-                assert sum(math.prod(e) for r2, _, e in got if r2 == r) == (p + q) ** n
         assert outcomes == {True, False}
 
 
@@ -352,7 +353,7 @@ class TestLocalFactors:
         params = QuotientParams(p, q, m, n)
         got = params.local_factors()
         for ell, r in prime_powers(m).items():
-            factors = [(xi, e) for r2, xi, e in got if r2 == r]
+            factors = [(xi, e) for r2, xi, e, _ in got if r2 == r]
             for i in range(n):
                 mult = {}
                 for xi, e in factors:
@@ -369,7 +370,7 @@ class TestLocalFactors:
     ])
     def test_multiplicities(self, p, q, m, mult):
         got = QuotientParams(p, q, m, 2).local_factors()
-        assert got == [(m, xi, tuple(mult[a] for a in xi))
+        assert got == [(m, xi, tuple(mult[a] for a in xi), True)
                        for xi in itertools.product(sorted(mult), repeat=2)]
 
     def test_square_factor_keeps_its_points(self):
@@ -377,12 +378,14 @@ class TestLocalFactors:
         # x(x^2 - 1) has the local factor x^2 - 1 at 1 (3 is a root mod 4 too).
         # Over Z/9 the roots 1, 2 of x^2 - 1 mod 3 lift to 1 and 2^3 = 8.
         assert QuotientParams(1, 1, 4, 2).local_factors() == [
-            (4, xi, (1, 1)) for xi in itertools.product([0, 1], repeat=2)]
-        assert QuotientParams(1, 2, 4, 1).local_factors() == [(4, (0,), (1,)), (4, (1,), (2,))]
+            (4, xi, (1, 1), True) for xi in itertools.product([0, 1], repeat=2)]
+        assert QuotientParams(1, 2, 4, 1).local_factors() == [
+            (4, (0,), (1,), True), (4, (1,), (2,), True)]
         assert QuotientParams(1, 2, 12, 1).local_factors() == [
-            (4, (0,), (1,)), (4, (1,), (2,)), (3, (0,), (1,)), (3, (1,), (1,)), (3, (2,), (1,))]
+            (4, (0,), (1,), True), (4, (1,), (2,), True),
+            (3, (0,), (1,), True), (3, (1,), (1,), True), (3, (2,), (1,), True)]
         assert QuotientParams(2, 2, 9, 1).local_factors() == [
-            (9, (0,), (2,)), (9, (1,), (1,)), (9, (8,), (1,))]
+            (9, (0,), (2,), True), (9, (1,), (1,), True), (9, (8,), (1,), True)]
 
 
 class TestReducePqm:
