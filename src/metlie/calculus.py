@@ -19,6 +19,11 @@ from metlie.ring import MElement
 # up to 12 generators fits.
 MAX_MINORS = 1 << 10
 
+# Most work one polynomial determinant may take: an entry update counts one
+# unit and an exact division its dividend's times its divisor's term count,
+# as `divexact` is quadratic in them.  Integer updates cost far less: uncharged.
+MAX_DET_WORK = 1 << 19
+
 
 @dataclass(frozen=True)
 class PolyMatrix:
@@ -34,9 +39,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
-
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
 
 
 def jacobi_matrix(gs: list[MElement]) -> PolyMatrix:
@@ -94,11 +96,15 @@ def _det_bareiss(rows: list[list]):
     """Determinant by fraction-free Bareiss elimination (Bareiss, 1968).
 
     The entries are all ints or all polynomials; each step divides by the
-    previous pivot, and that division is always exact.
+    previous pivot, and that division is always exact.  Polynomial work past
+    MAX_DET_WORK raises ResourceLimitError, checked before the first step
+    from the order alone and again before each exact division.
     """
     size = len(rows)
     m = [list(row) for row in rows]
-    div = divexact if isinstance(m[0][0], Poly) else operator.floordiv
+    poly = isinstance(m[0][0], Poly)
+    div = divexact if poly else operator.floordiv
+    work = _charge_det(0, (size - 1) * size * (2 * size - 1) // 6 if poly else 0)
     sign = 1
     prev = None
     for k in range(size - 1):
@@ -111,10 +117,20 @@ def _det_bareiss(rows: list[list]):
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 v = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                if poly and prev is not None:
+                    work = _charge_det(work, len(v.terms) * len(prev.terms))
                 m[i][j] = v if prev is None else div(v, prev)
         prev = m[k][k]
     result = m[size - 1][size - 1]
     return result if sign == 1 else -result
+
+
+def _charge_det(work: int, units: int) -> int:
+    """`work + units`, or ResourceLimitError when that passes MAX_DET_WORK."""
+    work += units
+    if work > MAX_DET_WORK:
+        raise ResourceLimitError(f"determinant work exceeds the cap {MAX_DET_WORK}")
+    return work
 
 
 def det(A: PolyMatrix) -> Poly:

@@ -198,8 +198,8 @@ def cmd_derive(args, cfg: Config) -> int:
             "derivatives": [str(d) for d in g.deriv],
         }
         results.append(entry)
-        lines.append(str(g))
-        for i, d in enumerate(g.deriv, start=1):
+        lines.append(entry["normal"])
+        for i, d in enumerate(entry["derivatives"], start=1):
             lines.append(f"  d{i}: {d}")
     _emit({"results": results}, cfg, lines)
     return EXIT_OK

@@ -15,7 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 DEFAULT_MAX_RING_SIZE = 1 << 20
 
@@ -34,19 +34,12 @@ def grevlex_key(mono: tuple[int, ...]) -> tuple:
     return (sum(mono), tuple(-e for e in mono))
 
 
-def format_terms(terms: Mapping[tuple[int, ...], int]) -> str:
-    """Render a term map as text: descending graded-lex, '*' products, '^' powers."""
-    if not terms:
-        return "0"
+def format_sum(terms: Iterable[tuple[str, int]]) -> str:
+    """Text of the signed sum of (body, nonzero coefficient) terms in order,
+    for polynomials and Lie ring elements alike: the body alone for +-1, the
+    magnitude alone for an empty body, |c|*body otherwise; '0' for no terms."""
     chunks: list[str] = []
-    for mono in sorted(terms, key=grlex_key, reverse=True):
-        coeff = terms[mono]
-        factors = [
-            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-            for i, e in enumerate(mono)
-            if e
-        ]
-        body = "*".join(factors)
+    for body, coeff in terms:
         mag = abs(coeff)
         if not body:
             text = str(mag)
@@ -58,7 +51,20 @@ def format_terms(terms: Mapping[tuple[int, ...], int]) -> str:
             chunks.append(text if coeff > 0 else f"-{text}")
         else:
             chunks.append(f" + {text}" if coeff > 0 else f" - {text}")
-    return "".join(chunks)
+    return "".join(chunks) or "0"
+
+
+def format_terms(terms: Mapping[tuple[int, ...], int]) -> str:
+    """Render a term map as text: descending graded-lex, '*' products, '^' powers."""
+    ordered = []
+    for mono in sorted(terms, key=grlex_key, reverse=True):
+        factors = [
+            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+            for i, e in enumerate(mono)
+            if e
+        ]
+        ordered.append(("*".join(factors), terms[mono]))
+    return format_sum(ordered)
 
 
 class Poly:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from metlie.poly import Poly
+from metlie.poly import Poly, format_sum
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,6 @@ class BasisTerm:
 
     coeff: int
     word: tuple[int, ...]
-
-    def __str__(self) -> str:
-        body = format_word(self.word)
-        if self.coeff == 1:
-            return body
-        if self.coeff == -1:
-            return f"-{body}"
-        return f"{self.coeff}*{body}"
 
 
 def format_word(word: tuple[int, ...]) -> str:
@@ -173,26 +165,11 @@ class MElement:
 
     def __str__(self) -> str:
         terms, linear = to_basis(self)
-        chunks: list[str] = []
-        for i, c in enumerate(linear):
-            if not c:
-                continue
-            body = f"x{i + 1}" if abs(c) == 1 else f"{abs(c)}*x{i + 1}"
-            _append_signed(chunks, body, c > 0)
-        for t in terms:
-            body = format_word(t.word) if abs(t.coeff) == 1 else f"{abs(t.coeff)}*{format_word(t.word)}"
-            _append_signed(chunks, body, t.coeff > 0)
-        return "".join(chunks) if chunks else "0"
+        return format_sum([(f"x{i + 1}", c) for i, c in enumerate(linear) if c]
+                          + [(format_word(t.word), t.coeff) for t in terms])
 
     def __repr__(self) -> str:
         return f"MElement({self!s})"
-
-
-def _append_signed(chunks: list[str], body: str, positive: bool) -> None:
-    if not chunks:
-        chunks.append(body if positive else f"-{body}")
-    else:
-        chunks.append(f" + {body}" if positive else f" - {body}")
 
 
 def _linear_factors(lin, scale: int = 1) -> list:

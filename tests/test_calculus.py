@@ -7,6 +7,7 @@ import pytest
 
 from helpers import constant_term, identity_matrix, random_melement, random_poly
 from metlie.calculus import (
+    MAX_DET_WORK,
     PolyMatrix,
     _det_bareiss,
     det,
@@ -18,7 +19,7 @@ from metlie.calculus import (
     sigma,
 )
 from metlie.expr import parse
-from metlie.poly import Poly
+from metlie.poly import Poly, ResourceLimitError
 from metlie.ring import MElement, endo_apply
 
 
@@ -183,6 +184,17 @@ class TestDetAndMinors:
                 A = matmul(A, _elementary(rng, n))
             d = det(A)
             assert d == Poly.one(n) or d == -Poly.one(n)
+
+    def test_work_cap_charges_polynomial_entries_only(self):
+        # Order 120 updates 568,820 entries, past MAX_DET_WORK: refused on
+        # polynomials before any step, computed on integers.
+        size = 120
+        assert (size - 1) * size * (2 * size - 1) // 6 > MAX_DET_WORK
+        ints = [[2 * (i == j) for j in range(size)] for i in range(size)]
+        assert _det_bareiss(ints) == 2 ** size
+        polys = [[Poly.constant(c, 2) for c in row] for row in ints]
+        with pytest.raises(ResourceLimitError, match=f"exceeds the cap {MAX_DET_WORK}"):
+            _det_bareiss(polys)
 
 
 def _leibniz_det(rows, zero):

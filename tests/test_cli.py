@@ -1,5 +1,6 @@
 """Tests for the command-line interface: output formats and exit codes."""
 
+import ast
 import json
 import os
 import resource
@@ -16,6 +17,7 @@ from metlie import calculus, cli
 from metlie.calculus import MAX_MINORS
 from metlie.cli import main, parse_catalog, CatalogError
 from metlie.expr import MAX_GENERATORS, LieParseError, parse
+from metlie.primitivity import PrimitivityVerdict
 
 
 DATA = Path(__file__).parent / "data"
@@ -322,6 +324,32 @@ class TestHugeModels:
         assert "exceeds the budget" in err
 
 
+def cyclic_system(n: int) -> list[str]:
+    """x_i + [x_(i+1),x_i], indices mod n: its Bareiss dividends triple in
+    size with each elimination step."""
+    return [f"x{i} + [x{i % n + 1},x{i}]" for i in range(1, n + 1)]
+
+
+class TestDeterminantCap:
+    @pytest.mark.parametrize("argv", [
+        ("--n", "12", "auto", *cyclic_system(12)),
+        ("--n", "12", "primitive", *cyclic_system(12)),
+        ("--n", "300", "auto", *(f"x{i}" for i in range(1, 301))),
+    ])
+    def test_past_the_cap_exit_3(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 10.0
+        assert code == 3
+        assert out == ""
+        assert err == f"inconclusive: determinant work exceeds the cap {calculus.MAX_DET_WORK}\n"
+
+    def test_under_the_cap_decides(self, capsys):
+        code, out, _ = run(capsys, "--n", "8", "auto", *cyclic_system(8))
+        assert code == 1
+        assert out.startswith("automorphism: False (det = -x2*x3*x4*x5*x6*x7*x8 - ")
+
+
 class TestCatalog:
     def test_parse_catalog(self):
         n, systems = parse_catalog(
@@ -410,6 +438,60 @@ class TestConsistency:
                            "consistency", catalog)
         assert code == 0
         assert out == (DATA / "consistency_whole_grid_golden.json").read_text()
+
+    # The rules of `run_consistency`, one case each.  x1 + 6*[x2,x1] has
+    # derivatives (1 - 6*x2, 6*x1): non-primitive, with points only over
+    # fields of characteristic prime to 6, which the grid below lacks.
+    GAP = "x1 + 6*[x2,x1] @ non-primitive"
+
+    def test_uniform_on_whole_grid_contradicts_non_primitive(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(f"n=2\n{self.GAP}\n")
+        code, out, _ = run(capsys, "--grid", "1,1,2;1,1,3", "--abelian", "2,3",
+                           "--budget", str(10 ** 42), "consistency", str(catalog))
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "CONTRADICTION: system 0 (x1 + 6*[x2,x1]): non-primitive but uniform on the whole grid",
+            "INCONSISTENT",
+        ]
+
+    def test_skipped_entries_downgrade_a_missing_witness(self, tmp_path, capsys):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(f"n=2\n{self.GAP}\n")
+        code, out, _ = run(capsys, "consistency", str(catalog))
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"WARNING: system 0 (x1 + 6*[x2,x1]): {cli.WITNESS_NOT_FOUND}",
+            "consistent",
+        ]
+
+    @pytest.mark.parametrize("label, code", [("", 0), (" @ primitive", 1)])
+    def test_inconclusive_verdict_warns(self, tmp_path, capsys, label, code):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(f"n=2\nx1 + [[x2,x1],x1]{label}\n")
+        got, out, _ = run(capsys, "--groebner-max-basis", "1", "consistency", str(catalog))
+        assert got == code
+        lines = out.splitlines()
+        assert ("WARNING: system 0 (x1 + [[x2,x1],x1]): "
+                "primitivity decision inconclusive under resource caps") in lines
+        mismatch = "CONTRADICTION: system 0 (x1 + [[x2,x1],x1]): expected primitive, got inconclusive"
+        assert (mismatch in lines) == bool(code)
+        assert lines[-1] == ("INCONSISTENT" if code else "consistent")
+
+    def test_primitive_but_not_uniform(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "is_primitive",
+                            lambda gs, **caps: PrimitivityVerdict(True, "groebner"))
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text("n=2\nx1 + [x2,x1]\n")
+        code, out, _ = run(capsys, "--budget", str(10 ** 37), "--json",
+                           "consistency", str(catalog))
+        assert code == 1
+        payload = json.loads(out)
+        models = [r["model"] for r in payload["systems"][0]["uniformity"] if not r["uniform"]]
+        assert len(models) == 8
+        prefix = "system 0 (x1 + [x2,x1]): primitive but not uniform on "
+        assert all(c.startswith(prefix) for c in payload["contradictions"])
+        assert [ast.literal_eval(c[len(prefix):]) for c in payload["contradictions"]] == models
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers()

@@ -624,3 +624,15 @@ class TestPrinting:
     def test_zero(self):
         assert format_terms({}) == "0"
         assert str(Poly.zero(2)) == "0"
+
+    @pytest.mark.parametrize("terms, printed", [
+        ({(1, 0): -1, (0, 0): 1}, "-x1 + 1"),
+        ({(0, 0): -7}, "-7"),
+        ({(0, 0): 1}, "1"),
+        ({(0, 0): -1, (0, 1): 1}, "x2 - 1"),
+        ({(2, 1): -1, (0, 1): 2, (1, 0): 1, (0, 0): -7}, "-x1^2*x2 + 2*x2 + x1 - 7"),
+        ({(1, 1): 3, (0, 2): -4}, "-4*x2^2 + 3*x1*x2"),
+    ])
+    def test_sign_rule(self, terms, printed):
+        assert format_terms(terms) == printed
+        assert str(Poly(2, terms)) == printed

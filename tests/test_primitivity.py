@@ -1031,3 +1031,27 @@ def test_corpus_verdicts_byte_identical():
     tests/data/corpus_verdicts.sha256."""
     expected = (DATA / "corpus_verdicts.sha256").read_text().split()[0]
     assert corpus_verdicts_digest() == expected
+
+
+def corpus_printed_digest() -> str:
+    """sha256 of the printed forms over the decide_n2 and decide_n3 corpora:
+    for every image, one JSON line listing str(g) and each str(d_j g) of its
+    elements, then str() of each of its Jacobi minors, in corpus order."""
+    inputs = _perfbench_inputs()
+    _, systems = inputs.read_catalog()
+    digest = hashlib.sha256()
+    for name in ("decide_n2", "decide_n3"):
+        spec = inputs.SPECS[name]
+        for texts, _ in inputs.corpus(spec, systems):
+            gs = [mel(t, spec.n) for t in texts]
+            printed = [str(x) for g in gs for x in (g, *g.deriv)]
+            printed += [str(m) for m in minors(jacobi_matrix(gs), len(gs))]
+            digest.update(json.dumps(printed).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_corpus_printed_byte_identical():
+    """Every element, derivative and minor of the 1,200 corpus images prints
+    as in tests/data/corpus_printed.sha256."""
+    expected = (DATA / "corpus_printed.sha256").read_text().split()[0]
+    assert corpus_printed_digest() == expected

@@ -221,6 +221,29 @@ class TestBasisConversion:
             from_basis([BasisTerm(1, (2, 1, 3, 2))], [0, 0, 0])
 
 
+class TestPrinting:
+    """The edges of the sign rule on elements: the body alone for +-1,
+    |c|*body otherwise, '-' before a negative first term."""
+
+    @pytest.mark.parametrize("text, printed", [
+        ("-x1 + x2", "-x1 + x2"),
+        ("2*x1 - 3*x2 - [x2,x1] + 5*[[x2,x1],x1] - 4*[[x2,x1],x2]",
+         "2*x1 - 3*x2 - [x2,x1] + 5*[[x2,x1],x1] - 4*[[x2,x1],x2]"),
+        ("-x2 + x1", "x1 - x2"),
+        ("-[x2,x1]", "-[x2,x1]"),
+        ("[x1,x2]", "-[x2,x1]"),
+        ("-7*[x2,x1] + x1", "x1 - 7*[x2,x1]"),
+        ("-3*x2 + [[x2,x1],x2]", "-3*x2 + [[x2,x1],x2]"),
+        ("x1 - x1", "0"),
+    ])
+    def test_sign_rule(self, text, printed):
+        assert str(mel(text)) == printed
+
+    def test_zero_element(self):
+        assert str(MElement.zero(3)) == "0"
+        assert repr(MElement.zero(1)) == "MElement(0)"
+
+
 class TestEndoApply:
     def test_identity_images(self):
         images = [MElement.generator(i, 2) for i in (1, 2)]
