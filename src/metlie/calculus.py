@@ -21,7 +21,8 @@ MAX_MINORS = 1 << 10
 
 # Most work one polynomial determinant may take: an entry update counts one
 # unit and an exact division its dividend's times its divisor's term count,
-# as `divexact` is quadratic in them.  Integer updates cost far less: uncharged.
+# though `divexact` takes its quotient's times its divisor's.  Integer updates
+# cost far less: uncharged.
 MAX_DET_WORK = 1 << 19
 
 
@@ -98,9 +99,12 @@ def _det_bareiss(rows: list[list]):
     The entries are all ints or all polynomials; each step divides by the
     previous pivot, and that division is always exact.  Polynomial work past
     MAX_DET_WORK raises ResourceLimitError, checked before the first step
-    from the order alone and again before each exact division.
+    from the order alone and again before each exact division.  Order 1
+    returns the entry itself.
     """
     size = len(rows)
+    if size == 1:
+        return rows[0][0]
     m = [list(row) for row in rows]
     poly = isinstance(m[0][0], Poly)
     div = divexact if poly else operator.floordiv
@@ -144,14 +148,15 @@ def minors(A: PolyMatrix, k: int) -> list[Poly]:
     """All k x k minor determinants, ordered by (row tuple, column tuple)."""
     if not 1 <= k <= min(A.rows, A.cols):
         raise ValueError(f"minor order {k} out of range 1..{min(A.rows, A.cols)}")
-    out = []
-    for row_idx, col_idx in minor_positions(A.rows, A.cols, k):
-        sub = PolyMatrix(
-            k, k,
-            tuple(tuple(A.entries[r][c] for c in col_idx) for r in row_idx),
-        )
-        out.append(det(sub))
-    return out
+    return list(_minor_dets(A.entries, k))
+
+
+def _minor_dets(rows, k: int):
+    """The determinant of each k x k submatrix of the equal-length `rows`
+    that `minor_positions` selects, in its order: the one minor kernel of
+    `minors` and of the abelian gcd."""
+    positions = minor_positions(len(rows), len(rows[0]), k)
+    return (_det_bareiss([[rows[r][c] for c in cols] for r in idx]) for idx, cols in positions)
 
 
 def minor_positions(rows: int, cols: int, k: int):

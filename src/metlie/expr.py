@@ -19,6 +19,7 @@ at most MAX_GENERATORS generators.  Error positions count characters; only
 
 from __future__ import annotations
 
+import functools
 import re
 
 from metlie.poly import Poly
@@ -53,6 +54,13 @@ _TOKEN = re.compile(rf"\s*(x\d+|\d+|[{re.escape(_SYMBOLS)}]|\Z)")
 _INVALID = re.compile(rf"x(?!\d)|[^\sx\d{re.escape(_SYMBOLS)}]")
 
 
+@functools.lru_cache(maxsize=16)
+def _generator_table(n: int) -> dict[str, int]:
+    """Index into the linear part of each canonical token "x1".."xn", which
+    `term` and `factor` look up first; other spellings take the checked path."""
+    return {f"x{i}": i - 1 for i in range(1, n + 1)}
+
+
 def _error(message: str, text: str, at: int) -> LieParseError:
     """The error for `message` at offset `at` of `text`; only "\n" starts a line."""
     return LieParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
@@ -85,6 +93,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.n = n
+        self.generators = _generator_table(n)
 
     def error(self, message: str, i: int) -> LieParseError:
         """The error for `message` at token `i`."""
@@ -117,6 +126,10 @@ class _Parser:
 
     def term(self, i: int, depth: int, c: int, lin: list, rest: list) -> int:
         tok = self.tokens[i]
+        index = self.generators.get(tok)
+        if index is not None:
+            lin[index] += c
+            return i + 1
         if not tok.isdecimal():
             return self.factor(i, depth, c, lin, rest)
         value = self.integer(tok, "integer literal", i)
@@ -128,6 +141,10 @@ class _Parser:
 
     def factor(self, i: int, depth: int, c: int, lin: list, rest: list) -> int:
         tok = self.tokens[i]
+        index = self.generators.get(tok)
+        if index is not None:
+            lin[index] += c
+            return i + 1
         if tok[:1] == "x":
             index = self.integer(tok[1:], "generator index", i)
             if not 1 <= index <= self.n:

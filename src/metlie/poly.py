@@ -11,6 +11,7 @@ vector over the (p+q)^n canonical monomials.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 import operator
@@ -245,22 +246,43 @@ class Poly:
 
 
 def divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division in Z[X]; raises ValueError when b does not divide a."""
+    """Exact division in Z[X]; raises ValueError when b does not divide a.
+
+    One remainder dict is updated in place, and its grevlex-leading monomial
+    comes from a heap keyed (-degree, mono) whose stale entries are skipped
+    when popped, as in `primitivity._reduce_row`; each quotient term costs
+    b's term count.
+    """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     a._require_same_ring(b)
     lm_b, lc_b = b.leading()
     quotient: dict[tuple[int, ...], int] = {}
-    rest = a
-    while rest:
-        lm_r, lc_r = rest.leading()
+    rest = dict(a.terms)
+    heap = [(-sum(m), m) for m in rest]
+    heapq.heapify(heap)
+    while heap:
+        lm_r = heapq.heappop(heap)[1]
+        lc_r = rest.pop(lm_r, 0)
+        if not lc_r:
+            continue
         mono = tuple(r - s for r, s in zip(lm_r, lm_b))
         if any(e < 0 for e in mono) or lc_r % lc_b:
             raise ValueError("not an exact polynomial division")
         c = lc_r // lc_b
         quotient[mono] = c
-        rest = rest - b.mul_term(c, mono)
-    return Poly(a.n, quotient)
+        for m, cb in b.terms.items():
+            if m == lm_b:
+                continue
+            m = tuple(map(operator.add, m, mono))
+            s = rest.get(m, 0) - c * cb
+            if s:
+                if m not in rest:
+                    heapq.heappush(heap, (-sum(m), m))
+                rest[m] = s
+            elif m in rest:
+                del rest[m]
+    return Poly._raw(a.n, quotient)
 
 
 def prime_power_factors(m: int) -> Iterator[tuple[int, int]]:

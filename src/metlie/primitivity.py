@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import metlie.poly
-from metlie.calculus import _det_bareiss, det, jacobi_matrix, minor_positions, minors
+from metlie.calculus import _minor_dets, det, jacobi_matrix, minors
 from metlie.poly import (
     Poly,
     QPoly,
@@ -485,11 +485,9 @@ def _abelian_minor_gcd(rows: list) -> int:
     """gcd of the k x k minors of a system's linear parts, k x n integer rows
     of a shape that `ring.check_shape` has passed: the one abelian step of
     `abelian_primitive` and `is_primitive`."""
-    k = len(rows)
     g = 0
-    for _, cols in minor_positions(k, len(rows[0]), k):
-        sub = [[rows[i][c] for c in cols] for i in range(k)]
-        g = math.gcd(g, _det_bareiss(sub))
+    for d in _minor_dets(rows, len(rows)):
+        g = math.gcd(g, d)
         if g == 1:
             return 1
     return g

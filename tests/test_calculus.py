@@ -1,9 +1,12 @@
 """Tests for Jacobi matrices, substitutions, minors and determinants."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import constant_term, identity_matrix, random_melement, random_poly
 from metlie.calculus import (
@@ -20,6 +23,7 @@ from metlie.calculus import (
 )
 from metlie.expr import parse
 from metlie.poly import Poly, ResourceLimitError
+from metlie.primitivity import _abelian_minor_gcd
 from metlie.ring import MElement, endo_apply
 
 
@@ -195,6 +199,54 @@ class TestDetAndMinors:
         polys = [[Poly.constant(c, 2) for c in row] for row in ints]
         with pytest.raises(ResourceLimitError, match=f"exceeds the cap {MAX_DET_WORK}"):
             _det_bareiss(polys)
+
+
+# Sparse entries, so that zero pivots force row swaps.
+_entries = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           st.integers(-3, 3), max_size=3).map(lambda d: Poly(2, d))
+
+
+def _matrices(entries):
+    """(rows, cols, grid) with 1 <= cols <= min(rows, 3) and rows <= 4."""
+    return st.integers(1, 4).flatmap(lambda r: st.integers(1, min(r, 3)).flatmap(
+        lambda c: st.tuples(st.just(r), st.just(c), st.lists(
+            st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))))
+
+
+def _submatrices(grid, rows, cols, k):
+    """Each k x k submatrix, row tuples outer, column tuples inner."""
+    for idx, cols_idx in itertools.product(itertools.combinations(range(rows), k),
+                                           itertools.combinations(range(cols), k)):
+        yield [[grid[r][c] for c in cols_idx] for r in idx]
+
+
+class TestMinorKernel:
+    """`minors` and the abelian gcd share one determinant kernel and no longer
+    pass through `det`; the Leibniz sum is their independent oracle."""
+
+    @given(_matrices(_entries))
+    @settings(max_examples=150, deadline=None)
+    def test_minors_match_leibniz(self, case):
+        rows, cols, grid = case
+        A = PolyMatrix(rows, cols, tuple(map(tuple, grid)))
+        for k in range(1, cols + 1):
+            assert minors(A, k) == [_leibniz_det(sub, Poly.zero(2))
+                                    for sub in _submatrices(grid, rows, cols, k)]
+
+    @given(_matrices(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 6])))
+    @settings(max_examples=150, deadline=None)
+    def test_abelian_gcd_matches_leibniz(self, case):
+        # The k x n rows of a system's linear parts: the transposed grid.
+        rows, cols, grid = case
+        lin = [list(col) for col in zip(*grid)]
+        dets = [_leibniz_det(sub, 0) for sub in _submatrices(lin, cols, rows, cols)]
+        assert _abelian_minor_gcd(lin) == math.gcd(*dets)
+
+    def test_order_one_returns_the_entry(self):
+        big = 10 ** 30 + 7
+        entry = Poly(2, {(1, 1): 5, (0, 0): -2})
+        assert _det_bareiss([[big]]) is big
+        assert _det_bareiss([[entry]]) is entry
 
 
 def _leibniz_det(rows, zero):

@@ -110,6 +110,31 @@ class TestParse:
         assert parse("x١", 2) == x1
         assert parse("٢*x2", 2) == 2 * x2
 
+    LONG_INDEX = "1" * 5000
+
+    # Generator tokens other than the canonical x1..xn at n = 2: the element,
+    # or the error text and its position, alone and at line 2, column 3.
+    @pytest.mark.parametrize("token, element, message", [
+        ("x01", MElement.generator(1, 2), None),
+        ("x0", None, "generator index 0 out of range 1..2"),
+        ("x3", None, "generator index 3 out of range 1..2"),
+        ("x١", MElement.generator(1, 2), None),
+        ("2x1", None, "bare integer 2 is not a Lie element (only 0 is allowed)"),
+        ("x" + LONG_INDEX, None,
+         "generator index of 5000 digits is too long" if 0 < DIGIT_LIMIT < 5000
+         else f"generator index {LONG_INDEX} out of range 1..2"),
+    ], ids=["x01", "x0", "x3", "arabic-indic-one", "2x1", "5000-digit"])
+    def test_generator_token_boundaries(self, token, element, message):
+        for text, position in ((token, (1, 1)), (f"[x2,\n  {token}]", (2, 3))):
+            if element is not None:
+                x2 = MElement.generator(2, 2)
+                assert parse(text, 2) == (element if text == token else x2.bracket(element))
+                continue
+            with pytest.raises(LieParseError) as err:
+                parse(text, 2)
+            assert str(err.value) == f"{message} (line {position[0]}, column {position[1]})"
+            assert (err.value.line, err.value.col) == position
+
 
 def _nodes():
     """One fresh node of each type."""

@@ -615,6 +615,33 @@ class TestDivexact:
         with pytest.raises(ValueError):
             divexact(x(1), Poly.constant(2, 2))
 
+    def test_exact_quotient_by_several_terms(self):
+        rng = random.Random(31)
+        divisors = 0
+        for _ in range(200):
+            a = random_poly(rng, 3, max_degree=3, max_terms=6)
+            b = random_poly(rng, 3, max_degree=3, max_terms=6)
+            if len(b.terms) < 2:
+                continue
+            divisors += 1
+            assert divexact(a * b, b) == a
+        assert divisors > 100
+
+    def test_non_divisible_term_partway(self):
+        # x3^5 is not the leading term of the dividend, so the division takes
+        # quotient terms before it meets x3^5, which no term of b divides.
+        a = x(1, 3) ** 2 * x(2, 3) ** 2 + x(2, 3) * x(3, 3) - Poly.constant(3, 3)
+        b = x(1, 3) ** 2 + x(1, 3) * x(3, 3) - 2 * x(2, 3) + Poly.one(3)
+        dividend = a * b + x(3, 3) ** 5
+        assert dividend.leading() == ((3, 2, 1), 1)
+        with pytest.raises(ValueError, match="not an exact polynomial division"):
+            divexact(dividend, b)
+
+    def test_leading_coefficients_do_not_divide(self):
+        b = 2 * x(1, 3) + x(2, 3)
+        with pytest.raises(ValueError, match="not an exact polynomial division"):
+            divexact(3 * x(1, 3) * x(3, 3) + x(2, 3), b)
+
 
 class TestPrinting:
     def test_graded_lex_order(self):
