@@ -26,7 +26,6 @@ from metlie.ring import (
     to_basis,
 )
 from metlie.calculus import (
-    PolyMatrix,
     det,
     jacobi_matrix,
     jacobi_substituted,

@@ -1,7 +1,8 @@
 """Jacobi matrices of element systems, minors and exact determinants.
 
 The Jacobi matrix of (g_1, .., g_k) over n generators is the n x k matrix
-whose column j holds the derivative vector of g_j.  Determinants are exact
+whose column j holds the derivative vector of g_j; a matrix is the tuple of
+its rows, every row of one positive length.  Determinants are exact
 over Z[X] by fraction-free Bareiss elimination with exact division.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from metlie.poly import Poly, ResourceLimitError, divexact
 from metlie.ring import MElement
@@ -26,23 +26,14 @@ MAX_MINORS = 1 << 10
 MAX_DET_WORK = 1 << 19
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[Poly, ...], ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match the declared shape")
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i][j]
+def _shape(A) -> tuple[int, int]:
+    """(rows, cols) of the matrix A, a tuple of rows of one positive length."""
+    if not A or not A[0] or any(len(row) != len(A[0]) for row in A):
+        raise ValueError("a matrix must be rows of one positive length")
+    return len(A), len(A[0])
 
 
-def jacobi_matrix(gs: list[MElement]) -> PolyMatrix:
+def jacobi_matrix(gs: list[MElement]) -> tuple:
     """Column j holds the derivative vector of gs[j]."""
     if not gs:
         raise ValueError("empty system of elements")
@@ -50,18 +41,17 @@ def jacobi_matrix(gs: list[MElement]) -> PolyMatrix:
     for g in gs:
         if g.n != n:
             raise ValueError("mismatched generator counts in the system")
-    entries = tuple(tuple(g.deriv[i] for g in gs) for i in range(n))
-    return PolyMatrix(n, len(gs), entries)
+    return tuple(tuple(g.deriv[i] for g in gs) for i in range(n))
 
 
-def jacobi_substituted(gs: list[MElement], fs) -> PolyMatrix:
+def jacobi_substituted(gs: list[MElement], fs) -> tuple:
     """Jacobi matrix of gs with the linear parts of fs substituted for x1..xn.
 
     Each f may be an element (its linear part is used) or a polynomial
     substituted as-is.
     """
     base = jacobi_matrix(gs)
-    n = base.rows
+    n = len(base)
     if len(fs) != n:
         raise ValueError(f"expected {n} substitutions, got {len(fs)}")
     images = []
@@ -73,23 +63,22 @@ def jacobi_substituted(gs: list[MElement], fs) -> PolyMatrix:
         else:
             raise TypeError(f"cannot substitute {f!r}")
     one = Poly.one(n)
-    entries = tuple(
-        tuple(e.evaluate(images, one) for e in row) for row in base.entries
+    return tuple(
+        tuple(e.evaluate(images, one) for e in row) for row in base
     )
-    return PolyMatrix(n, len(gs), entries)
 
 
-def sigma(A: PolyMatrix, i: int) -> Poly:
+def sigma(A, i: int) -> Poly:
     """The polynomial sum_j x_j * A[j][i] of a square matrix (1-based i)."""
-    if A.rows != A.cols:
+    n, cols = _shape(A)
+    if n != cols:
         raise ValueError("sigma requires a square matrix")
-    if not 1 <= i <= A.cols:
-        raise ValueError(f"column index {i} out of range 1..{A.cols}")
-    n = A.rows
+    if not 1 <= i <= n:
+        raise ValueError(f"column index {i} out of range 1..{n}")
     total = Poly.zero(n)
     for j in range(n):
         mono = tuple(1 if t == j else 0 for t in range(n))
-        total = total + A.entries[j][i - 1].mul_term(1, mono)
+        total = total + A[j][i - 1].mul_term(1, mono)
     return total
 
 
@@ -137,18 +126,20 @@ def _charge_det(work: int, units: int) -> int:
     return work
 
 
-def det(A: PolyMatrix) -> Poly:
+def det(A) -> Poly:
     """Exact determinant of a square polynomial matrix."""
-    if A.rows != A.cols:
+    rows, cols = _shape(A)
+    if rows != cols:
         raise ValueError("determinant requires a square matrix")
-    return _det_bareiss(A.entries)
+    return _det_bareiss(A)
 
 
-def minors(A: PolyMatrix, k: int) -> list[Poly]:
+def minors(A, k: int) -> list[Poly]:
     """All k x k minor determinants, ordered by (row tuple, column tuple)."""
-    if not 1 <= k <= min(A.rows, A.cols):
-        raise ValueError(f"minor order {k} out of range 1..{min(A.rows, A.cols)}")
-    return list(_minor_dets(A.entries, k))
+    top = min(_shape(A))
+    if not 1 <= k <= top:
+        raise ValueError(f"minor order {k} out of range 1..{top}")
+    return list(_minor_dets(A, k))
 
 
 def _minor_dets(rows, k: int):
@@ -172,26 +163,27 @@ def minor_positions(rows: int, cols: int, k: int):
                              itertools.combinations(range(cols), k))
 
 
-def matmul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
-    if A.cols != B.rows:
+def matmul(A, B) -> tuple:
+    (rows, inner), (inner_b, cols) = _shape(A), _shape(B)
+    if inner != inner_b:
         raise ValueError("incompatible shapes for matrix product")
-    n_gens = A.entries[0][0].n
-    entries = tuple(
+    n_gens = A[0][0].n
+    return tuple(
         tuple(
             sum(
-                (A.entries[i][t] * B.entries[t][j] for t in range(A.cols)),
+                (A[i][t] * B[t][j] for t in range(inner)),
                 Poly.zero(n_gens),
             )
-            for j in range(B.cols)
+            for j in range(cols)
         )
-        for i in range(A.rows)
+        for i in range(rows)
     )
-    return PolyMatrix(A.rows, B.cols, entries)
 
 
-def matrix_to_json(A: PolyMatrix) -> dict:
+def matrix_to_json(A) -> dict:
+    rows, cols = _shape(A)
     return {
-        "rows": A.rows,
-        "cols": A.cols,
-        "entries": [[str(e) for e in row] for row in A.entries],
+        "rows": rows,
+        "cols": cols,
+        "entries": [[str(e) for e in row] for row in A],
     }

@@ -31,7 +31,7 @@ from typing import Optional
 from metlie.poly import (
     Poly, QPoly, QuotientParams, Span, format_terms, power_exceeds, prime_power_factors,
 )
-from metlie.ring import MElement, check_system
+from metlie.ring import MElement, _closed_form, check_system
 
 DEFAULT_BUDGET = 1 << 28
 
@@ -280,12 +280,7 @@ def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> Model
         raise ValueError("element and model use different generator counts")
     if len(s_vals) != n or len(tau_vecs) != n:
         raise ValueError(f"expected {n} substituted values")
-    one = QPoly.one(quotient)
-    l = sum((c * s for c, s in zip(g.linear, s_vals)), 0 * one)
-    coeffs = [d.evaluate(s_vals, one) for d in g.deriv]
-    tau = tuple(sum((tau_vecs[t][c] * coeffs[t] for t in range(n)), QPoly.zero(quotient))
-                for c in range(n))
-    return ModelElement(model, l, tau)
+    return ModelElement(model, *_closed_form(g, s_vals, tau_vecs, QPoly.one(quotient)))
 
 
 class _PointSpans(dict):

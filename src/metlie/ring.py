@@ -307,23 +307,28 @@ def to_basis(a: MElement) -> tuple[list[BasisTerm], tuple[int, ...]]:
     return terms, a.linear
 
 
+def _closed_form(g: MElement, s_vals, tau_vecs, one) -> tuple:
+    """(lin(g)(s), (sum_j tau_j[c] * d_j g(s))_c): g at the matrices with
+    top-left entries s_j and module vectors tau_j over the ring of `one`; the
+    one substitution of `endo_apply` and `model.eval_closed_form`."""
+    coeffs = [d.evaluate(s_vals, one) for d in g.deriv]
+    l = sum((c * s for c, s in zip(g.linear, s_vals)), 0 * one)
+    tau = tuple(sum((t[c] * d for t, d in zip(tau_vecs, coeffs)), 0 * one)
+                for c in range(g.n))
+    return l, tau
+
+
 def endo_apply(g: MElement, images) -> MElement:
     """Image of the element g under the endomorphism sending x_i to
-    images[i-1]: g is expanded in the right-normed basis and re-evaluated
-    with the ring operations.
+    images[i-1], by the closed form in the matrix embedding h -> (lin h, d h)
+    of the free ring over Z[X]; the linear part is read back from the
+    derivatives' constant terms, d_j h(0) = lin_j h.
     """
     if not isinstance(g, MElement):
         raise TypeError(f"cannot apply endomorphism to {g!r}")
     if len(images) != g.n:
         raise ValueError(f"expected {g.n} images, got {len(images)}")
-    terms, linear = to_basis(g)
-    total = MElement.zero(g.n)
-    for i, c in enumerate(linear):
-        if c:
-            total = total + c * images[i]
-    for t in terms:
-        acc = images[t.word[0] - 1].bracket(images[t.word[1] - 1])
-        for i in t.word[2:]:
-            acc = acc.bracket(images[i - 1])
-        total = total + t.coeff * acc
-    return total
+    images = check_system(images, g.n)
+    _, deriv = _closed_form(g, [f.linear_poly() for f in images], [f.deriv for f in images],
+                            Poly.one(g.n))
+    return MElement(tuple(d.terms.get((0,) * g.n, 0) for d in deriv), deriv)

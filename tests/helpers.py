@@ -9,7 +9,6 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
-from metlie.calculus import PolyMatrix
 from metlie.expr import MAX_NESTING, LieParseError
 from metlie.model import ModelElement
 from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key
@@ -41,10 +40,9 @@ def constant_term(poly: Poly) -> int:
     return poly.terms.get((0,) * poly.n, 0)
 
 
-def identity_matrix(n: int) -> PolyMatrix:
-    entries = tuple(tuple(Poly.one(n) if i == j else Poly.zero(n) for j in range(n))
-                    for i in range(n))
-    return PolyMatrix(n, n, entries)
+def identity_matrix(n: int) -> tuple:
+    return tuple(tuple(Poly.one(n) if i == j else Poly.zero(n) for j in range(n))
+                 for i in range(n))
 
 
 def generator_images(model) -> list[ModelElement]:

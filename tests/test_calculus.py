@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from helpers import constant_term, identity_matrix, random_melement, random_poly
 from metlie.calculus import (
     MAX_DET_WORK,
-    PolyMatrix,
     _det_bareiss,
     det,
     jacobi_matrix,
@@ -38,18 +37,18 @@ def x(i, n=2):
 class TestJacobiMatrix:
     def test_generators_give_identity(self):
         J = jacobi_matrix([MElement.generator(1, 2), MElement.generator(2, 2)])
-        assert J.entries == identity_matrix(2).entries
+        assert J == identity_matrix(2)
 
     def test_single_column(self):
         J = jacobi_matrix([mel("x1 + [x2,x1]")])
-        assert J.rows == 2 and J.cols == 1
-        assert J.entry(0, 0) == Poly.one(2) - x(2)
-        assert J.entry(1, 0) == x(1)
+        assert len(J) == 2 and len(J[0]) == 1
+        assert J[0][0] == Poly.one(2) - x(2)
+        assert J[1][0] == x(1)
 
     def test_deeper_column(self):
         J = jacobi_matrix([mel("x1 + [[x2,x1],x1]")])
-        assert J.entry(0, 0) == Poly.one(2) - x(1) * x(2)
-        assert J.entry(1, 0) == x(1) * x(1)
+        assert J[0][0] == Poly.one(2) - x(1) * x(2)
+        assert J[1][0] == x(1) * x(1)
 
     def test_empty_system_rejected(self):
         with pytest.raises(ValueError):
@@ -60,7 +59,7 @@ class TestJacobiSubstituted:
     def test_identity_substitution(self):
         gs = [mel("x1 + [[x2,x1],x1]"), mel("x2")]
         subs = [MElement.generator(1, 2), MElement.generator(2, 2)]
-        assert jacobi_substituted(gs, subs).entries == jacobi_matrix(gs).entries
+        assert jacobi_substituted(gs, subs) == jacobi_matrix(gs)
 
     def test_zero_substitution_gives_constant_terms(self):
         gs = [mel("x1 + [[x2,x1],x1]"), mel("2*x2 + [x2,x1]")]
@@ -69,7 +68,7 @@ class TestJacobiSubstituted:
         base = jacobi_matrix(gs)
         for i in range(2):
             for j in range(2):
-                assert J.entry(i, j) == Poly.constant(constant_term(base.entry(i, j)), 2)
+                assert J[i][j] == Poly.constant(constant_term(base[i][j]), 2)
 
     def test_chain_rule_worked_pair(self):
         # The Jacobi matrix of a composite equals the outer matrix times the
@@ -79,7 +78,7 @@ class TestJacobiSubstituted:
         z = [endo_apply(g, y2) for g in y1]
         lhs = jacobi_matrix(z)
         rhs = matmul(jacobi_matrix(y2), jacobi_substituted(y1, y2))
-        assert lhs.entries == rhs.entries
+        assert lhs == rhs
 
     def test_chain_rule_random(self):
         rng = random.Random(73)
@@ -90,7 +89,7 @@ class TestJacobiSubstituted:
             z = [endo_apply(g, y2) for g in y1]
             lhs = jacobi_matrix(z)
             rhs = matmul(jacobi_matrix(y2), jacobi_substituted(y1, y2))
-            assert lhs.entries == rhs.entries
+            assert lhs == rhs
 
 
 class TestSigma:
@@ -107,10 +106,10 @@ class TestSigma:
 
     def test_elementary_matrix(self):
         # E + x1*E_{1,2} over two generators.
-        A = PolyMatrix(2, 2, (
+        A = (
             (Poly.one(2), x(1)),
             (Poly.zero(2), Poly.one(2)),
-        ))
+        )
         assert sigma(A, 1) == x(1)
         assert sigma(A, 2) == x(1) * x(1) + x(2)
 
@@ -149,14 +148,14 @@ class TestDetAndMinors:
             tuple(random_poly(rng, 2, max_degree=1, max_terms=2) for _ in range(3))
             for _ in range(3)
         )
-        A = PolyMatrix(3, 3, entries)
+        A = entries
         got = minors(A, 2)
         assert len(got) == 9
         # First minor is rows (0,1) x cols (0,1).
-        sub = PolyMatrix(2, 2, (
-            (A.entry(0, 0), A.entry(0, 1)),
-            (A.entry(1, 0), A.entry(1, 1)),
-        ))
+        sub = (
+            (A[0][0], A[0][1]),
+            (A[1][0], A[1][1]),
+        )
         assert got[0] == det(sub)
 
     def test_k_out_of_range(self):
@@ -228,7 +227,7 @@ class TestMinorKernel:
     @settings(max_examples=150, deadline=None)
     def test_minors_match_leibniz(self, case):
         rows, cols, grid = case
-        A = PolyMatrix(rows, cols, tuple(map(tuple, grid)))
+        A = tuple(map(tuple, grid))
         for k in range(1, cols + 1):
             assert minors(A, k) == [_leibniz_det(sub, Poly.zero(2))
                                     for sub in _submatrices(grid, rows, cols, k)]
@@ -269,7 +268,7 @@ def _elementary(rng, n):
         for r in range(n)
     ]
     entries[i][j] = f
-    return PolyMatrix(n, n, tuple(tuple(r) for r in entries))
+    return tuple(tuple(r) for r in entries)
 
 
 class TestMatrixJson:
@@ -281,3 +280,60 @@ class TestMatrixJson:
             "cols": 2,
             "entries": [["-x2 + 1", "0"], ["x1", "1"]],
         }
+
+
+class TestShapeErrors:
+    """A matrix is a tuple of rows of one positive length; every function
+    that takes one says which shape it refused."""
+
+    SHAPE = "a matrix must be rows of one positive length"
+
+    @pytest.mark.parametrize("A", [
+        (),
+        ((),),
+        ((Poly.one(2), Poly.zero(2)), (Poly.one(2),)),
+    ], ids=["no-rows", "empty-row", "ragged"])
+    @pytest.mark.parametrize("call", [
+        det, lambda A: minors(A, 1), lambda A: sigma(A, 1), matrix_to_json,
+        lambda A: matmul(A, identity_matrix(2)), lambda A: matmul(identity_matrix(2), A),
+    ], ids=["det", "minors", "sigma", "json", "matmul-left", "matmul-right"])
+    def test_malformed_matrix(self, A, call):
+        with pytest.raises(ValueError, match=self.SHAPE):
+            call(A)
+
+    def test_non_square_det_and_sigma(self):
+        J = jacobi_matrix([mel("x1 + [x2,x1]")])
+        with pytest.raises(ValueError, match="determinant requires a square matrix"):
+            det(J)
+        with pytest.raises(ValueError, match="sigma requires a square matrix"):
+            sigma(J, 1)
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_sigma_column_out_of_range(self, i):
+        with pytest.raises(ValueError, match=rf"column index {i} out of range 1\.\.2"):
+            sigma(identity_matrix(2), i)
+
+    def test_matmul_mismatched_shapes(self):
+        J = jacobi_matrix([mel("x1 + [x2,x1]")])
+        with pytest.raises(ValueError, match="incompatible shapes for matrix product"):
+            matmul(J, J)
+        assert matmul(identity_matrix(2), J) == J
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_minor_order_out_of_range(self, k):
+        J = jacobi_matrix([mel("x1 + [x2,x1]")])
+        with pytest.raises(ValueError, match=rf"minor order {k} out of range 1\.\.1"):
+            minors(J, k)
+
+    def test_jacobi_system_errors(self):
+        with pytest.raises(ValueError, match="empty system of elements"):
+            jacobi_matrix([])
+        with pytest.raises(ValueError, match="mismatched generator counts in the system"):
+            jacobi_matrix([mel("x1"), mel("x1", 3)])
+
+    def test_jacobi_substituted_errors(self):
+        gs = [mel("x1 + [x2,x1]")]
+        with pytest.raises(ValueError, match="expected 2 substitutions, got 1"):
+            jacobi_substituted(gs, [mel("x2")])
+        with pytest.raises(TypeError, match="cannot substitute 3"):
+            jacobi_substituted(gs, [mel("x2"), 3])

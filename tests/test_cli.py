@@ -368,6 +368,27 @@ class TestCatalog:
             parse_catalog("n=2\nx1 @ maybe\n")
 
 
+class TestInputErrors:
+    """Malformed catalogs and moduli exit 2 with the message on stderr."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("n=abc\nx1\n", "bad generator count in header 'n=abc'"),
+        ("n=0\nx1\n", "generator count must be at least 1"),
+        ("n=2\n@ primitive\n", "empty system line"),
+        ("# a comment\n\n# another\n", "catalog has no header line"),
+        ("n=2\n# no systems\n", "catalog has no systems"),
+    ])
+    def test_bad_catalog_exit_2(self, tmp_path, capsys, text, message):
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "consistency", str(catalog))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_abelian_modulus_one_exit_2(self, capsys):
+        code, out, err = run(capsys, "--n", "2", "--abelian", "1", "witness", "x1")
+        assert (code, out, err) == (2, "", "error: modulus must be at least 2\n")
+
+
 class TestConsistency:
     def test_small_catalog(self, tmp_path, capsys):
         catalog = tmp_path / "catalog.txt"

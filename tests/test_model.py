@@ -193,6 +193,25 @@ class TestModelBracket:
                         assert not jac
 
 
+class TestModelElementOperators:
+    MODELS = [FiniteModel(QuotientParams(1, 1, 2, 2)), FiniteModel(QuotientParams(2, 1, 3, 2))]
+
+    def test_subtraction_and_negation(self):
+        rng = random.Random(173)
+        for model in self.MODELS:
+            for _ in range(30):
+                a, b, c = (random_element(model, rng, max_terms=4) for _ in range(3))
+                assert a - b == a + (-b)
+                assert -(-a) == a
+                assert (a - b).bracket(c) == a.bracket(c) - b.bracket(c)
+
+    def test_printed_form(self):
+        g1, g2 = generator_images(self.MODELS[1])
+        e = g1.bracket(g2) + 2 * g1 - g2
+        assert str(e) == "(l=2*x2 + 2*x1; tau=[x2 + 2, 2*x1 + 2])"
+        assert repr(-e) == "ModelElement(l=x2 + x1; tau=[2*x2 + 1, x1 + 1])"
+
+
 class TestClosedForm:
     def test_generator_projection(self):
         model = flagship()

@@ -25,7 +25,7 @@ from helpers import (
     reference_buchberger,
     reference_reduce_row,
 )
-from metlie.calculus import PolyMatrix, jacobi_matrix, matmul, minors, sigma
+from metlie.calculus import jacobi_matrix, matmul, minors, sigma
 from metlie.expr import parse
 from metlie.poly import (
     DEFAULT_MAX_RING_SIZE,
@@ -616,7 +616,7 @@ def _elementary(rng, n):
         for r in range(n)
     ]
     entries[i][j] = f
-    return PolyMatrix(n, n, tuple(tuple(r) for r in entries))
+    return tuple(tuple(r) for r in entries)
 
 
 class TestMinorIdealInvariance:
@@ -625,10 +625,10 @@ class TestMinorIdealInvariance:
         gs = [mel("x1 + [x2,x1]"), mel("x2")]
         A = jacobi_matrix(gs)
         # Left-multiply by an invertible integer matrix.
-        U = PolyMatrix(2, 2, (
+        U = (
             (Poly.one(2), Poly.constant(2, 2)),
             (Poly.one(2), Poly.constant(3, 2)),
-        ))
+        )
         B = matmul(U, A)
         ideal_a = minors(A, 2)
         ideal_b = minors(B, 2)

@@ -13,6 +13,7 @@ from helpers import (
     ScalarMul,
     Sum,
     bracket_by_products,
+    bracket_value,
     random_basis_terms,
     random_expr,
     random_melement,
@@ -280,6 +281,29 @@ class TestEndoApply:
     def test_takes_only_elements(self):
         with pytest.raises(TypeError, match="cannot apply endomorphism"):
             endo_apply(Generator(1), [MElement.generator(1, 1)])
+
+
+class TestEndoApplyClosedForm:
+    """`endo_apply` evaluates the closed form (lin(g)(s), sum_j tau_j * d_j g(s))
+    in the matrix embedding h -> (lin h, d h); bracket arithmetic on the
+    images, word by word, is its independent oracle."""
+
+    def test_matches_bracket_arithmetic(self):
+        rng = random.Random(331)
+        for _ in range(360):
+            n = rng.choice([1, 2, 3])
+            g = random_melement(rng, n)
+            images = [random_melement(rng, n) for _ in range(n)]
+            assert endo_apply(g, images) == bracket_value(to_basis(g), images)
+
+    def test_rejects_bad_images(self):
+        g = mel("x1 + [x2,x1]")
+        with pytest.raises(ValueError, match="expected 2 images, got 1"):
+            endo_apply(g, [mel("x1")])
+        with pytest.raises(TypeError, match="not a Lie ring element: 3"):
+            endo_apply(g, [mel("x1"), 3])
+        with pytest.raises(ValueError, match="mismatched generator counts"):
+            endo_apply(g, [mel("x1"), MElement.generator(2, 3)])
 
 
 def _generators(n):
