@@ -20,7 +20,6 @@ from metlie.expr import LieParseError, parse
 from metlie.ring import (
     BasisTerm,
     MElement,
-    endo_apply,
     from_basis,
     from_expr,
     to_basis,
@@ -28,29 +27,18 @@ from metlie.ring import (
 from metlie.calculus import (
     det,
     jacobi_matrix,
-    jacobi_substituted,
-    matmul,
     minors,
-    sigma,
 )
 from metlie.primitivity import (
-    GroebnerBasis,
     GroebnerLimitError,
     PrimitivityVerdict,
-    abelian_primitive,
-    groebner_z,
-    ideal_contains,
     ideal_contains_one,
-    is_automorphism_system,
     is_primitive,
-    quotient_primitivity_check,
 )
 from metlie.model import (
     BudgetError,
     FiniteModel,
-    ModelElement,
     UniformityReport,
-    eval_closed_form,
     uniformity_check,
     uniformity_check_abelian,
 )

@@ -44,44 +44,6 @@ def jacobi_matrix(gs: list[MElement]) -> tuple:
     return tuple(tuple(g.deriv[i] for g in gs) for i in range(n))
 
 
-def jacobi_substituted(gs: list[MElement], fs) -> tuple:
-    """Jacobi matrix of gs with the linear parts of fs substituted for x1..xn.
-
-    Each f may be an element (its linear part is used) or a polynomial
-    substituted as-is.
-    """
-    base = jacobi_matrix(gs)
-    n = len(base)
-    if len(fs) != n:
-        raise ValueError(f"expected {n} substitutions, got {len(fs)}")
-    images = []
-    for f in fs:
-        if isinstance(f, MElement):
-            images.append(f.linear_poly())
-        elif isinstance(f, Poly):
-            images.append(f)
-        else:
-            raise TypeError(f"cannot substitute {f!r}")
-    one = Poly.one(n)
-    return tuple(
-        tuple(e.evaluate(images, one) for e in row) for row in base
-    )
-
-
-def sigma(A, i: int) -> Poly:
-    """The polynomial sum_j x_j * A[j][i] of a square matrix (1-based i)."""
-    n, cols = _shape(A)
-    if n != cols:
-        raise ValueError("sigma requires a square matrix")
-    if not 1 <= i <= n:
-        raise ValueError(f"column index {i} out of range 1..{n}")
-    total = Poly.zero(n)
-    for j in range(n):
-        mono = tuple(1 if t == j else 0 for t in range(n))
-        total = total + A[j][i - 1].mul_term(1, mono)
-    return total
-
-
 def _det_bareiss(rows: list[list]):
     """Determinant by fraction-free Bareiss elimination (Bareiss, 1968).
 
@@ -161,23 +123,6 @@ def minor_positions(rows: int, cols: int, k: int):
         raise ResourceLimitError(f"{count} minors of order {k} exceed the cap {MAX_MINORS}")
     return itertools.product(itertools.combinations(range(rows), k),
                              itertools.combinations(range(cols), k))
-
-
-def matmul(A, B) -> tuple:
-    (rows, inner), (inner_b, cols) = _shape(A), _shape(B)
-    if inner != inner_b:
-        raise ValueError("incompatible shapes for matrix product")
-    n_gens = A[0][0].n
-    return tuple(
-        tuple(
-            sum(
-                (A[i][t] * B[t][j] for t in range(inner)),
-                Poly.zero(n_gens),
-            )
-            for j in range(cols)
-        )
-        for i in range(rows)
-    )
 
 
 def matrix_to_json(A) -> dict:

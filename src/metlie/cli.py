@@ -69,18 +69,37 @@ class Config:
 
 
 def _parse_grid(text: str) -> tuple:
+    """The entries (p, q, m) of --grid 'p,q,m;p,q,m;...', integers with
+    p, q >= 1 and m >= 2; empty chunks are skipped."""
     out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [s.strip() for s in chunk.split(",")]
-        if len(parts) != 3:
-            raise CatalogError(f"grid entry {chunk!r} is not of the form p,q,m")
-        p, q, m = (int(s) for s in parts)
+    for chunk in filter(None, map(str.strip, text.split(";"))):
+        try:
+            p, q, m = map(int, chunk.split(","))
+        except ValueError:  # not three integers
+            p = q = m = 0
+        if min(p, q) < 1 or m < 2:
+            raise CatalogError(f"--grid entry {chunk!r} is not of the form p,q,m "
+                               "with integers p, q >= 1 and m >= 2")
         out.append((p, q, m))
     if not out:
-        raise CatalogError("empty grid")
+        raise CatalogError("--grid lists no entry p,q,m")
+    return tuple(out)
+
+
+def _parse_abelian(text: str) -> tuple:
+    """The moduli of --abelian 'm1,m2,...', integers >= 2; empty items are
+    skipped."""
+    out = []
+    for item in filter(None, map(str.strip, text.split(","))):
+        try:
+            modulus = int(item)
+        except ValueError:
+            modulus = 0
+        if modulus < 2:
+            raise CatalogError(f"--abelian modulus {item!r} is not an integer >= 2")
+        out.append(modulus)
+    if not out:
+        raise CatalogError("--abelian lists no modulus")
     return tuple(out)
 
 
@@ -108,9 +127,7 @@ def _config_from_args(args) -> Config:
     if args.grid is not None:
         cfg.grid = _parse_grid(args.grid)
     if args.abelian is not None:
-        cfg.abelian = tuple(int(s) for s in args.abelian.split(",") if s.strip())
-        if not cfg.abelian:
-            raise CatalogError("empty abelian modulus list")
+        cfg.abelian = _parse_abelian(args.abelian)
     if getattr(args, "full_ring", False):
         cfg.variant = "full"
     return cfg

@@ -29,9 +29,9 @@ from functools import cache, cached_property
 from typing import Optional
 
 from metlie.poly import (
-    Poly, QPoly, QuotientParams, Span, format_terms, power_exceeds, prime_power_factors,
+    Poly, QuotientParams, Span, format_terms, power_exceeds, prime_power_factors,
 )
-from metlie.ring import MElement, _closed_form, check_system
+from metlie.ring import MElement, check_system
 
 DEFAULT_BUDGET = 1 << 28
 
@@ -58,79 +58,6 @@ def _charge(base: int, exponent: int, budget: int) -> None:
     if power_exceeds(base, exponent, budget):
         raise BudgetError(f"enumeration of {_size_value(base, exponent)} tuples "
                           f"exceeds the budget {budget}")
-
-
-class ModelElement:
-    """Element of the finite matrix Lie ring: top-left l plus module vector tau."""
-
-    __slots__ = ("model", "l", "tau")
-
-    def __init__(self, model: "FiniteModel", l: QPoly, tau):
-        quotient = model.quotient
-        if (not isinstance(l, QPoly) or l.params != quotient
-                or any(mu not in model.l_monomials for mu in l.terms)):
-            raise ValueError("top-left entry must lie in the model's top-left carrier")
-        tau = tuple(tau)
-        if len(tau) != quotient.n or any(not isinstance(t, QPoly) or t.params != quotient for t in tau):
-            raise ValueError("tau must be a vector of n quotient-ring coordinates")
-        self.model = model
-        self.l = l
-        self.tau = tau
-
-    def _require_same_model(self, other: "ModelElement") -> None:
-        if self.model != other.model:
-            raise ValueError("mismatched models")
-
-    def __bool__(self) -> bool:
-        return bool(self.l) or any(self.tau)
-
-    def __add__(self, other: "ModelElement") -> "ModelElement":
-        if not isinstance(other, ModelElement):
-            return NotImplemented
-        self._require_same_model(other)
-        return ModelElement(self.model, self.l + other.l,
-                            tuple(a + b for a, b in zip(self.tau, other.tau)))
-
-    def __neg__(self) -> "ModelElement":
-        return ModelElement(self.model, -self.l, tuple(-t for t in self.tau))
-
-    def __sub__(self, other: "ModelElement") -> "ModelElement":
-        if not isinstance(other, ModelElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
-        return ModelElement(self.model, c * self.l, tuple(c * t for t in self.tau))
-
-    __rmul__ = __mul__
-
-    def bracket(self, other: "ModelElement") -> "ModelElement":
-        """Matrix commutator: zero top-left, tau1 * l2 - tau2 * l1 below."""
-        if not isinstance(other, ModelElement):
-            raise TypeError("bracket requires another model element")
-        self._require_same_model(other)
-        tau = tuple(ta * other.l - tb * self.l for ta, tb in zip(self.tau, other.tau))
-        return ModelElement(self.model, QPoly.zero(self.model.quotient), tau)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelElement):
-            return NotImplemented
-        return self.model == other.model and self.l == other.l and self.tau == other.tau
-
-    def __hash__(self) -> int:
-        return hash((self.l, self.tau))
-
-    def to_json(self) -> dict:
-        return {"l": str(self.l), "tau": [str(t) for t in self.tau]}
-
-    def __str__(self) -> str:
-        taus = ", ".join(str(t) for t in self.tau)
-        return f"(l={self.l}; tau=[{taus}])"
-
-    def __repr__(self) -> str:
-        return f"ModelElement{self!s}"
 
 
 @dataclass(frozen=True)
@@ -192,33 +119,6 @@ class FiniteModel:
             "variant": self.top_left, "size": _size_value(q.m, self.size_exponent),
         }
 
-    def generator_image(self, i: int) -> ModelElement:
-        """x_i goes to the matrix with top-left x_i and tau the basis vector t_i."""
-        quotient = self.quotient
-        n = quotient.n
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} out of range 1..{n}")
-        tau = tuple(QPoly.one(quotient) if j == i - 1 else QPoly.zero(quotient) for j in range(n))
-        return ModelElement(self, QPoly.variable(i, quotient), tau)
-
-    # -- canonical integer encoding --------------------------------------
-
-    def element_from_code(self, code: int) -> ModelElement:
-        """The element whose base-m code, least significant digit first, lists
-        the n*w coefficients of tau_1, .., tau_n, then those of l over `l_monomials`."""
-        if not 0 <= code < self.size:
-            raise ValueError(f"element code {code} out of range")
-        quotient = self.quotient
-        n, w = quotient.n, quotient.monomial_count
-        l_monos = self.l_monomials
-        digits = []
-        for _ in range(n * w + len(l_monos)):
-            code, d = divmod(code, quotient.m)
-            digits.append(d)
-        # the tau digits are a canonical vector already
-        tau = tuple(QPoly._raw(quotient, tuple(digits[c * w:(c + 1) * w])) for c in range(n))
-        return ModelElement(self, QPoly(quotient, dict(zip(l_monos, digits[n * w:]))), tau)
-
     # -- the top-left carrier, built once per model ------------------------
 
     @cached_property
@@ -230,11 +130,6 @@ class FiniteModel:
     def parts(self) -> list:
         """The values of `l_digits` at the parts of R (`_parts`)."""
         return _parts(self.quotient, self.l_monomials, self.l_digits)
-
-    def elements(self):
-        """All elements in canonical (l, tau) code order."""
-        for code in range(self.size):
-            yield self.element_from_code(code)
 
 
 @dataclass
@@ -263,24 +158,6 @@ class UniformityReport:
         if include_elapsed:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
-
-
-def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> ModelElement:
-    """Substituted value of g from its derivatives: (lin(g)(s), sum tau_j * d_j g(s)).
-
-    `s_vals` holds the top-left entries of the substituted elements and
-    `tau_vecs` their module vectors (tuples of quotient-ring coordinates).
-    The integer derivatives are evaluated in the quotient ring: x_i -> s_i
-    kills x_i^p(x_i^q - 1) only when s_i does, so reducing them first would
-    give another map.  The census evaluates them the same way.
-    """
-    quotient = model.quotient
-    n = quotient.n
-    if g.n != n:
-        raise ValueError("element and model use different generator counts")
-    if len(s_vals) != n or len(tau_vecs) != n:
-        raise ValueError(f"expected {n} substituted values")
-    return ModelElement(model, *_closed_form(g, s_vals, tau_vecs, QPoly.one(quotient)))
 
 
 class _PointSpans(dict):
@@ -458,8 +335,11 @@ def _walk(points: _PointSpans, model: FiniteModel) -> tuple:
         fiber_min = min(onto_weight.get(key, 0) for key in weight)
     witness = None
     if not fiber_min == fiber_max == expected:
-        # The smallest wrong key in element-code order: with tau = 0 that is
-        # the order of the top-left digit vectors read from the last digit.
+        # The smallest wrong key in element-code order, an element's code
+        # being the base-m number whose digits, least significant first, are
+        # its n * monomial_count tau digits, then its top-left digits: with
+        # tau = 0 that is the order of the top-left digit vectors read from
+        # the last digit.
         key = min((key for key, wt in weight.items() if wt != expected),
                   key=lambda key: [digits[::-1] for digits in zip(*key)])
         targets = [{"l": format_terms({mu: d for mu, d in zip(l_monos, digits) if d}),

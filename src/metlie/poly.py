@@ -394,7 +394,9 @@ class QuotientParams:
 
 class QPoly:
     """Canonical element of the finite quotient ring Z_{p,q,m}[X], stored as
-    its coefficient vector `vec` in `QuotientParams.monomials()` order."""
+    its coefficient vector `vec` in `QuotientParams.monomials()` order: what
+    `reduce_pqm` builds and `ideal_contains_finite` reads.  It has no
+    arithmetic of its own; products go through `module_rows`."""
 
     __slots__ = ("params", "vec")
 
@@ -408,88 +410,8 @@ class QPoly:
         self.vec = tuple([c % params.m for c in vec])
 
     @classmethod
-    def _raw(cls, params: QuotientParams, vec: tuple[int, ...]) -> "QPoly":
-        # Internal fast path: vec must already be canonical.
-        self = object.__new__(cls)
-        self.params = params
-        self.vec = vec
-        return self
-
-    @classmethod
-    def zero(cls, params: QuotientParams) -> "QPoly":
-        return cls(params)
-
-    @classmethod
     def one(cls, params: QuotientParams) -> "QPoly":
         return cls(params, {(0,) * params.n: 1})
-
-    @classmethod
-    def variable(cls, i: int, params: QuotientParams) -> "QPoly":
-        if not 1 <= i <= params.n:
-            raise ValueError(f"generator index {i} out of range 1..{params.n}")
-        mono = tuple(1 if j == i - 1 else 0 for j in range(params.n))
-        return cls(params, {mono: 1})
-
-    @property
-    def terms(self) -> dict[tuple[int, ...], int]:
-        """The nonzero coefficients by monomial, in `monomials()` order."""
-        return {mu: c for mu, c in zip(self.params.monomials(), self.vec) if c}
-
-    def _require_same_ring(self, other: "QPoly") -> None:
-        if self.params != other.params:
-            raise ValueError("mismatched quotient parameters")
-
-    def __bool__(self) -> bool:
-        return any(self.vec)
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        self._require_same_ring(other)
-        m = self.params.m
-        return QPoly._raw(self.params, tuple([(a + b) % m for a, b in zip(self.vec, other.vec)]))
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "QPoly":
-        m = self.params.m
-        return QPoly._raw(self.params, tuple([-a % m for a in self.vec]))
-
-    def __mul__(self, other):
-        params = self.params
-        m = params.m
-        if isinstance(other, int):
-            return QPoly._raw(params, tuple([a * other % m for a in self.vec]))
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        self._require_same_ring(other)
-        right = [(b, y) for b, y in enumerate(other.vec) if y]
-        out = [0] * len(self.vec)
-        for slots, x in zip(params.product_table(), self.vec):
-            if x:
-                for b, y in right:
-                    out[slots[b]] += x * y
-        return QPoly._raw(params, tuple([c % m for c in out]))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.params == other.params and self.vec == other.vec
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.vec))
-
-    def __str__(self) -> str:
-        return format_terms(self.terms)
-
-    def __repr__(self) -> str:
-        p = self.params
-        return f"QPoly(p={p.p},q={p.q},m={p.m}; {self!s})"
 
 
 def reduce_pqm(a: Poly, params: QuotientParams) -> QPoly:

@@ -39,13 +39,12 @@ from metlie.poly import (
     QPoly,
     QuotientParams,
     bezout,
-    check_ring_size,
     cube_values,
     power_exceeds,
     reduce_pqm,
     DEFAULT_MAX_RING_SIZE,
 )
-from metlie.ring import MElement, check_shape, check_system
+from metlie.ring import MElement, check_system
 
 DEFAULT_MAX_BASIS = 10_000
 DEFAULT_MAX_DEGREE = 40
@@ -60,14 +59,6 @@ DEFAULT_QUOTIENT_GRID = tuple(
 
 class GroebnerLimitError(Exception):
     """The Groebner computation exceeded its configured resource caps."""
-
-
-@dataclass
-class GroebnerBasis:
-    """Strong Groebner basis over Z; cofactors express each generator over the input."""
-
-    generators: list[Poly]
-    cofactors: list[list[Poly]]
 
 
 def _field_bits(max_basis: int, max_degree: int) -> int:
@@ -159,12 +150,6 @@ def _packing_for(gens: list[Poly], max_basis: int, max_degree: int) -> _Packing:
     if any(g.n != n for g in gens):
         raise ValueError("mismatched generator counts")
     return _packing(n, _field_bits(max_basis, max_degree))
-
-
-def _check_degree(poly: Poly, max_degree: int, during: str = "") -> None:
-    # Over the cap a polynomial is refused before it is packed.
-    if poly and poly.degree() > max_degree:
-        raise GroebnerLimitError(f"degree cap {max_degree} exceeded{during}")
 
 
 class _Row:
@@ -367,7 +352,8 @@ def _buchberger(gens: list[Poly], packing: _Packing, *, max_basis: int,
         return False
 
     for i, g in enumerate(gens):
-        _check_degree(g, max_degree)
+        if g and g.degree() > max_degree:  # refused before it is packed
+            raise GroebnerLimitError(f"degree cap {max_degree} exceeded")
         hit = push(packing.row(g, [(i, {0: 1})]))
         if hit is not None:
             return basis, hit
@@ -399,58 +385,6 @@ def _buchberger(gens: list[Poly], packing: _Packing, *, max_basis: int,
     return basis, None
 
 
-def _interreduce(basis: list[_Row], max_degree: int, packing: _Packing) -> list[_Row]:
-    low, guard = packing.low, packing.guard
-
-    def order(row: _Row) -> tuple[int, int]:
-        return row.lm ^ low, abs(row.lc)
-
-    # Minimize: drop rows whose leading term is divisible (monomial and
-    # coefficient) by another kept row's leading term.
-    kept: list[_Row] = []
-    for row in sorted(basis, key=order):
-        if not any(row.lc % other.lc == 0 and not (row.lm - other.lm) & guard
-                   for other in kept):
-            kept.append(row)
-    # Tail-reduce each kept row against the others.
-    out = [_normalized(_reduce_row(row, kept[:i] + kept[i + 1:], max_degree, packing))
-           for i, row in enumerate(kept)]
-    out.sort(key=order)
-    return out
-
-
-def groebner_z(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
-               max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
-    """Reduced strong Groebner basis over Z of the ideal generated by gens."""
-    packing = _packing_for(gens, max_basis, max_degree)
-    basis, _ = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree)
-    rows = _interreduce(basis, max_degree, packing)
-    return GroebnerBasis(
-        [packing.unpack(r.terms) for r in rows],
-        [[packing.unpack(h) for h in _cofactors(r, basis, len(gens))] for r in rows])
-
-
-def reduce_by_basis(p: Poly, basis: GroebnerBasis, *,
-                    max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
-    """Normal form of p modulo a strong Groebner basis."""
-    _check_degree(p, max_degree, " during reduction")
-    packing = _packing(p.n, _field_bits(0, max_degree))
-    # A generator over the cap cannot divide a term that is not.
-    rows = [packing.row(g, []) for g in basis.generators if g.degree() <= max_degree]
-    return packing.unpack(_reduce_row(packing.row(p, []), rows, max_degree, packing).terms)
-
-
-def ideal_contains(gens: list[Poly], target: Poly, *,
-                   max_basis: int = DEFAULT_MAX_BASIS,
-                   max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
-    """Exact ideal membership over Z[X]: the target reduces to zero modulo
-    a strong Groebner basis exactly when it is a member."""
-    packing = _packing_for(gens, max_basis, max_degree)
-    basis, _ = _buchberger(gens, packing, max_basis=max_basis, max_degree=max_degree)
-    _check_degree(target, max_degree, " during reduction")
-    return not _reduce_row(packing.row(target, []), basis, max_degree, packing).terms
-
-
 def ideal_contains_one(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
                        max_degree: int = DEFAULT_MAX_DEGREE
                        ) -> tuple[bool, Optional[list[Poly]]]:
@@ -475,16 +409,10 @@ def ideal_contains_one(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
     return True, [packing.unpack(h) for h in cofactors]
 
 
-def abelian_primitive(rows: list) -> bool:
-    """Primitivity of integer linear parts: gcd of all k x k minors is 1."""
-    check_shape([len(r) for r in rows])
-    return _abelian_minor_gcd(rows) == 1
-
-
 def _abelian_minor_gcd(rows: list) -> int:
     """gcd of the k x k minors of a system's linear parts, k x n integer rows
-    of a shape that `ring.check_shape` has passed: the one abelian step of
-    `abelian_primitive` and `is_primitive`."""
+    of a shape that `ring.check_shape` has passed: `is_primitive`'s abelian
+    step; the system is primitive over the abelianization iff it is 1."""
     g = 0
     for d in _minor_dets(rows, len(rows)):
         g = math.gcd(g, d)
@@ -533,19 +461,6 @@ def _quotient_refutation(minor_polys: list[Poly], rings) -> Optional[QuotientPar
                 [reduce_pqm(p, params) for p in minor_polys], QPoly.one(params)):
             return params
     return None
-
-
-def quotient_primitivity_check(gs: list[MElement], params: QuotientParams) -> bool:
-    """Necessary condition in Z_{p,q,m}[X]: reduced minors must generate 1.
-
-    A False answer for any parameters certifies non-primitivity; True is
-    only a pass of the necessary condition.
-    """
-    gs = check_system(gs)
-    if params.n != gs[0].n:
-        raise ValueError("quotient parameters use a different generator count")
-    check_ring_size(params)
-    return _quotient_refutation(minors(jacobi_matrix(gs), len(gs)), [params]) is None
 
 
 @dataclass
@@ -622,8 +537,3 @@ def _automorphism_det(gs: list[MElement]) -> tuple[bool, Poly]:
         raise ValueError(f"expected exactly {n} elements, got {len(gs)}")
     d = det(jacobi_matrix(gs))
     return d.terms in ({(0,) * n: 1}, {(0,) * n: -1}), d
-
-
-def is_automorphism_system(gs: list[MElement]) -> bool:
-    """True when (g_1, .., g_n) generates freely: det of the Jacobi matrix is +-1."""
-    return _automorphism_det(gs)[0]

@@ -98,21 +98,6 @@ class MElement:
         if self.n != other.n:
             raise ValueError(f"mismatched generator counts {self.n} and {other.n}")
 
-    def linear_poly(self) -> Poly:
-        """The linear part as a polynomial in Z[X]."""
-        return Poly(self.n, {
-            tuple(1 if j == i else 0 for j in range(self.n)): c
-            for i, c in enumerate(self.linear) if c
-        })
-
-    def fundamental_identity_holds(self) -> bool:
-        """Exact check of sum_i x_i * d_i g = lin(g)."""
-        total = Poly.zero(self.n)
-        for i, d in enumerate(self.deriv):
-            mono = tuple(1 if j == i else 0 for j in range(self.n))
-            total = total + d.mul_term(1, mono)
-        return total == self.linear_poly()
-
     def __bool__(self) -> bool:
         return any(self.linear) or any(self.deriv)
 
@@ -217,7 +202,7 @@ def check_shape(counts: list, n=None) -> int:
     """The generator count n of a system whose members lie over counts[i]
     generators each, checked to be one count for all, with 1 <= k <= n
     members; n defaults to counts[0].  The one rule of what a system's shape
-    is, for elements (`check_system`) and integer linear parts alike."""
+    is, read from the members' generator counts alone."""
     for c in counts:
         n = c if n is None else n
         if c != n:
@@ -305,30 +290,3 @@ def to_basis(a: MElement) -> tuple[list[BasisTerm], tuple[int, ...]]:
             "(fundamental identity violated)"
         )
     return terms, a.linear
-
-
-def _closed_form(g: MElement, s_vals, tau_vecs, one) -> tuple:
-    """(lin(g)(s), (sum_j tau_j[c] * d_j g(s))_c): g at the matrices with
-    top-left entries s_j and module vectors tau_j over the ring of `one`; the
-    one substitution of `endo_apply` and `model.eval_closed_form`."""
-    coeffs = [d.evaluate(s_vals, one) for d in g.deriv]
-    l = sum((c * s for c, s in zip(g.linear, s_vals)), 0 * one)
-    tau = tuple(sum((t[c] * d for t, d in zip(tau_vecs, coeffs)), 0 * one)
-                for c in range(g.n))
-    return l, tau
-
-
-def endo_apply(g: MElement, images) -> MElement:
-    """Image of the element g under the endomorphism sending x_i to
-    images[i-1], by the closed form in the matrix embedding h -> (lin h, d h)
-    of the free ring over Z[X]; the linear part is read back from the
-    derivatives' constant terms, d_j h(0) = lin_j h.
-    """
-    if not isinstance(g, MElement):
-        raise TypeError(f"cannot apply endomorphism to {g!r}")
-    if len(images) != g.n:
-        raise ValueError(f"expected {g.n} images, got {len(images)}")
-    images = check_system(images, g.n)
-    _, deriv = _closed_form(g, [f.linear_poly() for f in images], [f.deriv for f in images],
-                            Poly.one(g.n))
-    return MElement(tuple(d.terms.get((0,) * g.n, 0) for d in deriv), deriv)

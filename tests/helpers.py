@@ -1,5 +1,14 @@
-"""Shared random generators and reference censuses for the test suite
-(seeded, deterministic)."""
+"""Shared random generators, reference censuses and the reference algebra
+of the test suite (seeded, deterministic).
+
+The reference algebra is what the engine under src/ does not run: ring
+arithmetic on quotient-ring elements (`RefQPoly`), the finite-model
+elements it builds (`ModelElement`), substitution by the closed form
+(`eval_closed_form`, `endo_apply`), the matrix calculus of the chain rule
+and the sigma polynomials, and the reduced Groebner basis with membership
+by reduction (`groebner_z`, `ideal_contains`).  Each is an oracle: the
+tests check engine objects against it, or check it against another oracle.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +18,13 @@ import random
 from dataclasses import dataclass
 from typing import Union
 
+from metlie.calculus import _shape, jacobi_matrix
 from metlie.expr import MAX_NESTING, LieParseError
-from metlie.model import ModelElement
-from metlie.poly import Poly, QPoly, QuotientParams, grevlex_key
+from metlie.model import FiniteModel
+from metlie.poly import Poly, QPoly, QuotientParams, format_terms, grevlex_key
 from metlie import primitivity
-from metlie.primitivity import GroebnerLimitError, _Row
-from metlie.ring import BasisTerm, MElement, from_basis, to_basis
+from metlie.primitivity import DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, GroebnerLimitError, _Row
+from metlie.ring import BasisTerm, MElement, check_system, from_basis, to_basis
 
 
 def random_poly(rng: random.Random, n: int, max_degree: int = 3,
@@ -29,11 +39,11 @@ def random_poly(rng: random.Random, n: int, max_degree: int = 3,
 
 
 def random_qpoly(rng: random.Random, params: QuotientParams,
-                 max_terms: int | None = None) -> QPoly:
+                 max_terms: int | None = None) -> RefQPoly:
     monos = list(params.monomials())
     if max_terms is not None:
         monos = rng.sample(monos, min(max_terms, len(monos)))
-    return QPoly(params, {mu: rng.randrange(params.m) for mu in monos})
+    return RefQPoly(params, {mu: rng.randrange(params.m) for mu in monos})
 
 
 def constant_term(poly: Poly) -> int:
@@ -46,14 +56,14 @@ def identity_matrix(n: int) -> tuple:
 
 
 def generator_images(model) -> list[ModelElement]:
-    return [model.generator_image(i) for i in range(1, model.quotient.n + 1)]
+    return [generator_image(model, i) for i in range(1, model.quotient.n + 1)]
 
 
 def random_element(model, rng: random.Random, max_terms: int | None = None) -> ModelElement:
     """Uniform random element of `model`; max_terms caps the nonzero tau
     coefficients per coordinate."""
     quotient = model.quotient
-    l = QPoly(quotient, {mu: rng.randrange(quotient.m) for mu in model.l_monomials})
+    l = RefQPoly(quotient, {mu: rng.randrange(quotient.m) for mu in model.l_monomials})
     tau = tuple(random_qpoly(rng, quotient, max_terms) for _ in range(quotient.n))
     return ModelElement(model, l, tau)
 
@@ -61,8 +71,7 @@ def random_element(model, rng: random.Random, max_terms: int | None = None) -> M
 def element_code(model, elem: ModelElement) -> int:
     """The code of `elem`: the base-m number whose digits, least significant
     first, are the coefficients of tau_1, .., tau_n in `monomials()` order
-    and then those of l over `l_monomials` (`FiniteModel.element_from_code`
-    decodes it)."""
+    and then those of l over `l_monomials` (`element_from_code` decodes it)."""
     quotient = model.quotient
     digits = [d for t in elem.tau for d in t.vec]
     digits += [elem.l.vec[quotient.position(mu)] for mu in model.l_monomials]
@@ -97,6 +106,325 @@ def random_melement(rng: random.Random, n: int, max_words: int = 3,
                     max_len: int = 5, coeff_bound: int = 5) -> MElement:
     linear = [rng.randint(-coeff_bound, coeff_bound) for _ in range(n)]
     return from_basis(random_basis_terms(rng, n, max_words, max_len, coeff_bound), linear)
+
+
+# -- quotient rings and finite models ------------------------------------
+
+
+class RefQPoly(QPoly):
+    """An element of Z_{p,q,m}[X] with ring arithmetic, on the engine's
+    `QPoly` coefficient vector: +, -, integer multiples, the product through
+    `QuotientParams.product_table`, ==, hash and printing.  The engine
+    multiplies only through `poly.module_rows`; `TestQPolyOracle` checks this
+    arithmetic against term maps, and the reference model below runs on it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _raw(cls, params: QuotientParams, vec: tuple[int, ...]) -> "RefQPoly":
+        # vec must already be canonical.
+        self = object.__new__(cls)
+        self.params = params
+        self.vec = vec
+        return self
+
+    @classmethod
+    def of(cls, a: QPoly) -> "RefQPoly":
+        """`a`, say a `reduce_pqm` result, with the arithmetic."""
+        return cls._raw(a.params, a.vec)
+
+    @classmethod
+    def zero(cls, params: QuotientParams) -> "RefQPoly":
+        return cls(params)
+
+    @classmethod
+    def variable(cls, i: int, params: QuotientParams) -> "RefQPoly":
+        if not 1 <= i <= params.n:
+            raise ValueError(f"generator index {i} out of range 1..{params.n}")
+        return cls(params, {tuple(int(j == i - 1) for j in range(params.n)): 1})
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """The nonzero coefficients by monomial, in `monomials()` order."""
+        return {mu: c for mu, c in zip(self.params.monomials(), self.vec) if c}
+
+    def _require_same_ring(self, other: "RefQPoly") -> None:
+        if self.params != other.params:
+            raise ValueError("mismatched quotient parameters")
+
+    def __bool__(self) -> bool:
+        return any(self.vec)
+
+    def __add__(self, other: "RefQPoly") -> "RefQPoly":
+        if not isinstance(other, RefQPoly):
+            return NotImplemented
+        self._require_same_ring(other)
+        m = self.params.m
+        return RefQPoly._raw(self.params, tuple([(a + b) % m for a, b in zip(self.vec, other.vec)]))
+
+    def __sub__(self, other: "RefQPoly") -> "RefQPoly":
+        if not isinstance(other, RefQPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self) -> "RefQPoly":
+        m = self.params.m
+        return RefQPoly._raw(self.params, tuple([-a % m for a in self.vec]))
+
+    def __mul__(self, other):
+        params = self.params
+        m = params.m
+        if isinstance(other, int):
+            return RefQPoly._raw(params, tuple([a * other % m for a in self.vec]))
+        if not isinstance(other, RefQPoly):
+            return NotImplemented
+        self._require_same_ring(other)
+        right = [(b, y) for b, y in enumerate(other.vec) if y]
+        out = [0] * len(self.vec)
+        for slots, x in zip(params.product_table(), self.vec):
+            if x:
+                for b, y in right:
+                    out[slots[b]] += x * y
+        return RefQPoly._raw(params, tuple([c % m for c in out]))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RefQPoly):
+            return NotImplemented
+        return self.params == other.params and self.vec == other.vec
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.vec))
+
+    def __str__(self) -> str:
+        return format_terms(self.terms)
+
+    def __repr__(self) -> str:
+        p = self.params
+        return f"RefQPoly(p={p.p},q={p.q},m={p.m}; {self!s})"
+
+
+class ModelElement:
+    """Element of the finite matrix Lie ring of a `FiniteModel`: top-left l
+    plus module vector tau, with the matrix commutator as bracket.  The
+    census works on top-left digit vectors and never builds one; this is
+    the model of `eval_closed_form` and of the bracket-arithmetic oracles."""
+
+    __slots__ = ("model", "l", "tau")
+
+    def __init__(self, model: FiniteModel, l: RefQPoly, tau):
+        quotient = model.quotient
+        if (not isinstance(l, RefQPoly) or l.params != quotient
+                or any(mu not in model.l_monomials for mu in l.terms)):
+            raise ValueError("top-left entry must lie in the model's top-left carrier")
+        tau = tuple(tau)
+        if len(tau) != quotient.n or any(not isinstance(t, RefQPoly) or t.params != quotient
+                                         for t in tau):
+            raise ValueError("tau must be a vector of n quotient-ring coordinates")
+        self.model = model
+        self.l = l
+        self.tau = tau
+
+    def _require_same_model(self, other: "ModelElement") -> None:
+        if self.model != other.model:
+            raise ValueError("mismatched models")
+
+    def __bool__(self) -> bool:
+        return bool(self.l) or any(self.tau)
+
+    def __add__(self, other: "ModelElement") -> "ModelElement":
+        if not isinstance(other, ModelElement):
+            return NotImplemented
+        self._require_same_model(other)
+        return ModelElement(self.model, self.l + other.l,
+                            tuple(a + b for a, b in zip(self.tau, other.tau)))
+
+    def __neg__(self) -> "ModelElement":
+        return ModelElement(self.model, -self.l, tuple(-t for t in self.tau))
+
+    def __sub__(self, other: "ModelElement") -> "ModelElement":
+        if not isinstance(other, ModelElement):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, c):
+        if not isinstance(c, int):
+            return NotImplemented
+        return ModelElement(self.model, c * self.l, tuple(c * t for t in self.tau))
+
+    __rmul__ = __mul__
+
+    def bracket(self, other: "ModelElement") -> "ModelElement":
+        """Matrix commutator: zero top-left, tau1 * l2 - tau2 * l1 below."""
+        if not isinstance(other, ModelElement):
+            raise TypeError("bracket requires another model element")
+        self._require_same_model(other)
+        tau = tuple(ta * other.l - tb * self.l for ta, tb in zip(self.tau, other.tau))
+        return ModelElement(self.model, RefQPoly.zero(self.model.quotient), tau)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ModelElement):
+            return NotImplemented
+        return self.model == other.model and self.l == other.l and self.tau == other.tau
+
+    def __hash__(self) -> int:
+        return hash((self.l, self.tau))
+
+    def to_json(self) -> dict:
+        return {"l": str(self.l), "tau": [str(t) for t in self.tau]}
+
+    def __str__(self) -> str:
+        taus = ", ".join(str(t) for t in self.tau)
+        return f"(l={self.l}; tau=[{taus}])"
+
+    def __repr__(self) -> str:
+        return f"ModelElement{self!s}"
+
+
+def generator_image(model: FiniteModel, i: int) -> ModelElement:
+    """x_i goes to the matrix with top-left x_i and tau the basis vector t_i."""
+    quotient = model.quotient
+    n = quotient.n
+    if not 1 <= i <= n:
+        raise ValueError(f"generator index {i} out of range 1..{n}")
+    tau = tuple(RefQPoly.one(quotient) if j == i - 1 else RefQPoly.zero(quotient)
+                for j in range(n))
+    return ModelElement(model, RefQPoly.variable(i, quotient), tau)
+
+
+def element_from_code(model: FiniteModel, code: int) -> ModelElement:
+    """The element whose base-m code, least significant digit first, lists
+    the n*w coefficients of tau_1, .., tau_n, then those of l over
+    `l_monomials`: the order in which the census picks its witness."""
+    if not 0 <= code < model.size:
+        raise ValueError(f"element code {code} out of range")
+    quotient = model.quotient
+    n, w = quotient.n, quotient.monomial_count
+    l_monos = model.l_monomials
+    digits = []
+    for _ in range(n * w + len(l_monos)):
+        code, d = divmod(code, quotient.m)
+        digits.append(d)
+    # the tau digits are a canonical vector already
+    tau = tuple(RefQPoly._raw(quotient, tuple(digits[c * w:(c + 1) * w])) for c in range(n))
+    return ModelElement(model, RefQPoly(quotient, dict(zip(l_monos, digits[n * w:]))), tau)
+
+
+def model_elements(model: FiniteModel):
+    """All elements of `model` in element-code order."""
+    for code in range(model.size):
+        yield element_from_code(model, code)
+
+
+# -- substitution by the closed form ---------------------------------------
+
+
+def closed_form(g: MElement, s_vals, tau_vecs, one) -> tuple:
+    """(lin(g)(s), (sum_j tau_j[c] * d_j g(s))_c): g at the matrices with
+    top-left entries s_j and module vectors tau_j over the ring of `one`;
+    the one substitution of `endo_apply` and `eval_closed_form`."""
+    coeffs = [d.evaluate(s_vals, one) for d in g.deriv]
+    l = sum((c * s for c, s in zip(g.linear, s_vals)), 0 * one)
+    tau = tuple(sum((t[c] * d for t, d in zip(tau_vecs, coeffs)), 0 * one)
+                for c in range(g.n))
+    return l, tau
+
+
+def eval_closed_form(model: FiniteModel, g: MElement, s_vals, tau_vecs) -> ModelElement:
+    """Substituted value of g from its derivatives: (lin(g)(s), sum tau_j * d_j g(s)).
+
+    `s_vals` holds the top-left entries of the substituted elements and
+    `tau_vecs` their module vectors (tuples of quotient-ring coordinates).
+    The integer derivatives are evaluated in the quotient ring: x_i -> s_i
+    kills x_i^p(x_i^q - 1) only when s_i does, so reducing them first would
+    give another map.  The census evaluates them the same way.
+    """
+    quotient = model.quotient
+    n = quotient.n
+    if g.n != n:
+        raise ValueError("element and model use different generator counts")
+    if len(s_vals) != n or len(tau_vecs) != n:
+        raise ValueError(f"expected {n} substituted values")
+    return ModelElement(model, *closed_form(g, s_vals, tau_vecs, RefQPoly.one(quotient)))
+
+
+def linear_poly(g: MElement) -> Poly:
+    """The linear part of g as a polynomial in Z[X]."""
+    return Poly(g.n, {tuple(int(j == i) for j in range(g.n)): c
+                      for i, c in enumerate(g.linear) if c})
+
+
+def fundamental_identity_holds(g: MElement) -> bool:
+    """Exact check of sum_i x_i * d_i g = lin(g)."""
+    total = Poly.zero(g.n)
+    for i, d in enumerate(g.deriv):
+        total = total + d.mul_term(1, tuple(int(j == i) for j in range(g.n)))
+    return total == linear_poly(g)
+
+
+def endo_apply(g: MElement, images) -> MElement:
+    """Image of the element g under the endomorphism sending x_i to
+    images[i-1], by the closed form in the matrix embedding h -> (lin h, d h)
+    of the free ring over Z[X]; the linear part is read back from the
+    derivatives' constant terms, d_j h(0) = lin_j h.
+    """
+    if not isinstance(g, MElement):
+        raise TypeError(f"cannot apply endomorphism to {g!r}")
+    if len(images) != g.n:
+        raise ValueError(f"expected {g.n} images, got {len(images)}")
+    images = check_system(images, g.n)
+    _, deriv = closed_form(g, [linear_poly(f) for f in images], [f.deriv for f in images],
+                           Poly.one(g.n))
+    return MElement(tuple(d.terms.get((0,) * g.n, 0) for d in deriv), deriv)
+
+
+# -- matrices over Z[X]: the chain rule and the sigma polynomials -----------
+
+
+def jacobi_substituted(gs: list[MElement], fs) -> tuple:
+    """Jacobi matrix of gs with the linear parts of fs substituted for x1..xn.
+
+    Each f may be an element (its linear part is used) or a polynomial
+    substituted as-is.
+    """
+    base = jacobi_matrix(gs)
+    n = len(base)
+    if len(fs) != n:
+        raise ValueError(f"expected {n} substitutions, got {len(fs)}")
+    images = []
+    for f in fs:
+        if isinstance(f, MElement):
+            images.append(linear_poly(f))
+        elif isinstance(f, Poly):
+            images.append(f)
+        else:
+            raise TypeError(f"cannot substitute {f!r}")
+    one = Poly.one(n)
+    return tuple(tuple(e.evaluate(images, one) for e in row) for row in base)
+
+
+def sigma(A, i: int) -> Poly:
+    """The polynomial sum_j x_j * A[j][i] of a square matrix (1-based i)."""
+    n, cols = _shape(A)
+    if n != cols:
+        raise ValueError("sigma requires a square matrix")
+    if not 1 <= i <= n:
+        raise ValueError(f"column index {i} out of range 1..{n}")
+    total = Poly.zero(n)
+    for j in range(n):
+        total = total + A[j][i - 1].mul_term(1, tuple(int(t == j) for t in range(n)))
+    return total
+
+
+def matmul(A, B) -> tuple:
+    """The product of two polynomial matrices, each a tuple of rows."""
+    (rows, inner), (inner_b, cols) = _shape(A), _shape(B)
+    if inner != inner_b:
+        raise ValueError("incompatible shapes for matrix product")
+    zero = Poly.zero(A[0][0].n)
+    return tuple(tuple(sum((A[i][t] * B[t][j] for t in range(inner)), zero)
+                       for j in range(cols)) for i in range(rows))
 
 
 # The reference expression tree: `reference_parse` builds it from text,
@@ -374,7 +702,7 @@ def bracket_by_products(a: MElement, b: MElement) -> MElement:
     """[a, b] by the closed form d_i [a, b] = d_i a * lin(b) - d_i b * lin(a),
     with the linear parts as polynomials and general products: the oracle of
     `MElement.bracket`'s derivative-times-linear-form kernel."""
-    la, lb = a.linear_poly(), b.linear_poly()
+    la, lb = linear_poly(a), linear_poly(b)
     return MElement((0,) * a.n, tuple(da * lb - db * la for da, db in zip(a.deriv, b.deriv)))
 
 
@@ -385,8 +713,6 @@ def random_tame_automorphism(rng: random.Random, n: int, moves: int = 3):
     with d a bracket word keeps the Jacobi determinant at 1 only when d does
     not involve x_i, so those are drawn for n >= 3 from words avoiding i.
     """
-    from metlie.ring import endo_apply
-
     images = [MElement.generator(i, n) for i in range(1, n + 1)]
     for _ in range(moves):
         i = rng.randrange(1, n + 1)
@@ -494,10 +820,10 @@ def histogram_census(gs, model):
     quotient = model.quotient
     n, k = quotient.n, len(gs)
     m, w, size, R = quotient.m, quotient.monomial_count, quotient.ring_size, model.size
-    zero = QPoly.zero(quotient)
-    l_space = [QPoly(quotient, dict(zip(model.l_monomials, v)))
+    zero = RefQPoly.zero(quotient)
+    l_space = [RefQPoly(quotient, dict(zip(model.l_monomials, v)))
                for v in itertools.product(range(m), repeat=len(model.l_monomials))]
-    monos = [QPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
+    monos = [RefQPoly(quotient, {mu: 1}) for mu in quotient.monomials()]
     weights = [R ** (k - 1 - i) * m ** d for i in range(k) for d in range(w)]
     expansions = [to_basis(g) for g in gs]
     hist = {}
@@ -522,7 +848,7 @@ def histogram_census(gs, model):
         for key in keys:
             hist[key] = hist.get(key, 0) + kernel
     return _report(model.describe(), k, R ** n, R ** (n - k), hist, R ** k,
-                   lambda key: [model.element_from_code(c).to_json()
+                   lambda key: [element_from_code(model, c).to_json()
                                 for c in _split_key(key, R, k)])
 
 
@@ -703,3 +1029,79 @@ def reference_buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
             if hit is not None:
                 return basis, hit
     return basis, None
+
+
+# -- the reduced strong Groebner basis and membership by reduction ----------
+
+
+@dataclass
+class GroebnerBasis:
+    """Strong Groebner basis over Z; cofactors express each generator over the input."""
+
+    generators: list[Poly]
+    cofactors: list[list[Poly]]
+
+
+def _check_target_degree(p: Poly, max_degree: int) -> None:
+    # Over the cap a polynomial is refused before it is packed.
+    if p and p.degree() > max_degree:
+        raise GroebnerLimitError(f"degree cap {max_degree} exceeded during reduction")
+
+
+def _interreduce(basis: list[_Row], max_degree: int, packing) -> list[_Row]:
+    """The reduced basis of the strong basis `basis`: rows whose leading
+    term another kept row's divides (monomial and coefficient) are dropped,
+    and each kept row is tail-reduced by the others."""
+    low, guard = packing.low, packing.guard
+
+    def order(row: _Row) -> tuple[int, int]:
+        return row.lm ^ low, abs(row.lc)
+
+    kept: list[_Row] = []
+    for row in sorted(basis, key=order):
+        if not any(row.lc % other.lc == 0 and not (row.lm - other.lm) & guard
+                   for other in kept):
+            kept.append(row)
+    out = [primitivity._normalized(
+        primitivity._reduce_row(row, kept[:i] + kept[i + 1:], max_degree, packing))
+        for i, row in enumerate(kept)]
+    out.sort(key=order)
+    return out
+
+
+def groebner_z(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
+               max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
+    """Reduced strong Groebner basis over Z of the ideal generated by gens,
+    completed by `primitivity._buchberger` (so up to a unit row), with the
+    cofactors of each row over the inputs."""
+    packing = primitivity._packing_for(gens, max_basis, max_degree)
+    basis, _ = primitivity._buchberger(gens, packing, max_basis=max_basis,
+                                       max_degree=max_degree)
+    rows = _interreduce(basis, max_degree, packing)
+    return GroebnerBasis(
+        [packing.unpack(r.terms) for r in rows],
+        [[packing.unpack(h) for h in primitivity._cofactors(r, basis, len(gens))] for r in rows])
+
+
+def reduce_by_basis(p: Poly, basis: GroebnerBasis, *,
+                    max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
+    """Normal form of p modulo a strong Groebner basis, by `primitivity._reduce_row`."""
+    _check_target_degree(p, max_degree)
+    packing = primitivity._packing(p.n, primitivity._field_bits(0, max_degree))
+    # A generator over the cap cannot divide a term that is not.
+    rows = [packing.row(g, []) for g in basis.generators if g.degree() <= max_degree]
+    return packing.unpack(primitivity._reduce_row(packing.row(p, []), rows, max_degree,
+                                                  packing).terms)
+
+
+def ideal_contains(gens: list[Poly], target: Poly, *,
+                   max_basis: int = DEFAULT_MAX_BASIS,
+                   max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
+    """Exact ideal membership over Z[X]: the target reduces to zero modulo
+    the strong basis of `primitivity._buchberger` exactly when it is a member."""
+    packing = primitivity._packing_for(gens, max_basis, max_degree)
+    basis, _ = primitivity._buchberger(gens, packing, max_basis=max_basis,
+                                       max_degree=max_degree)
+    _check_target_degree(target, max_degree)
+    return not primitivity._reduce_row(packing.row(target, []), basis, max_degree,
+                                       packing).terms

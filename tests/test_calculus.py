@@ -8,22 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_term, identity_matrix, random_melement, random_poly
-from metlie.calculus import (
-    MAX_DET_WORK,
-    _det_bareiss,
-    det,
-    jacobi_matrix,
-    jacobi_substituted,
-    matmul,
-    matrix_to_json,
-    minors,
-    sigma,
+from helpers import (
+    constant_term, endo_apply, identity_matrix, jacobi_substituted, linear_poly, matmul,
+    random_melement, random_poly, sigma,
 )
+from metlie.calculus import MAX_DET_WORK, _det_bareiss, det, jacobi_matrix, matrix_to_json, minors
 from metlie.expr import parse
 from metlie.poly import Poly, ResourceLimitError
 from metlie.primitivity import _abelian_minor_gcd
-from metlie.ring import MElement, endo_apply
+from metlie.ring import MElement
 
 
 def mel(text, n=2):
@@ -102,7 +95,7 @@ class TestSigma:
         gs = [mel("2*x1 + [x2,x1]"), mel("x1 - 3*x2 + [[x2,x1],x1]")]
         J = jacobi_matrix(gs)
         for j, g in enumerate(gs, start=1):
-            assert sigma(J, j) == g.linear_poly()
+            assert sigma(J, j) == linear_poly(g)
 
     def test_elementary_matrix(self):
         # E + x1*E_{1,2} over two generators.

@@ -386,7 +386,7 @@ class TestInputErrors:
 
     def test_abelian_modulus_one_exit_2(self, capsys):
         code, out, err = run(capsys, "--n", "2", "--abelian", "1", "witness", "x1")
-        assert (code, out, err) == (2, "", "error: modulus must be at least 2\n")
+        assert (code, out, err) == (2, "", "error: --abelian modulus '1' is not an integer >= 2\n")
 
 
 class TestConsistency:
@@ -698,6 +698,49 @@ class TestFuzzMain:
             code = exc.code
         capsys.readouterr()
         assert code in (0, 1, 2, 3, 4)
+
+
+# Malformed --abelian and --grid values: at least one modulus or entry that
+# is not an integer or is out of range among good ones, or none at all.
+BAD_MODULI = ["1", "0", "-3", "abc", "2.5", "3x"]
+BAD_ABELIAN = st.one_of(
+    st.lists(st.sampled_from(["2", "3", "4", *BAD_MODULI]), min_size=1, max_size=3)
+    .filter(lambda ms: any(m in BAD_MODULI for m in ms)).map(",".join),
+    st.sampled_from(["", ",", " , "]),
+)
+BAD_ENTRIES = ["0,1,2", "1,0,2", "1,1,1", "1,1,0", "-1,1,2", "1,x,2", "1,1", "1,1,2,3", "1.0,1,2"]
+BAD_GRID = st.one_of(
+    st.lists(st.sampled_from(["1,1,2", "1,2,3", "2,1,2", *BAD_ENTRIES]), min_size=1, max_size=3)
+    .filter(lambda es: any(e in BAD_ENTRIES for e in es)).map(";".join),
+    st.sampled_from(["", ";", " ; "]),
+)
+
+
+class TestBadGridAndModuli:
+    """A malformed --abelian or --grid value is refused before any command
+    runs: exit 2, no output, and one message that names the flag, whichever
+    command reads the value (`primitive` reads the grid, `witness` and
+    `consistency` both lists) or none does (`uniform`)."""
+
+    @given(data=st.data(), n=st.integers(1, 3), flag=st.sampled_from(["--abelian", "--grid"]))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_refusal_for_every_command(self, capsys, tmp_path, data, n, flag):
+        value = data.draw(BAD_ABELIAN if flag == "--abelian" else BAD_GRID)
+        exprs = data.draw(st.lists(well_formed(n), min_size=1, max_size=n))
+        catalog = tmp_path / "catalog.txt"
+        catalog.write_text(f"n={n}\n{'; '.join(exprs)}\n", encoding="utf-8")
+        commands = [["primitive", "--", *exprs],
+                    ["uniform", "--p", "1", "--q", "1", "--m", "2", "--", *exprs],
+                    ["witness", "--", *exprs],
+                    ["consistency", str(catalog)]]
+        errors = set()
+        for command in commands:
+            code, out, err = run(capsys, "--n", str(n), f"{flag}={value}", *command)
+            assert (code, out) == (2, ""), command
+            errors.add(err)
+        assert len(errors) == 1
+        assert errors.pop().startswith(f"error: {flag} ")
 
 
 class TestRepeatedMain:

@@ -18,14 +18,20 @@ from helpers import (
     Generator,
     RefRow,
     constant_term,
+    endo_apply,
+    groebner_z,
+    ideal_contains,
     identity_matrix,
+    matmul,
     random_melement,
     random_poly,
     random_tame_automorphism,
+    reduce_by_basis,
     reference_buchberger,
     reference_reduce_row,
+    sigma,
 )
-from metlie.calculus import jacobi_matrix, matmul, minors, sigma
+from metlie.calculus import jacobi_matrix, minors
 from metlie.expr import parse
 from metlie.poly import (
     DEFAULT_MAX_RING_SIZE,
@@ -45,23 +51,21 @@ from metlie.primitivity import (
     DEFAULT_MAX_BASIS,
     DEFAULT_MAX_DEGREE,
     GroebnerLimitError,
+    _abelian_minor_gcd,
+    _automorphism_det,
     _buchberger,
     _cofactors,
     _field_bits,
+    _grid_params,
     _packing,
     _packing_for,
     _quotient_refutation,
     _reduce_row,
     _smallest_prime_factor,
-    abelian_primitive,
-    groebner_z,
-    ideal_contains,
     ideal_contains_one,
-    is_automorphism_system,
     is_primitive,
-    quotient_primitivity_check,
-    reduce_by_basis,
 )
+from metlie.ring import check_shape
 
 
 DATA = Path(__file__).parent / "data"
@@ -639,24 +643,28 @@ class TestMinorIdealInvariance:
 
 
 class TestAbelianPrimitive:
+    """`is_primitive`'s abelian step: the linear parts' shape passes
+    `check_shape`, and the system is primitive over the abelianization iff
+    the gcd of their k x k minors is 1."""
+
     def test_identity(self):
-        assert abelian_primitive([[1, 0], [0, 1]])
+        assert _abelian_minor_gcd([[1, 0], [0, 1]]) == 1
 
     def test_doubled_row(self):
-        assert not abelian_primitive([[2, 0]])
+        assert _abelian_minor_gcd([[2, 0]]) != 1
 
     def test_bezout_row(self):
-        assert abelian_primitive([[2, 3]])
+        assert _abelian_minor_gcd([[2, 3]]) == 1
 
     def test_k_exceeds_n(self):
         with pytest.raises(ValueError) as err:
-            abelian_primitive([[1], [0]])
+            check_shape([len(row) for row in [[1], [0]]])
         assert str(err.value) == "system size 2 out of range 1..1"
 
     def test_shape_messages_match_check_system(self):
         for rows, text in (([], "empty system"), ([[1, 0], [1]], "mismatched generator counts")):
             with pytest.raises(ValueError) as err:
-                abelian_primitive(rows)
+                check_shape([len(row) for row in rows])
             assert str(err.value) == text
 
     def test_refuting_modulus_within_the_trial_bound(self):
@@ -677,17 +685,22 @@ class TestAbelianPrimitive:
         assert _smallest_prime_factor(v) == v
 
 
+def quotient_passes(gs, params):
+    """Do the Jacobi minors of gs generate 1 in the ring of `params`?  A
+    False answer certifies non-primitivity."""
+    return _quotient_refutation(minors(jacobi_matrix(gs), len(gs)), [params]) is None
+
+
 class TestQuotientCheck:
     def test_generator_passes(self):
         for p, q, m in [(1, 1, 2), (1, 1, 3), (2, 1, 2)]:
-            assert quotient_primitivity_check([mel("x1")], QuotientParams(p, q, m, 2))
+            assert quotient_passes([mel("x1")], QuotientParams(p, q, m, 2))
 
     def test_refutes_near_generator(self):
-        assert not quotient_primitivity_check(
-            [mel("x1 + [x2,x1]")], QuotientParams(1, 1, 2, 2))
+        assert not quotient_passes([mel("x1 + [x2,x1]")], QuotientParams(1, 1, 2, 2))
 
     def test_refutes_doubled_generator(self):
-        assert not quotient_primitivity_check([mel("2*x1")], QuotientParams(1, 1, 2, 2))
+        assert not quotient_passes([mel("2*x1")], QuotientParams(1, 1, 2, 2))
 
 
 def howell_contains_one(gens, params):
@@ -749,8 +762,12 @@ class TestCubeCheck:
         assert (_quotient_refutation(gens, [params]) is None) == unit(params.m)
 
     def test_ring_size_cap_kept(self):
+        # (1,1,3) over four generators has 3^16 elements, over the cap: the
+        # Howell form refuses it and a decision's grid leaves it out.
         with pytest.raises(ResourceLimitError):
-            quotient_primitivity_check([mel("x1", 4)], QuotientParams(1, 1, 3, 4))
+            howell_contains_one(minors(jacobi_matrix([mel("x1", 4)]), 1),
+                                QuotientParams(1, 1, 3, 4))
+        assert _grid_params(((1, 1, 3),), 4) == ()
 
     def test_capped_grid_entry_skipped(self):
         # (1,1,3) refutes x1 + 4*[x2,x1]; over four generators that ring
@@ -795,7 +812,7 @@ class TestSameResiduePoints:
             k = rng.randint(1, 2)
             gs = [random_melement(rng, 2, max_len=4, coeff_bound=3) for _ in range(k)]
             for group in self.GROUPS:
-                answers = {quotient_primitivity_check(gs, QuotientParams(p, q, m, 2))
+                answers = {quotient_passes(gs, QuotientParams(p, q, m, 2))
                            for p, q, m in group}
                 assert len(answers) == 1, (gs, group)
                 seen |= {(group[0], answer) for answer in answers}
@@ -843,8 +860,6 @@ class TestIsPrimitive:
         assert v.primitive is False
 
     def test_verdict_invariant_under_automorphisms(self):
-        from metlie.ring import endo_apply
-
         rng = random.Random(127)
         cases = [
             [mel("x1")],
@@ -856,7 +871,7 @@ class TestIsPrimitive:
             base = is_primitive(gs).primitive
             for _ in range(3):
                 images = random_tame_automorphism(rng, 2)
-                assert is_automorphism_system(images)
+                assert _automorphism_det(images)[0]
                 moved = [endo_apply(g, images) for g in gs]
                 assert is_primitive(moved).primitive == base
 
@@ -922,8 +937,7 @@ class TestSystemCheck:
 
     ENTRY_POINTS = {
         "is_primitive": is_primitive,
-        "quotient": lambda gs: quotient_primitivity_check(gs, QuotientParams(1, 2, 2, 2)),
-        "automorphism": is_automorphism_system,
+        "automorphism": lambda gs: _automorphism_det(gs)[0],
         "census": lambda gs: uniformity_check(gs, FiniteModel(QuotientParams(1, 1, 2, 2))),
         "abelian census": lambda gs: uniformity_check_abelian(gs, 2, 2),
     }
@@ -948,22 +962,25 @@ class TestSystemCheck:
 
 
 class TestAutomorphismSystem:
+    """`_automorphism_det`, the test `auto` runs: (g_1, .., g_n) generates
+    freely iff its Jacobi determinant is +-1."""
+
     def test_identity(self):
-        assert is_automorphism_system([mel("x1"), mel("x2")])
+        assert _automorphism_det([mel("x1"), mel("x2")])[0]
 
     def test_unimodular_linear_change(self):
-        assert is_automorphism_system([mel("x1 + x2"), mel("x2")])
+        assert _automorphism_det([mel("x1 + x2"), mel("x2")])[0]
 
     def test_near_generator_pair_is_not(self):
         # det is 1 - x2, not a unit.
-        assert not is_automorphism_system([mel("x1 + [x2,x1]"), mel("x2")])
+        assert not _automorphism_det([mel("x1 + [x2,x1]"), mel("x2")])[0]
 
     def test_integer_determinant_two(self):
-        assert not is_automorphism_system([mel("x1 + x2"), mel("x1 - x2")])
+        assert not _automorphism_det([mel("x1 + x2"), mel("x1 - x2")])[0]
 
     def test_wrong_count(self):
         with pytest.raises(ValueError):
-            is_automorphism_system([mel("x1")])
+            _automorphism_det([mel("x1")])
 
     def test_abelian_inverse_sanity(self):
         # For a full automorphism system the linear-part matrix is unimodular
@@ -972,7 +989,7 @@ class TestAutomorphismSystem:
         rng = random.Random(131)
         for _ in range(5):
             images = random_tame_automorphism(rng, 3)
-            assert is_automorphism_system(images)
+            assert _automorphism_det(images)[0]
             lin = [[g.linear[c] for c in range(3)] for g in images]
             d = _det3(lin)
             assert d in (1, -1)

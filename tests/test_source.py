@@ -9,6 +9,7 @@ import metlie.primitivity
 from metlie.expr import parse
 
 SRC = Path(__file__).parent.parent / "src" / "metlie"
+TESTS = Path(__file__).parent
 WORKER = Path(__file__).parent.parent / "perfbench" / "worker.py"
 
 
@@ -51,6 +52,90 @@ class TestPrivateHelpers:
         tree = ast.parse("def _used():\n    pass\n\n\ndef _unused():\n    return _used()\n")
         assert "_used" in _referenced_names(tree)
         assert "_unused" not in _referenced_names(tree)
+
+
+def _unreferenced_methods(trees: dict) -> list:
+    """"module:Class._name" for each private method (`_name`, not a dunder)
+    of a class in `trees` that nothing in them reads.  An attribute read on
+    `self` or `cls` counts for the class whose body it is in, one on a class
+    name or on a parameter annotated with one for that class, and one on any
+    other object for every class.  A method read only through a subclass's
+    `self` is not credited."""
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    reads = set()  # (class name, or None for any class; attribute)
+    methods = []
+
+    def visit(node, module, owner, typed):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+            methods.extend((module, owner, item.name) for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and item.name.startswith("_") and not item.name.startswith("__"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            typed = {**typed, **{a.arg: a.annotation.id for a in args.args + args.kwonlyargs
+                                 if getattr(a.annotation, "id", None) in classes}}
+        elif isinstance(node, ast.Attribute):
+            name = getattr(node.value, "id", None)
+            kind = (owner if name in ("self", "cls") else typed[name] if name in typed
+                    else name if name in classes else None)
+            reads.add((kind, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner, typed)
+
+    for module, tree in trees.items():
+        visit(tree, module, None, {})
+    return [f"{module}:{owner}.{name}" for module, owner, name in methods
+            if (owner, name) not in reads and (None, name) not in reads]
+
+
+class TestPrivateMethods:
+    def test_every_private_method_has_a_caller(self):
+        """A private method of a class in `src/` is read somewhere in `src/`;
+        one that only the tests call belongs in the tests."""
+        assert _unreferenced_methods(_trees()) == []
+
+    def test_the_check_sees_an_unused_method(self):
+        tree = ast.parse(
+            "class A:\n    def _used(self):\n        pass\n\n"
+            "    def _unused(self):\n        pass\n\n"
+            "    def _by_name(self):\n        pass\n\n"
+            "    def f(self):\n        return self._used(), A._by_name(self)\n\n\n"
+            "class B:\n    def _unused(self):\n        pass\n\n"
+            "    def _any(self):\n        pass\n\n"
+            "    def _typed(self):\n        pass\n\n"
+            "    def g(self):\n        return self._unused()\n\n\n"
+            "class C:\n    def _typed(self):\n        pass\n\n\n"
+            "def h(x, a: B):\n    return x._any(), a._typed()\n")
+        assert _unreferenced_methods({"m.py": tree}) == ["m.py:A._unused", "m.py:C._typed"]
+
+
+def _test_imports(tree, test_modules: set) -> list:
+    """The modules of `test_modules` (by top-level name) a module imports."""
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module]
+    return [name for name in names if name.partition(".")[0] in test_modules]
+
+
+class TestNoTestImports:
+    def test_src_imports_nothing_from_the_tests(self):
+        """No module of `src/metlie/` imports from `tests/` (`helpers`,
+        `test_*`): the reference algebra there is the engine's oracle, not
+        part of it."""
+        test_modules = {path.stem for path in TESTS.glob("*.py")} | {"tests"}
+        assert "helpers" in test_modules
+        found = [f"{module}:{name}" for module, tree in _trees().items()
+                 for name in _test_imports(tree, test_modules)]
+        assert found == []
+
+    def test_the_check_sees_a_test_import(self):
+        tree = ast.parse("import os\nfrom helpers import RefQPoly\nimport tests.helpers\n"
+                         "from test_model import mel\nfrom metlie.poly import Poly\n")
+        assert _test_imports(tree, {"helpers", "test_model", "tests"}) == [
+            "tests.helpers", "helpers", "test_model"]
 
 
 def _unread_imports(tree) -> list:
