@@ -9,19 +9,14 @@ enumeration over finite metabelian matrix Lie rings.
 
 from metlie.poly import (
     Poly,
-    QPoly,
     QuotientParams,
     ResourceLimitError,
-    divexact,
-    ideal_contains_finite,
-    reduce_pqm,
 )
 from metlie.expr import LieParseError, parse
 from metlie.ring import (
     BasisTerm,
     MElement,
     from_basis,
-    from_expr,
     to_basis,
 )
 from metlie.calculus import (

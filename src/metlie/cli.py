@@ -20,11 +20,12 @@ import io
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from metlie.calculus import jacobi_matrix, matrix_to_json
-from metlie.expr import parse
+from metlie.expr import MAX_GENERATORS, parse
 from metlie.model import (
     BudgetError,
     DEFAULT_ABELIAN_MODULI,
@@ -117,6 +118,12 @@ def _config_from_args(args) -> Config:
         raise CatalogError("--groebner-max-basis must be a positive integer")
     if args.groebner_max_degree < 0:
         raise CatalogError("--groebner-max-degree must be a non-negative integer")
+    if not 1 <= args.n <= MAX_GENERATORS:
+        raise CatalogError(f"--n must be an integer from 1 to {MAX_GENERATORS}")
+    if args.command == "uniform":
+        for flag, value, least in (("--p", args.p, 1), ("--q", args.q, 1), ("--m", args.m, 2)):
+            if value < least:
+                raise CatalogError(f"{flag} must be an integer >= {least}")
     cfg = Config(
         n=args.n,
         budget=budget,
@@ -252,8 +259,10 @@ def cmd_primitive(args, cfg: Config) -> int:
 def cmd_uniform(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
     model = FiniteModel(QuotientParams(args.p, args.q, args.m, cfg.n), cfg.variant)
+    start = time.perf_counter()
     report = uniformity_check(gs, model, budget=cfg.budget)
-    payload = report.to_json(include_elapsed=True)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    payload = {**report.to_json(), "elapsed_ms": round(elapsed_ms, 3)}
     lines = [
         f"model size {report.size}, expected fiber {report.expected_fiber}",
         f"fiber min {report.fiber_min}, fiber max {report.fiber_max}",
@@ -289,7 +298,7 @@ def grid_walk(gs, n: int, entries: list, cfg: Config):
 
 
 def _witness_record(report) -> dict:
-    return {"model": report.model, "report": report.to_json(include_elapsed=False)}
+    return {"model": report.model, "report": report.to_json()}
 
 
 def cmd_witness(args, cfg: Config) -> int:
@@ -421,7 +430,7 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
             "input": texts,
             "expected": expected,
             "verdict": verdict.to_json(),
-            "uniformity": [r.to_json(include_elapsed=False) for r in reports],
+            "uniformity": [r.to_json() for r in reports],
             "skipped": skipped,
             "witness": witness,
             "warnings": sys_warnings,

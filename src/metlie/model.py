@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import time
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
@@ -132,7 +131,7 @@ class FiniteModel:
         return _parts(self.quotient, self.l_monomials, self.l_digits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UniformityReport:
     model: dict
     k: int
@@ -143,10 +142,9 @@ class UniformityReport:
     fiber_max: int
     uniform: bool
     witness: Optional[dict] = None
-    elapsed_ms: float = 0.0
 
-    def to_json(self, include_elapsed: bool = True) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "model": self.model,
             "k": self.k,
             "expected_fiber": self.expected_fiber,
@@ -155,9 +153,6 @@ class UniformityReport:
             "uniform": self.uniform,
             "witness_target": self.witness,
         }
-        if include_elapsed:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
 
 
 class _PointSpans(dict):
@@ -376,7 +371,6 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
     a census that is not uniform, or one on a ring with a part that is not
     local, walks the top-left tuples (`_walk`).
     """
-    start = time.perf_counter()
     quotient = model.quotient
     n = quotient.n
     gs = check_system(gs, n)
@@ -389,11 +383,10 @@ def uniformity_check(gs, model: FiniteModel, *, budget: int = DEFAULT_BUDGET) ->
         witness = None
     else:
         fiber_min, fiber_max, witness = _walk(points, model)
-    elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
         model=model.describe(), k=k, size=model.size, total=model.size ** n,
         expected_fiber=expected, fiber_min=fiber_min, fiber_max=fiber_max,
-        uniform=fiber_min == fiber_max == expected, witness=witness, elapsed_ms=elapsed,
+        uniform=fiber_min == fiber_max == expected, witness=witness,
     )
 
 
@@ -414,7 +407,6 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
     map is onto; otherwise the smallest wrong target is 0.  Im is spanned by
     the Jacobi matrix at the point 0, since d_j g(0) = lin_j(g).
     """
-    start = time.perf_counter()
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     gs = check_system(gs, n)
@@ -426,10 +418,8 @@ def uniformity_check_abelian(gs, modulus: int, n: int, *,
     uniform = fiber_max == expected
     fiber_min = fiber_max if uniform else 0
     witness = None if uniform else {"target": [0] * k, "count": fiber_max}
-    elapsed = (time.perf_counter() - start) * 1000.0
     return UniformityReport(
         model=describe_abelian(modulus, n),
         k=k, size=modulus, total=total, expected_fiber=expected,
-        fiber_min=fiber_min, fiber_max=fiber_max, uniform=uniform,
-        witness=witness, elapsed_ms=elapsed,
+        fiber_min=fiber_min, fiber_max=fiber_max, uniform=uniform, witness=witness,
     )

@@ -188,15 +188,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def mul_term(self, coeff: int, mono: tuple[int, ...]) -> "Poly":
-        """Product with the single term coeff * X^mono."""
-        if not coeff:
-            return Poly.zero(self.n)
-        return Poly._raw(
-            self.n,
-            {tuple(map(operator.add, m, mono)): c * coeff for m, c in self.terms.items()},
-        )
-
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative exponent")

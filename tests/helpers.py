@@ -1,9 +1,10 @@
 """Shared random generators, reference censuses and the reference algebra
 of the test suite (seeded, deterministic).
 
-The reference algebra is what the engine under src/ does not run: ring
-arithmetic on quotient-ring elements (`RefQPoly`), the finite-model
-elements it builds (`ModelElement`), substitution by the closed form
+The reference algebra is what the engine under src/ does not run: the
+product of a polynomial with one term (`mul_term`), ring arithmetic on
+quotient-ring elements (`RefQPoly`), the finite-model elements it builds
+(`ModelElement`), substitution by the closed form
 (`eval_closed_form`, `endo_apply`), the matrix calculus of the chain rule
 and the sigma polynomials, and the reduced Groebner basis with membership
 by reduction (`groebner_z`, `ideal_contains`).  Each is an oracle: the
@@ -48,6 +49,12 @@ def random_qpoly(rng: random.Random, params: QuotientParams,
 
 def constant_term(poly: Poly) -> int:
     return poly.terms.get((0,) * poly.n, 0)
+
+
+def mul_term(poly: Poly, coeff: int, mono: tuple) -> Poly:
+    """The product of `poly` with the single term coeff * X^mono."""
+    return Poly(poly.n, {tuple(a + b for a, b in zip(m, mono)): c * coeff
+                         for m, c in poly.terms.items()})
 
 
 def identity_matrix(n: int) -> tuple:
@@ -359,7 +366,7 @@ def fundamental_identity_holds(g: MElement) -> bool:
     """Exact check of sum_i x_i * d_i g = lin(g)."""
     total = Poly.zero(g.n)
     for i, d in enumerate(g.deriv):
-        total = total + d.mul_term(1, tuple(int(j == i) for j in range(g.n)))
+        total = total + mul_term(d, 1, tuple(int(j == i) for j in range(g.n)))
     return total == linear_poly(g)
 
 
@@ -413,7 +420,7 @@ def sigma(A, i: int) -> Poly:
         raise ValueError(f"column index {i} out of range 1..{n}")
     total = Poly.zero(n)
     for j in range(n):
-        total = total + A[j][i - 1].mul_term(1, tuple(int(t == j) for t in range(n)))
+        total = total + mul_term(A[j][i - 1], 1, tuple(int(t == j) for t in range(n)))
     return total
 
 
@@ -964,7 +971,7 @@ def reference_reduce_row(row: RefRow, basis: list, max_degree: int) -> RefRow:
             done[mono] = coeff
             continue
         b, q, shift = hit
-        sub = b.poly.mul_term(q, shift)
+        sub = mul_term(b.poly, q, shift)
         for m, c in sub.terms.items():
             if m == mono:
                 continue

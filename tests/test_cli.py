@@ -17,6 +17,8 @@ from metlie import calculus, cli
 from metlie.calculus import MAX_MINORS
 from metlie.cli import main, parse_catalog, CatalogError
 from metlie.expr import MAX_GENERATORS, LieParseError, parse
+from metlie.model import FiniteModel, uniformity_check
+from metlie.poly import QuotientParams
 from metlie.primitivity import PrimitivityVerdict
 
 
@@ -158,6 +160,19 @@ class TestUniform:
         payload = json.loads(out)
         assert payload["expected_fiber"] == 1
         assert payload["fiber_min"] == payload["fiber_max"] == 1
+
+    @pytest.mark.parametrize("texts", [["x1"], ["[x1,x2]"]])
+    def test_json_adds_the_elapsed_time(self, capsys, texts):
+        # The command times its census; every other key is the report's own.
+        code, out, _ = run(capsys, "--n", "2", "--json", "uniform",
+                           "--p", "1", "--q", "1", "--m", "2", *texts)
+        payload = json.loads(out)
+        elapsed = payload.pop("elapsed_ms")
+        assert isinstance(elapsed, float) and elapsed >= 0
+        report = uniformity_check([parse(t, 2) for t in texts],
+                                  FiniteModel(QuotientParams(1, 1, 2, 2)))
+        assert payload == report.to_json()
+        assert code == (0 if report.uniform else 1)
 
     def test_budget_breach_exit_4(self, capsys):
         code, _, err = run(capsys, "--n", "2", "--budget", "100", "uniform",
@@ -625,8 +640,30 @@ class TestHostileInput:
                               preexec_fn=limit_address_space)
         assert time.perf_counter() - start < 10
         assert proc.returncode == 2 and not proc.stdout
-        assert proc.stderr == (
-            f"error: generator count 1000000000 exceeds the limit {MAX_GENERATORS}\n")
+        if command == ["consistency"]:
+            assert proc.stderr == (
+                f"error: generator count 1000000000 exceeds the limit {MAX_GENERATORS}\n")
+        else:
+            assert proc.stderr == f"error: --n must be an integer from 1 to {MAX_GENERATORS}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0", "normalize", "x1"], f"--n must be an integer from 1 to {MAX_GENERATORS}"),
+        (["--n", "-1", "consistency", str(DATA / "acceptance_catalog.txt")],
+         f"--n must be an integer from 1 to {MAX_GENERATORS}"),
+        (["--n", str(MAX_GENERATORS + 1), "primitive", "x1"],
+         f"--n must be an integer from 1 to {MAX_GENERATORS}"),
+        (["--n", "0", "uniform", "--p", "1", "--q", "1", "--m", "2", "x1"],
+         f"--n must be an integer from 1 to {MAX_GENERATORS}"),
+        (["uniform", "--p", "0", "--q", "1", "--m", "2", "x1"], "--p must be an integer >= 1"),
+        (["uniform", "--p", "1", "--q", "-2", "--m", "2", "x1"], "--q must be an integer >= 1"),
+        (["uniform", "--p", "1", "--q", "1", "--m", "1", "x1"], "--m must be an integer >= 2"),
+    ], ids=["n-zero", "n-negative-consistency", "n-over-limit", "n-zero-uniform", "p-zero",
+            "q-negative", "m-one"])
+    def test_bad_generator_count_or_ring_exit_2(self, capsys, argv, message):
+        # Checked once where the flags are read, for every command: the
+        # catalog of `consistency` fixes its own n, yet a bad --n is an error.
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_twelve_generators_within_cap(self, capsys):
         # C(12, 6) = 924 minors fit; the quotient rings of 4^12 monomials are

@@ -320,14 +320,29 @@ class TestUniformity:
         assert rep1.uniform and rep2.uniform
 
     def test_report_json_shape(self):
+        # A report carries no time: `uniform --json` adds elapsed_ms itself
+        # (TestUniform::test_json_adds_the_elapsed_time in test_cli.py).
         model = flagship()
         rep = uniformity_check([mel("x1")], model)
         payload = rep.to_json()
         assert payload["model"] == {"p": 1, "q": 1, "m": 2, "n": 2,
                                     "variant": "linear", "size": 1024}
         assert payload["uniform"] is True
-        assert "elapsed_ms" in payload
-        assert "elapsed_ms" not in rep.to_json(include_elapsed=False)
+        assert sorted(payload) == ["expected_fiber", "fiber_max", "fiber_min", "k", "model",
+                                   "uniform", "witness_target"]
+
+    @pytest.mark.parametrize("text", ["x1", "[x1,x2]", "x1 + 2*[x2,x1]"])
+    def test_equal_inputs_give_equal_reports(self, text):
+        """A report is a value: two censuses of one input, from systems
+        parsed apart, compare equal."""
+        ternary = FiniteModel(QuotientParams(1, 1, 3, 2))
+        for census in (lambda gs: uniformity_check(gs, flagship()),
+                       lambda gs: uniformity_check(gs, ternary, budget=1 << 40),
+                       lambda gs: uniformity_check_abelian(gs, 2, 2),
+                       lambda gs: uniformity_check_abelian(gs, 4, 2)):
+            first, second = census([mel(text)]), census([mel(text)])
+            assert first == second
+            assert first.to_json() == second.to_json()
 
 
 class TestVariantAndModulusPaths:
@@ -511,7 +526,7 @@ class TestCensusOracle:
         model = params
         gs = [mel(text, 1)]
         rep = uniformity_check(gs, model)
-        assert rep.to_json(include_elapsed=False) == _census_oracle(gs, model)
+        assert rep.to_json() == _census_oracle(gs, model)
         assert rep.total == model.size
 
     @pytest.mark.parametrize("params", ORACLE_MODELS)
@@ -521,7 +536,7 @@ class TestCensusOracle:
         model = params
         gs = [parse(reference_format(random_expr(random.Random(seed), 1, depth=3)), 1)]
         rep = uniformity_check(gs, model)
-        assert rep.to_json(include_elapsed=False) == _census_oracle(gs, model)
+        assert rep.to_json() == _census_oracle(gs, model)
 
 
 def census_flagship_reports(variant: str) -> list:
@@ -531,7 +546,7 @@ def census_flagship_reports(variant: str) -> list:
     n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
     model = FiniteModel(QuotientParams(1, 1, 2, n), variant)
     return [{"system": texts,
-             "report": uniformity_check([mel(t, n) for t in texts], model).to_json(include_elapsed=False)}
+             "report": uniformity_check([mel(t, n) for t in texts], model).to_json()}
             for texts, _ in systems if variant == "linear" or len(texts) == 1]
 
 
@@ -542,7 +557,7 @@ def census_reports(runs, budget: int) -> list:
     for pqm, n, texts in runs:
         model = FiniteModel(QuotientParams(*pqm, n))
         rep = uniformity_check([mel(t, n) for t in texts], model, budget=budget)
-        out.append({"system": texts, "report": rep.to_json(include_elapsed=False)})
+        out.append({"system": texts, "report": rep.to_json()})
     return out
 
 
@@ -643,7 +658,7 @@ class TestHistogramOracle:
     def test_flagship_models(self, variant, k, seed):
         model = FiniteModel(QuotientParams(1, 1, 2, 2), variant)
         gs = _drawn_system(seed, 2, k)
-        rep = uniformity_check(gs, model).to_json(include_elapsed=False)
+        rep = uniformity_check(gs, model).to_json()
         assert rep == histogram_census(gs, model)
         if not rep["uniform"]:
             assert all(t["tau"] == ["0", "0"] for t in rep["witness_target"]["target"])
@@ -662,7 +677,7 @@ class TestHistogramOracle:
         model = FiniteModel(QuotientParams(*pqm, 2))
         gs = [mel(text)]
         rep = uniformity_check(gs, model, budget=1 << 40)
-        assert rep.to_json(include_elapsed=False) == histogram_census(gs, model)
+        assert rep.to_json() == histogram_census(gs, model)
 
     @pytest.mark.parametrize("pqmn, variant, text", [
         # (1,1,4): a local ring that is not a field; (1,1,6): two primes;
@@ -683,7 +698,7 @@ class TestHistogramOracle:
         model = FiniteModel(QuotientParams(*pqmn), variant)
         gs = [mel(text, pqmn[3])]
         rep = uniformity_check(gs, model, budget=1 << 4000)
-        assert rep.to_json(include_elapsed=False) == histogram_census(gs, model)
+        assert rep.to_json() == histogram_census(gs, model)
 
     @given(seed=st.integers(0, 10_000), m=st.integers(2, 6), n=st.integers(1, 3),
            data=st.data())
@@ -691,7 +706,7 @@ class TestHistogramOracle:
     def test_abelian(self, seed, m, n, data):
         k = data.draw(st.integers(1, n))
         gs = _drawn_system(seed, n, k)
-        rep = uniformity_check_abelian(gs, m, n).to_json(include_elapsed=False)
+        rep = uniformity_check_abelian(gs, m, n).to_json()
         assert rep == abelian_census(gs, m, n)
         if not rep["uniform"]:
             assert rep["witness_target"]["target"] == [0] * k

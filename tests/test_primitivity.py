@@ -23,6 +23,7 @@ from helpers import (
     ideal_contains,
     identity_matrix,
     matmul,
+    mul_term,
     random_melement,
     random_poly,
     random_tame_automorphism,
@@ -156,7 +157,7 @@ def bounded_combination_exists(gens, search_degree):
     col = 0
     for g in gens:
         for mu in cof_monos:
-            shifted = g.mul_term(1, mu)
+            shifted = mul_term(g, 1, mu)
             for mono, c in shifted.terms.items():
                 A[row_index[mono]][col] = c
             col += 1

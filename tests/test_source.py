@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
+import metlie
 import metlie.poly
 import metlie.primitivity
 from metlie.expr import parse
@@ -248,3 +250,27 @@ class TestPerfbenchPatches:
         verdict = metlie.primitivity.is_primitive([parse("x1 + [[x2,x1],x1]", 2)])
         assert verdict.primitive is True
         assert {"reduce_pqm", "ideal_contains_finite"} == set(calls)
+
+
+class TestPublicNames:
+    def test_exported_names(self):
+        """The public names of `metlie`, pinned so that a change to the API
+        surface shows in the diff; submodules are not counted."""
+        exported = sorted(name for name, value in vars(metlie).items()
+                          if not name.startswith("_") and not isinstance(value, types.ModuleType))
+        assert exported == [
+            "BasisTerm", "BudgetError", "FiniteModel", "GroebnerLimitError", "LieParseError",
+            "MElement", "Poly", "PrimitivityVerdict", "QuotientParams", "ResourceLimitError",
+            "UniformityReport", "det", "from_basis", "ideal_contains_one", "is_primitive",
+            "jacobi_matrix", "minors", "parse", "to_basis", "uniformity_check",
+            "uniformity_check_abelian",
+        ]
+
+    def test_unexported_names_stay_in_their_modules(self):
+        """Names the benchmark and the tests read from their modules, not
+        from `metlie`."""
+        for module, attr in [("metlie.poly", "QPoly"), ("metlie.poly", "reduce_pqm"),
+                             ("metlie.poly", "ideal_contains_finite"),
+                             ("metlie.poly", "divexact"), ("metlie.ring", "from_expr")]:
+            assert hasattr(importlib.import_module(module), attr)
+            assert not hasattr(metlie, attr)
