@@ -118,14 +118,15 @@ def _config_from_args(args) -> Config:
         raise CatalogError("--groebner-max-basis must be a positive integer")
     if args.groebner_max_degree < 0:
         raise CatalogError("--groebner-max-degree must be a non-negative integer")
-    if not 1 <= args.n <= MAX_GENERATORS:
+    n = 2 if args.n is None else args.n
+    if not 1 <= n <= MAX_GENERATORS:
         raise CatalogError(f"--n must be an integer from 1 to {MAX_GENERATORS}")
     if args.command == "uniform":
         for flag, value, least in (("--p", args.p, 1), ("--q", args.q, 1), ("--m", args.m, 2)):
             if value < least:
                 raise CatalogError(f"{flag} must be an integer >= {least}")
     cfg = Config(
-        n=args.n,
+        n=n,
         budget=budget,
         json_output=args.json,
         groebner_max_basis=args.groebner_max_basis,
@@ -346,8 +347,9 @@ def parse_catalog(text: str):
                 n = int(line[2:].strip())
             except ValueError:
                 raise CatalogError(f"bad generator count in header {line!r}") from None
-            if n < 1:
-                raise CatalogError("generator count must be at least 1")
+            if not 1 <= n <= MAX_GENERATORS:
+                raise CatalogError(
+                    f"generator count in header {line!r} must be from 1 to {MAX_GENERATORS}")
             continue
         expected = None
         if "@" in line:
@@ -456,6 +458,8 @@ def cmd_consistency(args, cfg: Config) -> int:
     except OSError as exc:
         raise CatalogError(f"cannot read catalog: {exc}") from None
     n, systems = parse_catalog(text)
+    if args.n is not None and args.n != n:
+        raise CatalogError(f"--n {args.n} differs from the catalog header n={n}")
     summary = run_consistency(n, systems, cfg)
     lines = []
     for idx, record in enumerate(summary["systems"]):
@@ -483,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
             "primitivity decisions and uniform-distribution checks on finite models."
         ),
     )
-    parser.add_argument("--n", type=int, default=2, help="generator count (default 2)")
+    # None when absent: `consistency` then takes n from the catalog header.
+    parser.add_argument("--n", type=int, default=None,
+                        help="generator count (default 2; consistency: the catalog's)")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--budget", type=int, default=None,
                         help="enumeration budget (default env METLIE_BUDGET or 2^28)")

@@ -5,14 +5,18 @@ minors of its Jacobi matrix generate the unit ideal of Z[X].  Deciding that
 over the integers needs a strong Groebner basis: Buchberger completion that
 processes both S-polynomials (cancelling leading terms through the lcm of
 monomials and coefficients) and G-polynomials (a Bezout combination reaching
-the gcd of the leading coefficients), with reduction allowed only when the
-reducer's leading coefficient divides the target coefficient.  Pairs known
-to vanish are never built: Buchberger's product criterion (coprime leading
-monomials and coprime leading coefficients) drops an S-pair, and his chain
-criterion in the Z form drops an S- or G-pair of rows i, j when a third row k
-has lm_k | lcm(lm_i, lm_j) and lc_k dividing lcm(lc_i, lc_j) for the S-pair,
-gcd(lc_i, lc_j) for the G-pair, with the pairs of k with i and with j settled
-(Gebauer & Moeller, JSC 1988; Lichtblau, Illinois J. Math. 2012).
+the gcd of the leading coefficients), with top reduction: the leading term
+is divided by the first row whose leading term divides it, or else replaced
+by its Euclidean remainder modulo the first row whose leading monomial
+divides it and whose leading coefficient does not exceed it, until neither
+applies, and the tail is left unreduced (Kandri-Rody & Kapur, JSC 1988).
+Pairs known to vanish are never built: Buchberger's product criterion
+(coprime leading monomials and coprime leading coefficients) drops an
+S-pair, and his chain criterion in the Z form drops an S- or G-pair of rows
+i, j when a third row k has lm_k | lcm(lm_i, lm_j) and lc_k dividing
+lcm(lc_i, lc_j) for the S-pair, gcd(lc_i, lc_j) for the G-pair, with the
+pairs of k with i and with j settled (Gebauer & Moeller, JSC 1988;
+Lichtblau, Illinois J. Math. 2012).
 
 Cheap necessary conditions run first: the gcd of the integer k x k minors of
 the linear parts must be 1, and the reduced minors must generate the unit
@@ -66,13 +70,15 @@ def _field_bits(max_basis: int, max_degree: int) -> int:
     meets under these caps reaches a guard bit.
 
     Every basis row has degree <= max_degree: an input is checked before it
-    is packed, and a reduction pops every term of its result and stops above
-    the cap.  So an S- or G-pair's lcm, the terms of its candidate and every
-    multiplier have degree <= 2 * max_degree.  A cofactor weight gains one
-    multiplier per derivation level, and a derivation path runs through each
-    of at most max_basis basis rows once, from a final row down to an input:
-    at most max_basis + 1 levels.  The check's products h_i * g_i add
-    max_degree more, so every degree stays <= 2 * max_degree * (max_basis + 2).
+    is packed, and a reduction pops the leading term of its result and stops
+    above the cap, while grevlex orders by degree first, so no tail term has
+    a larger degree than its lead.  So an S- or G-pair's lcm, the terms of
+    its candidate and every multiplier have degree <= 2 * max_degree.  A
+    cofactor weight gains one multiplier per derivation level, and a
+    derivation path runs through each of at most max_basis basis rows once,
+    from a final row down to an input: at most max_basis + 1 levels.  The
+    check's products h_i * g_i add max_degree more, so every degree stays
+    <= 2 * max_degree * (max_basis + 2).
     """
     return max(2 * max_degree * (max_basis + 2), 1).bit_length()
 
@@ -205,27 +211,32 @@ def _combine(rows_scales) -> _Row:
 
 
 def _reduce_row(row: _Row, basis: list[_Row], max_degree: int, packing: _Packing) -> _Row:
-    """Full normal form of `row` modulo `basis`, with its derivation.
+    """Top reduction of `row` modulo `basis`, with its derivation.
 
     A term c * X^mu reduces by a basis row exactly when the row's leading
     monomial divides X^mu and its leading coefficient divides c; the first
-    such row in basis order is taken.  The multipliers are summed per reducer
-    and `row`'s own derivation is folded in, so the result names only the
-    parents of `row` and rows of `basis`.
+    such row in basis order is taken.  When no row divides the term, the
+    first row in basis order whose leading monomial divides X^mu and whose
+    leading coefficient lc is at most |c| replaces c by the Euclidean
+    remainder c - (c // lc) * lc, which is smaller than |c|, and the term
+    is looked at again (Lichtblau, Illinois J. Math. 2012).  The first term
+    that neither step changes is the leading term of the result, whose tail
+    is left as it stands (Kandri-Rody & Kapur, JSC 1988).  The multipliers
+    are summed per reducer and `row`'s own derivation is folded in, so the
+    result names only the parents of `row` and rows of `basis`.
 
     Pending terms sit in a heap of monomials keyed by mono ^ flip, whose
     smallest entry is the grevlex-largest monomial (Monagan & Pearce, CASC
-    2007).  A reduction step only adds smaller monomials, so a popped
-    monomial never returns; an entry whose term has cancelled is skipped when
-    popped.  The normal form is filled in descending order, so its first
-    monomial is its leading one.
+    2007).  A division step only adds smaller monomials and a Euclidean step
+    pushes its own monomial back; an entry whose term has cancelled is
+    skipped when popped.
     """
     flip, guard = packing.flip, packing.guard
     limit = max(max_degree + 1, 0) << packing.deg_shift
     work = dict(row.terms)
     heap = [m ^ flip for m in work]
     heapq.heapify(heap)
-    done: dict[int, int] = {}
+    lead = None
     mult: dict = {}
     for parent, m in row.deriv:
         acc = mult.setdefault(parent, {})
@@ -243,8 +254,15 @@ def _reduce_row(row: _Row, basis: list[_Row], max_degree: int, packing: _Packing
             if not coeff % lc and not (mono - lm) & guard:
                 break
         else:
-            done[mono] = coeff
-            continue
+            size = abs(coeff)
+            lm, lc, b = next((r for r in reducers
+                              if r[1] <= size and not (mono - r[0]) & guard), (0, 0, None))
+            if b is None:
+                work[mono] = coeff
+                lead = mono
+                break  # out of the while loop: `mono` leads the result
+            work[mono] = coeff % lc
+            heapq.heappush(heap, mono ^ flip)
         q = coeff // lc
         shift = mono - lm
         for m, c in b.terms.items():
@@ -265,7 +283,7 @@ def _reduce_row(row: _Row, basis: list[_Row], max_degree: int, packing: _Packing
         terms = _nonzero(acc)
         if terms:
             deriv.append((parent, terms))
-    return _Row(done, deriv, next(iter(done), None))
+    return _Row(work, deriv, lead)
 
 
 def _cofactors(row: _Row, basis: list[_Row], count: int) -> list[dict[int, int]]:

@@ -6,8 +6,8 @@ product of a polynomial with one term (`mul_term`), ring arithmetic on
 quotient-ring elements (`RefQPoly`), the finite-model elements it builds
 (`ModelElement`), substitution by the closed form
 (`eval_closed_form`, `endo_apply`), the matrix calculus of the chain rule
-and the sigma polynomials, and the reduced Groebner basis with membership
-by reduction (`groebner_z`, `ideal_contains`).  Each is an oracle: the
+and the sigma polynomials, and the minimal strong Groebner basis with
+membership by reduction (`groebner_z`, `ideal_contains`).  Each is an oracle: the
 tests check engine objects against it, or check it against another oracle.
 """
 
@@ -941,10 +941,13 @@ class RefRow:
 
 def reference_reduce_row(row: RefRow, basis: list, max_degree: int) -> RefRow:
     """`primitivity._reduce_row` on exponent tuples, by a plain scan: every
-    step takes the grevlex-largest pending term by `max` and looks for its
-    reducer from the start of the basis."""
+    step takes the grevlex-largest pending term by `max`, lists the basis
+    rows whose leading monomial divides it, and subtracts a multiple of the
+    first of them whose leading coefficient divides its coefficient, or else
+    of the first whose leading coefficient is at most its coefficient's
+    absolute value, which leaves the Euclidean remainder.  With neither,
+    that term leads the result and the rest stays as it is."""
     work = dict(row.poly.terms)
-    done = {}
     mult = {}
     for parent, m in row.deriv:
         acc = mult.setdefault(parent, {})
@@ -953,28 +956,18 @@ def reference_reduce_row(row: RefRow, basis: list, max_degree: int) -> RefRow:
     n = row.poly.n
     while work:
         mono = max(work, key=grevlex_key)
-        coeff = work.pop(mono)
+        coeff = work[mono]
         if sum(mono) > max_degree:
             raise GroebnerLimitError(f"degree cap {max_degree} exceeded during reduction")
-        hit = None
-        for b in basis:
-            if b.lm is None:
-                continue
-            if coeff % b.lc:
-                continue
-            shift = tuple(a - c for a, c in zip(mono, b.lm))
-            if any(e < 0 for e in shift):
-                continue
-            hit = (b, coeff // b.lc, shift)
+        divisors = [b for b in basis
+                    if b.lm is not None and all(e >= f for e, f in zip(mono, b.lm))]
+        b = next((b for b in divisors if coeff % b.lc == 0),
+                 next((b for b in divisors if b.lc <= abs(coeff)), None))
+        if b is None:
             break
-        if hit is None:
-            done[mono] = coeff
-            continue
-        b, q, shift = hit
-        sub = mul_term(b.poly, q, shift)
-        for m, c in sub.terms.items():
-            if m == mono:
-                continue
+        q = coeff // b.lc
+        shift = tuple(e - f for e, f in zip(mono, b.lm))
+        for m, c in mul_term(b.poly, q, shift).terms.items():
             s = work.get(m, 0) - c
             if s:
                 work[m] = s
@@ -987,7 +980,7 @@ def reference_reduce_row(row: RefRow, basis: list, max_degree: int) -> RefRow:
         terms = {shift: c for shift, c in acc.items() if c}
         if terms:
             deriv.append((parent, Poly._raw(n, terms)))
-    return RefRow(Poly(n, done), deriv)
+    return RefRow(Poly(n, work), deriv)
 
 
 def reference_buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
@@ -1038,7 +1031,7 @@ def reference_buchberger(gens: list[Poly], *, max_basis: int, max_degree: int,
     return basis, None
 
 
-# -- the reduced strong Groebner basis and membership by reduction ----------
+# -- the minimal strong Groebner basis and membership by reduction ----------
 
 
 @dataclass
@@ -1055,36 +1048,30 @@ def _check_target_degree(p: Poly, max_degree: int) -> None:
         raise GroebnerLimitError(f"degree cap {max_degree} exceeded during reduction")
 
 
-def _interreduce(basis: list[_Row], max_degree: int, packing) -> list[_Row]:
-    """The reduced basis of the strong basis `basis`: rows whose leading
-    term another kept row's divides (monomial and coefficient) are dropped,
-    and each kept row is tail-reduced by the others."""
+def _minimal_basis(basis: list[_Row], packing) -> list[_Row]:
+    """The minimal basis within the strong basis `basis`, in ascending
+    grevlex order of leading monomials: rows whose leading term an earlier
+    kept row's divides (monomial and coefficient) are dropped.  The tails
+    stay as the completion left them: `primitivity._reduce_row` reduces
+    leading terms only."""
     low, guard = packing.low, packing.guard
-
-    def order(row: _Row) -> tuple[int, int]:
-        return row.lm ^ low, abs(row.lc)
-
     kept: list[_Row] = []
-    for row in sorted(basis, key=order):
+    for row in sorted(basis, key=lambda row: (row.lm ^ low, abs(row.lc))):
         if not any(row.lc % other.lc == 0 and not (row.lm - other.lm) & guard
                    for other in kept):
             kept.append(row)
-    out = [primitivity._normalized(
-        primitivity._reduce_row(row, kept[:i] + kept[i + 1:], max_degree, packing))
-        for i, row in enumerate(kept)]
-    out.sort(key=order)
-    return out
+    return kept
 
 
 def groebner_z(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
                max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
-    """Reduced strong Groebner basis over Z of the ideal generated by gens,
+    """Minimal strong Groebner basis over Z of the ideal generated by gens,
     completed by `primitivity._buchberger` (so up to a unit row), with the
     cofactors of each row over the inputs."""
     packing = primitivity._packing_for(gens, max_basis, max_degree)
     basis, _ = primitivity._buchberger(gens, packing, max_basis=max_basis,
                                        max_degree=max_degree)
-    rows = _interreduce(basis, max_degree, packing)
+    rows = _minimal_basis(basis, packing)
     return GroebnerBasis(
         [packing.unpack(r.terms) for r in rows],
         [[packing.unpack(h) for h in primitivity._cofactors(r, basis, len(gens))] for r in rows])
@@ -1092,7 +1079,8 @@ def groebner_z(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
 
 def reduce_by_basis(p: Poly, basis: GroebnerBasis, *,
                     max_degree: int = DEFAULT_MAX_DEGREE) -> Poly:
-    """Normal form of p modulo a strong Groebner basis, by `primitivity._reduce_row`."""
+    """p top-reduced modulo a strong Groebner basis by `primitivity._reduce_row`:
+    zero exactly when p is in the ideal."""
     _check_target_degree(p, max_degree)
     packing = primitivity._packing(p.n, primitivity._field_bits(0, max_degree))
     # A generator over the cap cannot divide a term that is not.

@@ -388,7 +388,9 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("text, message", [
         ("n=abc\nx1\n", "bad generator count in header 'n=abc'"),
-        ("n=0\nx1\n", "generator count must be at least 1"),
+        ("n=0\nx1\n", f"generator count in header 'n=0' must be from 1 to {MAX_GENERATORS}"),
+        ("n=2000\nx1\n",
+         f"generator count in header 'n=2000' must be from 1 to {MAX_GENERATORS}"),
         ("n=2\n@ primitive\n", "empty system line"),
         ("# a comment\n\n# another\n", "catalog has no header line"),
         ("n=2\n# no systems\n", "catalog has no systems"),
@@ -641,8 +643,8 @@ class TestHostileInput:
         assert time.perf_counter() - start < 10
         assert proc.returncode == 2 and not proc.stdout
         if command == ["consistency"]:
-            assert proc.stderr == (
-                f"error: generator count 1000000000 exceeds the limit {MAX_GENERATORS}\n")
+            assert proc.stderr == ("error: generator count in header 'n=1000000000' "
+                                   f"must be from 1 to {MAX_GENERATORS}\n")
         else:
             assert proc.stderr == f"error: --n must be an integer from 1 to {MAX_GENERATORS}\n"
 
@@ -650,6 +652,8 @@ class TestHostileInput:
         (["--n", "0", "normalize", "x1"], f"--n must be an integer from 1 to {MAX_GENERATORS}"),
         (["--n", "-1", "consistency", str(DATA / "acceptance_catalog.txt")],
          f"--n must be an integer from 1 to {MAX_GENERATORS}"),
+        (["--n", "3", "consistency", str(DATA / "acceptance_catalog.txt")],
+         "--n 3 differs from the catalog header n=2"),
         (["--n", str(MAX_GENERATORS + 1), "primitive", "x1"],
          f"--n must be an integer from 1 to {MAX_GENERATORS}"),
         (["--n", "0", "uniform", "--p", "1", "--q", "1", "--m", "2", "x1"],
@@ -657,11 +661,12 @@ class TestHostileInput:
         (["uniform", "--p", "0", "--q", "1", "--m", "2", "x1"], "--p must be an integer >= 1"),
         (["uniform", "--p", "1", "--q", "-2", "--m", "2", "x1"], "--q must be an integer >= 1"),
         (["uniform", "--p", "1", "--q", "1", "--m", "1", "x1"], "--m must be an integer >= 2"),
-    ], ids=["n-zero", "n-negative-consistency", "n-over-limit", "n-zero-uniform", "p-zero",
-            "q-negative", "m-one"])
+    ], ids=["n-zero", "n-negative-consistency", "n-other-than-header", "n-over-limit",
+            "n-zero-uniform", "p-zero", "q-negative", "m-one"])
     def test_bad_generator_count_or_ring_exit_2(self, capsys, argv, message):
-        # Checked once where the flags are read, for every command: the
-        # catalog of `consistency` fixes its own n, yet a bad --n is an error.
+        # Checked once where the flags are read, for every command; the
+        # catalog of `consistency` fixes its own n, and a --n given with it
+        # must name that n.
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -1,5 +1,6 @@
 """Tests for the strong Groebner engine over Z and the primitivity decisions."""
 
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -403,9 +404,9 @@ def reduction_cases(draw):
 
 def reduce_both(row, basis, max_degree):
     """The kernel's reduction of the packed case and the tuple-keyed
-    reference's, each as (normal form terms, derivation) in their order, a
-    parent named by its input index or ("row", basis position); or None
-    when both hit the degree cap."""
+    reference's, each as ((leading monomial, sorted terms), derivation in
+    its order), a parent named by its input index or ("row", basis
+    position); or None when both hit the degree cap."""
     packing = _packing(row.poly.n, _field_bits(DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE))
     packed = {}
     for b in basis:
@@ -424,10 +425,11 @@ def reduce_both(row, basis, max_degree):
     def name(parent, rows):
         return parent if isinstance(parent, int) else ("row", rows.index(parent))
 
-    return ((list(packing.unpack(got.terms).terms.items()),
+    return (((got.lm if got.lm is None else packing.exps(got.lm),
+              sorted(packing.unpack(got.terms).terms.items())),
              [(name(p, packed_basis), list(packing.unpack(m).terms.items()))
               for p, m in got.deriv]),
-            (list(expected.poly.terms.items()),
+            ((expected.lm, sorted(expected.poly.terms.items())),
              [(name(p, basis), list(m.terms.items())) for p, m in expected.deriv]))
 
 
@@ -595,6 +597,18 @@ class TestReductionOracle:
         pair = reduce_both(*case, max_degree)
         if pair is not None:
             assert pair[0][0] == pair[1][0]
+
+    def test_euclidean_step_takes_the_first_row_not_above_the_coefficient(self):
+        # Neither 6 nor 4 divides 5 * x1*x2.  6 * x2 comes first but exceeds
+        # 5, so 4 * x2 + x1 leaves the remainder x1*x2 - x1^2, whose leading
+        # coefficient 1 no row reduces.
+        basis = [RefRow(Poly(2, {(0, 1): 6}), [(0, Poly.one(2))]),
+                 RefRow(Poly(2, {(0, 1): 4, (1, 0): 1}), [(1, Poly.one(2))])]
+        row = RefRow(Poly(2, {(1, 1): 5}), [(2, Poly.one(2))])
+        got, expected = reduce_both(row, basis, 40)
+        assert got == expected
+        assert got == (((1, 1), [((1, 1), 1), ((2, 0), -1)]),
+                       [(2, [((0, 0), 1)]), (("row", 1), [((1, 0), -1)])])
 
 
 class TestSigmaIdealGeneration:
@@ -892,14 +906,14 @@ class TestIsPrimitive:
         assert v.to_json()["primitive"] == "inconclusive"
 
 
-def _parse_poly(text):
+def _parse_poly(text, n=2):
     """Tiny polynomial reader for certificate strings (products of x powers)."""
     text = text.replace(" - ", " + -")
-    total = Poly.zero(2)
+    total = Poly.zero(n)
     for chunk in text.split(" + "):
         chunk = chunk.strip()
         coeff = 1
-        mono = [0, 0]
+        mono = [0] * n
         for factor in chunk.split("*"):
             factor = factor.strip()
             if factor.startswith("-") and not factor[1:2].isdigit() and factor != "-":
@@ -910,17 +924,16 @@ def _parse_poly(text):
                 mono[int(var[1:]) - 1] += int(power) if power else 1
             elif factor:
                 coeff *= int(factor)
-        total = total + Poly(2, {tuple(mono): coeff})
+        total = total + Poly(n, {tuple(mono): coeff})
     return total
 
 
 class TestCertificateGolden:
     """Verdicts with certificates, byte for byte, against
-    tests/data/groebner_certificate_golden.json.  The file was written by the
-    eager tracker that multiplied cofactors on every reduction step; the
-    derivations expanded for the unit row must give the same cofactors.  It
-    holds the acceptance catalog's primitive systems read over x1..x3 and
-    the four decide_n3 benchmark images with the longest completion."""
+    tests/data/groebner_certificate_golden.json, written by the completion
+    with top reduction and Euclidean remainders.  It holds the acceptance
+    catalog's primitive systems read over x1..x3 and the four decide_n3
+    benchmark images with the longest completion."""
 
     def test_verdicts_match_golden(self):
         text = (DATA / "groebner_certificate_golden.json").read_text()
@@ -929,6 +942,20 @@ class TestCertificateGolden:
             gs = [mel(t, doc["n"]) for t in entry["texts"]]
             entry["verdict"] = is_primitive(gs).to_json()
         assert json.dumps(doc, indent=1, sort_keys=True) + "\n" == text
+
+    def test_golden_certificates_sum_to_one(self):
+        # Checked on the golden's text with Poly arithmetic, outside the
+        # packed kernel and its own check; each text must print back as read.
+        doc = json.loads((DATA / "groebner_certificate_golden.json").read_text())
+        n = doc["n"]
+        for entry in doc["systems"]:
+            cert = entry["verdict"]["certificate"]
+            minor_polys = [_parse_poly(t, n) for t in cert["minors"]]
+            cofactors = [_parse_poly(t, n) for t in cert["cofactors"]]
+            assert list(map(str, minor_polys)) == cert["minors"]
+            assert list(map(str, cofactors)) == cert["cofactors"]
+            total = sum((h * m for h, m in zip(cofactors, minor_polys)), Poly.zero(n))
+            assert total == Poly.one(n), entry["texts"]
 
 
 class TestSystemCheck:
@@ -1030,17 +1057,27 @@ def _perfbench_inputs():
     return module
 
 
-def corpus_verdicts_digest() -> str:
-    """sha256 of the sorted-key JSON of `is_primitive` over the decide_n2
-    and decide_n3 corpora, one line per image in corpus order."""
+@functools.cache
+def corpus_verdicts() -> tuple:
+    """`is_primitive(...).to_json()` over the decide_n2 and decide_n3
+    corpora, one per image in corpus order."""
     inputs = _perfbench_inputs()
     _, systems = inputs.read_catalog()
-    digest = hashlib.sha256()
+    verdicts = []
     for name in ("decide_n2", "decide_n3"):
         spec = inputs.SPECS[name]
         for texts, _ in inputs.corpus(spec, systems):
-            verdict = is_primitive([mel(t, spec.n) for t in texts])
-            digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode() + b"\n")
+            verdicts.append(is_primitive([mel(t, spec.n) for t in texts]).to_json())
+    return tuple(verdicts)
+
+
+def corpus_verdicts_digest(keys=("certificate", "method", "primitive", "refutation")) -> str:
+    """sha256 of the sorted-key JSON of the corpus verdicts restricted to
+    `keys`, one line per image in corpus order."""
+    digest = hashlib.sha256()
+    for verdict in corpus_verdicts():
+        record = {key: verdict[key] for key in keys}
+        digest.update(json.dumps(record, sort_keys=True).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -1049,6 +1086,14 @@ def test_corpus_verdicts_byte_identical():
     tests/data/corpus_verdicts.sha256."""
     expected = (DATA / "corpus_verdicts.sha256").read_text().split()[0]
     assert corpus_verdicts_digest() == expected
+
+
+def test_corpus_outcomes_unchanged():
+    """The (primitive, method, refutation) part of the 1,200 corpus verdicts
+    against tests/data/corpus_outcomes.sha256: a change of reduction rule
+    may rewrite certificates, never a decision."""
+    expected = (DATA / "corpus_outcomes.sha256").read_text().split()[0]
+    assert corpus_verdicts_digest(("method", "primitive", "refutation")) == expected
 
 
 def corpus_printed_digest() -> str:
