@@ -188,11 +188,10 @@ def _parts(quotient: QuotientParams, l_monos: tuple, l_digits: list) -> list:
             for digits in l_digits]
 
 
-def _image_size(points: _PointSpans, quotient: QuotientParams, l_monos: tuple,
-                l_digits: list, values: list):
-    """s -> |Im_s| for top-left tuples s given as indices into `l_digits`,
-    digit vectors over `l_monos` whose `_parts` are `values`, reading the
-    point spans from `points`.
+def _image_size(points: _PointSpans, model: FiniteModel):
+    """s -> |Im_s| for top-left tuples s given as indices into the model's
+    `l_digits`, digit vectors over its `l_monomials` whose `_parts` are its
+    `parts`, reading the point spans from `points`.
 
     R is the product of rings A_xi over Z/r (CRT, Atiyah-Macdonald ch. 8),
     and Im_s that of the A_xi-modules the columns d_j g(s) span.  A_xi has
@@ -206,6 +205,7 @@ def _image_size(points: _PointSpans, quotient: QuotientParams, l_monos: tuple,
     the rows t^nu * d_j g(s) in A_xi^k, kept per images of s in A_xi.
     """
     gs = points.gs
+    quotient, l_monos, l_digits, values = model.quotient, model.l_monomials, model.l_digits, model.parts
     n, k = quotient.n, len(gs)
     factors = quotient.local_factors()
     onto_size = quotient.ring_size ** k
@@ -300,7 +300,7 @@ def _walk(points: _PointSpans, model: FiniteModel) -> tuple:
     size = quotient.ring_size
     onto = size ** k
     l_monos, l_digits = model.l_monomials, model.l_digits
-    image_size = _image_size(points, quotient, l_monos, l_digits, model.parts)
+    image_size = _image_size(points, model)
     # The top-left map acts on each digit alike: top_left[v] = (lin(g_i)(v) mod m)_i for v in Z_m^n.
     linear = [[c % m for c in g.linear] for g in gs]
     top_left = {v: tuple([sum(map(operator.mul, row, v)) % m for row in linear])

@@ -383,33 +383,15 @@ class QuotientParams:
         return out
 
 
-class QPoly:
-    """Canonical element of the finite quotient ring Z_{p,q,m}[X], stored as
-    its coefficient vector `vec` in `QuotientParams.monomials()` order: what
-    `reduce_pqm` builds and `ideal_contains_finite` reads.  It has no
-    arithmetic of its own; products go through `module_rows`."""
-
-    __slots__ = ("params", "vec")
-
-    def __init__(self, params: QuotientParams, terms: Mapping[tuple[int, ...], int] | None = None):
-        vec = [0] * params.monomial_count
-        for mono, coeff in (terms or {}).items():
-            if not isinstance(coeff, int):  # a bool is one
-                raise TypeError(f"polynomial coefficients must be ints, got {coeff!r}")
-            vec[params.position(mono)] += coeff
-        self.params = params
-        self.vec = tuple([c % params.m for c in vec])
-
-    @classmethod
-    def one(cls, params: QuotientParams) -> "QPoly":
-        return cls(params, {(0,) * params.n: 1})
-
-
-def reduce_pqm(a: Poly, params: QuotientParams) -> QPoly:
-    """Canonical image of a under the quotient map Z[X] -> Z_{p,q,m}[X]."""
+def reduce_pqm(a: Poly, params: QuotientParams) -> tuple[int, ...]:
+    """The image of a under the quotient map Z[X] -> Z_{p,q,m}[X], as its
+    canonical coefficient vector in `QuotientParams.monomials()` order."""
     if a.n != params.n:
         raise ValueError(f"polynomial has {a.n} generators, parameters expect {params.n}")
-    return QPoly(params, a.terms)
+    vec = [0] * params.monomial_count
+    for mono, coeff in a.terms.items():
+        vec[params.position(mono)] += coeff
+    return tuple([c % params.m for c in vec])
 
 
 def cube_values(a: Poly) -> list[int]:
@@ -432,15 +414,15 @@ def cube_values(a: Poly) -> list[int]:
     return values
 
 
-def module_rows(elements) -> Iterator[list[int]]:
-    """The coefficient vectors of mu * c for each quotient-ring element c
-    and each monomial mu, in `monomials()` order.  The rows of c span the
-    ideal that c generates."""
-    for c in elements:
-        params = c.params
-        m, w = params.m, params.monomial_count
-        entries = [(b, x) for b, x in enumerate(c.vec) if x]
-        for slots in params.product_table():
+def module_rows(vecs, params: QuotientParams) -> Iterator[list[int]]:
+    """The coefficient vectors of mu * c for each coefficient vector c of
+    Z_{p,q,m}[X] and each monomial mu, in `monomials()` order.  The rows of c
+    span the ideal that c generates."""
+    m, w = params.m, params.monomial_count
+    table = params.product_table()
+    for vec in vecs:
+        entries = [(b, x) for b, x in enumerate(vec) if x]
+        for slots in table:
             row = [0] * w
             for b, x in entries:
                 row[slots[b]] += x
@@ -555,36 +537,35 @@ def power_exceeds(base: int, exponent: int, bound: int) -> bool:
     return exponent >= bound.bit_length() or base ** exponent > bound
 
 
+def exceeds_ring_cap(params: QuotientParams) -> bool:
+    """Whether Z_{p,q,m}[X] has more than DEFAULT_MAX_RING_SIZE elements."""
+    return power_exceeds(params.m, params.monomial_count, DEFAULT_MAX_RING_SIZE)
+
+
 def check_ring_size(params: QuotientParams) -> None:
-    """Raise ResourceLimitError when Z_{p,q,m}[X] has more than
-    DEFAULT_MAX_RING_SIZE elements."""
-    if power_exceeds(params.m, params.monomial_count, DEFAULT_MAX_RING_SIZE):
+    """Raise ResourceLimitError when Z_{p,q,m}[X] is over the ring-size cap."""
+    if exceeds_ring_cap(params):
         raise ResourceLimitError(
             f"quotient ring of size {params.m}^{params.monomial_count} "
             f"exceeds the bound {DEFAULT_MAX_RING_SIZE}"
         )
 
 
-def ideal_contains_finite(gens: list[QPoly], target: QPoly) -> bool:
-    """Membership of `target` in the ideal generated by `gens` in Z_{p,q,m}[X].
+def ideal_contains_finite(vecs, params: QuotientParams) -> bool:
+    """Whether the coefficient vectors `vecs` generate Z_{p,q,m}[X], that is
+    whether 1 lies in their ideal.
 
-    The ideal is the additive span of {g * mu : g in gens, mu canonical
-    monomial}.  These rows (`module_rows`) are added to a Howell form
-    generator by generator, and the answer is True as soon as the target
-    lies in the span; otherwise False once all are in.
+    The ideal is the additive span of {c * mu : c in vecs, mu canonical
+    monomial}.  These rows (`module_rows`) are added to a Howell form one by
+    one, and the answer is True as soon as the vector of 1 (the constant
+    monomial comes first in `monomials()`) lies in the span; otherwise False
+    once all are in, or at once for no vectors: they generate the zero ideal.
     """
-    if not gens:
-        raise ValueError("empty generator list")
-    params = gens[0].params
-    for g in gens:
-        if g.params != params:
-            raise ValueError("mismatched quotient parameters among generators")
-    if target.params != params:
-        raise ValueError("target has mismatched quotient parameters")
     check_ring_size(params)
     span = Span(params.m, params.monomial_count)
-    for row in module_rows(gens):
+    one = (1,) + (0,) * (params.monomial_count - 1)
+    for row in module_rows(vecs, params):
         span.add(row)
-        if target.vec in span:
+        if one in span:
             return True
     return False

@@ -40,13 +40,11 @@ import metlie.poly
 from metlie.calculus import _minor_dets, det, jacobi_matrix, minors
 from metlie.poly import (
     Poly,
-    QPoly,
     QuotientParams,
     bezout,
     cube_values,
-    power_exceeds,
+    exceeds_ring_cap,
     reduce_pqm,
-    DEFAULT_MAX_RING_SIZE,
 )
 from metlie.ring import MElement, check_system
 
@@ -457,8 +455,7 @@ def _grid_params(grid: tuple, n: int) -> tuple[QuotientParams, ...]:
     """The rings Z_{p,q,m}[X] over n generators of a quotient grid, in grid
     order, without those over the ring-size cap."""
     rings = (QuotientParams(p, q, m, n) for p, q, m in grid)
-    return tuple(r for r in rings
-                 if not power_exceeds(r.m, r.monomial_count, DEFAULT_MAX_RING_SIZE))
+    return tuple(r for r in rings if not exceeds_ring_cap(r))
 
 
 def _quotient_refutation(minor_polys: list[Poly], rings) -> Optional[QuotientParams]:
@@ -476,7 +473,7 @@ def _quotient_refutation(minor_polys: list[Poly], rings) -> Optional[QuotientPar
             if any(math.gcd(params.m, g) != 1 for g in cube):
                 return params
         elif not metlie.poly.ideal_contains_finite(
-                [reduce_pqm(p, params) for p in minor_polys], QPoly.one(params)):
+                [reduce_pqm(p, params) for p in minor_polys], params):
             return params
     return None
 

@@ -22,7 +22,7 @@ from typing import Union
 from metlie.calculus import _shape, jacobi_matrix
 from metlie.expr import MAX_NESTING, LieParseError
 from metlie.model import FiniteModel
-from metlie.poly import Poly, QPoly, QuotientParams, format_terms, grevlex_key
+from metlie.poly import Poly, QuotientParams, format_terms, grevlex_key
 from metlie import primitivity
 from metlie.primitivity import DEFAULT_MAX_BASIS, DEFAULT_MAX_DEGREE, GroebnerLimitError, _Row
 from metlie.ring import BasisTerm, MElement, check_system, from_basis, to_basis
@@ -118,14 +118,25 @@ def random_melement(rng: random.Random, n: int, max_words: int = 3,
 # -- quotient rings and finite models ------------------------------------
 
 
-class RefQPoly(QPoly):
-    """An element of Z_{p,q,m}[X] with ring arithmetic, on the engine's
-    `QPoly` coefficient vector: +, -, integer multiples, the product through
-    `QuotientParams.product_table`, ==, hash and printing.  The engine
-    multiplies only through `poly.module_rows`; `TestQPolyOracle` checks this
-    arithmetic against term maps, and the reference model below runs on it."""
+class RefQPoly:
+    """An element of Z_{p,q,m}[X] with ring arithmetic, stored as the
+    engine stores one, its coefficient vector `vec` in
+    `QuotientParams.monomials()` order: +, -, integer multiples, the product
+    through `QuotientParams.product_table`, ==, hash and printing.  The
+    engine builds such vectors with `poly.reduce_pqm` and multiplies only
+    through `poly.module_rows`; `TestQPolyOracle` checks this arithmetic
+    against term maps, and the reference model below runs on it."""
 
-    __slots__ = ()
+    __slots__ = ("params", "vec")
+
+    def __init__(self, params: QuotientParams, terms: dict[tuple[int, ...], int] | None = None):
+        vec = [0] * params.monomial_count
+        for mono, coeff in (terms or {}).items():
+            if not isinstance(coeff, int):  # a bool is one
+                raise TypeError(f"polynomial coefficients must be ints, got {coeff!r}")
+            vec[params.position(mono)] += coeff
+        self.params = params
+        self.vec = tuple([c % params.m for c in vec])
 
     @classmethod
     def _raw(cls, params: QuotientParams, vec: tuple[int, ...]) -> "RefQPoly":
@@ -136,9 +147,8 @@ class RefQPoly(QPoly):
         return self
 
     @classmethod
-    def of(cls, a: QPoly) -> "RefQPoly":
-        """`a`, say a `reduce_pqm` result, with the arithmetic."""
-        return cls._raw(a.params, a.vec)
+    def one(cls, params: QuotientParams) -> "RefQPoly":
+        return cls(params, {(0,) * params.n: 1})
 
     @classmethod
     def zero(cls, params: QuotientParams) -> "RefQPoly":
@@ -919,7 +929,7 @@ def reference_module_rows(columns, params: QuotientParams) -> list:
     """The rows that span the submodule of R^k generated by columns
     c = (c_1, .., c_k), from term-map products: for each column and each
     monomial mu, the coefficients of mu * c_i over `monomials()`, c_i after
-    c_(i-1).  On one-entry columns (c,) these are `poly.module_rows([c])`."""
+    c_(i-1).  On one-entry columns (c,) these are `poly.module_rows([c.vec], params)`."""
     monos = list(params.monomials())
     rows = []
     for col in columns:

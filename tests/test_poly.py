@@ -14,13 +14,15 @@ from helpers import (
     reference_qpoly_terms, subgroup_closure,
 )
 from metlie.poly import (
+    DEFAULT_MAX_RING_SIZE,
     Poly,
-    QPoly,
     QuotientParams,
     ResourceLimitError,
     Span,
     cube_values,
+    check_ring_size,
     divexact,
+    exceeds_ring_cap,
     format_terms,
     grevlex_key,
     ideal_contains_finite,
@@ -29,7 +31,7 @@ from metlie.poly import (
     prime_power_factors,
     reduce_pqm,
 )
-from metlie.primitivity import DEFAULT_QUOTIENT_GRID
+from metlie.primitivity import DEFAULT_QUOTIENT_GRID, _grid_params
 
 
 def x(i, n=2):
@@ -390,27 +392,23 @@ class TestLocalFactors:
 
 class TestReducePqm:
     def test_exponent_rule(self):
-        params = QuotientParams(1, 2, 3, 1)
-        got = reduce_pqm(Poly(1, {(5,): 1}), params)
-        assert RefQPoly.of(got).terms == {(1,): 1}
+        # x1^5 -> x1 with x1^3 = x1, over the monomials 1, x1, x1^2.
+        assert reduce_pqm(Poly(1, {(5,): 1}), QuotientParams(1, 2, 3, 1)) == (0, 1, 0)
 
     def test_coefficient_rule(self):
-        params = QuotientParams(1, 1, 3, 1)
-        assert not RefQPoly.of(reduce_pqm(Poly(1, {(1,): 3}), params))
+        assert reduce_pqm(Poly(1, {(1,): 3}), QuotientParams(1, 1, 3, 1)) == (0, 0)
 
     def test_square_expansion(self):
         # (x1+1)^2 = x1^2 + 2x1 + 1 -> x1 + 1 with x1^2 = x1 and mod 2.
-        params = QuotientParams(1, 1, 2, 1)
         p = (x(1, 1) + Poly.one(1)) ** 2
-        got = reduce_pqm(p, params)
-        assert RefQPoly.of(got) == RefQPoly(params, {(1,): 1, (0,): 1})
+        assert reduce_pqm(p, QuotientParams(1, 1, 2, 1)) == (1, 1)
 
     def test_homomorphism_property(self):
         rng = random.Random(23)
         params = QuotientParams(2, 1, 4, 2)
 
         def red(a):
-            return RefQPoly.of(reduce_pqm(a, params))
+            return RefQPoly._raw(params, reduce_pqm(a, params))
 
         for _ in range(1000):
             a = random_poly(rng, 2, max_degree=5)
@@ -418,24 +416,34 @@ class TestReducePqm:
             assert red(a * b) == red(a) * red(b)
             assert red(a + b) == red(a) + red(b)
 
+    def test_generator_count_must_match(self):
+        with pytest.raises(ValueError, match="polynomial has 2 generators, parameters expect 1"):
+            reduce_pqm(x(1), QuotientParams(1, 1, 2, 1))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             QuotientParams(0, 1, 2, 1)
         with pytest.raises(ValueError):
             QuotientParams(1, 1, 1, 1)
 
+    # `reduce_pqm` reads a `Poly`, whose constructor has already rejected a
+    # malformed term; `helpers.RefQPoly`'s own constructor rejects the same,
+    # so the reference model cannot run on a malformed element either.
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="negative exponent in monomial"):
-            QPoly(QuotientParams(1, 1, 2, 2), {(-1, 0): 1})
+            Poly(2, {(-1, 0): 1})
+        with pytest.raises(ValueError, match="negative exponent in monomial"):
+            RefQPoly(QuotientParams(1, 1, 2, 2), {(-1, 0): 1})
 
     def test_coefficients_must_be_ints(self):
         # As for Poly: `% m` would keep a float's fraction; a bool is an int.
         params = QuotientParams(1, 1, 2, 2)
         for coeff in (2.9, "2"):
             with pytest.raises(TypeError, match=f"polynomial coefficients must be ints, got {coeff!r}"):
-                QPoly(params, {(1, 0): coeff})
-        got = QPoly(params, {(1, 0): True, (0, 1): False})
-        assert RefQPoly.of(got) == RefQPoly.variable(1, params)
+                RefQPoly(params, {(1, 0): coeff})
+        got = RefQPoly(params, {(1, 0): True, (0, 1): False})
+        assert got == RefQPoly.variable(1, params)
         assert all(type(c) is int for c in got.vec)
 
 
@@ -468,7 +476,7 @@ class TestQPolyOracle:
         assert (-a).terms == reference_qpoly_terms({mu: -x for mu, x in ta.items()}, params)
         assert (c * a).terms == reference_qpoly_terms({mu: c * x for mu, x in ta.items()}, params)
         assert (a * b).terms == reference_qpoly_product(ta, tb, params)
-        assert list(module_rows([a, b])) == reference_module_rows([(a,), (b,)], params)
+        assert list(module_rows([a.vec, b.vec], params)) == reference_module_rows([(a,), (b,)], params)
 
 
 class TestProductTable:
@@ -519,21 +527,27 @@ def _ideal_closure_oracle(gens, params):
 
 
 class TestIdealContainsFinite:
+    """Do the coefficient vectors generate Z_{p,q,m}[X]?"""
+
     def test_unit_ideal(self):
-        params = QuotientParams(1, 1, 2, 2)
-        one = QPoly.one(params)
-        target = QPoly(params, {(1, 1): 1, (0, 0): 1})
-        assert ideal_contains_finite([one], target)
+        # x1 and 1 + x1 are zero divisors of Z_2[x1]/(x1^2 - x1), but their sum is 1.
+        params = QuotientParams(1, 1, 2, 1)
+        x1 = RefQPoly.variable(1, params)
+        assert ideal_contains_finite([x1.vec, (x1 + RefQPoly.one(params)).vec], params)
+        assert ideal_contains_finite([RefQPoly.one(params).vec], params)
 
     def test_x1_is_proper_in_four_element_ring(self):
         params = QuotientParams(1, 1, 2, 1)
-        assert not ideal_contains_finite([RefQPoly.variable(1, params)], QPoly.one(params))
+        assert not ideal_contains_finite([RefQPoly.variable(1, params).vec], params)
+
+    def test_no_generators_give_the_zero_ideal(self):
+        assert not ideal_contains_finite([], QuotientParams(1, 1, 2, 1))
 
     def test_refuted_by_evaluation(self):
         # x1 -> 0, x2 -> 1 kills both generators but not 1, so 1 is outside.
         params = QuotientParams(1, 1, 2, 2)
         gens = [RefQPoly.one(params) - RefQPoly.variable(2, params), RefQPoly.variable(1, params)]
-        assert not ideal_contains_finite(gens, QPoly.one(params))
+        assert not ideal_contains_finite([g.vec for g in gens], params)
         pt = [RefQPoly.zero(params), RefQPoly.one(params)]
         one = RefQPoly.one(params)
         assert all(not g.evaluate(pt, one) for g in [Poly.one(2) - x(2), x(1)])
@@ -541,23 +555,45 @@ class TestIdealContainsFinite:
     def test_resource_guard(self):
         params = QuotientParams(2, 2, 3, 2)  # ring size 3^16
         with pytest.raises(ResourceLimitError):
-            ideal_contains_finite([QPoly.one(params)], QPoly.one(params))
+            ideal_contains_finite([RefQPoly.one(params).vec], params)
 
     @pytest.mark.parametrize("p,q,m,n", [
         (1, 1, 2, 1), (1, 1, 2, 2), (2, 1, 3, 1), (1, 1, 3, 1),
         (1, 1, 4, 1), (1, 1, 4, 2), (1, 1, 6, 1),
+        # x^q - 1 does not split over F_m: parts that are not local
+        (1, 3, 2, 1), (2, 3, 2, 1), (1, 4, 3, 1),
     ])
     def test_against_brute_force_closure(self, p, q, m, n):
         rng = random.Random(100 * p + 10 * q + m + n)
         params = QuotientParams(p, q, m, n)
-        for _ in range(5):
-            gens = [random_qpoly(rng, params) for _ in range(rng.randrange(1, 3))]
-            if not any(gens):
-                gens = [RefQPoly.variable(1, params)]
-            ideal = _ideal_closure_oracle(gens, params)
-            for _ in range(10):
-                target = random_qpoly(rng, params)
-                assert ideal_contains_finite(gens, target) == (target in ideal)
+        one = RefQPoly.one(params)
+        seen = set()
+        for _ in range(20):
+            gens = [random_qpoly(rng, params, max_terms=2) for _ in range(rng.randrange(1, 3))]
+            got = ideal_contains_finite([g.vec for g in gens], params)
+            assert got == (one in _ideal_closure_oracle(gens, params))
+            seen.add(got)
+        assert seen == {True, False}
+
+
+class TestRingCap:
+    @pytest.mark.parametrize("pqmn, over", [
+        ((2, 2, 2, 2), False),  # 2^16 elements
+        ((1, 1, 2, 4), False),  # 2^16
+        ((1, 1, 4, 5), True),   # 4^32
+        ((2, 2, 3, 2), True),   # 3^16
+        ((2, 2, 2, 3), True),   # 2^64
+    ])
+    def test_one_rule_for_the_check_and_the_grid(self, pqmn, over):
+        params = QuotientParams(*pqmn)
+        assert exceeds_ring_cap(params) is over
+        assert exceeds_ring_cap(params) == (params.ring_size > DEFAULT_MAX_RING_SIZE)
+        assert (params in _grid_params(tuple([pqmn[:3]]), pqmn[3])) is not over
+        if over:
+            with pytest.raises(ResourceLimitError):
+                check_ring_size(params)
+        else:
+            check_ring_size(params)
 
 
 class TestPowerExceeds:

@@ -36,15 +36,13 @@ from helpers import (
 from metlie.calculus import jacobi_matrix, minors
 from metlie.expr import parse
 from metlie.poly import (
-    DEFAULT_MAX_RING_SIZE,
     Poly,
-    QPoly,
     QuotientParams,
     ResourceLimitError,
     cube_values,
+    exceeds_ring_cap,
     grevlex_key,
     ideal_contains_finite,
-    power_exceeds,
     reduce_pqm,
 )
 from metlie import primitivity
@@ -720,11 +718,12 @@ class TestQuotientCheck:
 
 def howell_contains_one(gens, params):
     """Is 1 in the ideal the reduced gens generate, by the Howell form?"""
-    return ideal_contains_finite([reduce_pqm(f, params) for f in gens], QPoly.one(params))
+    return ideal_contains_finite([reduce_pqm(f, params) for f in gens], params)
 
 
-CUBE_RINGS = [QuotientParams(1, 1, m, n) for n in (1, 2, 3, 4) for m in (2, 3, 4, 6, 8, 9)
-              if not power_exceeds(m, 2 ** n, DEFAULT_MAX_RING_SIZE)]
+CUBE_RINGS = [params for params in (QuotientParams(1, 1, m, n) for n in (1, 2, 3, 4)
+                                    for m in (2, 3, 4, 6, 8, 9))
+              if not exceeds_ring_cap(params)]
 
 # Ideals over n >= 2 generators, with the moduli m for which they are the
 # unit ideal of Z_{1,1,m}[X]: the values at each point of {0,1}^n and m
