@@ -273,26 +273,26 @@ def cmd_uniform(args, cfg: Config) -> int:
     return EXIT_OK if report.uniform else EXIT_NEGATIVE
 
 
-def grid_entries(n: int, cfg: Config) -> list:
+def grid_entries(cfg: Config) -> list:
     """The grid, cheapest first: abelian moduli, then matrix models by size.
     Built once per run, so that every system's census of a matrix model
     shares the model's top-left carrier."""
-    models = [FiniteModel(QuotientParams(p, q, m, n), cfg.variant) for (p, q, m) in cfg.grid]
+    models = [FiniteModel(QuotientParams(p, q, m, cfg.n), cfg.variant) for (p, q, m) in cfg.grid]
     models.sort(key=lambda mod: (mod.size_order(), mod.quotient.p, mod.quotient.q, mod.quotient.m))
     return sorted(cfg.abelian) + models
 
 
-def grid_walk(gs, n: int, entries: list, cfg: Config):
+def grid_walk(gs, entries: list, cfg: Config):
     """Census of every entry of `grid_entries`, in order.  Yields (report,
     None), or (None, skip record) for a budget-skipped entry; `report.model`
     describes an evaluated entry."""
     for entry in entries:
         abelian = isinstance(entry, int)
         try:
-            report = (uniformity_check_abelian(gs, entry, n, budget=cfg.budget) if abelian
+            report = (uniformity_check_abelian(gs, entry, cfg.n, budget=cfg.budget) if abelian
                       else uniformity_check(gs, entry, budget=cfg.budget))
         except BudgetError as exc:
-            desc = describe_abelian(entry, n) if abelian else entry.describe()
+            desc = describe_abelian(entry, cfg.n) if abelian else entry.describe()
             yield None, {"model": desc, "reason": str(exc)}
         else:
             yield report, None
@@ -305,7 +305,7 @@ def _witness_record(report) -> dict:
 def cmd_witness(args, cfg: Config) -> int:
     gs = _parse_system(args.exprs, cfg.n)
     payload = {"witness": None, "checked": [], "skipped": []}
-    for report, skip in grid_walk(gs, cfg.n, grid_entries(cfg.n, cfg), cfg):
+    for report, skip in grid_walk(gs, grid_entries(cfg), cfg):
         if report is None:
             payload["skipped"].append(skip)
             continue
@@ -375,7 +375,7 @@ WITNESS_NOT_FOUND = (
 )
 
 
-def run_consistency(n: int, systems, cfg: Config) -> dict:
+def run_consistency(systems, cfg: Config) -> dict:
     """Primitivity verdicts against exhaustive uniformity over the whole grid.
 
     A contradiction is a primitive system that fails uniformity on an
@@ -387,16 +387,14 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
     contradictions = []
     warnings = []
     out_systems = []
-    entries = None  # built once the first system parses, which bounds n
+    entries = grid_entries(cfg)
     for idx, (texts, expected) in enumerate(systems):
-        gs = _parse_system(texts, n)
-        if entries is None:
-            entries = grid_entries(n, cfg)
+        gs = _parse_system(texts, cfg.n)
         verdict = _decide(gs, cfg)
         label = "; ".join(texts)
         reports = []
         skipped = []
-        for report, skip in grid_walk(gs, n, entries, cfg):
+        for report, skip in grid_walk(gs, entries, cfg):
             if report is None:
                 skipped.append(skip)
             else:
@@ -438,7 +436,7 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
             "warnings": sys_warnings,
         })
     return {
-        "n": n,
+        "n": cfg.n,
         "grid": {
             "abelian": sorted(cfg.abelian),
             "matrix": [{"p": p, "q": q, "m": m} for (p, q, m) in cfg.grid],
@@ -453,14 +451,15 @@ def run_consistency(n: int, systems, cfg: Config) -> dict:
 
 def cmd_consistency(args, cfg: Config) -> int:
     try:
-        with open(args.catalog, "r", encoding="utf-8") as fh:
+        with open(args.catalog, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise CatalogError(f"cannot read catalog: {exc}") from None
     n, systems = parse_catalog(text)
     if args.n is not None and args.n != n:
         raise CatalogError(f"--n {args.n} differs from the catalog header n={n}")
-    summary = run_consistency(n, systems, cfg)
+    cfg.n = n
+    summary = run_consistency(systems, cfg)
     lines = []
     for idx, record in enumerate(summary["systems"]):
         verdict = record["verdict"]["primitive"]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 DEFAULT_MAX_RING_SIZE = 1 << 20
+MAX_TRIAL_DIVISORS = 1 << 20
 
 
 class ResourceLimitError(Exception):
@@ -278,10 +279,12 @@ def divexact(a: Poly, b: Poly) -> Poly:
 
 def prime_power_factors(m: int) -> Iterator[tuple[int, int]]:
     """(l, l^a) for each prime l dividing m, l^a exactly dividing m, in
-    increasing order of l.  Trial division takes about sqrt(m) steps."""
+    increasing order of l.  Trial division takes about sqrt(m) steps, over
+    at most the MAX_TRIAL_DIVISORS candidates 2..2^20+1; a cofactor c left
+    past them, which may be composite, is yielded last as (c, c)."""
     rest, ell = m, 1
     while rest > 1:
-        ell = ell + 1 if (ell + 1) ** 2 <= rest else rest
+        ell = ell + 1 if (ell + 1) ** 2 <= rest and ell <= MAX_TRIAL_DIVISORS else rest
         if rest % ell == 0:
             r = math.gcd(rest, ell ** rest.bit_length())
             rest //= r

@@ -44,13 +44,13 @@ from metlie.poly import (
     bezout,
     cube_values,
     exceeds_ring_cap,
+    prime_power_factors,
     reduce_pqm,
 )
 from metlie.ring import MElement, check_system
 
 DEFAULT_MAX_BASIS = 10_000
 DEFAULT_MAX_DEGREE = 40
-MAX_TRIAL_DIVISORS = 1 << 20
 
 # Quotient grid of the fast path, and the matrix-model grid of `witness` and
 # `consistency`: p, q in {1, 2}, m in {2, 3}.
@@ -426,28 +426,15 @@ def ideal_contains_one(gens: list[Poly], *, max_basis: int = DEFAULT_MAX_BASIS,
 
 
 def _abelian_minor_gcd(rows: list) -> int:
-    """gcd of the k x k minors of a system's linear parts, k x n integer rows
-    of a shape that `ring.check_shape` has passed: `is_primitive`'s abelian
-    step; the system is primitive over the abelianization iff it is 1."""
+    """gcd g of the k x k minors of a system's linear parts, k x n integer
+    rows that `ring.check_shape` has passed: the system is primitive over
+    the abelianization iff g = 1, and every minor is 0 modulo each d | g."""
     g = 0
     for d in _minor_dets(rows, len(rows)):
         g = math.gcd(g, d)
         if g == 1:
             return 1
     return g
-
-
-def _smallest_prime_factor(v: int) -> int:
-    """Smallest prime factor of |v| (2 when |v| < 2), found by trial division
-    over at most MAX_TRIAL_DIVISORS candidates; past that |v| itself is the
-    answer, which still refutes: every linear minor is 0 modulo it."""
-    v = abs(v)
-    if v < 2:
-        return 2
-    for d in range(2, min(math.isqrt(v), MAX_TRIAL_DIVISORS + 1) + 1):
-        if v % d == 0:
-            return d
-    return v
 
 
 @functools.cache
@@ -518,10 +505,10 @@ def is_primitive(gs: list[MElement], *,
     lin = [list(g.linear) for g in gs]
     gcd_minors = _abelian_minor_gcd(lin)
     if gcd_minors != 1:
-        modulus = _smallest_prime_factor(gcd_minors)
         return PrimitivityVerdict(
             False, "abelian-refuted",
-            refutation={"kind": "abelian", "params": {"m": modulus}},
+            refutation={"kind": "abelian",
+                        "params": {"m": next(prime_power_factors(gcd_minors or 2))[0]}},
         )
 
     minor_polys = minors(jacobi_matrix(gs), k)

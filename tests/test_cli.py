@@ -382,6 +382,16 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             parse_catalog("n=2\nx1 @ maybe\n")
 
+    def test_byte_order_mark(self, tmp_path, capsys):
+        """A UTF-8 catalog may start with a byte-order mark, as editors on
+        some systems write it."""
+        plain = DATA / "acceptance_catalog.txt"
+        marked = tmp_path / "catalog.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = run(capsys, "--json", "consistency", str(plain))
+        assert run(capsys, "--json", "consistency", str(marked)) == expected
+        assert expected[0] == 0
+
 
 class TestInputErrors:
     """Malformed catalogs and moduli exit 2 with the message on stderr."""

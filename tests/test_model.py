@@ -1037,7 +1037,7 @@ class TestCarrierLifetime:
 
         monkeypatch.setattr(metlie.cli, "uniformity_check", census)
         n, systems = parse_catalog((DATA / "acceptance_catalog.txt").read_text())
-        summary = run_consistency(n, systems, Config(n=n))
+        summary = run_consistency(systems, Config(n=n))
         walked = [(ref, space) for ref, space in calls if space is not None]
         # The non-uniform systems on (1,1,2) walk one model's one l_digits.
         assert len(walked) >= 2

@@ -257,6 +257,12 @@ class TestPrimePowerFactors:
         # About 10^6 trial divisions, not 10^12.
         assert list(prime_power_factors(999_999_999_989)) == [(999_999_999_989, 999_999_999_989)]
 
+    def test_cofactor_past_the_trial_bound(self):
+        # The trial candidates end at 2^20 + 1, so what is left past them is
+        # yielded as one factor: here two primes beyond the bound.
+        c = 1048583 * 1048589
+        assert list(prime_power_factors(12 * c)) == [(2, 4), (3, 3), (c, c)]
+
     @pytest.mark.parametrize("p, q, m", DEFAULT_QUOTIENT_GRID + (
         (1, 1, 4), (2, 1, 4), (1, 2, 4), (2, 2, 4), (1, 1, 8),  # prime powers
         (1, 3, 2), (2, 3, 2), (1, 4, 3), (1, 3, 4),  # x^q - 1 does not split

@@ -61,7 +61,6 @@ from metlie.primitivity import (
     _packing_for,
     _quotient_refutation,
     _reduce_row,
-    _smallest_prime_factor,
     ideal_contains_one,
     is_primitive,
 )
@@ -680,22 +679,28 @@ class TestAbelianPrimitive:
                 check_shape([len(row) for row in rows])
             assert str(err.value) == text
 
+    @staticmethod
+    def refuting_modulus(v):
+        """The modulus of `is_primitive`'s abelian refutation of v*x1, whose
+        one linear minor is v."""
+        verdict = is_primitive([mel(f"{v}*x1", 1)])
+        assert verdict.method == "abelian-refuted"
+        return verdict.refutation["params"]["m"]
+
     def test_refuting_modulus_within_the_trial_bound(self):
         def smallest_factor(v):
-            v = abs(v)
-            if v < 2:
-                return 2
-            return next((d for d in range(2, math.isqrt(v) + 1) if v % d == 0), v)
+            return next((d for d in range(2, math.isqrt(v) + 1) if v % d == 0), v or 2)
 
         # 1048573 is the largest prime among the trial divisors 2..2^20+1.
-        for v in [*range(-50, 3000), 1048573 ** 2, 1048573 * 1048589]:
-            assert _smallest_prime_factor(v) == smallest_factor(v)
+        for v in [0, *range(2, 5000), 1048573 ** 2, 1048573 * 1048589]:
+            assert self.refuting_modulus(v) == smallest_factor(v), v
 
     def test_refuting_modulus_past_the_trial_bound(self):
-        # Both prime factors lie beyond the bound: the value itself is the
-        # modulus, and every linear minor is still 0 modulo it.
-        v = 1048583 * 1048589
-        assert _smallest_prime_factor(v) == v
+        # Every prime factor lies beyond the bound: the value itself is the
+        # modulus, composite or not, and every linear minor is still 0
+        # modulo it.
+        for v in [1048583 * 1048589, (2 ** 61 - 1) * (2 ** 31 - 1)]:
+            assert self.refuting_modulus(v) == v
 
 
 def quotient_passes(gs, params):
@@ -1093,6 +1098,42 @@ def test_corpus_outcomes_unchanged():
     may rewrite certificates, never a decision."""
     expected = (DATA / "corpus_outcomes.sha256").read_text().split()[0]
     assert corpus_verdicts_digest(("method", "primitive", "refutation")) == expected
+
+
+def test_split_rings_answered_by_residue_points():
+    """The criterion of ROADMAP item 6a, on every distinct system of both
+    decide corpora: on each ring of the default grid under the size cap,
+    all of them split, the minors generate 1 exactly when every part
+    (r, xi, e, local) of the ring has a minor that is nonzero at xi modulo
+    the prime l of r.  The minors are evaluated here, term by term, so the
+    oracle shares no code with the cube pass, the Howell path or the
+    census's points."""
+    def value(poly, point):
+        return sum(c * math.prod(map(pow, point, mono)) for mono, c in poly.terms.items())
+
+    inputs = _perfbench_inputs()
+    _, systems = inputs.read_catalog()
+    pairs = refuted = 0
+    for name in ("decide_n2", "decide_n3"):
+        spec = inputs.SPECS[name]
+        rings = _grid_params(primitivity.DEFAULT_QUOTIENT_GRID, spec.n)
+        assert all(local for ring in rings for *_, local in ring.local_factors())
+        # (l, xi) for each part (r, xi, e, local), l the prime of r = l^a.
+        points = {ring: [(next(d for d in itertools.count(2) if r % d == 0), xi)
+                         for r, xi, _, _ in ring.local_factors()] for ring in rings}
+        distinct = {}  # one system per printed form of its elements
+        for texts, _ in inputs.corpus(spec, systems):
+            gs = [mel(t, spec.n) for t in texts]
+            distinct.setdefault(tuple(map(str, gs)), gs)
+        for gs in distinct.values():
+            minor_polys = minors(jacobi_matrix(gs), len(gs))
+            for ring in rings:
+                passes = all(any(value(g, xi) % ell for g in minor_polys)
+                             for ell, xi in points[ring])
+                assert (_quotient_refutation(minor_polys, [ring]) is None) == passes, (gs, ring)
+                pairs += 1
+                refuted += not passes
+    assert (pairs, refuted) == (3246, 1474)
 
 
 def corpus_printed_digest() -> str:

@@ -56,6 +56,48 @@ class TestPrivateHelpers:
         assert "_unused" not in _referenced_names(tree)
 
 
+def _unread_constants(trees: dict) -> list:
+    """"module:NAME" for each module-level UPPER_CASE constant of `trees` (a
+    leading underscore allowed) that nothing in them reads: a load of the
+    name in its own module, an import of it from that module, or an
+    attribute of that name on any object.  The assignment that binds it
+    does not count, nor does a read of the same name in another module."""
+    reads = set()  # (module, or None for any module; name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add((module, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.add((None, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rpartition(".")[2] + ".py"
+                reads.update((source, alias.name) for alias in node.names)
+    bound = [(module, target) for module, tree in trees.items() for node in tree.body
+             for target in (node.targets if isinstance(node, ast.Assign)
+                            else [node.target] if isinstance(node, ast.AnnAssign) else [])]
+    return [f"{module}:{target.id}" for module, target in bound
+            if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()
+            and (module, target.id) not in reads and (None, target.id) not in reads]
+
+
+class TestModuleConstants:
+    def test_every_constant_is_read(self):
+        """A module-level UPPER_CASE constant of `src/` (a bound, a default,
+        an exit code) is read somewhere in `src/`; one left behind when the
+        code that read it moved or went is deleted."""
+        assert _unread_constants(_trees()) == []
+
+    def test_the_check_sees_an_unread_constant(self):
+        tree = ast.parse("import re\n\nLIMIT = 3\nSTALE = 4\nIMPORTED = 5\nREAD_AS_ATTR = 6\n"
+                         "_PATTERN = re.compile('x')\n_UNUSED: int = 7\nlower = 8\n\n\n"
+                         "def f(a):\n    return a < LIMIT and _PATTERN.match(str(a))\n")
+        other = ast.parse("import os\nfrom pkg.a import IMPORTED\n\n"
+                          "LIMIT = 3  # left behind: only a.py reads its own LIMIT\n"
+                          "x = os.READ_AS_ATTR + IMPORTED\n")
+        assert _unread_constants({"a.py": tree, "b.py": other}) == [
+            "a.py:STALE", "a.py:_UNUSED", "b.py:LIMIT"]
+
+
 def _unreferenced_methods(trees: dict) -> list:
     """"module:Class._name" for each private method (`_name`, not a dunder)
     of a class in `trees` that nothing in them reads.  An attribute read on
